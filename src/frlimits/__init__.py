@@ -7,8 +7,7 @@ Submodules:
     truncring -- exact arithmetic in Z[F]/r^N, ideal lattices, code evaluation
     intlin    -- exact integer linear algebra, presented abelian groups
     limits    -- the cosimplicial complex, Moore/alternate-sum cohomology
-    oracle    -- Gruenberg resolution, group homology, dictionary verification
-    cli       -- command line entry points
+    errors    -- InputError and CapExceeded
 """
 
 __version__ = "0.1.0"

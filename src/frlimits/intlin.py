@@ -1,9 +1,10 @@
 """Exact integer linear algebra.
 
-Hermite-form row lattices with online insertion, Smith normal form with
-transform tracking, finitely presented abelian groups, maps between them,
-tensor/Tor over Z, tensor over a finite group ring, and homology of
-three-term complexes of presented groups.
+Hermite-form row lattices with online insertion, one kernel primitive
+built on them (left kernels, lattice intersection, kernels of presented
+maps), the Smith invariant-factor diagonal, finitely presented abelian
+groups, maps between them, tensor/Tor over Z, tensor over a finite group
+ring, and homology of three-term complexes of presented groups.
 
 Everything is exact.  Matrices are kept as int64 numpy arrays while entry
 bounds allow it and silently promoted to arbitrary-precision (object dtype)
@@ -13,6 +14,7 @@ arrays the moment an operation could overflow.
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import chain
 from math import gcd, prod
 
 import numpy as np
@@ -37,15 +39,11 @@ def xgcd(a, b):
 
 
 def _as_array(vec, n, big=False):
-    dtype = object if big else np.int64
-    a = np.zeros(n, dtype=dtype)
-    if isinstance(vec, dict):
-        for j, c in vec.items():
-            a[j] = c
-    else:
-        for j, c in enumerate(vec):
-            if c:
-                a[j] = c
+    # int(c): a numpy scalar stored in an object row would wrap at 2**63
+    a = np.zeros(n, dtype=object if big else np.int64)
+    for j, c in vec.items() if isinstance(vec, dict) else enumerate(vec):
+        if c:
+            a[j] = int(c)
     return a
 
 
@@ -225,15 +223,6 @@ class Lattice:
             else:
                 v = v - q * self.rows[k]
 
-    def copy(self):
-        other = Lattice(self.n)
-        other.rows = [r.copy() for r in self.rows]
-        other.pivot_cols = self.pivot_cols.copy()
-        other.col_to_row = self.col_to_row.copy()
-        other.big = self.big
-        other._canonical = self._canonical
-        return other
-
     def __eq__(self, other):
         if not isinstance(other, Lattice) or self.n != other.n:
             return NotImplemented
@@ -255,96 +244,65 @@ def lattice_from_rows(n, rows):
     return lat
 
 
-def lattice_sum(a, b):
-    assert a.n == b.n
-    out = a.copy()
-    out.add_rows(b.basis())
-    out.canonicalize()
-    return out
+def _lower_block(rows, split, width):
+    """Rows of the canonical HNF of `rows` (vectors in Z^width) whose pivot
+    lies at column `split` or later, restricted to those columns.
+
+    They are a basis, itself in canonical HNF, of the vectors of the row
+    lattice whose first `split` entries are zero.
+    """
+    lat = lattice_from_rows(width, rows)
+    return [r[split:] for r, j in zip(lat.rows, lat.pivot_cols) if j >= split]
 
 
 def kernel_of_matrix(rows, ncols):
     """Basis of the left kernel {x : x . M = 0} for M given by `rows`."""
     m = len(rows)
-    aug = Lattice(ncols + m)
-    for i, r in enumerate(rows):
-        v = [0] * (ncols + m)
-        if isinstance(r, dict):
-            for j, c in r.items():
-                v[j] = int(c)
-        else:
-            for j in range(ncols):
-                v[j] = int(r[j])
-        v[ncols + i] = 1
-        aug.add(v)
-    aug.canonicalize()
-    out = []
-    for k, j in enumerate(aug.pivot_cols):
-        if j >= ncols:
-            out.append([int(c) for c in aug.rows[k][ncols:]])
-    return out
+    aug = ([*r, *(0,) * i, 1, *(0,) * (m - 1 - i)] for i, r in enumerate(rows))
+    return _lower_block(aug, ncols, ncols + m)
 
 
 def lattice_intersection(a, b):
-    """Intersection of two lattices in the same ambient Z^n."""
-    assert a.n == b.n
-    rows_a = a.basis()
-    rows_b = b.basis()
-    stacked = [list(map(int, r)) for r in rows_a] + [list(map(int, r)) for r in rows_b]
-    kern = kernel_of_matrix(stacked, a.n)
-    out = Lattice(a.n)
-    na = len(rows_a)
-    for x in kern:
-        vec = np.zeros(a.n, dtype=object)
-        for i in range(na):
-            if x[i]:
-                vec = vec + x[i] * rows_a[i].astype(object)
-        out.add([int(c) for c in vec])
-    out.canonicalize()
-    return out
+    """Intersection of two lattices in the same ambient Z^n (Zassenhaus:
+    the rows (x, x) for x in A and (y, 0) for y in B span the vectors
+    (x + y, x), and those with x + y = 0 are exactly (0, A n B))."""
+    if a.n != b.n:
+        raise ValueError(f"lattice_intersection: ambient ranks {a.n} and {b.n} differ")
+    rows = chain(
+        (np.concatenate([r, r]) for r in a.basis()),
+        (np.concatenate([r, 0 * r]) for r in b.basis()),
+    )
+    return lattice_from_rows(a.n, _lower_block(rows, a.n, 2 * a.n))
 
 
 # -- Smith normal form -------------------------------------------------------
 
 
 def _snf_core(mat):
-    """Diagonalize a dense list-of-lists integer matrix in place.
-
-    Returns (diag, row_ops, col_ops) where the ops are the elementary
-    operations applied, for optional transform reconstruction.
-    """
+    """Invariant-factor diagonal of a dense list-of-lists integer matrix,
+    diagonalized in place."""
     m = len(mat)
     n = len(mat[0]) if m else 0
-    row_ops = []
-    col_ops = []
 
     def swap_rows(i, j):
         if i != j:
             mat[i], mat[j] = mat[j], mat[i]
-            row_ops.append(("swap", i, j))
 
     def swap_cols(i, j):
         if i != j:
             for r in mat:
                 r[i], r[j] = r[j], r[i]
-            col_ops.append(("swap", i, j))
 
     def addmul_row(dst, src, q):
         if q:
             rd, rs = mat[dst], mat[src]
             for k in range(n):
                 rd[k] += q * rs[k]
-            row_ops.append(("addmul", dst, src, q))
 
     def addmul_col(dst, src, q):
         if q:
             for r in mat:
                 r[dst] += q * r[src]
-            col_ops.append(("addmul", dst, src, q))
-
-    def negate_row(i):
-        mat[i] = [-x for x in mat[i]]
-        row_ops.append(("neg", i))
 
     t = 0
     while t < min(m, n):
@@ -391,194 +349,27 @@ def _snf_core(mat):
                         dirty = True
             if not dirty:
                 break
-        if mat[t][t] < 0:
-            negate_row(t)
         t += 1
 
-    diag = [mat[i][i] for i in range(min(m, n))]
+    # a finished row is zero off the diagonal, so only the pivot's sign is left
+    diag = [abs(mat[i][i]) for i in range(min(m, n))]
     # enforce the divisibility chain
     k = len(diag)
     for i in range(k):
         for j in range(i + 1, k):
             a, b = diag[i], diag[j]
             if a and b % a != 0:
-                # standard 2x2 gcd/lcm fix, as column+row ops on the diagonal
+                # Z/a + Z/b = Z/gcd + Z/lcm
                 g = gcd(a, b)
                 lcm = a // g * b
                 diag[i], diag[j] = g, lcm
-                row_ops.append(("pairfix", i, j, a, b))
             elif a == 0 and b != 0:
                 diag[i], diag[j] = b, 0
-                row_ops.append(("zswap", i, j))
-    return diag, row_ops, col_ops
-
-
-def smith_normal_form(matrix, check=True):
-    """Smith normal form with transforms: returns (U, D, V), U M V = D.
-
-    U and V are unimodular; D is diagonal with a divisibility chain.
-    The factorization is verified exactly on every call unless check=False.
-    """
-    rows = [list(map(int, r)) for r in matrix]
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    work = [r.copy() for r in rows]
-    _snf_core_with_transforms(work, U := _identity(m), V := _identity(n))
-    D = work
-    if check:
-        UM = _matmul_lists(U, rows)
-        UMV = _matmul_lists(UM, V)
-        if UMV != D:
-            raise AssertionError("SNF verification failed: U M V != D")
-    Ua = np.array(U, dtype=object)
-    Da = np.array(D, dtype=object) if D else np.zeros((0, n), dtype=object)
-    Va = np.array(V, dtype=object)
-    return Ua, Da, Va
-
-
-def _identity(n):
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        out[i][i] = 1
-    return out
-
-
-def _matmul_lists(a, b):
-    if not a:
-        return []
-    n = len(b[0]) if b else 0
-    k = len(b)
-    out = []
-    for row in a:
-        acc = [0] * n
-        for t in range(k):
-            c = row[t]
-            if c:
-                brow = b[t]
-                for j in range(n):
-                    acc[j] += c * brow[j]
-        out.append(acc)
-    return out
-
-
-def _snf_core_with_transforms(mat, U, V):
-    """Full SNF on a list-of-lists matrix, tracking U (rows) and V (cols)."""
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-
-    def addmul_row(dst, src, q):
-        rd, rs = mat[dst], mat[src]
-        for k in range(n):
-            rd[k] += q * rs[k]
-        ud, us = U[dst], U[src]
-        for k in range(len(ud)):
-            ud[k] += q * us[k]
-
-    def addmul_col(dst, src, q):
-        for r in mat:
-            r[dst] += q * r[src]
-        for r in V:
-            r[dst] += q * r[src]
-
-    def swap_rows(i, j):
-        if i != j:
-            mat[i], mat[j] = mat[j], mat[i]
-            U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        if i != j:
-            for r in mat:
-                r[i], r[j] = r[j], r[i]
-            for r in V:
-                r[i], r[j] = r[j], r[i]
-
-    def negate_row(i):
-        mat[i] = [-x for x in mat[i]]
-        U[i] = [-x for x in U[i]]
-
-    t = 0
-    while t < min(m, n):
-        best = None
-        for i in range(t, m):
-            row = mat[i]
-            for j in range(t, n):
-                v = row[j]
-                if v and (best is None or abs(v) < best[0]):
-                    best = (abs(v), i, j)
-                    if abs(v) == 1:
-                        break
-            if best and best[0] == 1:
-                break
-        if best is None:
-            break
-        _, bi, bj = best
-        swap_rows(t, bi)
-        swap_cols(t, bj)
-        while True:
-            dirty = False
-            for i in range(t + 1, m):
-                v = mat[i][t]
-                if v:
-                    q = v // mat[t][t]
-                    addmul_row(i, t, -q)
-                    if mat[i][t]:
-                        swap_rows(t, i)
-                        dirty = True
-            if dirty:
-                continue
-            for j in range(t + 1, n):
-                v = mat[t][j]
-                if v:
-                    q = v // mat[t][t]
-                    addmul_col(j, t, -q)
-                    if mat[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-            if not dirty:
-                break
-        if mat[t][t] < 0:
-            negate_row(t)
-        t += 1
-
-    # divisibility chain: move gcd up with explicit row/col ops
-    k = min(m, n)
-    for i in range(k):
-        for j in range(i + 1, k):
-            a, b = mat[i][i], mat[j][j]
-            if b == 0:
-                continue
-            if a == 0:
-                # swapping both row and column pairs exchanges the diagonal
-                swap_rows(i, j)
-                swap_cols(i, j)
-                continue
-            if b % a == 0:
-                continue
-            # classical trick: add col j to col i, then clear
-            addmul_col(i, j, 1)
-            while True:
-                dirty = False
-                v = mat[j][i]
-                if v:
-                    q = v // mat[i][i]
-                    addmul_row(j, i, -q)
-                    if mat[j][i]:
-                        swap_rows(i, j)
-                        dirty = True
-                if not dirty:
-                    break
-            v = mat[i][j]
-            if v:
-                q = v // mat[i][i]
-                addmul_col(j, i, -q)
-            if mat[i][i] < 0:
-                negate_row(i)
-            if mat[j][j] < 0:
-                negate_row(j)
+    return diag
 
 
 def smith_diagonal(matrix):
-    """Invariant-factor diagonal of an integer matrix (no transforms).
+    """Invariant-factor diagonal of an integer matrix.
 
     Unit pivots are stripped with vectorized row operations before the
     dense bignum core runs on whatever small block remains.
@@ -622,19 +413,14 @@ def smith_diagonal(matrix):
     diag = [1] * units
     if keep_rows:
         core = [[int(M[i, j]) for j in keep_cols] for i in keep_rows]
-        diag += _snf_core(core)[0]
+        diag += _snf_core(core)
     return diag
 
 
 def invariant_factors(matrix, ngens):
     """(torsion_factors, free_rank) of Z^ngens / rowspace(matrix)."""
-    lat = Lattice(ngens)
-    lat.add_rows(matrix)
-    diag = smith_diagonal([list(map(int, r)) for r in lat.basis()])
-    nz = [d for d in diag if d != 0]
-    torsion = tuple(d for d in nz if d > 1)
-    free_rank = ngens - len(nz)
-    return torsion, free_rank
+    nz = [d for d in smith_diagonal(matrix) if d != 0]
+    return tuple(d for d in nz if d > 1), ngens - len(nz)
 
 
 # -- finitely presented abelian groups ---------------------------------------
@@ -687,8 +473,7 @@ class FinPresAb:
     def invariants(self):
         """(torsion_factors d1 | d2 | ..., free_rank)."""
         if self._inv is None:
-            basis = [list(map(int, r)) for r in self.relations.basis()]
-            self._inv = invariant_factors(basis, self.ngens) if basis else ((), self.ngens)
+            self._inv = invariant_factors(self.relations.basis(), self.ngens)
         return self._inv
 
     @property
@@ -700,18 +485,18 @@ class FinPresAb:
         return self.invariants()[1]
 
     def is_trivial(self):
-        t, r = self.invariants()
-        return not t and r == 0
+        """Z^n / L is trivial iff L has rank n and every HNF pivot is 1;
+        pivots of an echelon basis depend only on L, so no SNF is needed."""
+        rel = self.relations
+        return rel.rank == self.ngens and all(
+            rel.rows[k][j] == 1 for k, j in enumerate(rel.pivot_cols)
+        )
 
     def order(self):
         """Group order, or None if infinite."""
         t, r = self.invariants()
         if r:
             return None
-        return prod(t) if t else 1
-
-    def torsion_order(self):
-        t, _ = self.invariants()
         return prod(t) if t else 1
 
     def iso_eq(self, other):
@@ -730,10 +515,6 @@ class FinPresAb:
 
     def __repr__(self):
         return f"FinPresAb({self.describe()})"
-
-
-def describe_invariants(torsion, rank):
-    return FinPresAb.from_invariants(torsion, rank).describe()
 
 
 class AbMap:
@@ -768,7 +549,10 @@ class AbMap:
 
     def compose(self, other):
         """self o other (apply other first)."""
-        assert other.cod.ngens == self.dom.ngens
+        if other.cod.ngens != self.dom.ngens:
+            raise ValueError(
+                f"compose: codomain rank {other.cod.ngens} != domain rank {self.dom.ngens}"
+            )
         return AbMap(other.dom, self.cod, safe_matmul(other.matrix, self.matrix))
 
     def __add__(self, other):
@@ -785,12 +569,10 @@ class AbMap:
         if self.dom.ngens != other.dom.ngens or self.cod.ngens != other.cod.ngens:
             return False
         diff = _safe_add(self.matrix, -_promote_if(other.matrix))
-        return all(
-            self.cod.relations.contains([int(c) for c in row]) for row in diff
-        )
+        return all(self.cod.relations.contains(row) for row in diff)
 
     def is_zero_map(self):
-        return all(self.cod.relations.contains([int(c) for c in row]) for row in self.matrix)
+        return all(self.cod.relations.contains(row) for row in self.matrix)
 
 
 def _promote_if(mat):
@@ -843,77 +625,38 @@ def _kernel_lattice(g):
     Computed as the b-projection of the kernel of the stacked matrix
     [Mg; R_C]: b Mg = -y R_C exactly says that g(b) dies in C.
     """
-    B = g.dom
-    C = g.cod
-    nb = B.ngens
-    nc = C.ngens
-    crel = C.relations.basis()
-    nrows = nb + len(crel)
-    aug = Lattice(nc + nrows)
-    for i in range(nb):
-        row = [0] * (nc + nrows)
-        for j in range(nc):
-            row[j] = int(g.matrix[i][j])
-        row[nc + i] = 1
-        aug.add(row)
-    for k, r in enumerate(crel):
-        row = [0] * (nc + nrows)
-        for j in range(nc):
-            row[j] = int(r[j])
-        row[nc + nb + k] = 1
-        aug.add(row)
-    aug.canonicalize()
-    kernel = Lattice(nb)
-    for k, piv in enumerate(aug.pivot_cols):
-        if piv >= nc:
-            kernel.add([int(c) for c in aug.rows[k][nc : nc + nb]])
-    kernel.canonicalize()
-    return kernel
+    nb = g.dom.ngens
+    kern = kernel_of_matrix([*g.matrix, *g.cod.relations.basis()], g.cod.ngens)
+    return lattice_from_rows(nb, [x[:nb] for x in kern])
 
 
 def homology_at(f, g):
     """ker(g)/im(f) for presented maps A --f--> B --g--> C with g o f = 0."""
     B = f.cod
     C = g.cod
-    assert g.dom.ngens == B.ngens
+    if g.dom.ngens != B.ngens:
+        raise ValueError(
+            f"homology_at: f lands in rank {B.ngens}, g starts from rank {g.dom.ngens}"
+        )
     comp = safe_matmul(f.matrix, g.matrix)
     for row in comp:
-        if not C.relations.contains([int(c) for c in row]):
+        if not C.relations.contains(row):
             raise ValueError("homology_at: composite g o f is not zero")
 
     kernel = _kernel_lattice(g)
     # relations: images of A generators plus B's own relations, in kernel coords
     rel_rows = []
     for row in f.matrix:
-        coords = kernel.coordinates([int(c) for c in row])
+        coords = kernel.coordinates(row)
         if coords is None:
             raise AssertionError("image of f escapes ker(g)")
         rel_rows.append(coords)
     for row in B.relations.basis():
-        coords = kernel.coordinates([int(c) for c in row])
+        coords = kernel.coordinates(row)
         if coords is None:
             raise AssertionError("relations of B escape ker(g)")
         rel_rows.append(coords)
     return FinPresAb(kernel.rank, rel_rows)
-
-
-def kernel_subgroup(g):
-    """ker(g: B -> C) as (lattice in Z^{ngens(B)}, FinPresAb of the kernel)."""
-    kernel = _kernel_lattice(g)
-    rel_rows = []
-    for row in g.dom.relations.basis():
-        coords = kernel.coordinates([int(c) for c in row])
-        if coords is None:
-            raise AssertionError("relations escape the kernel")
-        rel_rows.append(coords)
-    return kernel, FinPresAb(kernel.rank, rel_rows)
-
-
-def cokernel(f):
-    """coker(f: A -> B) as FinPresAb in B's generators."""
-    rels = [list(map(int, r)) for r in f.cod.relations.basis()]
-    rels += [[int(c) for c in row] for row in f.matrix]
-    return FinPresAb(f.cod.ngens, rels)
 
 
 # -- tensor and Tor over Z ----------------------------------------------------

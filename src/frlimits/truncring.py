@@ -315,11 +315,6 @@ class TruncatedRing:
         self._code_cache[key] = total
         return total
 
-    def clear_caches(self):
-        self._monomial_cache.clear()
-        self._code_cache.clear()
-        self._hom_images.clear()
-
 
 class RingElement:
     """Sparse element of a TruncatedRing; zero coefficients never stored."""
@@ -402,10 +397,6 @@ class RingElement:
 
     def __repr__(self):
         return f"RingElement({self.dump().replace(chr(10), ' ')})"
-
-
-def multiply(a, b):
-    return a * b
 
 
 class GroupContext:

@@ -2,11 +2,11 @@
 
 These deliberately avoid the package's own linear algebra: finite abelian
 groups are handled by element enumeration and invariant factors are
-recovered from p-power annihilator counts, so agreement with the package
-is meaningful evidence.
+recovered from p-power annihilator counts or from determinantal divisors,
+so agreement with the package is meaningful evidence.
 """
 
-from itertools import product
+from itertools import combinations, product
 from math import gcd
 
 
@@ -119,3 +119,41 @@ def brute_homology(mods_a, mat_f, mods_b, mat_g, mods_c):
         for a in [tuple(1 if j == i else 0 for j in range(len(mods_a))) for i in range(len(mods_a))]
     ]
     return brute_quotient_invariants(ker, img_gens, mods_b)
+
+
+def _det(m):
+    """Determinant of a square integer matrix by Bareiss elimination."""
+    a = [list(r) for r in m]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if n else 1
+
+
+def determinantal_invariant_factors(matrix):
+    """Nonzero invariant factors d_k = D_k / D_(k-1) of an integer matrix,
+    with D_k the gcd of all k x k minors (D_0 = 1)."""
+    m = len(matrix)
+    n = len(matrix[0]) if m else 0
+    factors = []
+    prev = 1
+    for k in range(1, min(m, n) + 1):
+        dk = 0
+        for rows in combinations(range(m), k):
+            for cols in combinations(range(n), k):
+                dk = gcd(dk, _det([[matrix[i][j] for j in cols] for i in rows]))
+        if dk == 0:
+            break
+        factors.append(dk // prev)
+        prev = dk
+    return factors
