@@ -117,10 +117,15 @@ class FreeHom:
     images: tuple
 
     def __post_init__(self):
-        assert len(self.images) == self.dom_copies * self.dom_rank
+        if len(self.images) != self.dom_copies * self.dom_rank:
+            raise ValueError(
+                f"{len(self.images)} images for {self.dom_copies * self.dom_rank} generators"
+            )
         for w in self.images:
-            assert w == reduce_word(w)
-            assert word_in_alphabet(w, self.cod_copies, self.cod_rank)
+            if w != reduce_word(w):
+                raise ValueError(f"image {w!r} is not a reduced word")
+            if not word_in_alphabet(w, self.cod_copies, self.cod_rank):
+                raise ValueError(f"image {w!r} is not in the codomain alphabet")
 
     def image_of(self, copy, gen):
         return self.images[copy * self.dom_rank + gen]
@@ -162,8 +167,10 @@ class FreeHom:
         dom_rank = homs[0].dom_rank
         cod_rank = homs[0].cod_rank
         for h in homs:
-            assert h.dom_copies == 1 and h.cod_copies == 1
-            assert (h.dom_rank, h.cod_rank) == (dom_rank, cod_rank)
+            if (h.dom_copies, h.cod_copies) != (1, 1):
+                raise ValueError("free_product takes maps between single free groups")
+            if (h.dom_rank, h.cod_rank) != (dom_rank, cod_rank):
+                raise ValueError("free_product takes maps of one domain and codomain rank")
         images = []
         for t, h in enumerate(homs):
             for w in h.images:

@@ -1,14 +1,17 @@
 """Exact integer linear algebra.
 
-Hermite-form row lattices with online insertion, one kernel primitive
+Hermite-form row lattices built by batch elimination (queued rows are
+folded into the basis in blocks, unit pivots first), one kernel primitive
 built on them (left kernels, lattice intersection, kernels of presented
 maps), the Smith invariant-factor diagonal, finitely presented abelian
 groups, maps between them, tensor/Tor over Z, tensor over a finite group
 ring, and homology of three-term complexes of presented groups.
 
 Everything is exact.  Matrices are kept as int64 numpy arrays while entry
-bounds allow it and silently promoted to arbitrary-precision (object dtype)
-arrays the moment an operation could overflow.
+bounds allow it and promoted to arbitrary-precision (object dtype) arrays
+whenever an operation could overflow; a lattice basis whose entries fit is
+stored as int64 again.  Products whose partial sums stay below 2**53 run
+in float64, which is exact there.
 """
 
 from __future__ import annotations
@@ -16,219 +19,418 @@ from __future__ import annotations
 from bisect import bisect_left
 from itertools import chain
 from math import gcd, prod
+from typing import NamedTuple
 
 import numpy as np
 
 # int64 arithmetic is used only while |result| stays below this bound.
 _I64_SAFE = 2**62
 
+# float64 products are exact while every partial sum stays below this bound.
+_F64_EXACT = 2**53
 
-def xgcd(a, b):
-    """Return (g, x, y) with g = gcd(a, b) >= 0 and x*a + y*b == g."""
-    x, next_x = 1, 0
-    y, next_y = 0, 1
-    g, next_g = a, b
-    while next_g:
-        q = g // next_g
-        x, next_x = next_x, x - q * next_x
-        y, next_y = next_y, y - q * next_y
-        g, next_g = next_g, g - q * next_g
-    if g < 0:
-        x, y, g = -x, -y, -g
-    return g, x, y
+# Row and column block of the float64 path of _product.
+_MATMUL_BLOCK = 128
+
+# Lattice.add eliminates its queued rows into the basis once they hold this
+# many entries (rows times width), and basis rows are stacked for products
+# in blocks of the same size.  Every temporary of a fold is a few such
+# blocks; larger blocks mean fewer folds but a higher peak memory.
+_FOLD_ENTRIES = 2**14
 
 
-def _as_array(vec, n, big=False):
-    # int(c): a numpy scalar stored in an object row would wrap at 2**63
-    a = np.zeros(n, dtype=object if big else np.int64)
-    for j, c in vec.items() if isinstance(vec, dict) else enumerate(vec):
-        if c:
-            a[j] = int(c)
+def _block_rows(width):
+    return max(1, _FOLD_ENTRIES // max(width, 1))
+
+
+class _Overflow(Exception):
+    """An int64 step could leave the safe range; redo it with Python ints."""
+
+
+def _maxabs(a):
+    """Largest |entry| of an integer array as a Python int (max and min,
+    so no full-size temporary of np.abs)."""
+    if a.size == 0:
+        return 0
+    return max(-int(a.min()), int(a.max()))
+
+
+def _frozen(a):
+    a.flags.writeable = False
     return a
 
 
-def _maxabs(row):
-    if len(row) == 0:
-        return 0
-    return int(np.abs(row).max())
+def _stack(arrays, width, dtype):
+    """Equal-length 1-D arrays as the rows of one 2-D array."""
+    return np.array(arrays, dtype=dtype).reshape(len(arrays), width)
+
+
+def _put(block, i, vec):
+    """Write vec (dict column -> entry, sequence or 1-D array) into row i of
+    block and return the block: int64 while every |entry| < _I64_SAFE, else
+    promoted to object with exact Python ints (int(c): a numpy scalar in an
+    object array would wrap at 2**63)."""
+    if block.dtype != object:
+        try:
+            if isinstance(vec, dict):
+                if vec:
+                    block[i, list(vec)] = list(vec.values())
+            else:
+                block[i] = vec
+            if _maxabs(block[i]) < _I64_SAFE:
+                return block
+        except OverflowError:
+            pass
+        block = block.astype(object)
+    for j, c in vec.items() if isinstance(vec, dict) else enumerate(vec):
+        block[i, j] = int(c)
+    return block
+
+
+def _product(a, b, bound):
+    """a @ b exactly, given bound >= every |partial sum|: float64 (BLAS,
+    exact below 2**53) in blocks, so its copies stay small; int64 below
+    _I64_SAFE; Python ints otherwise."""
+    if a.dtype == np.int64 and b.dtype == np.int64:
+        if bound < _F64_EXACT:
+            out = np.empty((a.shape[0], b.shape[1]), dtype=np.int64)
+            for c in range(0, b.shape[1], _MATMUL_BLOCK):
+                bf = b[:, c : c + _MATMUL_BLOCK].astype(np.float64)
+                for r in range(0, a.shape[0], _MATMUL_BLOCK):
+                    out[r : r + _MATMUL_BLOCK, c : c + _MATMUL_BLOCK] = (
+                        a[r : r + _MATMUL_BLOCK].astype(np.float64) @ bf
+                    )
+            return out
+        if bound < _I64_SAFE:
+            return a @ b
+    return a.astype(object) @ b.astype(object)
+
+
+def _submul(A, rows, q, head):
+    """A[rows] -= outer(q, head) in place; returns the new A[rows].  Raises
+    _Overflow instead of taking an int64 step that could overflow."""
+    block = A[rows]
+    if A.dtype != object and _maxabs(q) * _maxabs(head) + _maxabs(block) >= _I64_SAFE:
+        raise _Overflow
+    block -= np.outer(q, head)
+    A[rows] = block
+    return block
+
+
+def _echelon(W):
+    """Bring W to row echelon form in place by unimodular row operations.
+
+    Column by column, the live row whose entry has the least absolute value
+    reduces the others' entries to remainders until one nonzero entry is
+    left, so a unit pivot clears its column in one step.  Returns (t, cols):
+    W[:t] are the echelon rows, row e with a positive pivot at column
+    cols[e], and W[t:] is zero.
+    """
+    m = len(W)
+    t = 0
+    cols = []
+    for j in np.flatnonzero(W.any(axis=0)).tolist():
+        if t == m:
+            break
+        live = np.flatnonzero(W[t:, j]) + t
+        if not len(live):
+            continue
+        while len(live) > 1:
+            vals = W[live, j]
+            i = int(np.argmin(np.abs(vals)))
+            rest = np.delete(live, i)
+            block = _submul(W[:, j:], rest, np.delete(vals, i) // vals[i], W[live[i], j:])
+            live = np.concatenate((live[i : i + 1], rest[block[:, 0] != 0]))
+        p = live[0]
+        if p != t:
+            W[[t, p]] = W[[p, t]]
+        if W[t, j] < 0:
+            W[t, j:] = -W[t, j:]
+        cols.append(j)
+        t += 1
+    return t, cols
+
+
+def _reduce_above(E, cols):
+    """E are echelon rows with pivots at cols; bring every entry above a
+    pivot into [0, pivot).  Pivots go left to right, and each step changes
+    only columns right of its own pivot."""
+    for e, j in enumerate(cols):
+        q = E[:e, j] // E[e, j]
+        hit = np.flatnonzero(q)
+        if len(hit):
+            _submul(E[:, j:], hit, q[hit], E[e, j:])
+
+
+class _Hermite(NamedTuple):
+    """A basis in canonical Hermite form: its rows by pivot column, the
+    pivot columns, whether each pivot is 1, and each row's largest |entry|."""
+
+    rows: list
+    piv: np.ndarray
+    unit: np.ndarray
+    height: np.ndarray
+
+
+def _heights(M):
+    return np.abs(M).max(axis=1)
+
+
+def _minus_combination(v, coeff, hnf, idx):
+    """v - coeff @ [hnf.rows[i] for i in idx], exactly, stacking at most
+    _block_rows of those rows at a time.  Raises _Overflow instead of an
+    int64 step that could overflow."""
+    bound = _maxabs(coeff) * int(hnf.height[idx].max()) * len(idx)
+    if v.dtype != object and _maxabs(v) + bound >= _I64_SAFE:
+        raise _Overflow
+    step = _block_rows(v.shape[1])
+    for s in range(0, len(idx), step):
+        part = _stack([hnf.rows[i] for i in idx[s : s + step]], v.shape[1], v.dtype)
+        v = v - _product(coeff[:, s : s + step], part, bound)
+    return v
+
+
+def _reduce(V, hnf, coeff=None):
+    """Reduce the rows of V modulo the canonical basis hnf.  Returns R with
+    every entry at a pivot column in [0, pivot) and V - R in the lattice;
+    V itself is left as it is.  Given an array coeff of shape
+    (len(V), len(hnf.rows)), the coefficients are written into it, so that
+    V = coeff @ rows + R.
+
+    A unit pivot's column is zero outside its row, so the coefficients of
+    unit rows are V's own entries there and one product takes them all
+    off.  The other rows vanish on unit-pivot columns and follow left to
+    right, skipping ahead to the next pivot column where V is nonzero; a
+    running bound on |V| keeps the steps in int64 while it is safe.
+    """
+    rows, piv, unit, height = hnf
+    U = np.flatnonzero(unit)
+    c = V[:, piv[U]]
+    used = np.flatnonzero(c.any(axis=0))
+    if len(used):
+        if coeff is not None:
+            coeff[:, U[used]] = c[:, used]
+        V = _minus_combination(V, c[:, used], hnf, U[used])
+    else:
+        V = V.copy()
+    N = np.flatnonzero(~unit)
+    cols = piv[N]
+    top = _maxabs(V)
+    i = 0
+    while i < len(N):
+        ahead = np.flatnonzero(V[:, cols[i:]].any(axis=0))
+        if not len(ahead):
+            break
+        i += int(ahead[0])
+        k, j = int(N[i]), int(cols[i])
+        p = int(rows[k][j])
+        q = V[:, j] // p
+        hit = np.flatnonzero(q)
+        if len(hit):
+            bound = top + (top // p + 1) * int(height[k])
+            if V.dtype != object and bound >= _I64_SAFE:
+                top = _maxabs(V)
+                bound = top + (top // p + 1) * int(height[k])
+                if bound >= _I64_SAFE:
+                    raise _Overflow
+            V[hit] -= np.outer(q[hit], rows[k])
+            if coeff is not None:
+                coeff[hit, k] = q[hit]
+            top = bound
+        i += 1
+    return V
+
+
+def _merge(hnf, Q):
+    """The canonical basis of the lattice spanned by hnf and the rows of Q,
+    or None if Q adds nothing.
+
+    Q is first reduced modulo hnf, which clears its unit-pivot columns.  On
+    the other columns C, the non-unit rows and what is left of Q are
+    brought to echelon form and reduced above their pivots; then the unit
+    rows with an entry at one of the new pivots are reduced modulo them.
+    Rows that do not change are kept, not copied.
+    """
+    rows, piv, unit, height = hnf
+    n = Q.shape[1]
+    Q = _reduce(Q, hnf)
+    U = np.flatnonzero(unit)
+    keep = np.ones(n, dtype=bool)
+    keep[piv[U]] = False
+    C = np.flatnonzero(keep)
+    Q = Q[:, C]
+    Q = Q[Q.any(axis=1)]
+    if not len(Q):
+        return None
+    N = np.flatnonzero(~unit)
+    W = np.concatenate([_stack([rows[k][C] for k in N], len(C), Q.dtype), Q])
+    t, cols = _echelon(W)
+    E = W[:t]
+    _reduce_above(E, cols)
+    cols = np.array(cols, dtype=np.intp)
+    echelon = _Hermite(E, cols, E[np.arange(t), cols] == 1, _heights(E))
+    P = C[cols]
+    at = _stack([rows[k][P] for k in U], t, Q.dtype)
+    touched = U[at.any(axis=1)]
+    new = {}
+    unit_height = height[U]
+    step = _block_rows(len(C))
+    for s in range(0, len(touched), step):
+        part = touched[s : s + step]
+        X = _reduce(_stack([rows[k][C] for k in part], len(C), Q.dtype), echelon)
+        # a unit row's only entry outside C is its pivot 1
+        unit_height[np.searchsorted(U, part)] = np.maximum(_heights(X), 1)
+        for k, x in zip(part.tolist(), X):
+            row = rows[k].copy()
+            row[C] = x
+            new[k] = _frozen(row)
+    out = [new.get(k, rows[k]) for k in U.tolist()]
+    for e in E:
+        row = np.zeros(n, dtype=Q.dtype)
+        row[C] = e
+        out.append(_frozen(row))
+    out_piv = np.concatenate((piv[U], P))
+    order = np.argsort(out_piv)
+    return _Hermite(
+        [out[i] for i in order.tolist()],
+        out_piv[order],
+        np.concatenate((np.ones(len(U), dtype=bool), echelon.unit))[order],
+        np.concatenate((unit_height, echelon.height))[order],
+    )
+
+
+def _is_big(hnf):
+    return bool(hnf.rows) and hnf.rows[0].dtype == object
+
+
+def _with_dtype(hnf, dtype):
+    return hnf._replace(
+        rows=[_frozen(r.astype(dtype)) for r in hnf.rows], height=hnf.height.astype(dtype)
+    )
 
 
 class Lattice:
-    """A sublattice of Z^n stored as a row basis in canonical Hermite form.
+    """A sublattice of Z^n with a row basis in canonical Hermite form.
 
-    Rows are kept echelonized online (one pivot per column, pivots
-    positive); ``canonicalize`` additionally reduces every entry above a
-    pivot into [0, pivot), which makes the basis unique so that lattice
-    equality is basis equality.
+    ``add`` only queues a vector, in a dense block of ``_FOLD_ENTRIES``
+    entries.  When the block is full, and on ``canonicalize``, the queue is
+    eliminated together with the basis in one batch (``_merge``): one exact
+    product clears the unit-pivot columns, column-by-column Euclid handles
+    what is left, and the entries above each new pivot are reduced into
+    [0, pivot).  The result is unique, so lattice equality is basis
+    equality.  Every reader (``rank``, ``big``, ``pivot_cols``, ``basis``,
+    ``reduce``, ``coordinates``) sees the canonical basis.
+
+    Entries are int64 while every step provably stays below 2**62.  A fold
+    that could overflow is redone with Python ints (object dtype), and a
+    basis whose entries all fit is stored as int64 again, so ``big`` says
+    whether the canonical basis itself needs bignums.
     """
 
-    __slots__ = ("n", "rows", "pivot_cols", "col_to_row", "big", "_canonical")
+    __slots__ = ("n", "_hnf", "_queue", "_queued")
 
     def __init__(self, n):
         self.n = n
-        self.rows = []          # sorted by pivot column
-        self.pivot_cols = []    # pivot column of rows[i]
-        self.col_to_row = {}
-        self.big = False
-        self._canonical = True
-
-    # -- representation switching -------------------------------------
-
-    def _promote(self):
-        if not self.big:
-            self.rows = [r.astype(object) for r in self.rows]
-            self.big = True
-
-    def _check_headroom(self, bound):
-        if not self.big and bound >= _I64_SAFE:
-            self._promote()
-
-    def _prepare(self, vec):
-        vals = vec.values() if isinstance(vec, dict) else vec
-        m = max((abs(int(c)) for c in vals), default=0)
-        if not self.big and m >= _I64_SAFE:
-            self._promote()
-        return _as_array(vec, self.n, big=self.big)
-
-    # -- insertion ------------------------------------------------------
-
-    @property
-    def rank(self):
-        return len(self.rows)
+        self._hnf = _Hermite(
+            [], np.zeros(0, dtype=np.intp), np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int64)
+        )
+        self._queue = None  # dense block of queued rows
+        self._queued = 0
 
     def add(self, vec):
-        """Insert a vector, updating the echelon basis."""
-        v = self._prepare(vec)
-        while True:
-            nz = np.nonzero(v)[0]
-            if len(nz) == 0:
-                return
-            j = int(nz[0])
-            k = self.col_to_row.get(j)
-            if k is None:
-                if v[j] < 0:
-                    v = -v
-                pos = bisect_left(self.pivot_cols, j)
-                self.rows.insert(pos, v)
-                self.pivot_cols.insert(pos, j)
-                for col, idx in self.col_to_row.items():
-                    if idx >= pos:
-                        self.col_to_row[col] = idx + 1
-                self.col_to_row[j] = pos
-                self._canonical = False
-                return
-            row = self.rows[k]
-            a = int(row[j])
-            b = int(v[j])
-            if b % a == 0:
-                q = b // a
-                self._check_headroom(_maxabs(v) + abs(q) * _maxabs(row))
-                if self.big:
-                    v = v.astype(object) if v.dtype != object else v
-                    row = self.rows[k]
-                v = v - q * row
-            else:
-                g, x, y = xgcd(a, b)
-                bound = (abs(x) + abs(y) + abs(a // g) + abs(b // g)) * (
-                    _maxabs(row) + _maxabs(v)
-                )
-                self._check_headroom(bound)
-                if self.big and v.dtype != object:
-                    v = v.astype(object)
-                row = self.rows[k]
-                new_row = x * row + y * v
-                v = (a // g) * v - (b // g) * row
-                if new_row[j] < 0:
-                    new_row = -new_row
-                self.rows[k] = new_row
-                self._canonical = False
+        """Queue a vector: a dict column -> entry, a sequence or a 1-D array."""
+        if self._queue is None:
+            self._queue = np.zeros((_block_rows(self.n), self.n), dtype=np.int64)
+        self._queue = _put(self._queue, self._queued, vec)
+        self._queued += 1
+        if self._queued == len(self._queue):
+            self._fold()
 
     def add_rows(self, rows):
         for r in rows:
             self.add(r)
 
-    # -- canonical form ---------------------------------------------------
+    def _fold(self):
+        Q = self._queue[: self._queued]
+        self._queue, self._queued = None, 0
+        hnf = self._hnf
+        if _is_big(hnf) or Q.dtype == object:
+            hnf, Q = _with_dtype(hnf, object), Q.astype(object)
+        try:
+            merged = _merge(hnf, Q)
+        except _Overflow:
+            merged = _merge(_with_dtype(hnf, object), Q.astype(object))
+        if merged is not None:
+            if _is_big(merged) and merged.height.max() < _I64_SAFE:
+                merged = _with_dtype(merged, np.int64)
+            self._hnf = merged
+
+    @property
+    def _canonical(self):
+        return not self._queued
 
     def canonicalize(self):
-        """Reduce above-pivot entries so the basis is the canonical HNF."""
-        if self._canonical:
-            return self
-        for k in range(len(self.rows)):
-            j = self.pivot_cols[k]
-            p = int(self.rows[k][j])
-            for i in range(k):
-                row = self.rows[i]
-                c = int(row[j])
-                q = c // p
-                if q:
-                    self._check_headroom(_maxabs(row) + abs(q) * _maxabs(self.rows[k]))
-                    self.rows[i] = self.rows[i] - q * self.rows[k]
-        self._canonical = True
+        """Eliminate the queued vectors, leaving the canonical HNF basis."""
+        if self._queued:
+            self._fold()
         return self
 
-    def basis(self):
-        self.canonicalize()
-        return self.rows
+    # -- the canonical basis ------------------------------------------------
 
-    def basis_matrix(self):
-        self.canonicalize()
-        if not self.rows:
-            return np.zeros((0, self.n), dtype=np.int64)
-        return np.array([list(map(int, r)) for r in self.rows], dtype=object if self.big else np.int64)
+    @property
+    def rank(self):
+        return len(self.basis())
+
+    @property
+    def big(self):
+        """True when the canonical basis holds entries of 2**62 or more."""
+        return _is_big(self.canonicalize()._hnf)
+
+    @property
+    def pivot_cols(self):
+        """Pivot column of each basis row, increasing."""
+        return self.canonicalize()._hnf.piv.tolist()
+
+    def basis(self):
+        """The canonical basis: read-only row arrays, by pivot column."""
+        return self.canonicalize()._hnf.rows
 
     # -- membership and coordinates --------------------------------------
 
+    def _solve(self, vec):
+        """(coefficients, remainder) with vec = coefficients . basis +
+        remainder and every remainder entry at a pivot in [0, pivot)."""
+        hnf = self.canonicalize()._hnf
+        v = _put(np.zeros((1, self.n), dtype=object if _is_big(hnf) else np.int64), 0, vec)
+        coeff = np.zeros((1, len(hnf.rows)), dtype=v.dtype)
+        try:
+            rem = _reduce(v, hnf, coeff)
+        except _Overflow:
+            coeff = np.zeros((1, len(hnf.rows)), dtype=object)
+            rem = _reduce(v.astype(object), hnf, coeff)
+        return coeff[0], rem[0]
+
     def reduce(self, vec):
-        """Subtract basis rows to push vec's pivot-column entries into
-        [0, pivot); the result is the canonical coset representative."""
-        self.canonicalize()
-        v = self._prepare(vec)
-        for k, j in enumerate(self.pivot_cols):
-            c = int(v[j])
-            if c:
-                p = int(self.rows[k][j])
-                q = c // p
-                if q:
-                    if not self.big and _maxabs(v) + abs(q) * _maxabs(self.rows[k]) >= _I64_SAFE:
-                        v = v.astype(object)
-                        v = v - q * self.rows[k].astype(object)
-                        continue
-                    v = v - q * self.rows[k]
-        return v
+        """The canonical representative of vec modulo the lattice: every
+        entry at a pivot column lies in [0, pivot)."""
+        return self._solve(vec)[1]
 
     def contains(self, vec):
         return not np.any(self.reduce(vec))
 
     def coordinates(self, vec):
         """Express vec in the canonical basis rows; None if not in the lattice."""
-        self.canonicalize()
-        v = self._prepare(vec)
-        coords = [0] * len(self.rows)
-        while True:
-            nz = np.nonzero(v)[0]
-            if len(nz) == 0:
-                return coords
-            j = int(nz[0])
-            k = self.col_to_row.get(j)
-            if k is None:
-                return None
-            p = int(self.rows[k][j])
-            c = int(v[j])
-            if c % p != 0:
-                return None
-            q = c // p
-            coords[k] = q
-            if not self.big and _maxabs(v) + abs(q) * _maxabs(self.rows[k]) >= _I64_SAFE:
-                v = v.astype(object) - q * self.rows[k].astype(object)
-            else:
-                v = v - q * self.rows[k]
+        coeff, rem = self._solve(vec)
+        if np.any(rem):
+            return None
+        return coeff.tolist()
 
     def __eq__(self, other):
         if not isinstance(other, Lattice) or self.n != other.n:
             return NotImplemented
-        a = self.basis_matrix()
-        b = other.basis_matrix()
-        return a.shape == b.shape and bool(np.array_equal(a, b))
+        a = self.basis()
+        b = other.basis()
+        return len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def __hash__(self):
         raise TypeError("Lattice is unhashable (mutable)")
@@ -240,8 +442,7 @@ class Lattice:
 def lattice_from_rows(n, rows):
     lat = Lattice(n)
     lat.add_rows(rows)
-    lat.canonicalize()
-    return lat
+    return lat.canonicalize()
 
 
 def _lower_block(rows, split, width):
@@ -252,7 +453,12 @@ def _lower_block(rows, split, width):
     lattice whose first `split` entries are zero.
     """
     lat = lattice_from_rows(width, rows)
-    return [r[split:] for r, j in zip(lat.rows, lat.pivot_cols) if j >= split]
+    lower = lat.basis()[bisect_left(lat.pivot_cols, split) :]
+    del lat  # frees the upper rows before the copy below
+    if not lower:
+        return []
+    # one compact copy, so the result does not keep the full rows alive
+    return list(_stack([r[split:] for r in lower], width - split, lower[0].dtype))
 
 
 def kernel_of_matrix(rows, ncols):
@@ -441,11 +647,7 @@ class FinPresAb:
         if isinstance(relations, Lattice):
             self.relations = relations
         else:
-            lat = Lattice(ngens)
-            if relations is not None:
-                lat.add_rows(relations)
-            lat.canonicalize()
-            self.relations = lat
+            self.relations = lattice_from_rows(ngens, [] if relations is None else relations)
         self._inv = None
 
     @classmethod
@@ -489,7 +691,7 @@ class FinPresAb:
         pivots of an echelon basis depend only on L, so no SNF is needed."""
         rel = self.relations
         return rel.rank == self.ngens and all(
-            rel.rows[k][j] == 1 for k, j in enumerate(rel.pivot_cols)
+            row[j] == 1 for row, j in zip(rel.basis(), rel.pivot_cols)
         )
 
     def order(self):
@@ -576,32 +778,25 @@ class AbMap:
 
 
 def _promote_if(mat):
-    if mat.dtype == np.int64 and mat.size and int(np.abs(mat).max()) >= _I64_SAFE // 2:
+    if mat.dtype == np.int64 and _maxabs(mat) >= _I64_SAFE // 2:
         return mat.astype(object)
     return mat
 
 
 def _safe_add(a, b):
-    if a.dtype == np.int64 and b.dtype == np.int64:
-        ma = int(np.abs(a).max()) if a.size else 0
-        mb = int(np.abs(b).max()) if b.size else 0
-        if ma + mb < _I64_SAFE:
-            return a + b
+    if a.dtype == np.int64 and b.dtype == np.int64 and _maxabs(a) + _maxabs(b) < _I64_SAFE:
+        return a + b
     return a.astype(object) + b.astype(object)
 
 
 def safe_matmul(a, b):
-    """Exact matrix product, int64 when provably safe, bigint otherwise."""
+    """Exact matrix product: float64 (BLAS) while every partial sum stays
+    below 2**53, where float64 is exact; int64 below 2**62; bigint above."""
     a = np.asarray(a)
     b = np.asarray(b)
     if a.size == 0 or b.size == 0:
         return np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    if a.dtype == np.int64 and b.dtype == np.int64:
-        ma = int(np.abs(a).max())
-        mb = int(np.abs(b).max())
-        if ma and mb and ma * mb * a.shape[1] < _I64_SAFE or (not ma or not mb):
-            return a @ b
-    return a.astype(object) @ b.astype(object)
+    return _product(a, b, _maxabs(a) * _maxabs(b) * a.shape[1])
 
 
 def _vec_mat(vec, mat):

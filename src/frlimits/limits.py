@@ -39,9 +39,10 @@ class Deadline:
 
 class CosimplicialAb:
     """Levels 0..D of f/code on the standard complex, with all cofaces and
-    codegeneracies as maps of presented groups."""
+    codegeneracies as maps of presented groups; the cosimplicial identities
+    are verified on construction."""
 
-    def __init__(self, code, ctx, depth_d, trunc_n, deadline=None, check=True):
+    def __init__(self, code, ctx, depth_d, trunc_n, deadline=None):
         self.code = code
         self.ctx = ctx
         self.D = depth_d
@@ -64,8 +65,7 @@ class CosimplicialAb:
             for j in range(p + 1):
                 hom = freegrp.codegeneracy(p, j, rank)
                 self.s[(p, j)] = induced_map(hom, self.values[p + 1], self.values[p])
-        if check:
-            self.verify_cosimplicial_identities()
+        self.verify_cosimplicial_identities()
 
     def verify_cosimplicial_identities(self):
         """All cosimplicial identities as equalities of presented maps."""
@@ -154,7 +154,7 @@ def moore_complex(X):
 
 
 def assemble(code, group, top_degree, trunc_n=None, rank_cap=None, deadline=None,
-             check=True, ctx=None):
+             ctx=None):
     """Build the cosimplicial abelian group for the code on levels
     0..top_degree of the standard complex of G's base presentation."""
     code = normalize(code)
@@ -170,7 +170,7 @@ def assemble(code, group, top_degree, trunc_n=None, rank_cap=None, deadline=None
     if ctx is None:
         kwargs = {} if rank_cap is None else {"rank_cap": rank_cap}
         ctx = GroupContext(group, **kwargs)
-    return CosimplicialAb(code, ctx, top_degree, trunc_n, deadline=deadline, check=check)
+    return CosimplicialAb(code, ctx, top_degree, trunc_n, deadline=deadline)
 
 
 def code_lattice_equalizer_rank(X):

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from math import comb
 
+import numpy as np
+
 from . import freegrp
 from .errors import CapExceeded
 from .frcode import required_truncation
@@ -61,7 +63,8 @@ class TruncatedRing:
     """
 
     def __init__(self, lp, depth, rank_cap=DEFAULT_RANK_CAP):
-        assert depth >= 1
+        if depth < 1:
+            raise ValueError(f"truncation depth {depth} is below 1")
         self.lp = lp
         self.depth = depth
         m = lp.num_schreier_gens
@@ -220,12 +223,9 @@ class TruncatedRing:
         return {self.index[bw]: c for bw, c in terms.items()}
 
     def vec_to_terms(self, row):
-        out = {}
-        for i, c in enumerate(row):
-            c = int(c)
-            if c:
-                out[self.basis[i]] = c
-        return out
+        row = np.asarray(row)
+        nz = np.flatnonzero(row)
+        return {self.basis[i]: c for i, c in zip(nz.tolist(), row[nz].tolist())}
 
     # -- ideal lattices ------------------------------------------------------
 
@@ -363,7 +363,8 @@ class RingElement:
         return RingElement(self.ring, self.ring.multiply_terms(self.terms, other.terms))
 
     def __rmul__(self, other):
-        assert isinstance(other, int)
+        if not isinstance(other, int):
+            return NotImplemented
         return self * other
 
     def __eq__(self, other):

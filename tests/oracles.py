@@ -157,3 +157,40 @@ def determinantal_invariant_factors(matrix):
         factors.append(dk // prev)
         prev = dk
     return factors
+
+
+def reference_hnf(rows, n):
+    """Canonical row Hermite form of the lattice spanned by `rows` (dicts
+    column -> entry or length-n sequences), in plain Python ints.
+
+    Euclid down each column in turn: the row with the smallest nonzero
+    entry reduces the others to remainders until one is left, which
+    becomes the pivot row (made positive).  Then every entry above a
+    pivot is reduced into [0, pivot).  Returns (basis rows, pivot columns).
+    """
+    pending = [
+        [int(r.get(j, 0)) for j in range(n)] if isinstance(r, dict) else [int(c) for c in r]
+        for r in rows
+    ]
+    basis, pivots = [], []
+    for j in range(n):
+        live = [r for r in pending if r[j]]
+        pending = [r for r in pending if not r[j]]
+        while len(live) > 1:
+            live.sort(key=lambda r: abs(r[j]))
+            head, rest = live[0], []
+            for r in live[1:]:
+                q = r[j] // head[j]
+                rest.append([a - q * b for a, b in zip(r, head)])
+            live = [head] + [r for r in rest if r[j]]
+            pending += [r for r in rest if not r[j]]
+        if live:
+            head = live[0]
+            basis.append(head if head[j] > 0 else [-a for a in head])
+            pivots.append(j)
+    for k, j in enumerate(pivots):
+        for i in range(k):
+            q = basis[i][j] // basis[k][j]
+            if q:
+                basis[i] = [a - q * b for a, b in zip(basis[i], basis[k])]
+    return basis, pivots

@@ -69,6 +69,26 @@ class TestWords:
         assert format_word(w((2, 0, 1)), names) == "x@2"
 
 
+class TestFreeHomValidation:
+    def test_image_count(self):
+        with pytest.raises(ValueError):
+            FreeHom(1, 2, 1, 1, (gen_word(0, 0),))
+
+    def test_unreduced_image(self):
+        with pytest.raises(ValueError):
+            FreeHom(1, 1, 1, 1, (((0, 0, 1), (0, 0, -1)),))
+
+    def test_image_outside_alphabet(self):
+        with pytest.raises(ValueError):
+            FreeHom(1, 1, 1, 1, (gen_word(1, 0),))
+
+    def test_free_product_needs_matching_single_copy_maps(self):
+        with pytest.raises(ValueError):
+            FreeHom.free_product([FreeHom.identity(2, 1)])
+        with pytest.raises(ValueError):
+            FreeHom.free_product([FreeHom.identity(1, 1), FreeHom.identity(1, 2)])
+
+
 class TestCofaces:
     def test_coface_level0(self):
         d0 = coface(0, 0, 1)

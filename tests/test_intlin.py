@@ -18,7 +18,6 @@ from frlimits.intlin import (
     tensor_over_group_ring,
     tensor_Z,
     tor_Z,
-    xgcd,
 )
 
 from oracles import (
@@ -26,23 +25,56 @@ from oracles import (
     combine_cyclic_orders,
     determinantal_invariant_factors,
     elements,
+    reference_hnf,
     subgroup_span,
 )
 
 
-def test_xgcd():
-    rng = random.Random(1)
-    for _ in range(200):
-        a = rng.randint(-500, 500)
-        b = rng.randint(-500, 500)
-        g, x, y = xgcd(a, b)
-        assert g >= 0
-        assert x * a + y * b == g
-        if a or b:
-            assert a % g == 0 and b % g == 0
+def random_rows(rng, n, m):
+    """m rows in Z^n, as lists, dicts or int64 arrays; some are zero and
+    some have entries up to 2**70."""
+    rows = []
+    for _ in range(m):
+        hi = 2**70 if rng.random() < 0.2 else 9
+        density = rng.choice((0.0, 0.3, 0.7, 1.0))
+        row = [rng.randint(-hi, hi) if rng.random() < density else 0 for _ in range(n)]
+        kind = rng.random()
+        if kind < 0.25:
+            row = {j: c for j, c in enumerate(row) if c}
+        elif kind < 0.5 and hi < 2**62:
+            row = np.array(row, dtype=np.int64)
+        rows.append(row)
+    return rows
+
+
+def as_lists(rows, n):
+    return [
+        [int(r.get(j, 0)) for j in range(n)] if isinstance(r, dict) else list(map(int, r))
+        for r in rows
+    ]
 
 
 class TestLattice:
+    def test_matches_reference_hnf(self):
+        # rows arrive in up to three batches with the basis read in between,
+        # so queued rows are also merged into an existing basis
+        rng = random.Random(29)
+        for _ in range(300):
+            n = rng.randint(0, 9)
+            rows = random_rows(rng, n, rng.randint(0, 12))
+            lat = Lattice(n)
+            cuts = {rng.randint(1, len(rows)) for _ in range(rng.randint(0, 2))} if rows else set()
+            for i, row in enumerate(rows, 1):
+                lat.add(row)
+                if i in cuts:
+                    lat.canonicalize()
+            basis, pivots = reference_hnf(rows, n)
+            assert [list(map(int, r)) for r in lat.basis()] == basis, (n, rows)
+            assert lat.pivot_cols == pivots
+            assert lat.rank == len(basis)
+            assert lat.big == any(abs(c) >= 2**62 for r in basis for c in r)
+            assert lattice_from_rows(n, rows) == lat
+
     def test_unit_rows_are_canonical(self):
         lat = lattice_from_rows(4, [[0, 1, 0, 0], [0, 0, 0, 1]])
         assert lat.rank == 2
@@ -81,7 +113,7 @@ class TestLattice:
 
     def test_pivots_positive_and_reduced(self):
         lat = lattice_from_rows(3, [[2, 1, 1], [0, 3, 0], [-2, 2, 0]])
-        basis = lat.basis_matrix()
+        basis = lat.basis()
         piv_cols = lat.pivot_cols
         for k, j in enumerate(piv_cols):
             p = int(basis[k][j])
@@ -144,6 +176,18 @@ def test_dimension_mismatch_raises():
         AbMap.identity(z1).compose(AbMap.identity(z2))
     with pytest.raises(ValueError):
         homology_at(AbMap.zero(z1, z1), AbMap.zero(z2, z1))
+
+
+def test_kernel_rows_annihilate():
+    rng = random.Random(31)
+    for _ in range(100):
+        n = rng.randint(1, 6)
+        rows = as_lists(random_rows(rng, n, rng.randint(1, 8)), n)
+        kern = kernel_of_matrix(rows, n)
+        for x in kern:
+            assert [sum(int(x[i]) * r[j] for i, r in enumerate(rows)) for j in range(n)] == [0] * n
+        # the kernel of x -> xM has rank m - rank(M)
+        assert len(kern) == len(rows) - len(reference_hnf(rows, n)[0])
 
 
 def test_kernel_of_matrix():
@@ -349,10 +393,12 @@ class TestTensorOverGroupRing:
 
 
 def test_safe_matmul_big_entries():
-    a = np.array([[2**40, 1]], dtype=np.int64)
-    b = np.array([[2**40], [1]], dtype=np.int64)
-    out = safe_matmul(a, b)
-    assert int(out[0][0]) == 2**80 + 1
+    # one product past int64, one past float64's exact range but within int64
+    for x in (2**40, 2**28):
+        a = np.array([[x, 1]], dtype=np.int64)
+        b = np.array([[x], [1]], dtype=np.int64)
+        out = safe_matmul(a, b)
+        assert int(out[0][0]) == x * x + 1
 
 
 def test_invariant_factors_helper():

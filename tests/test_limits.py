@@ -1,5 +1,8 @@
 """End-to-end tests of higher_limits against known values of lim^i."""
 
+import os
+import subprocess
+import sys
 from functools import lru_cache
 from pathlib import Path
 
@@ -12,7 +15,8 @@ from frlimits.limits import higher_limits
 from frlimits.permgrp import load_group_file
 from frlimits.truncring import GroupContext
 
-GROUP_DIR = Path(__file__).resolve().parents[1] / "src" / "frlimits" / "groups"
+SRC = Path(__file__).resolve().parents[1] / "src"
+GROUP_DIR = SRC / "frlimits" / "groups"
 
 
 @lru_cache(maxsize=None)
@@ -97,3 +101,36 @@ def test_report_checks_in_both_modes():
     assert "moore_vs_alternate" not in plain.checks
     assert [g.describe() for g in crossed.lims] == [g.describe() for g in plain.lims]
     assert plain.moore_vanishing == {0: False, 1: False, 2: True, 3: True}
+
+
+OPTIMIZED_SCRIPT = """
+import sys
+from frlimits.freegrp import FreeHom, gen_word
+from frlimits.frcode import parse
+from frlimits.limits import higher_limits
+from frlimits.permgrp import load_group_file
+
+if __debug__:
+    sys.exit("asserts are still on")
+try:
+    FreeHom(1, 2, 1, 1, (gen_word(0, 0),))
+except ValueError:
+    pass
+else:
+    sys.exit("a FreeHom with too few images was accepted")
+report = higher_limits(parse("rr+frf"), load_group_file(sys.argv[1]))
+print(" | ".join(g.describe() for g in report.lims))
+"""
+
+
+def test_validation_and_answers_survive_python_O():
+    # python -O strips asserts: validation must still raise and no answer
+    # may depend on an assert having run
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_SCRIPT, str(GROUP_DIR / "z2.json")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "0 | Z/2 | Z | 0"

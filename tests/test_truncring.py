@@ -15,6 +15,8 @@ from frlimits.truncring import (
     induced_map,
 )
 
+from oracles import reference_hnf
+
 GROUP_DIR = Path(__file__).resolve().parents[1] / "src" / "frlimits" / "groups"
 
 
@@ -24,6 +26,19 @@ def ring_for(name, level, depth):
 
 
 X = freegrp.gen_word(0, 0)
+
+
+class TestValidation:
+    def test_depth_below_one(self):
+        g = load_group_file(GROUP_DIR / "z2.json")
+        with pytest.raises(ValueError):
+            TruncatedRing(LevelPresentation(g, 0), 0)
+
+    def test_scalar_must_be_an_int(self):
+        one = ring_for("z2", 0, 2).one()
+        assert (3 * one).terms == {(0, ()): 3}
+        with pytest.raises(TypeError):
+            1.5 * one
 
 
 class TestNormalForm:
@@ -183,6 +198,24 @@ class TestIdealLattices:
         val = FunctorValue(r, parse("fr+rf"))
         assert val.c_lattice.rank == 1
         assert val.group.invariants() == ((), 2)
+
+    def test_s3_fff_stays_small(self):
+        # eliminating these products without keeping rows reduced blows
+        # their coefficients up into bignums; the canonical entries are <= 6
+        r = ring_for("s3", 1, 2)
+        lat = r.eval_monomial("fff")
+        assert lat.big is False
+        assert lat.rank == 115
+        assert max(abs(int(c)) for row in lat.basis() for c in row) <= 6
+        gens = r.right_generators("f")
+        products = [
+            r.terms_to_vec(r.multiply_terms(g.terms, r.vec_to_terms(row)))
+            for row in r.eval_monomial("ff").basis()
+            for g in gens
+        ]
+        basis, pivots = reference_hnf(products, r.rank)
+        assert [list(map(int, row)) for row in lat.basis()] == basis
+        assert lat.pivot_cols == pivots
 
     def test_monomials_multiply_out(self):
         # brute-force cross-check: the lattice of a product monomial equals
