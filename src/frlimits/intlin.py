@@ -1,11 +1,13 @@
 """Exact integer linear algebra.
 
 Hermite-form row lattices built by batch elimination (queued rows are
-folded into the basis in blocks, unit pivots first), one kernel primitive
-built on them (left kernels, lattice intersection, kernels of presented
-maps), the Smith invariant-factor diagonal, finitely presented abelian
-groups, maps between them, tensor/Tor over Z, tensor over a finite group
-ring, and homology of three-term complexes of presented groups.
+folded into the basis in blocks, unit pivots first) and queried in blocks
+(one reduction answers membership and coordinates for a whole block of
+rows), one kernel primitive built on them (left kernels, lattice
+intersection, kernels of presented maps), the Smith invariant-factor
+diagonal read off the canonical basis, finitely presented abelian groups,
+maps between them, tensor/Tor over Z, tensor over a finite group ring, and
+homology of three-term complexes of presented groups.
 
 Everything is exact.  Matrices are kept as int64 numpy arrays while entry
 bounds allow it and promoted to arbitrary-precision (object dtype) arrays
@@ -69,7 +71,10 @@ def _put(block, i, vec):
     """Write vec (dict column -> entry, sequence or 1-D array) into row i of
     block and return the block: int64 while every |entry| < _I64_SAFE, else
     promoted to object with exact Python ints (int(c): a numpy scalar in an
-    object array would wrap at 2**63)."""
+    object array would wrap at 2**63).  A row of another length is refused:
+    a scalar or a short row would broadcast across row i."""
+    if not isinstance(vec, dict) and len(vec) != block.shape[1]:
+        raise ValueError(f"a row of length {len(vec)} in Z^{block.shape[1]}")
     if block.dtype != object:
         try:
             if isinstance(vec, dict):
@@ -84,6 +89,23 @@ def _put(block, i, vec):
         block = block.astype(object)
     for j, c in vec.items() if isinstance(vec, dict) else enumerate(vec):
         block[i, j] = int(c)
+    return block
+
+
+def int_block(rows, n):
+    """A block of rows in Z^n (a 2-D array, or a list of dicts column ->
+    entry, sequences or 1-D arrays) as one exact (len(rows), n) array:
+    int64 while every |entry| < 2**62, else Python ints."""
+    if (
+        isinstance(rows, np.ndarray)
+        and rows.dtype == np.int64
+        and rows.shape[1:] == (n,)
+        and _maxabs(rows) < _I64_SAFE
+    ):
+        return rows
+    block = np.zeros((len(rows), n), dtype=np.int64)
+    for i, vec in enumerate(rows):
+        block = _put(block, i, vec)
     return block
 
 
@@ -321,6 +343,10 @@ class Lattice:
     equality.  Every reader (``rank``, ``big``, ``pivot_cols``, ``basis``,
     ``reduce``, ``coordinates``) sees the canonical basis.
 
+    ``reduce``, ``contains`` and ``coordinates`` take a block of rows (a
+    2-D array or a list of rows; ``[]`` is zero rows) and answer for the
+    whole block with one reduction modulo the basis.
+
     Entries are int64 while every step provably stays below 2**62.  A fold
     that could overflow is redone with Python ints (object dtype), and a
     basis whose entries all fit is stored as int64 again, so ``big`` says
@@ -397,33 +423,34 @@ class Lattice:
 
     # -- membership and coordinates --------------------------------------
 
-    def _solve(self, vec):
-        """(coefficients, remainder) with vec = coefficients . basis +
-        remainder and every remainder entry at a pivot in [0, pivot)."""
+    def _solve(self, rows):
+        """(C, R) for a block of rows V: V = C @ basis + R exactly, with
+        every entry of R at a pivot column in [0, pivot)."""
         hnf = self.canonicalize()._hnf
-        v = _put(np.zeros((1, self.n), dtype=object if _is_big(hnf) else np.int64), 0, vec)
-        coeff = np.zeros((1, len(hnf.rows)), dtype=v.dtype)
+        V = int_block(rows, self.n)
+        if _is_big(hnf):
+            V = V.astype(object)
         try:
-            rem = _reduce(v, hnf, coeff)
+            coeff = np.zeros((len(V), len(hnf.rows)), dtype=V.dtype)
+            return coeff, _reduce(V, hnf, coeff)
         except _Overflow:
-            coeff = np.zeros((1, len(hnf.rows)), dtype=object)
-            rem = _reduce(v.astype(object), hnf, coeff)
-        return coeff[0], rem[0]
+            coeff = np.zeros((len(V), len(hnf.rows)), dtype=object)
+            return coeff, _reduce(V.astype(object), hnf, coeff)
 
-    def reduce(self, vec):
-        """The canonical representative of vec modulo the lattice: every
-        entry at a pivot column lies in [0, pivot)."""
-        return self._solve(vec)[1]
+    def reduce(self, rows):
+        """The canonical representatives of a block of rows modulo the
+        lattice: every entry at a pivot column lies in [0, pivot)."""
+        return self._solve(rows)[1]
 
-    def contains(self, vec):
-        return not np.any(self.reduce(vec))
+    def contains(self, rows):
+        """True iff every row of the block lies in the lattice."""
+        return not self.reduce(rows).any()
 
-    def coordinates(self, vec):
-        """Express vec in the canonical basis rows; None if not in the lattice."""
-        coeff, rem = self._solve(vec)
-        if np.any(rem):
-            return None
-        return coeff.tolist()
+    def coordinates(self, rows):
+        """The block of rows in the canonical basis, as a (len(rows), rank)
+        array C with rows = C @ basis; None if any row lies outside."""
+        coeff, rem = self._solve(rows)
+        return None if rem.any() else coeff
 
     def __eq__(self, other):
         if not isinstance(other, Lattice) or self.n != other.n:
@@ -574,59 +601,30 @@ def _snf_core(mat):
     return diag
 
 
-def smith_diagonal(matrix):
-    """Invariant-factor diagonal of an integer matrix.
+def _smith(lat):
+    """The nonzero invariant factors of a lattice's canonical basis.
 
-    Unit pivots are stripped with vectorized row operations before the
-    dense bignum core runs on whatever small block remains.
+    A unit pivot's column is zero outside its row, so each unit row splits
+    off as a trivial summand; the Smith core runs on the other rows,
+    restricted to the columns without a unit pivot.
     """
-    rows = [list(map(int, r)) for r in matrix]
-    if not rows:
-        return []
-    n = len(rows[0])
-    if n == 0:
-        return []
-    maxentry = max((abs(c) for r in rows for c in r), default=0)
-    big = maxentry >= _I64_SAFE
-    M = np.array(rows, dtype=object if big else np.int64)
-    units = 0
-    while True:
-        hits = np.argwhere(np.abs(M) == 1)
-        if len(hits) == 0:
-            break
-        i, j = int(hits[0][0]), int(hits[0][1])
-        s = int(M[i, j])
-        pivot = M[i].copy()
-        factor = M[:, j] * s  # c / s == c * s for s in {1, -1}
-        factor[i] = 0
-        nz = np.nonzero(factor)[0]
-        if len(nz):
-            if not big:
-                bound = int(np.abs(factor[nz]).max()) * (_maxabs(pivot) or 1) + _maxabs(M)
-                if bound >= _I64_SAFE:
-                    M = M.astype(object)
-                    pivot = pivot.astype(object)
-                    factor = factor.astype(object)
-                    big = True
-            M[nz] = M[nz] - np.outer(factor[nz], pivot)
-        # zeroing row i and column j stands in for deleting them; the
-        # implicit column ops clearing row i touch nothing else
-        M[i, :] = 0
-        M[:, j] = 0
-        units += 1
-    keep_rows = [i for i in range(M.shape[0]) if np.any(M[i])]
-    keep_cols = [j for j in range(M.shape[1]) if np.any(M[:, j])]
-    diag = [1] * units
-    if keep_rows:
-        core = [[int(M[i, j]) for j in keep_cols] for i in keep_rows]
-        diag += _snf_core(core)
-    return diag
+    rows, piv, unit, _ = lat.canonicalize()._hnf
+    rest = np.ones(lat.n, dtype=bool)
+    rest[piv[unit]] = False
+    core = [[int(c) for c in rows[k][rest]] for k in np.flatnonzero(~unit).tolist()]
+    return [1] * int(unit.sum()) + _snf_core(core)
+
+
+def smith_diagonal(matrix):
+    """The nonzero invariant factors of an integer matrix, from the
+    canonical HNF of its rows."""
+    rows = list(matrix)
+    return _smith(lattice_from_rows(len(rows[0]), rows)) if rows else []
 
 
 def invariant_factors(matrix, ngens):
     """(torsion_factors, free_rank) of Z^ngens / rowspace(matrix)."""
-    nz = [d for d in smith_diagonal(matrix) if d != 0]
-    return tuple(d for d in nz if d > 1), ngens - len(nz)
+    return FinPresAb(ngens, matrix).invariants()
 
 
 # -- finitely presented abelian groups ---------------------------------------
@@ -675,7 +673,8 @@ class FinPresAb:
     def invariants(self):
         """(torsion_factors d1 | d2 | ..., free_rank)."""
         if self._inv is None:
-            self._inv = invariant_factors(self.relations.basis(), self.ngens)
+            nz = _smith(self.relations)
+            self._inv = tuple(d for d in nz if d > 1), self.ngens - len(nz)
         return self._inv
 
     @property
@@ -743,11 +742,7 @@ class AbMap:
 
     def is_well_defined(self):
         """Domain relations must land in the codomain relation lattice."""
-        for r in self.dom.relations.basis():
-            img = _vec_mat(list(map(int, r)), self.matrix)
-            if not self.cod.relations.contains(img):
-                return False
-        return True
+        return self.cod.relations.contains(safe_matmul(self.dom.relations.basis(), self.matrix))
 
     def compose(self, other):
         """self o other (apply other first)."""
@@ -771,10 +766,10 @@ class AbMap:
         if self.dom.ngens != other.dom.ngens or self.cod.ngens != other.cod.ngens:
             return False
         diff = _safe_add(self.matrix, -_promote_if(other.matrix))
-        return all(self.cod.relations.contains(row) for row in diff)
+        return self.cod.relations.contains(diff)
 
     def is_zero_map(self):
-        return all(self.cod.relations.contains(row) for row in self.matrix)
+        return self.cod.relations.contains(self.matrix)
 
 
 def _promote_if(mat):
@@ -799,18 +794,6 @@ def safe_matmul(a, b):
     return _product(a, b, _maxabs(a) * _maxabs(b) * a.shape[1])
 
 
-def _vec_mat(vec, mat):
-    out = [0] * mat.shape[1]
-    for i, c in enumerate(vec):
-        if c:
-            row = mat[i]
-            for j in range(mat.shape[1]):
-                v = row[j]
-                if v:
-                    out[j] += c * int(v)
-    return out
-
-
 # -- homology of presented complexes ------------------------------------------
 
 
@@ -833,25 +816,18 @@ def homology_at(f, g):
         raise ValueError(
             f"homology_at: f lands in rank {B.ngens}, g starts from rank {g.dom.ngens}"
         )
-    comp = safe_matmul(f.matrix, g.matrix)
-    for row in comp:
-        if not C.relations.contains(row):
-            raise ValueError("homology_at: composite g o f is not zero")
+    if not C.relations.contains(safe_matmul(f.matrix, g.matrix)):
+        raise ValueError("homology_at: composite g o f is not zero")
 
     kernel = _kernel_lattice(g)
     # relations: images of A generators plus B's own relations, in kernel coords
-    rel_rows = []
-    for row in f.matrix:
-        coords = kernel.coordinates(row)
-        if coords is None:
-            raise AssertionError("image of f escapes ker(g)")
-        rel_rows.append(coords)
-    for row in B.relations.basis():
-        coords = kernel.coordinates(row)
-        if coords is None:
-            raise AssertionError("relations of B escape ker(g)")
-        rel_rows.append(coords)
-    return FinPresAb(kernel.rank, rel_rows)
+    image = kernel.coordinates(f.matrix)
+    if image is None:
+        raise AssertionError("image of f escapes ker(g)")
+    rel_B = kernel.coordinates(B.relations.basis())
+    if rel_B is None:
+        raise AssertionError("relations of B escape ker(g)")
+    return FinPresAb(kernel.rank, [*image, *rel_B])
 
 
 # -- tensor and Tor over Z ----------------------------------------------------

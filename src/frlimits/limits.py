@@ -20,7 +20,7 @@ from .intlin import AbMap, FinPresAb, homology_at, kernel_of_matrix
 from .truncring import (
     FunctorValue,
     GroupContext,
-    hom_image_of_basisword,
+    hom_image_rows,
     induced_map,
 )
 
@@ -179,30 +179,19 @@ def code_lattice_equalizer_rank(X):
     The code functor itself is valued in free abelian groups (ideal
     lattices), so the equalizer is a plain integer kernel.
     """
-    v0 = X.values[0]
-    v1 = X.values[1]
-    rank = X.ctx.group.ngens
-    rows = []
-    memo_d = [{}, {}]
-    homs = [freegrp.coface(0, 0, rank), freegrp.coface(0, 1, rank)]
-    c1 = v1.c_lattice
-    for row in v0.c_lattice.basis():
-        terms = v0.ring.vec_to_terms(row)
-        images = []
-        for hi, hom in enumerate(homs):
-            img = v1.ring.zero()
-            for bw, c in terms.items():
-                img = img + hom_image_of_basisword(
-                    hom, v0.ring, v1.ring, bw, memo_d[hi]
-                ) * c
-            coords = c1.coordinates(img.to_vec())
-            if coords is None:
-                raise AssertionError("coface image escapes the code lattice")
-            images.append(coords)
-        rows.append([a - b for a, b in zip(images[0], images[1])])
+    v0, v1 = X.values[0], X.values[1]
+    rows = v0.c_lattice.basis()
     if not rows:
         return 0
-    kern = kernel_of_matrix(rows, c1.rank)
+    rank = X.ctx.group.ngens
+    images = [
+        hom_image_rows(freegrp.coface(0, i, rank), v0.ring, v1.ring, rows) for i in (0, 1)
+    ]
+    coords = v1.c_lattice.coordinates([*images[0], *images[1]])
+    if coords is None:
+        raise AssertionError("coface image escapes the code lattice")
+    # |coordinates| < 2**62 in int64, so the difference cannot wrap
+    kern = kernel_of_matrix(coords[: len(rows)] - coords[len(rows) :], v1.c_lattice.rank)
     return len(kern)
 
 

@@ -13,6 +13,7 @@ import json
 
 from . import freegrp
 from .errors import CapExceeded, InputError
+from .intlin import _factorint, _sorted_chain
 
 DEFAULT_ELEMENT_CAP = 5000
 
@@ -129,8 +130,6 @@ class GroupData:
 def _abelian_invariants_from_table(table):
     """Invariant factors of a finite abelian group given by its table."""
     n = len(table)
-    if n == 1:
-        return ()
     # element orders via p^j annihilation counts
     def power(g, k):
         acc = 0
@@ -143,18 +142,7 @@ def _abelian_invariants_from_table(table):
         return acc
 
     factors = []
-    order = n
-    fac = {}
-    d = 2
-    m = order
-    while d * d <= m:
-        while m % d == 0:
-            fac[d] = fac.get(d, 0) + 1
-            m //= d
-        d += 1
-    if m > 1:
-        fac[m] = fac.get(m, 0) + 1
-    for p in fac:
+    for p in _factorint(n):
         logs = [0]
         j = 1
         while True:
@@ -172,19 +160,7 @@ def _abelian_invariants_from_table(table):
         for k, c in enumerate(parts_ge):
             nxt = parts_ge[k + 1] if k + 1 < len(parts_ge) else 0
             factors.extend([p ** (k + 1)] * (c - nxt))
-    # combine prime powers into a divisibility chain
-    per_prime = {}
-    for q in factors:
-        p = min(pr for pr in fac if q % pr == 0)
-        per_prime.setdefault(p, []).append(q)
-    slots = max(len(v) for v in per_prime.values()) if per_prime else 0
-    chain = [1] * slots
-    for p, qs in per_prime.items():
-        qs.sort(reverse=True)
-        for i, q in enumerate(qs):
-            chain[i] *= q
-    chain.sort()
-    return tuple(c for c in chain if c > 1)
+    return _sorted_chain(factors)
 
 
 class LevelPresentation:
@@ -196,14 +172,11 @@ class LevelPresentation:
     so transversal words are prefix-closed and reduced.
     """
 
-    def __init__(self, group, p, base_rank=None):
+    def __init__(self, group, p):
         self.group = group
         self.level = p
         self.copies = p + 1
-        rank = group.ngens if base_rank is None else base_rank
-        if rank != group.ngens:
-            raise InputError("base_rank must match the number of generator images")
-        self.base_rank = rank
+        rank = self.base_rank = group.ngens
 
         n = group.order
         # coset action per (copy, gen) is the base right-multiplication
@@ -327,10 +300,6 @@ class LevelPresentation:
             f"LevelPresentation({self.group.name}, level={self.level}, "
             f"m={self.num_schreier_gens})"
         )
-
-
-def level_presentation(group, base_rank, p):
-    return LevelPresentation(group, p, base_rank)
 
 
 # -- group spec files ----------------------------------------------------------

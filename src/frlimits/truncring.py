@@ -21,7 +21,7 @@ import numpy as np
 from . import freegrp
 from .errors import CapExceeded
 from .frcode import required_truncation
-from .intlin import AbMap, FinPresAb, Lattice, lattice_intersection
+from .intlin import AbMap, FinPresAb, Lattice, int_block, lattice_intersection, safe_matmul
 from .permgrp import LevelPresentation
 
 DEFAULT_RANK_CAP = 200_000
@@ -437,38 +437,34 @@ class FunctorValue:
         self.code = code
         self.f_lattice = ring.ideal_f()
         self.c_lattice = ring.eval_code(code)
-        rel_rows = []
-        for row in self.c_lattice.basis():
-            coords = self.f_lattice.coordinates(row)
-            if coords is None:
-                raise AssertionError("code lattice escapes f")
-            rel_rows.append(coords)
+        rel_rows = self.f_lattice.coordinates(self.c_lattice.basis())
+        if rel_rows is None:
+            raise AssertionError("code lattice escapes f")
         self.group = FinPresAb(self.f_lattice.rank, rel_rows)
 
-    def element_coords(self, elem):
-        coords = self.f_lattice.coordinates(elem.to_vec())
-        if coords is None:
-            raise ValueError("element does not lie in f")
-        return coords
 
-    def generator_element(self, i):
-        row = self.f_lattice.basis()[i]
-        return RingElement(self.ring, self.ring.vec_to_terms(row))
+def hom_image_rows(hom, src_ring, tgt_ring, rows):
+    """Images of a block of ring vectors (rows over the basis of src_ring)
+    under a presentation morphism, as one dense block over the basis of
+    tgt_ring.
 
-
-def hom_image_of_basisword(hom, src_ring, tgt_ring, bw, memo):
-    """Image of a basis word under a presentation morphism, computed on a
-    representative word and renormalized in the target ring; memoized."""
-    if bw not in memo:
-        g, J = bw
-        word = src_ring.lp.transversal[g]
-        elem = tgt_ring.normal_form(hom.apply(word))
-        one = tgt_ring.one()
-        for j in J:
-            rho_img = tgt_ring.normal_form(hom.apply(src_ring.lp.schreier_gens[j]))
-            elem = elem * (rho_img - one)
-        memo[bw] = elem
-    return memo[bw]
+    The image of a basis word is computed on a representative word and
+    renormalized in the target ring; it is memoized, as a vector, in the
+    target ring's ``_hom_images``.
+    """
+    memo = tgt_ring._hom_images.setdefault(hom, {})
+    V = int_block(rows, src_ring.rank)
+    used = np.flatnonzero(V.any(axis=0)).tolist()
+    one = tgt_ring.one()
+    for k in used:
+        g, J = bw = src_ring.basis[k]
+        if bw not in memo:
+            elem = tgt_ring.normal_form(hom.apply(src_ring.lp.transversal[g]))
+            for j in J:
+                elem = elem * (tgt_ring.normal_form(hom.apply(src_ring.lp.schreier_gens[j])) - one)
+            memo[bw] = elem.to_vec()
+    images = int_block([memo[src_ring.basis[k]] for k in used], tgt_ring.rank)
+    return safe_matmul(V[:, used], images)
 
 
 def check_over_group(hom, src_lp, tgt_lp):
@@ -481,18 +477,15 @@ def check_over_group(hom, src_lp, tgt_lp):
 
 
 def induced_map(hom, src_value, tgt_value):
-    """Matrix of f/c applied to a presentation morphism."""
+    """Matrix of f/c applied to a presentation morphism: the images of the
+    f basis rows, in the target's f coordinates."""
     src_ring = src_value.ring
     tgt_ring = tgt_value.ring
     if src_ring.depth != tgt_ring.depth:
         raise ValueError("induced_map needs equal truncation depths")
     check_over_group(hom, src_ring.lp, tgt_ring.lp)
-    memo = tgt_ring._hom_images.setdefault(hom, {})
-    rows = []
-    for i in range(src_value.group.ngens):
-        src_elem = src_value.generator_element(i)
-        img = tgt_ring.zero()
-        for bw, c in src_elem.terms.items():
-            img = img + hom_image_of_basisword(hom, src_ring, tgt_ring, bw, memo) * c
-        rows.append(tgt_value.element_coords(img))
-    return AbMap(src_value.group, tgt_value.group, rows)
+    images = hom_image_rows(hom, src_ring, tgt_ring, src_value.f_lattice.basis())
+    coords = tgt_value.f_lattice.coordinates(images)
+    if coords is None:
+        raise ValueError("element does not lie in f")
+    return AbMap(src_value.group, tgt_value.group, coords)

@@ -78,8 +78,8 @@ class TestLattice:
     def test_unit_rows_are_canonical(self):
         lat = lattice_from_rows(4, [[0, 1, 0, 0], [0, 0, 0, 1]])
         assert lat.rank == 2
-        assert lat.contains([0, 5, 0, -3])
-        assert not lat.contains([1, 0, 0, 0])
+        assert lat.contains([[0, 5, 0, -3]])
+        assert not lat.contains([[1, 0, 0, 0]])
 
     def test_canonical_form_is_generator_order_independent(self):
         rng = random.Random(7)
@@ -93,23 +93,60 @@ class TestLattice:
             assert a == b
 
     def test_membership_matches_span(self):
+        # one block mixes integer combinations of the generators with other
+        # vectors; membership is checked against the reference HNF
         rng = random.Random(3)
-        for _ in range(30):
-            n = rng.randint(1, 5)
-            rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(1, 4))]
+        seen = set()
+        for _ in range(200):
+            n = rng.randint(0, 9)
+            rows = as_lists(random_rows(rng, n, rng.randint(0, 6)), n)
             lat = lattice_from_rows(n, rows)
-            # random integer combinations must lie in the lattice
-            for _ in range(10):
+            hnf = reference_hnf(rows, n)[0]
+            members = []
+            for _ in range(rng.randint(0, 4)):
                 coeffs = [rng.randint(-3, 3) for _ in rows]
-                vec = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(n)]
-                assert lat.contains(vec)
-                coords = lat.coordinates(vec)
-                assert coords is not None
-                basis = lat.basis()
+                members.append([sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(n)])
+            block = members + as_lists(random_rows(rng, n, rng.randint(0, 3)), n)
+            rng.shuffle(block)
+            inside = [reference_hnf(rows + [v], n)[0] == hnf for v in block]
+
+            rem = lat.reduce(block)
+            assert rem.shape == (len(block), n)
+            # row for row, the remainders of each row reduced alone
+            alone = [[int(c) for c in lat.reduce([v])[0]] for v in block]
+            assert [[int(c) for c in r] for r in rem] == alone
+            assert [not any(r) for r in alone] == inside
+            assert lat.contains(members)
+            assert lat.contains(block) == all(inside)
+            for part in (members, block):
+                coords = lat.coordinates(part)
+                if coords is None:
+                    assert not all(reference_hnf(rows + [v], n)[0] == hnf for v in part)
+                    continue
+                assert coords.shape == (len(part), lat.rank)
                 rebuilt = [
-                    sum(c * int(b[j]) for c, b in zip(coords, basis)) for j in range(n)
+                    [sum(int(c) * int(b[j]) for c, b in zip(cs, lat.basis())) for j in range(n)]
+                    for cs in coords
                 ]
-                assert rebuilt == vec
+                assert rebuilt == part
+
+            # an int64 block answers exactly as the list, also in a bignum lattice
+            if all(abs(c) < 2**62 for v in block for c in v):
+                arr = np.array(block, dtype=np.int64).reshape(len(block), n)
+                assert [[int(c) for c in r] for r in lat.reduce(arr)] == alone
+                assert lat.contains(arr) == all(inside)
+                seen.add((lat.big, all(inside)))
+            if block and n:
+                with pytest.raises(TypeError):
+                    lat.contains(block[0])  # one vector is a block of one row
+        assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+        # zero-row blocks
+        lat = lattice_from_rows(3, [[2, 0, 0], [0, 1, 1]])
+        for empty in ([], np.zeros((0, 3), dtype=np.int64)):
+            assert lat.reduce(empty).shape == (0, 3)
+            assert lat.contains(empty)
+            assert lat.coordinates(empty).shape == (0, 2)
 
     def test_pivots_positive_and_reduced(self):
         lat = lattice_from_rows(3, [[2, 1, 1], [0, 3, 0], [-2, 2, 0]])
@@ -126,7 +163,7 @@ class TestLattice:
         lat.add([2**63, 1])
         lat.add([1, 2**70])
         assert lat.big
-        assert lat.contains([2**63 + 1, 2**70 + 1])
+        assert lat.contains([[2**63 + 1, 2**70 + 1]])
 
     def test_numpy_rows_in_bignum_lattice_stay_exact(self):
         # int64 numpy entries stored as they are in object rows would wrap
@@ -135,16 +172,16 @@ class TestLattice:
         lat.add([2**64, 0, 0])
         lat.add(np.array([0, 1, 5]))
         vec = [0, 2**61, -3 * 2**61]
-        assert not lat.contains(vec)
-        assert lat.coordinates(vec) is None
+        assert not lat.contains([vec])
+        assert lat.coordinates([vec]) is None
 
     def test_intersection_and_sum(self):
         a = lattice_from_rows(2, [[2, 0], [0, 1]])
         b = lattice_from_rows(2, [[3, 0], [0, 1]])
         inter = lattice_intersection(a, b)
-        assert inter.contains([6, 0]) and not inter.contains([2, 0]) and not inter.contains([3, 0])
+        assert inter.contains([[6, 0]]) and not inter.contains([[2, 0]]) and not inter.contains([[3, 0]])
         s = lattice_from_rows(2, [*a.basis(), *b.basis()])
-        assert s.contains([1, 0])
+        assert s.contains([[1, 0]])
 
     def test_intersection_random(self):
         rng = random.Random(11)
@@ -158,13 +195,13 @@ class TestLattice:
             )
             inter = lattice_intersection(a, b)
             for r in inter.basis():
-                assert a.contains(r) and b.contains(r)
+                assert a.contains([r]) and b.contains([r])
             # spot check: scaled basis vectors of a that happen to be in b
             for r in a.basis():
                 for k in range(1, 5):
                     v = [k * int(c) for c in r]
-                    if b.contains(v):
-                        assert inter.contains(v)
+                    if b.contains([v]):
+                        assert inter.contains([v])
                         break
 
 

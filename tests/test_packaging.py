@@ -1,9 +1,13 @@
-"""pyproject.toml declares only what ships."""
+"""pyproject.toml declares only what ships, and the benchmark's layer
+tracing finds every name it wraps."""
 
 import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
+
+from frlimits.intlin import Lattice
 
 tomllib = pytest.importorskip("tomllib")
 
@@ -23,3 +27,20 @@ def test_package_data_globs_match_files():
     for package, patterns in SETUPTOOLS.get("package-data", {}).items():
         for pattern in patterns:
             assert list((src / package.replace(".", "/")).glob(pattern)), pattern
+
+
+def test_trace_targets_resolve():
+    # bench/layertrace.py wraps these names from outside the package; a
+    # renamed one would only fail a traced benchmark run
+    spec = importlib.util.spec_from_file_location("layertrace", ROOT / "bench" / "layertrace.py")
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    for _, module, attr in layertrace.SPANS:
+        target = importlib.import_module(module)
+        for part in attr.split("."):
+            target = getattr(target, part)
+        assert callable(target), (module, attr)
+    # its counters read these with getattr defaults, so a rename would
+    # make them silently wrong
+    lat = Lattice(2)
+    assert lat._canonical is True and lat.big is False

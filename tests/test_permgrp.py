@@ -9,7 +9,6 @@ from frlimits.permgrp import (
     GroupData,
     LevelPresentation,
     group_from_spec,
-    level_presentation,
     load_group_file,
 )
 
@@ -101,13 +100,13 @@ class TestAbelianization:
 
 class TestLevelPresentation:
     def test_z2_level0(self):
-        lp = level_presentation(load("z2"), 1, 0)
+        lp = LevelPresentation(load("z2"), 0)
         assert lp.transversal[0] == freegrp.IDENTITY
         assert lp.transversal[1] == freegrp.gen_word(0, 0)
         assert lp.schreier_gens == [freegrp.reduce_word([(0, 0, 2)])]
 
     def test_z2_level1(self):
-        lp = level_presentation(load("z2"), 1, 1)
+        lp = LevelPresentation(load("z2"), 1)
         x0 = freegrp.gen_word(0, 0)
         x1 = freegrp.gen_word(1, 0)
         expected = {
@@ -119,7 +118,7 @@ class TestLevelPresentation:
         assert lp.num_schreier_gens == 3
 
     def test_trivial_level0(self):
-        lp = level_presentation(load("trivial"), 1, 0)
+        lp = LevelPresentation(load("trivial"), 0)
         assert lp.transversal == [freegrp.IDENTITY]
         assert lp.schreier_gens == [freegrp.gen_word(0, 0)]
 
@@ -144,21 +143,21 @@ class TestLevelPresentation:
 
 class TestRewrite:
     def test_z2_x_squared(self):
-        lp = level_presentation(load("z2"), 1, 0)
+        lp = LevelPresentation(load("z2"), 0)
         w = freegrp.reduce_word([(0, 0, 2)])
         assert lp.rewrite_in_R(w) == [(0, 1)]
 
     def test_z2_x_fourth(self):
-        lp = level_presentation(load("z2"), 1, 0)
+        lp = LevelPresentation(load("z2"), 0)
         w = freegrp.reduce_word([(0, 0, 4)])
         assert lp.rewrite_in_R(w) == [(0, 1), (0, 1)]
 
     def test_empty(self):
-        lp = level_presentation(load("z2"), 1, 0)
+        lp = LevelPresentation(load("z2"), 0)
         assert lp.rewrite_in_R(freegrp.IDENTITY) == []
 
     def test_rejects_nontrivial_image(self):
-        lp = level_presentation(load("z2"), 1, 0)
+        lp = LevelPresentation(load("z2"), 0)
         with pytest.raises(ValueError):
             lp.rewrite_in_R(freegrp.gen_word(0, 0))
 
