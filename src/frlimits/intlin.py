@@ -1,9 +1,10 @@
 """Exact integer linear algebra.
 
-Hermite-form row lattices built by batch elimination (queued rows are
-folded into the basis in blocks, unit pivots first) and queried in blocks
-(one reduction answers membership and coordinates for a whole block of
-rows), one kernel primitive built on them (left kernels, lattice
+Hermite-form row lattices that take rows in blocks and keep their basis
+canonical after every call (each block is eliminated into the basis at
+once, unit pivots first; there is no queue) and are queried in blocks (one
+reduction answers membership and coordinates for a whole block of rows),
+one kernel primitive built on them (left kernels, lattice
 intersection, kernels of presented maps), the Smith invariant-factor
 diagonal read off the canonical basis, finitely presented abelian groups,
 maps between them, tensor/Tor over Z, tensor over a finite group ring, and
@@ -19,7 +20,7 @@ in float64, which is exact there.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import chain
+from itertools import chain, islice
 from math import gcd, prod
 from typing import NamedTuple
 
@@ -34,7 +35,7 @@ _F64_EXACT = 2**53
 # Row and column block of the float64 path of _product.
 _MATMUL_BLOCK = 128
 
-# Lattice.add eliminates its queued rows into the basis once they hold this
+# Lattice.add draws and eliminates rows into the basis in blocks of this
 # many entries (rows times width), and basis rows are stacked for products
 # in blocks of the same size.  Every temporary of a fold is a few such
 # blocks; larger blocks mean fewer folds but a higher peak memory.
@@ -334,14 +335,14 @@ def _with_dtype(hnf, dtype):
 class Lattice:
     """A sublattice of Z^n with a row basis in canonical Hermite form.
 
-    ``add`` only queues a vector, in a dense block of ``_FOLD_ENTRIES``
-    entries.  When the block is full, and on ``canonicalize``, the queue is
-    eliminated together with the basis in one batch (``_merge``): one exact
+    ``Lattice(n, rows)`` and ``add(rows)`` take a block of rows: a 2-D
+    array, or any iterable of rows (dicts column -> entry, sequences or
+    1-D arrays), generators included.  The rows are drawn and eliminated
+    into the basis ``_block_rows(n)`` at a time (``_merge``): one exact
     product clears the unit-pivot columns, column-by-column Euclid handles
     what is left, and the entries above each new pivot are reduced into
-    [0, pivot).  The result is unique, so lattice equality is basis
-    equality.  Every reader (``rank``, ``big``, ``pivot_cols``, ``basis``,
-    ``reduce``, ``coordinates``) sees the canonical basis.
+    [0, pivot).  There is no queue: after every call the basis is the
+    canonical one, which is unique, so lattice equality is basis equality.
 
     ``reduce``, ``contains`` and ``coordinates`` take a block of rows (a
     2-D array or a list of rows; ``[]`` is zero rows) and answer for the
@@ -353,32 +354,31 @@ class Lattice:
     whether the canonical basis itself needs bignums.
     """
 
-    __slots__ = ("n", "_hnf", "_queue", "_queued")
+    __slots__ = ("n", "_hnf")
 
-    def __init__(self, n):
+    # the basis is always canonical; bench/layertrace.py still reads this
+    _canonical = True
+
+    def __init__(self, n, rows=()):
         self.n = n
         self._hnf = _Hermite(
             [], np.zeros(0, dtype=np.intp), np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int64)
         )
-        self._queue = None  # dense block of queued rows
-        self._queued = 0
+        self.add(rows)
 
-    def add(self, vec):
-        """Queue a vector: a dict column -> entry, a sequence or a 1-D array."""
-        if self._queue is None:
-            self._queue = np.zeros((_block_rows(self.n), self.n), dtype=np.int64)
-        self._queue = _put(self._queue, self._queued, vec)
-        self._queued += 1
-        if self._queued == len(self._queue):
-            self._fold()
+    def add(self, rows):
+        """Eliminate a block of rows into the basis.  A flat vector is
+        refused, not read as a block of scalar rows."""
+        step = _block_rows(self.n)
+        if isinstance(rows, np.ndarray):
+            blocks = (rows[s : s + step] for s in range(0, len(rows), step))
+        else:
+            rows = iter(rows)
+            blocks = iter(lambda: list(islice(rows, step)), [])
+        for Q in blocks:
+            self._fold(int_block(Q, self.n))
 
-    def add_rows(self, rows):
-        for r in rows:
-            self.add(r)
-
-    def _fold(self):
-        Q = self._queue[: self._queued]
-        self._queue, self._queued = None, 0
+    def _fold(self, Q):
         hnf = self._hnf
         if _is_big(hnf) or Q.dtype == object:
             hnf, Q = _with_dtype(hnf, object), Q.astype(object)
@@ -391,42 +391,36 @@ class Lattice:
                 merged = _with_dtype(merged, np.int64)
             self._hnf = merged
 
-    @property
-    def _canonical(self):
-        return not self._queued
-
     def canonicalize(self):
-        """Eliminate the queued vectors, leaving the canonical HNF basis."""
-        if self._queued:
-            self._fold()
+        # a no-op kept for bench/layertrace.py, which wraps it by name
         return self
 
     # -- the canonical basis ------------------------------------------------
 
     @property
     def rank(self):
-        return len(self.basis())
+        return len(self._hnf.rows)
 
     @property
     def big(self):
         """True when the canonical basis holds entries of 2**62 or more."""
-        return _is_big(self.canonicalize()._hnf)
+        return _is_big(self._hnf)
 
     @property
     def pivot_cols(self):
         """Pivot column of each basis row, increasing."""
-        return self.canonicalize()._hnf.piv.tolist()
+        return self._hnf.piv.tolist()
 
     def basis(self):
         """The canonical basis: read-only row arrays, by pivot column."""
-        return self.canonicalize()._hnf.rows
+        return self._hnf.rows
 
     # -- membership and coordinates --------------------------------------
 
     def _solve(self, rows):
         """(C, R) for a block of rows V: V = C @ basis + R exactly, with
         every entry of R at a pivot column in [0, pivot)."""
-        hnf = self.canonicalize()._hnf
+        hnf = self._hnf
         V = int_block(rows, self.n)
         if _is_big(hnf):
             V = V.astype(object)
@@ -466,12 +460,6 @@ class Lattice:
         return f"Lattice(n={self.n}, rank={self.rank})"
 
 
-def lattice_from_rows(n, rows):
-    lat = Lattice(n)
-    lat.add_rows(rows)
-    return lat.canonicalize()
-
-
 def _lower_block(rows, split, width):
     """Rows of the canonical HNF of `rows` (vectors in Z^width) whose pivot
     lies at column `split` or later, restricted to those columns.
@@ -479,7 +467,7 @@ def _lower_block(rows, split, width):
     They are a basis, itself in canonical HNF, of the vectors of the row
     lattice whose first `split` entries are zero.
     """
-    lat = lattice_from_rows(width, rows)
+    lat = Lattice(width, rows)
     lower = lat.basis()[bisect_left(lat.pivot_cols, split) :]
     del lat  # frees the upper rows before the copy below
     if not lower:
@@ -505,7 +493,7 @@ def lattice_intersection(a, b):
         (np.concatenate([r, r]) for r in a.basis()),
         (np.concatenate([r, 0 * r]) for r in b.basis()),
     )
-    return lattice_from_rows(a.n, _lower_block(rows, a.n, 2 * a.n))
+    return Lattice(a.n, _lower_block(rows, a.n, 2 * a.n))
 
 
 # -- Smith normal form -------------------------------------------------------
@@ -585,20 +573,23 @@ def _snf_core(mat):
         t += 1
 
     # a finished row is zero off the diagonal, so only the pivot's sign is left
-    diag = [abs(mat[i][i]) for i in range(min(m, n))]
-    # enforce the divisibility chain
-    k = len(diag)
+    return _divisor_chain([abs(mat[i][i]) for i in range(min(m, n))])
+
+
+def _divisor_chain(orders):
+    """Rewrite a list of cyclic orders in place as d1 | d2 | ..., zeros
+    (infinite cyclic) last, by Z/a + Z/b = Z/gcd + Z/lcm; no order is
+    factored."""
+    k = len(orders)
     for i in range(k):
         for j in range(i + 1, k):
-            a, b = diag[i], diag[j]
+            a, b = orders[i], orders[j]
             if a and b % a != 0:
-                # Z/a + Z/b = Z/gcd + Z/lcm
                 g = gcd(a, b)
-                lcm = a // g * b
-                diag[i], diag[j] = g, lcm
+                orders[i], orders[j] = g, a // g * b
             elif a == 0 and b != 0:
-                diag[i], diag[j] = b, 0
-    return diag
+                orders[i], orders[j] = b, 0
+    return orders
 
 
 def _smith(lat):
@@ -608,7 +599,7 @@ def _smith(lat):
     off as a trivial summand; the Smith core runs on the other rows,
     restricted to the columns without a unit pivot.
     """
-    rows, piv, unit, _ = lat.canonicalize()._hnf
+    rows, piv, unit, _ = lat._hnf
     rest = np.ones(lat.n, dtype=bool)
     rest[piv[unit]] = False
     core = [[int(c) for c in rows[k][rest]] for k in np.flatnonzero(~unit).tolist()]
@@ -619,7 +610,7 @@ def smith_diagonal(matrix):
     """The nonzero invariant factors of an integer matrix, from the
     canonical HNF of its rows."""
     rows = list(matrix)
-    return _smith(lattice_from_rows(len(rows[0]), rows)) if rows else []
+    return _smith(Lattice(len(rows[0]), rows)) if rows else []
 
 
 def invariant_factors(matrix, ngens):
@@ -645,7 +636,7 @@ class FinPresAb:
         if isinstance(relations, Lattice):
             self.relations = relations
         else:
-            self.relations = lattice_from_rows(ngens, [] if relations is None else relations)
+            self.relations = Lattice(ngens, [] if relations is None else relations)
         self._inv = None
 
     @classmethod
@@ -805,7 +796,7 @@ def _kernel_lattice(g):
     """
     nb = g.dom.ngens
     kern = kernel_of_matrix([*g.matrix, *g.cod.relations.basis()], g.cod.ngens)
-    return lattice_from_rows(nb, [x[:nb] for x in kern])
+    return Lattice(nb, [x[:nb] for x in kern])
 
 
 def homology_at(f, g):
@@ -869,34 +860,7 @@ def direct_sum(groups):
 
 def _sorted_chain(torsion):
     """Rewrite a multiset of cyclic orders as a divisibility chain."""
-    if not torsion:
-        return ()
-    # factor each, rebuild elementary divisors, then recombine
-    primes = {}
-    for d in torsion:
-        for p, e in _factorint(d).items():
-            primes.setdefault(p, []).append(e)
-    slots = max(len(v) for v in primes.values())
-    chain = [1] * slots
-    for p, exps in primes.items():
-        exps.sort(reverse=True)
-        for i, e in enumerate(exps):
-            chain[i] *= p**e
-    chain.sort()
-    return tuple(chain)
-
-
-def _factorint(n):
-    out = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+    return tuple(d for d in _divisor_chain(list(torsion)) if d > 1)
 
 
 # -- tensor over a finite group ring ------------------------------------------

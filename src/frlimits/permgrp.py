@@ -13,7 +13,7 @@ import json
 
 from . import freegrp
 from .errors import CapExceeded, InputError
-from .intlin import _factorint, _sorted_chain
+from .intlin import _sorted_chain
 
 DEFAULT_ELEMENT_CAP = 5000
 
@@ -125,6 +125,19 @@ class GroupData:
 
     def __repr__(self):
         return f"GroupData({self.name}, order={self.order})"
+
+
+def _factorint(n):
+    out = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
 
 
 def _abelian_invariants_from_table(table):

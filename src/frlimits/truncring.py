@@ -14,6 +14,8 @@ in Schreier generators and memoized.
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import chain
 from math import comb
 
 import numpy as np
@@ -232,25 +234,21 @@ class TruncatedRing:
     def ideal_r(self):
         """r = all basis words of filtration degree >= 1."""
         if self._r_lattice is None:
-            lat = Lattice(self.rank)
-            for i, (_, J) in enumerate(self.basis):
-                if J:
-                    lat.add({i: 1})
-            lat.canonicalize()
-            self._r_lattice = lat
+            self._r_lattice = Lattice(
+                self.rank, ({i: 1} for i, (_, J) in enumerate(self.basis) if J)
+            )
         return self._r_lattice
 
     def ideal_f(self):
         """f = augmentation kernel: r plus the section differences."""
         if self._f_lattice is None:
-            lat = Lattice(self.rank)
-            for i, (g, J) in enumerate(self.basis):
-                if J:
-                    lat.add({i: 1})
-                elif g != 0:
-                    lat.add({i: 1, self.index[(0, ())]: -1})
-            lat.canonicalize()
-            self._f_lattice = lat
+            one = self.index[(0, ())]
+            rows = (
+                {i: 1} if J else {i: 1, one: -1}
+                for i, (g, J) in enumerate(self.basis)
+                if J or g != 0
+            )
+            self._f_lattice = Lattice(self.rank, rows)
         return self._f_lattice
 
     def right_generators(self, letter):
@@ -284,14 +282,12 @@ class TruncatedRing:
         else:
             tail = self.eval_monomial(mono[1:])
             gens = self.right_generators(mono[0])
-            lat = Lattice(self.rank)
-            for row in tail.basis():
-                tail_terms = self.vec_to_terms(row)
-                for gamma in gens:
-                    prod = self.multiply_terms(gamma.terms, tail_terms)
-                    if prod:
-                        lat.add(self.terms_to_vec(prod))
-            lat.canonicalize()
+            prods = (
+                self.multiply_terms(gamma.terms, tail_terms)
+                for tail_terms in map(self.vec_to_terms, tail.basis())
+                for gamma in gens
+            )
+            lat = Lattice(self.rank, (self.terms_to_vec(prod) for prod in prods if prod))
         self._monomial_cache[mono] = lat
         return lat
 
@@ -305,13 +301,13 @@ class TruncatedRing:
                 f"truncation N={self.depth} too shallow for {code} "
                 f"(needs {required_truncation(code)})"
             )
-        total = Lattice(self.rank)
-        for term in code.terms:
-            lat = self.eval_monomial(term[0])
-            for mono in term[1:]:
-                lat = lattice_intersection(lat, self.eval_monomial(mono))
-            total.add_rows(lat.basis())
-        total.canonicalize()
+        total = Lattice(
+            self.rank,
+            chain.from_iterable(
+                reduce(lattice_intersection, map(self.eval_monomial, term)).basis()
+                for term in code.terms
+            ),
+        )
         self._code_cache[key] = total
         return total
 

@@ -1,4 +1,5 @@
 import random
+import time
 
 import numpy as np
 import pytest
@@ -7,11 +8,11 @@ from frlimits.intlin import (
     AbMap,
     FinPresAb,
     Lattice,
+    _block_rows,
     direct_sum,
     homology_at,
     invariant_factors,
     kernel_of_matrix,
-    lattice_from_rows,
     lattice_intersection,
     safe_matmul,
     smith_diagonal,
@@ -56,27 +57,47 @@ def as_lists(rows, n):
 
 class TestLattice:
     def test_matches_reference_hnf(self):
-        # rows arrive in up to three batches with the basis read in between,
-        # so queued rows are also merged into an existing basis
+        # rows arrive in up to three add calls, each a list, an int64 array
+        # or a generator, so later blocks merge into an existing basis
         rng = random.Random(29)
         for _ in range(300):
             n = rng.randint(0, 9)
             rows = random_rows(rng, n, rng.randint(0, 12))
             lat = Lattice(n)
-            cuts = {rng.randint(1, len(rows)) for _ in range(rng.randint(0, 2))} if rows else set()
-            for i, row in enumerate(rows, 1):
-                lat.add(row)
-                if i in cuts:
-                    lat.canonicalize()
+            cuts = sorted({0, len(rows), *(rng.randint(0, len(rows)) for _ in range(2))})
+            for lo, hi in zip(cuts, cuts[1:]):
+                part = rows[lo:hi]
+                kind = rng.randrange(3)
+                if kind == 1 and all(abs(c) < 2**63 for r in as_lists(part, n) for c in r):
+                    part = np.array(as_lists(part, n), dtype=np.int64).reshape(len(part), n)
+                elif kind == 2:
+                    part = (r for r in part)
+                lat.add(part)
             basis, pivots = reference_hnf(rows, n)
             assert [list(map(int, r)) for r in lat.basis()] == basis, (n, rows)
             assert lat.pivot_cols == pivots
             assert lat.rank == len(basis)
             assert lat.big == any(abs(c) >= 2**62 for r in basis for c in r)
-            assert lattice_from_rows(n, rows) == lat
+            assert Lattice(n, rows) == lat
+
+    def test_add_draws_rows_lazily(self):
+        # add holds at most one block of rows it has not merged, so a long
+        # generator of rows never sits in memory at once
+        n = 160
+        step = _block_rows(n)
+        assert step < n
+        lat = Lattice(n)
+
+        def units():
+            for i in range(n):
+                assert i + 1 - lat.rank <= step
+                yield {i: 1}
+
+        lat.add(units())
+        assert lat.rank == n
 
     def test_unit_rows_are_canonical(self):
-        lat = lattice_from_rows(4, [[0, 1, 0, 0], [0, 0, 0, 1]])
+        lat = Lattice(4, [[0, 1, 0, 0], [0, 0, 0, 1]])
         assert lat.rank == 2
         assert lat.contains([[0, 5, 0, -3]])
         assert not lat.contains([[1, 0, 0, 0]])
@@ -86,10 +107,10 @@ class TestLattice:
         for _ in range(50):
             n = rng.randint(1, 6)
             rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(rng.randint(1, 8))]
-            a = lattice_from_rows(n, rows)
+            a = Lattice(n, rows)
             shuffled = rows[:]
             rng.shuffle(shuffled)
-            b = lattice_from_rows(n, shuffled)
+            b = Lattice(n, shuffled)
             assert a == b
 
     def test_membership_matches_span(self):
@@ -100,7 +121,7 @@ class TestLattice:
         for _ in range(200):
             n = rng.randint(0, 9)
             rows = as_lists(random_rows(rng, n, rng.randint(0, 6)), n)
-            lat = lattice_from_rows(n, rows)
+            lat = Lattice(n, rows)
             hnf = reference_hnf(rows, n)[0]
             members = []
             for _ in range(rng.randint(0, 4)):
@@ -139,17 +160,25 @@ class TestLattice:
             if block and n:
                 with pytest.raises(TypeError):
                     lat.contains(block[0])  # one vector is a block of one row
+                basis = lat.basis()
+                flat = [block[0]]
+                if all(abs(c) < 2**63 for c in block[0]):
+                    flat.append(np.array(block[0], dtype=np.int64))
+                for vec in flat:
+                    with pytest.raises(TypeError):
+                        lat.add(vec)  # not n rows of one entry each
+                assert lat.basis() is basis
         assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
         # zero-row blocks
-        lat = lattice_from_rows(3, [[2, 0, 0], [0, 1, 1]])
+        lat = Lattice(3, [[2, 0, 0], [0, 1, 1]])
         for empty in ([], np.zeros((0, 3), dtype=np.int64)):
             assert lat.reduce(empty).shape == (0, 3)
             assert lat.contains(empty)
             assert lat.coordinates(empty).shape == (0, 2)
 
     def test_pivots_positive_and_reduced(self):
-        lat = lattice_from_rows(3, [[2, 1, 1], [0, 3, 0], [-2, 2, 0]])
+        lat = Lattice(3, [[2, 1, 1], [0, 3, 0], [-2, 2, 0]])
         basis = lat.basis()
         piv_cols = lat.pivot_cols
         for k, j in enumerate(piv_cols):
@@ -160,8 +189,8 @@ class TestLattice:
 
     def test_bignum_promotion(self):
         lat = Lattice(2)
-        lat.add([2**63, 1])
-        lat.add([1, 2**70])
+        lat.add([[2**63, 1]])
+        lat.add([[1, 2**70]])
         assert lat.big
         assert lat.contains([[2**63 + 1, 2**70 + 1]])
 
@@ -169,28 +198,28 @@ class TestLattice:
         # int64 numpy entries stored as they are in object rows would wrap
         # at 2**63 and make this vector look like a member
         lat = Lattice(3)
-        lat.add([2**64, 0, 0])
-        lat.add(np.array([0, 1, 5]))
+        lat.add([[2**64, 0, 0]])
+        lat.add([np.array([0, 1, 5])])
         vec = [0, 2**61, -3 * 2**61]
         assert not lat.contains([vec])
         assert lat.coordinates([vec]) is None
 
     def test_intersection_and_sum(self):
-        a = lattice_from_rows(2, [[2, 0], [0, 1]])
-        b = lattice_from_rows(2, [[3, 0], [0, 1]])
+        a = Lattice(2, [[2, 0], [0, 1]])
+        b = Lattice(2, [[3, 0], [0, 1]])
         inter = lattice_intersection(a, b)
         assert inter.contains([[6, 0]]) and not inter.contains([[2, 0]]) and not inter.contains([[3, 0]])
-        s = lattice_from_rows(2, [*a.basis(), *b.basis()])
+        s = Lattice(2, [*a.basis(), *b.basis()])
         assert s.contains([[1, 0]])
 
     def test_intersection_random(self):
         rng = random.Random(11)
         for _ in range(20):
             n = rng.randint(1, 4)
-            a = lattice_from_rows(
+            a = Lattice(
                 n, [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
             )
-            b = lattice_from_rows(
+            b = Lattice(
                 n, [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
             )
             inter = lattice_intersection(a, b)
@@ -284,9 +313,8 @@ class TestFinPresAb:
             rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(0, 4))]
             rels = rows
             if rng.random() < 0.5:
-                # an echelon basis that was never canonicalized
                 rels = Lattice(n)
-                rels.add_rows(rows)
+                rels.add(rows)
             g = FinPresAb(n, rels)
             assert g.is_trivial() == (g.invariants() == ((), 0)), (n, rows)
             seen.add(g.is_trivial())
@@ -296,6 +324,27 @@ class TestFinPresAb:
         a = FinPresAb.from_invariants((2,), 1)
         b = FinPresAb.from_invariants((4,), 0)
         assert direct_sum([a, b]).invariants() == ((2, 4), 1)
+
+    def test_direct_sum_matches_chain_oracle(self):
+        rng = random.Random(41)
+        for _ in range(200):
+            orders = [rng.randint(2, 60) for _ in range(rng.randint(0, 6))]
+            got = direct_sum([FinPresAb.cyclic(d) for d in orders])
+            assert got.invariants() == (combine_cyclic_orders(orders), 0), orders
+
+    def test_large_prime_orders(self):
+        # the chains come from gcd/lcm, so no order is ever factored
+        p = 2**61 - 1
+        zp = FinPresAb.cyclic(p)
+        cases = [
+            (lambda: tensor_Z(zp, FinPresAb.free(1)), ((p,), 0)),
+            (lambda: tor_Z(zp, zp), ((p,), 0)),
+            (lambda: direct_sum([zp, FinPresAb.cyclic(2)]), ((2 * p,), 0)),
+        ]
+        for build, expected in cases:
+            start = time.perf_counter()
+            assert build().invariants() == expected
+            assert time.perf_counter() - start < 1
 
 
 class TestTensorTor:
