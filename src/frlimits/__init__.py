@@ -2,7 +2,7 @@
 
 Submodules:
     frcode    -- fr-code expressions: parsing, normalization, truncation depth
-    freegrp   -- free products, reduced words, cofaces/codegeneracies/homotopies
+    freegrp   -- free products, reduced words, cofaces and codegeneracies
     permgrp   -- permutation realization of G, Schreier machinery per level
     truncring -- exact arithmetic in Z[F]/r^N, ideal lattices, code evaluation
     intlin    -- exact integer linear algebra, presented abelian groups

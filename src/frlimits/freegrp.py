@@ -1,5 +1,5 @@
 """Free products of free groups: reduced words, homomorphisms, and the
-combinatorics of the standard complex (cofaces, codegeneracies, homotopies).
+combinatorics of the standard complex (cofaces and codegeneracies).
 
 A word is a tuple of syllables (copy, gen, exp) with nonzero exponents and
 no two adjacent syllables sharing (copy, gen).  Copies are 0-indexed.
@@ -161,22 +161,6 @@ class FreeHom:
         )
         return cls(dom_copies, rank, cod_copies, rank, images)
 
-    @classmethod
-    def free_product(cls, homs):
-        """h_0 ⊔ h_1 ⊔ ...: copy t mapped by homs[t] into copy t."""
-        dom_rank = homs[0].dom_rank
-        cod_rank = homs[0].cod_rank
-        for h in homs:
-            if (h.dom_copies, h.cod_copies) != (1, 1):
-                raise ValueError("free_product takes maps between single free groups")
-            if (h.dom_rank, h.cod_rank) != (dom_rank, cod_rank):
-                raise ValueError("free_product takes maps of one domain and codomain rank")
-        images = []
-        for t, h in enumerate(homs):
-            for w in h.images:
-                images.append(tuple((t, g, e) for _, g, e in w))
-        return cls(len(homs), dom_rank, len(homs), cod_rank, tuple(images))
-
 
 def coface(n, j, rank):
     """d^j: F^{*(n+1)} -> F^{*(n+2)}, copy t -> t if t < j else t + 1."""
@@ -190,26 +174,3 @@ def codegeneracy(n, j, rank):
     if not 0 <= j <= n:
         raise ValueError(f"codegeneracy index {j} out of range for level {n}")
     return FreeHom.from_copy_map(n + 2, n + 1, rank, lambda t: t if t <= j else t - 1)
-
-
-def diagonal_power(h, copies):
-    """B(h)^(copies-1): h on every copy of the free product."""
-    return FreeHom.free_product([h] * copies)
-
-
-def homotopy_maps(f, g, n):
-    """The maps k^i = s^i (f ⊔ ... ⊔ f ⊔ g ⊔ ... ⊔ g), 0 <= i <= n.
-
-    f, g: single-copy homs with equal ranks; k^i sends level n+1 of the
-    complex on the domain to level n on the codomain, with i+1 copies
-    routed through f and the remaining n+1-i through g.
-    """
-    if (f.dom_rank, f.cod_rank) != (g.dom_rank, g.cod_rank):
-        raise ValueError("rank mismatch between the two homomorphisms")
-    if f.dom_copies != 1 or g.dom_copies != 1 or f.cod_copies != 1 or g.cod_copies != 1:
-        raise ValueError("homotopy inputs must be single-copy homomorphisms")
-    out = []
-    for i in range(n + 1):
-        alpha = FreeHom.free_product([f] * (i + 1) + [g] * (n + 1 - i))
-        out.append(codegeneracy(n, i, f.cod_rank).compose(alpha))
-    return out

@@ -6,9 +6,9 @@ once, unit pivots first; there is no queue) and are queried in blocks (one
 reduction answers membership and coordinates for a whole block of rows),
 one kernel primitive built on them (left kernels, lattice
 intersection, kernels of presented maps), the Smith invariant-factor
-diagonal read off the canonical basis, finitely presented abelian groups,
-maps between them, tensor/Tor over Z, tensor over a finite group ring, and
-homology of three-term complexes of presented groups.
+diagonal read off the canonical basis after its unit rows are split off,
+finitely presented abelian groups, maps between them, tensor/Tor over Z,
+and homology of three-term complexes of presented groups.
 
 Everything is exact.  Matrices are kept as int64 numpy arrays while entry
 bounds allow it and promoted to arbitrary-precision (object dtype) arrays
@@ -592,18 +592,26 @@ def _divisor_chain(orders):
     return orders
 
 
-def _smith(lat):
-    """The nonzero invariant factors of a lattice's canonical basis.
+def unit_split(lat):
+    """(free_cols, rows): the columns without a unit pivot in the canonical
+    basis, and the basis rows whose pivot is not 1, cut to those columns.
 
-    A unit pivot's column is zero outside its row, so each unit row splits
-    off as a trivial summand; the Smith core runs on the other rows,
-    restricted to the columns without a unit pivot.
-    """
+    A unit pivot's column is zero outside its row, and the other rows are
+    zero on unit-pivot columns, so Z^n / lat is presented on free_cols
+    with the cut rows, themselves in canonical HNF, as relations."""
     rows, piv, unit, _ = lat._hnf
-    rest = np.ones(lat.n, dtype=bool)
-    rest[piv[unit]] = False
-    core = [[int(c) for c in rows[k][rest]] for k in np.flatnonzero(~unit).tolist()]
-    return [1] * int(unit.sum()) + _snf_core(core)
+    free = np.ones(lat.n, dtype=bool)
+    free[piv[unit]] = False
+    return np.flatnonzero(free), [rows[k][free] for k in np.flatnonzero(~unit).tolist()]
+
+
+def _smith(lat):
+    """The nonzero invariant factors of a lattice's canonical basis: each
+    unit row splits off as a trivial summand (``unit_split``), and the
+    Smith core runs on the rest."""
+    _, rest = unit_split(lat)
+    core = [[int(c) for c in row] for row in rest]
+    return [1] * (lat.rank - len(rest)) + _snf_core(core)
 
 
 def smith_diagonal(matrix):
@@ -611,11 +619,6 @@ def smith_diagonal(matrix):
     canonical HNF of its rows."""
     rows = list(matrix)
     return _smith(Lattice(len(rows[0]), rows)) if rows else []
-
-
-def invariant_factors(matrix, ngens):
-    """(torsion_factors, free_rank) of Z^ngens / rowspace(matrix)."""
-    return FinPresAb(ngens, matrix).invariants()
 
 
 # -- finitely presented abelian groups ---------------------------------------
@@ -861,51 +864,3 @@ def direct_sum(groups):
 def _sorted_chain(torsion):
     """Rewrite a multiset of cyclic orders as a divisibility chain."""
     return tuple(d for d in _divisor_chain(list(torsion)) if d > 1)
-
-
-# -- tensor over a finite group ring ------------------------------------------
-
-
-def tensor_over_group_ring(gens_a, rels_a, gens_b, rels_b, mul_table):
-    """A (x)_{Z[G]} B for finite G with given multiplication table.
-
-    A is a right Z[G]-module and B a left one, each presented over Z[G]:
-    a relation is a list of group-ring elements (length-|G| integer
-    vectors), one per generator.  Expansion goes through the regular
-    representation: Z-generators are triples (i, x, j) standing for
-    e_i (x) x.e_j, relations are imposed for every x in G.
-    """
-    order = len(mul_table)
-
-    def idx(i, x, j):
-        return (i * order + x) * gens_b + j
-
-    n = gens_a * order * gens_b
-    rows = []
-    for rel in rels_a:
-        for x in range(order):
-            for j in range(gens_b):
-                row = {}
-                for i in range(gens_a):
-                    coeffs = rel[i]
-                    for z in range(order):
-                        c = coeffs[z]
-                        if c:
-                            y = mul_table[z][x]
-                            k = idx(i, y, j)
-                            row[k] = row.get(k, 0) + c
-                rows.append(row)
-    for rel in rels_b:
-        for x in range(order):
-            for i in range(gens_a):
-                row = {}
-                for j in range(gens_b):
-                    coeffs = rel[j]
-                    for z in range(order):
-                        c = coeffs[z]
-                        if c:
-                            y = mul_table[x][z]
-                            k = idx(i, y, j)
-                            row[k] = row.get(k, 0) + c
-                rows.append(row)
-    return FinPresAb(n, rows)

@@ -5,7 +5,9 @@ presentation (level p = the (p+1)-fold free product), giving a cosimplicial
 abelian group; lim^i(code) for i >= 1 is the (i-1)-st cohomology of its
 Moore complex, the shift coming from the short exact sequence
 code -> f -> f/code and the vanishing of the limits of f.  lim^0 is zero
-for the same reason; the report still verifies it via the equalizer.
+for the same reason.  The report's lim0_equalizer_rank is not lim^0: it
+is the equalizer of the code lattices in the truncated rings (see
+code_lattice_equalizer_rank).
 """
 
 from __future__ import annotations
@@ -174,10 +176,14 @@ def assemble(code, group, top_degree, trunc_n=None, rank_cap=None, deadline=None
 
 
 def code_lattice_equalizer_rank(X):
-    """Rank of eq(code(F) => code(F*F)); zero exactly when lim^0(code) = 0.
+    """Rank of the equalizer of the two cofaces from the code lattice in
+    Z[F]/r^N to the code lattice in Z[F*F]/r^N.
 
-    The code functor itself is valued in free abelian groups (ideal
-    lattices), so the equalizer is a plain integer kernel.
+    This is lim^0 of the truncated code, not of the code.  For the code f
+    it reads |G| - 1: at N = 1 the truncated code is the augmentation
+    ideal of Z[G], whose limit is not zero, while lim^0(f) = 0.  The code
+    lattices are free abelian groups, so the equalizer is a plain integer
+    kernel.
     """
     v0, v1 = X.values[0], X.values[1]
     rows = v0.c_lattice.basis()
@@ -235,6 +241,11 @@ def higher_limits(code, group, top_degree=None, trunc_n=None, rank_cap=None,
     lim^i = pi^{i-1} of the value cosimplicial group, computed from the
     Moore complex.  The report flags which Moore degrees vanish; with
     cross_validate the alternate-sum cohomology is compared degreewise.
+
+    The default top_degree is n, the length of the code's longest
+    monomial.  It assumes lim-finiteness: lim^i(code) = 0 for every i > n,
+    so that the report leaves out no nonzero limit.  The tests check
+    lim^(n+1) = 0 on small groups.
     """
     code = normalize(code)
     if top_degree is None:

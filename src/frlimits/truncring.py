@@ -23,7 +23,8 @@ import numpy as np
 from . import freegrp
 from .errors import CapExceeded
 from .frcode import required_truncation
-from .intlin import AbMap, FinPresAb, Lattice, int_block, lattice_intersection, safe_matmul
+from .intlin import (AbMap, FinPresAb, Lattice, int_block, lattice_intersection, safe_matmul,
+                     unit_split)
 from .permgrp import LevelPresentation
 
 DEFAULT_RANK_CAP = 200_000
@@ -99,8 +100,6 @@ class TruncatedRing:
         self._cocycle = {}
         self._monomial_cache = {}
         self._code_cache = {}
-        self._f_lattice = None
-        self._r_lattice = None
         self._hom_images = {}
 
     def __repr__(self):
@@ -232,24 +231,20 @@ class TruncatedRing:
     # -- ideal lattices ------------------------------------------------------
 
     def ideal_r(self):
-        """r = all basis words of filtration degree >= 1."""
-        if self._r_lattice is None:
-            self._r_lattice = Lattice(
-                self.rank, ({i: 1} for i, (_, J) in enumerate(self.basis) if J)
-            )
-        return self._r_lattice
+        """r = all basis words of filtration degree >= 1.  A new lattice
+        per call; eval_monomial caches it as the monomial "r"."""
+        return Lattice(self.rank, ({i: 1} for i, (_, J) in enumerate(self.basis) if J))
 
     def ideal_f(self):
-        """f = augmentation kernel: r plus the section differences."""
-        if self._f_lattice is None:
-            one = self.index[(0, ())]
-            rows = (
-                {i: 1} if J else {i: 1, one: -1}
-                for i, (g, J) in enumerate(self.basis)
-                if J or g != 0
-            )
-            self._f_lattice = Lattice(self.rank, rows)
-        return self._f_lattice
+        """f = augmentation kernel: r plus the section differences.  A new
+        lattice per call; eval_monomial caches it as the monomial "f"."""
+        one = self.index[(0, ())]
+        rows = (
+            {i: 1} if J else {i: 1, one: -1}
+            for i, (g, J) in enumerate(self.basis)
+            if J or g != 0
+        )
+        return Lattice(self.rank, rows)
 
     def right_generators(self, letter):
         """Elements generating the letter ideal as a right module."""
@@ -373,9 +368,6 @@ class RingElement:
     def __hash__(self):
         raise TypeError("RingElement is unhashable")
 
-    def is_zero(self):
-        return not self.terms
-
     def augmentation(self):
         return sum(c for (g, J), c in self.terms.items() if not J)
 
@@ -424,19 +416,25 @@ class GroupContext:
 
 
 class FunctorValue:
-    """The abelian group f/c at one level, presented on the canonical basis
-    of the f lattice with the c lattice as relations; the coordinate maps
-    are kept so presentation morphisms induce matrices."""
+    """The abelian group f/c at one level.  The augmentation splits the
+    ring as f + Z·1 and c lies in f, so f/c = ring/(c + Z·1) = ring/rel.
+    ``group`` is presented on ``gens``, the basis words that no unit pivot
+    of ``rel`` eliminates, with the other canonical rows of ``rel``, cut
+    to ``gens``, as relations; a ring vector v stands for the class of
+    ``rel.reduce(v)`` read on the ``gens`` columns."""
 
     def __init__(self, ring, code):
         self.ring = ring
         self.code = code
-        self.f_lattice = ring.ideal_f()
         self.c_lattice = ring.eval_code(code)
-        rel_rows = self.f_lattice.coordinates(self.c_lattice.basis())
-        if rel_rows is None:
+        # f is the augmentation kernel, and the first |G| basis words are
+        # the (g, ()), so a c row lies in f iff its entries there sum to 0
+        order = ring.lp.group.order
+        if any(row[:order].sum() for row in self.c_lattice.basis()):
             raise AssertionError("code lattice escapes f")
-        self.group = FinPresAb(self.f_lattice.rank, rel_rows)
+        self.rel = Lattice(ring.rank, [{ring.index[(0, ())]: 1}, *self.c_lattice.basis()])
+        self.gens, rel_rows = unit_split(self.rel)
+        self.group = FinPresAb(len(self.gens), rel_rows)
 
 
 def hom_image_rows(hom, src_ring, tgt_ring, rows):
@@ -473,15 +471,14 @@ def check_over_group(hom, src_lp, tgt_lp):
 
 
 def induced_map(hom, src_value, tgt_value):
-    """Matrix of f/c applied to a presentation morphism: the images of the
-    f basis rows, in the target's f coordinates."""
+    """Matrix of f/c applied to a presentation morphism: row i is the image
+    of the source's basis word ``gens[i]``, reduced modulo the target's
+    c + Z·1 and read on the target's ``gens`` columns."""
     src_ring = src_value.ring
     tgt_ring = tgt_value.ring
     if src_ring.depth != tgt_ring.depth:
         raise ValueError("induced_map needs equal truncation depths")
     check_over_group(hom, src_ring.lp, tgt_ring.lp)
-    images = hom_image_rows(hom, src_ring, tgt_ring, src_value.f_lattice.basis())
-    coords = tgt_value.f_lattice.coordinates(images)
-    if coords is None:
-        raise ValueError("element does not lie in f")
+    images = hom_image_rows(hom, src_ring, tgt_ring, [{k: 1} for k in src_value.gens.tolist()])
+    coords = tgt_value.rel.reduce(images)[:, tgt_value.gens]
     return AbMap(src_value.group, tgt_value.group, coords)

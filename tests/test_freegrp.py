@@ -7,10 +7,8 @@ from frlimits.freegrp import (
     FreeHom,
     coface,
     codegeneracy,
-    diagonal_power,
     format_word,
     gen_word,
-    homotopy_maps,
     inv,
     mul,
     parse_word,
@@ -81,12 +79,6 @@ class TestFreeHomValidation:
     def test_image_outside_alphabet(self):
         with pytest.raises(ValueError):
             FreeHom(1, 1, 1, 1, (gen_word(1, 0),))
-
-    def test_free_product_needs_matching_single_copy_maps(self):
-        with pytest.raises(ValueError):
-            FreeHom.free_product([FreeHom.identity(2, 1)])
-        with pytest.raises(ValueError):
-            FreeHom.free_product([FreeHom.identity(1, 1), FreeHom.identity(1, 2)])
 
 
 class TestCofaces:
@@ -169,78 +161,3 @@ def test_cosimplicial_identities_word_level():
             assert lhs == rhs
             count += 1
     assert count >= 100
-
-
-def _random_hom(rng, rank_dom, rank_cod):
-    images = []
-    for _ in range(rank_dom):
-        sylls = [
-            (0, rng.randint(0, rank_cod - 1), rng.choice([-2, -1, 1, 2]))
-            for _ in range(rng.randint(0, 4))
-        ]
-        images.append(reduce_word(sylls))
-    return FreeHom(1, rank_dom, 1, rank_cod, tuple(images))
-
-
-class TestHomotopy:
-    def test_fold_when_f_equals_g_identity(self):
-        f = FreeHom.identity(1, 1)
-        (k0,) = homotopy_maps(f, f, 0)
-        fold = codegeneracy(0, 0, 1)
-        assert k0 == fold
-
-    def test_boundary_identities(self):
-        rng = random.Random(11)
-        for _ in range(30):
-            rank = rng.randint(1, 2)
-            f = _random_hom(rng, rank, rank)
-            g = _random_hom(rng, rank, rank)
-            for n in range(0, 3):
-                ks = homotopy_maps(f, g, n)
-                d_low = coface(n, 0, rank)
-                d_high = coface(n, n + 1, rank)
-                assert ks[0].compose(d_low) == diagonal_power(g, n + 1)
-                assert ks[n].compose(d_high) == diagonal_power(f, n + 1)
-
-    def test_homotopy_identities(self):
-        # The k^j of the family at m have domain X^{m+1}; the coface cases
-        # relate families at m = n+1 and n, the codegeneracy cases those at
-        # n and n+1.
-        rng = random.Random(12)
-        checked = 0
-        for _ in range(25):
-            rank = rng.randint(1, 2)
-            f = _random_hom(rng, rank, rank)
-            g = _random_hom(rng, rank, rank)
-            for n in range(0, 3):
-                ks = homotopy_maps(f, g, n)
-                ks_next = homotopy_maps(f, g, n + 1)
-                # k^j d^i with k^j from the family at n+1 (maps X^{n+1} -> Y^{n+1})
-                for j in range(n + 2):
-                    for i in range(n + 3):
-                        if i < j:
-                            a = ks_next[j].compose(coface(n + 1, i, rank))
-                            b = coface(n, i, rank).compose(ks[j - 1])
-                            assert a == b
-                            checked += 1
-                        elif i == j and j > 0:
-                            a = ks_next[j].compose(coface(n + 1, i, rank))
-                            b = ks_next[j - 1].compose(coface(n + 1, j, rank))
-                            assert a == b
-                            checked += 1
-                        elif i > j + 1 and j <= n:
-                            a = ks_next[j].compose(coface(n + 1, i, rank))
-                            b = coface(n, i - 1, rank).compose(ks[j])
-                            assert a == b
-                            checked += 1
-                # k^j s^i with k^j from the family at n (maps X^{n+2} -> Y^n)
-                for j in range(n + 1):
-                    for i in range(n + 2):
-                        a = ks[j].compose(codegeneracy(n + 1, i, rank))
-                        if i <= j:
-                            b = codegeneracy(n, i, rank).compose(ks_next[j + 1])
-                        else:
-                            b = codegeneracy(n, i - 1, rank).compose(ks_next[j])
-                        assert a == b
-                        checked += 1
-        assert checked >= 100

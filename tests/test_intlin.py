@@ -11,12 +11,10 @@ from frlimits.intlin import (
     _block_rows,
     direct_sum,
     homology_at,
-    invariant_factors,
     kernel_of_matrix,
     lattice_intersection,
     safe_matmul,
     smith_diagonal,
-    tensor_over_group_ring,
     tensor_Z,
     tor_Z,
 )
@@ -453,31 +451,6 @@ class TestHomologyAt:
             assert got == expected, (mods_a, mat_f, mods_b, mat_g, mods_c)
 
 
-class TestTensorOverGroupRing:
-    def test_regular_module_is_identity(self):
-        # G = Z/2, mul table
-        mul = [[0, 1], [1, 0]]
-        # B = Z[G]/(x - 1): relation row (one generator): -1 + x
-        rels_b = [[[-1, 1]]]
-        out = tensor_over_group_ring(1, [], 1, rels_b, mul)
-        # Z[G] tensor B = B = Z (the coinvariants of the regular module)
-        assert out.invariants() == ((), 1)
-
-    def test_aug_ideal_z2(self):
-        mul = [[0, 1], [1, 0]]
-        # g as one-generator module with relation (1 + x) e = 0
-        rel = [[[1, 1]]]
-        out = tensor_over_group_ring(1, rel, 1, rel, mul)
-        assert out.invariants() == ((), 1)
-
-    def test_trivial_group(self):
-        mul = [[0]]
-        # over Z[1] = Z the augmentation ideal is 0 = one generator killed
-        rel = [[[1]]]
-        out = tensor_over_group_ring(1, rel, 1, rel, mul)
-        assert out.invariants() == ((), 0) or out.is_trivial()
-
-
 def test_safe_matmul_big_entries():
     # one product past int64, one past float64's exact range but within int64
     for x in (2**40, 2**28):
@@ -485,8 +458,3 @@ def test_safe_matmul_big_entries():
         b = np.array([[x], [1]], dtype=np.int64)
         out = safe_matmul(a, b)
         assert int(out[0][0]) == x * x + 1
-
-
-def test_invariant_factors_helper():
-    t, r = invariant_factors([[2, 0, 0], [0, 3, 0]], 3)
-    assert t == (6,) and r == 1

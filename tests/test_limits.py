@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from frlimits import intlin
-from frlimits.frcode import parse
+from frlimits.frcode import max_monomial_length, parse, required_truncation
 from frlimits.intlin import FinPresAb, tensor_Z, tor_Z
 from frlimits.limits import higher_limits
 from frlimits.permgrp import load_group_file
@@ -101,6 +101,24 @@ def test_report_checks_in_both_modes():
     assert "moore_vs_alternate" not in plain.checks
     assert [g.describe() for g in crossed.lims] == [g.describe() for g in plain.lims]
     assert plain.moore_vanishing == {0: False, 1: False, 2: True, 3: True}
+
+
+LIM_FINITE_CODES = ("r", "rr", "ff", "fr+rf", "rr+frf", "rr+fff", "fff", "rfr", "ffr+rff", "rrr")
+
+
+@pytest.mark.parametrize(
+    "name,code",
+    [("z2", code) for code in LIM_FINITE_CODES]
+    + [("z3", code) for code in LIM_FINITE_CODES if required_truncation(parse(code)) <= 2],
+)
+def test_limits_vanish_above_the_longest_monomial(name, code):
+    # lim-finiteness, which the default top_degree assumes: one degree
+    # above the longest monomial, the limit is zero
+    ctx = context(name)
+    parsed = parse(code)
+    n = max_monomial_length(parsed)
+    report = higher_limits(parsed, ctx.group, top_degree=n + 1, ctx=ctx)
+    assert report.lims[n + 1].is_trivial()
 
 
 OPTIMIZED_SCRIPT = """

@@ -1,12 +1,14 @@
-"""pyproject.toml declares only what ships, and the benchmark's layer
-tracing finds every name it wraps."""
+"""pyproject.toml and the package docstring declare only what ships, and
+the benchmark's layer tracing finds every name it wraps."""
 
 import importlib
 import importlib.util
+import pkgutil
 from pathlib import Path
 
 import pytest
 
+import frlimits
 from frlimits.intlin import Lattice
 
 tomllib = pytest.importorskip("tomllib")
@@ -27,6 +29,13 @@ def test_package_data_globs_match_files():
     for package, patterns in SETUPTOOLS.get("package-data", {}).items():
         for pattern in patterns:
             assert list((src / package.replace(".", "/")).glob(pattern)), pattern
+
+
+def test_docstring_lists_the_submodules():
+    _, _, listing = frlimits.__doc__.partition("Submodules:")
+    listed = [line.split("--")[0].strip() for line in listing.strip().splitlines()]
+    shipped = [m.name for m in pkgutil.iter_modules(frlimits.__path__)]
+    assert sorted(listed) == sorted(shipped)
 
 
 def test_trace_targets_resolve():
