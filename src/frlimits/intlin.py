@@ -343,6 +343,8 @@ class Lattice:
     what is left, and the entries above each new pivot are reduced into
     [0, pivot).  There is no queue: after every call the basis is the
     canonical one, which is unique, so lattice equality is basis equality.
+    ``coordinate`` builds a span of unit vectors with no elimination, and
+    ``copy`` shares the basis of an existing lattice.
 
     ``reduce``, ``contains`` and ``coordinates`` take a block of rows (a
     2-D array or a list of rows; ``[]`` is zero rows) and answer for the
@@ -365,6 +367,28 @@ class Lattice:
             [], np.zeros(0, dtype=np.intp), np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int64)
         )
         self.add(rows)
+
+    @classmethod
+    def _of(cls, n, hnf):
+        lat = object.__new__(cls)
+        lat.n, lat._hnf = n, hnf
+        return lat
+
+    @classmethod
+    def coordinate(cls, n, cols):
+        """The span of the unit vectors e_j for j in cols, increasing.  Those
+        rows are its canonical basis, so nothing is eliminated."""
+        cols = np.asarray(cols, dtype=np.intp)
+        E = np.zeros((len(cols), n), dtype=np.int64)
+        E[np.arange(len(cols)), cols] = 1
+        ones = np.ones(len(cols), dtype=np.int64)
+        return cls._of(n, _Hermite(list(_frozen(E)), cols, ones == 1, ones))
+
+    def copy(self):
+        """An equal lattice in O(1).  It shares the basis, which is safe:
+        basis rows are read-only, and ``add`` replaces the basis of the
+        lattice it is called on and writes into no row."""
+        return Lattice._of(self.n, self._hnf)
 
     def add(self, rows):
         """Eliminate a block of rows into the basis.  A flat vector is

@@ -28,7 +28,8 @@ from .truncring import (
 
 
 class Deadline:
-    """Wall-clock budget checked between major pipeline steps."""
+    """Wall-clock budget checked between major pipeline steps and, while
+    a level's value is built, once per block of ring products."""
 
     def __init__(self, seconds=None):
         self.seconds = seconds
@@ -54,7 +55,7 @@ class CosimplicialAb:
         self.values = []
         for p in range(depth_d + 1):
             deadline.check()
-            self.values.append(FunctorValue(ctx.ring(p, trunc_n), code))
+            self.values.append(FunctorValue(ctx.ring(p, trunc_n), code, deadline))
         self.levels = [v.group for v in self.values]
         # cofaces d[(p, i)]: level p -> p+1; codegeneracies s[(p, j)]: p+1 -> p
         self.d = {}

@@ -162,7 +162,8 @@ def _abelian_invariants_from_table(table):
             cnt = sum(1 for g in range(n) if power(g, p**j) == 0)
             e = 0
             while cnt > 1:
-                assert cnt % p == 0
+                if cnt % p:
+                    raise AssertionError(f"the {p}^{j}-torsion count is not a power of {p}")
                 cnt //= p
                 e += 1
             logs.append(e)
@@ -250,9 +251,11 @@ class LevelPresentation:
             raise AssertionError(
                 f"Schreier rank {len(self.schreier_gens)} != {expected}"
             )
-        assert len(set(self.schreier_gens)) == len(self.schreier_gens)
+        if len(set(self.schreier_gens)) != len(self.schreier_gens):
+            raise AssertionError("two Schreier generators coincide")
         for rho in self.schreier_gens:
-            assert self.eval_word(rho) == 0
+            if self.eval_word(rho) != 0:
+                raise AssertionError(f"Schreier generator {rho} does not evaluate to 1")
 
     @property
     def num_schreier_gens(self):

@@ -1,13 +1,23 @@
 """Exact arithmetic in the truncated group ring Z[F_p]/r^N.
 
 The Z-basis is the filtration basis: (g, J) stands for
-s(g)·(rho_{j1}-1)···(rho_{jk}-1) with s the Schreier transversal of the
-level presentation and rho its Schreier free generators; 0 <= k < N.
-Degree-k products of Schreier differences form the k-th filtration layer,
+s(g)·t_{j1}···t_{jk} with s the Schreier transversal of the level
+presentation, rho its Schreier free generators, t_j = rho_j - 1 and
+0 <= k < N.  Degree-k products of the t_j form the k-th filtration layer,
 so the ring rank is sum_{k<N} |G|·m^k with m the Schreier rank.
 
+Layout: the basis is ordered by (|J|, g, J), so word (g, J) sits at
+off_|J| + g·m^|J| + idx(J), where off_k = sum_{i<k} |G|·m^i is the start
+of layer k and idx(J) reads J as a base-m number; idx(J+K) =
+idx(J)·m^|K| + idx(K).  Right multiplication by t_K is a shift,
+(g, J)·t_K = (g, J+K), zero once |J| + |K| >= N, so it moves the words
+(g, J+K) for all K of one length as one contiguous slice.  Hence
+r^k is the span of the words with |J| >= k, and a·(h, K) = (a·s(h))·t_K
+multiplies a whole block of ring vectors on the left by slice-adds
+(``TruncatedRing.left_multiply``).
+
 The identity-component subalgebra is a truncated free polynomial algebra
-in the differences t_j = rho_j - 1; group sections commute past it via
+in the t_j; group sections commute past it via
 (rho-1)·s(h) = s(h)·(s(h)^{-1} rho s(h) - 1), with conjugates re-rewritten
 in Schreier generators and memoized.
 """
@@ -23,11 +33,17 @@ import numpy as np
 from . import freegrp
 from .errors import CapExceeded
 from .frcode import required_truncation
-from .intlin import (AbMap, FinPresAb, Lattice, int_block, lattice_intersection, safe_matmul,
-                     unit_split)
+from .intlin import (_I64_SAFE, AbMap, FinPresAb, Lattice, _maxabs, int_block,
+                     lattice_intersection, safe_matmul, unit_split)
 from .permgrp import LevelPresentation
 
 DEFAULT_RANK_CAP = 200_000
+
+# eval_monomial multiplies the tail basis in row chunks of about this many
+# entries (int64: 512 KiB).  Each chunk costs the same number of slice-adds
+# whatever its height, so short chunks are slow on wide rings, while the
+# chunk, its product and their temporaries add to the peak memory.
+_PRODUCT_ENTRIES = 2**16
 
 
 # -- truncated free polynomials in the differences t_j -------------------------
@@ -72,11 +88,11 @@ class TruncatedRing:
         self.depth = depth
         m = lp.num_schreier_gens
         order = lp.group.order
-        rank = 0
-        power = 1
-        for _ in range(depth):
-            rank += order * power
-            power *= m
+        # layer_offsets[k] is the index of the first word with |J| = k
+        self.layer_offsets = [0]
+        for k in range(depth):
+            self.layer_offsets.append(self.layer_offsets[-1] + order * m**k)
+        rank = self.layer_offsets[-1]
         if rank > rank_cap:
             raise CapExceeded(f"ring rank {rank} exceeds the cap {rank_cap}")
         self.basis = []
@@ -93,7 +109,8 @@ class TruncatedRing:
         self.basis.sort(key=lambda bw: (len(bw[1]), bw[0], bw[1]))
         self.index = {bw: i for i, bw in enumerate(self.basis)}
         self.rank = len(self.basis)
-        assert self.rank == rank
+        if self.rank != rank:
+            raise AssertionError(f"{self.rank} basis words, but the ring rank is {rank}")
 
         self._rho_power = {}
         self._conj = {}
@@ -218,33 +235,58 @@ class TruncatedRing:
                         del out[bw]
         return out
 
+    def left_multiply(self, terms, V):
+        """a·v for every row v of the 2-D block V (rows over the basis), a
+        the element with the given terms, as one (len(V), rank) array.
+
+        a·(h, K) = (a·s(h))·t_K, and each term c·(g, J) of a·s(h) sends
+        the words (h, K) with |K| = k to the words (g, J+K): one slice-add
+        of c times V's slice per layer k < N - |J| (see the module
+        docstring).  Every result entry is a sum over distinct terms, so
+        max|V|·sum|c| over the |G| products a·s(h) bounds it: the block
+        is int64 while that stays below 2**62, Python ints otherwise.
+        """
+        off, m = self.layer_offsets, self.lp.num_schreier_gens
+        prods = [self.multiply_terms(terms, {(h, ()): 1}) for h in range(self.lp.group.order)]
+        bound = _maxabs(V) * sum(abs(c) for p in prods for c in p.values())
+        dtype = np.int64 if V.dtype == np.int64 and bound < _I64_SAFE else object
+        V = V.astype(dtype, copy=False)
+        out = np.zeros((len(V), self.rank), dtype=dtype)
+        for h, prod in enumerate(prods):
+            for (g, J), c in prod.items():
+                a = len(J)
+                i = self.index[(g, J)] - off[a]
+                for k in range(self.depth - a):
+                    w = m**k
+                    src = off[k] + h * w
+                    dst = off[a + k] + i * w
+                    out[:, dst : dst + w] += c * V[:, src : src + w]
+        return out
+
     # -- vectors -----------------------------------------------------------
 
     def terms_to_vec(self, terms):
         return {self.index[bw]: c for bw, c in terms.items()}
 
-    def vec_to_terms(self, row):
-        row = np.asarray(row)
-        nz = np.flatnonzero(row)
-        return {self.basis[i]: c for i, c in zip(nz.tolist(), row[nz].tolist())}
-
     # -- ideal lattices ------------------------------------------------------
 
-    def ideal_r(self):
-        """r = all basis words of filtration degree >= 1.  A new lattice
-        per call; eval_monomial caches it as the monomial "r"."""
-        return Lattice(self.rank, ({i: 1} for i, (_, J) in enumerate(self.basis) if J))
+    def ideal_r(self, k=1):
+        """r^k: the coordinate lattice of the basis words with |J| >= k,
+        which are the last ones, so it needs no elimination.  A new lattice
+        per call; eval_monomial caches it as the monomial "r" * k."""
+        return Lattice.coordinate(self.rank, range(self.layer_offsets[min(k, self.depth)], self.rank))
 
     def ideal_f(self):
-        """f = augmentation kernel: r plus the section differences.  A new
-        lattice per call; eval_monomial caches it as the monomial "f"."""
-        one = self.index[(0, ())]
-        rows = (
-            {i: 1} if J else {i: 1, one: -1}
-            for i, (g, J) in enumerate(self.basis)
-            if J or g != 0
-        )
-        return Lattice(self.rank, rows)
+        """f = augmentation kernel: r plus the section differences
+        (g, ()) - (0, ()), added as one int64 block.  A new lattice per
+        call; eval_monomial caches it as the monomial "f"."""
+        order = self.lp.group.order
+        diffs = np.zeros((order - 1, self.rank), dtype=np.int64)
+        diffs[:, 0] = -1
+        diffs[np.arange(order - 1), np.arange(1, order)] = 1
+        lat = self.ideal_r()
+        lat.add(diffs)
+        return lat
 
     def right_generators(self, letter):
         """Elements generating the letter ideal as a right module."""
@@ -265,29 +307,41 @@ class TruncatedRing:
             ]
         raise ValueError(f"unknown letter {letter!r}")
 
-    def eval_monomial(self, mono):
-        """Lattice of the monomial ideal, built right to left: if T is the
-        ideal of the tail, the full ideal is the span of gamma·T over the
-        right-module generators gamma of the head letter (T absorbs ring
-        factors on the left, so no other products arise)."""
+    def eval_monomial(self, mono, deadline=None):
+        """Lattice of the monomial ideal.  r^k is a coordinate lattice
+        (``ideal_r``).  Any other monomial is built right to left: if T is
+        the ideal of the tail, the full ideal is the span of gamma·T over
+        the right-module generators gamma of the head letter (T absorbs
+        ring factors on the left, so no other products arise).  The
+        canonical basis of T goes in row chunks of _PRODUCT_ENTRIES entries
+        through ``left_multiply``, and each product block straight to
+        ``Lattice.add``; the deadline is checked once per product block.
+        A lattice is cached only when it is complete."""
         if mono in self._monomial_cache:
             return self._monomial_cache[mono]
-        if len(mono) == 1:
-            lat = self.ideal_f() if mono == "f" else self.ideal_r()
+        if mono == "r" * len(mono):
+            lat = self.ideal_r(len(mono))
+        elif mono == "f":
+            lat = self.ideal_f()
         else:
-            tail = self.eval_monomial(mono[1:])
+            tail = self.eval_monomial(mono[1:], deadline).basis()
             gens = self.right_generators(mono[0])
-            prods = (
-                self.multiply_terms(gamma.terms, tail_terms)
-                for tail_terms in map(self.vec_to_terms, tail.basis())
-                for gamma in gens
-            )
-            lat = Lattice(self.rank, (self.terms_to_vec(prod) for prod in prods if prod))
+            lat = Lattice(self.rank)
+            step = max(1, _PRODUCT_ENTRIES // self.rank)
+            for s in range(0, len(tail), step):
+                chunk = np.array(tail[s : s + step])
+                for gamma in gens:
+                    if deadline is not None:
+                        deadline.check()
+                    prod = self.left_multiply(gamma.terms, chunk)
+                    lat.add(prod[prod.any(axis=1)])
         self._monomial_cache[mono] = lat
         return lat
 
-    def eval_code(self, code):
-        """Lattice of the code ideal: sums of intersections of monomials."""
+    def eval_code(self, code, deadline=None):
+        """Lattice of the code ideal: sums of intersections of monomials.
+        It starts from a copy of the first term's lattice, so a one-term
+        code is not eliminated again."""
         key = str(code)
         if key in self._code_cache:
             return self._code_cache[key]
@@ -296,13 +350,12 @@ class TruncatedRing:
                 f"truncation N={self.depth} too shallow for {code} "
                 f"(needs {required_truncation(code)})"
             )
-        total = Lattice(
-            self.rank,
-            chain.from_iterable(
-                reduce(lattice_intersection, map(self.eval_monomial, term)).basis()
-                for term in code.terms
-            ),
+        first, *rest = (
+            reduce(lattice_intersection, (self.eval_monomial(m, deadline) for m in term))
+            for term in code.terms
         )
+        total = first.copy()
+        total.add(chain.from_iterable(lat.basis() for lat in rest))
         self._code_cache[key] = total
         return total
 
@@ -423,16 +476,17 @@ class FunctorValue:
     to ``gens``, as relations; a ring vector v stands for the class of
     ``rel.reduce(v)`` read on the ``gens`` columns."""
 
-    def __init__(self, ring, code):
+    def __init__(self, ring, code, deadline=None):
         self.ring = ring
         self.code = code
-        self.c_lattice = ring.eval_code(code)
+        self.c_lattice = ring.eval_code(code, deadline)
         # f is the augmentation kernel, and the first |G| basis words are
         # the (g, ()), so a c row lies in f iff its entries there sum to 0
         order = ring.lp.group.order
         if any(row[:order].sum() for row in self.c_lattice.basis()):
             raise AssertionError("code lattice escapes f")
-        self.rel = Lattice(ring.rank, [{ring.index[(0, ())]: 1}, *self.c_lattice.basis()])
+        self.rel = self.c_lattice.copy()
+        self.rel.add([{ring.index[(0, ())]: 1}])
         self.gens, rel_rows = unit_split(self.rel)
         self.group = FinPresAb(len(self.gens), rel_rows)
 
@@ -442,20 +496,26 @@ def hom_image_rows(hom, src_ring, tgt_ring, rows):
     under a presentation morphism, as one dense block over the basis of
     tgt_ring.
 
-    The image of a basis word is computed on a representative word and
-    renormalized in the target ring; it is memoized, as a vector, in the
-    target ring's ``_hom_images``.
+    The image of a basis word (g, J) is the product of the normal forms
+    of the images of s(g) and of each rho_j - 1 in the target ring.  Those
+    normal forms and the image vectors are memoized per hom in the target
+    ring's ``_hom_images``.
     """
-    memo = tgt_ring._hom_images.setdefault(hom, {})
+    memo, sections, diffs = tgt_ring._hom_images.setdefault(hom, ({}, {}, {}))
     V = int_block(rows, src_ring.rank)
     used = np.flatnonzero(V.any(axis=0)).tolist()
+    lp = src_ring.lp
     one = tgt_ring.one()
     for k in used:
         g, J = bw = src_ring.basis[k]
         if bw not in memo:
-            elem = tgt_ring.normal_form(hom.apply(src_ring.lp.transversal[g]))
+            if g not in sections:
+                sections[g] = tgt_ring.normal_form(hom.apply(lp.transversal[g]))
+            elem = sections[g]
             for j in J:
-                elem = elem * (tgt_ring.normal_form(hom.apply(src_ring.lp.schreier_gens[j])) - one)
+                if j not in diffs:
+                    diffs[j] = tgt_ring.normal_form(hom.apply(lp.schreier_gens[j])) - one
+                elem = elem * diffs[j]
             memo[bw] = elem.to_vec()
     images = int_block([memo[src_ring.basis[k]] for k in used], tgt_ring.rank)
     return safe_matmul(V[:, used], images)

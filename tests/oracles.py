@@ -194,3 +194,9 @@ def reference_hnf(rows, n):
             if q:
                 basis[i] = [a - q * b for a, b in zip(basis[i], basis[k])]
     return basis, pivots
+
+
+def vec_to_terms(ring, row):
+    """A ring vector as the terms {basis word: coefficient} of the element,
+    so that ``ring.multiply_terms`` can serve as the reference product."""
+    return {ring.basis[i]: int(c) for i, c in enumerate(row) if c}

@@ -1,6 +1,8 @@
-"""pyproject.toml and the package docstring declare only what ships, and
-the benchmark's layer tracing finds every name it wraps."""
+"""pyproject.toml and the package docstring declare only what ships, the
+benchmark's layer tracing finds every name it wraps, and no check in the
+package is an assert statement."""
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -53,3 +55,13 @@ def test_trace_targets_resolve():
     # make them silently wrong
     lat = Lattice(2)
     assert lat._canonical is True and lat.big is False
+
+
+def test_no_assert_statements_in_the_package():
+    # python -O strips assert statements, so a check written as one
+    # vanishes; the package raises explicitly instead
+    hits = []
+    for path in sorted((ROOT / "src" / "frlimits").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        hits += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not hits, hits

@@ -1,12 +1,14 @@
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from frlimits import freegrp
 from frlimits.errors import CapExceeded
 from frlimits.frcode import dominated, min_r_power, parse
-from frlimits.intlin import FinPresAb
+from frlimits.intlin import FinPresAb, Lattice
+from frlimits.limits import Deadline
 from frlimits.permgrp import LevelPresentation, load_group_file
 from frlimits.truncring import (
     FunctorValue,
@@ -15,7 +17,7 @@ from frlimits.truncring import (
     induced_map,
 )
 
-from oracles import reference_hnf
+from oracles import reference_hnf, vec_to_terms
 
 GROUP_DIR = Path(__file__).resolve().parents[1] / "src" / "frlimits" / "groups"
 
@@ -145,6 +147,74 @@ class TestMultiply:
         assert elem.dump() == "+1*[0 | ]\n-2*[1 | 0]"
 
 
+def product_rows(r, terms, rows):
+    """a·v for each row v, by the dict product multiply_terms."""
+    return [r.terms_to_vec(r.multiply_terms(terms, vec_to_terms(r, v))) for v in rows]
+
+
+def dense(rows, n):
+    out = np.zeros((len(rows), n), dtype=object)
+    for i, vec in enumerate(rows):
+        for j, c in vec.items():
+            out[i, j] = c
+    return out
+
+
+KERNEL_RINGS = [(name, level) for name in ("z2", "z3", "s3", "z2xz2") for level in (0, 1, 2)]
+
+
+class TestLeftMultiply:
+    @pytest.mark.parametrize("name,level", KERNEL_RINGS)
+    def test_layout_formula(self, name, level):
+        for depth in (1, 2, 3):
+            r = ring_for(name, level, depth)
+            m, order = r.lp.num_schreier_gens, r.lp.group.order
+            off = [sum(order * m**i for i in range(k)) for k in range(depth + 1)]
+            assert r.layer_offsets == off
+            for (g, J), i in r.index.items():
+                idx = sum(j * m ** (len(J) - 1 - p) for p, j in enumerate(J))
+                assert i == off[len(J)] + g * m ** len(J) + idx
+
+    @pytest.mark.parametrize("name,level", KERNEL_RINGS)
+    def test_matches_multiply_terms(self, name, level):
+        rng = random.Random(f"{name}{level}")
+        for depth in (1, 2, 3):
+            r = ring_for(name, level, depth)
+
+            def rand_terms(size):
+                return {r.basis[rng.randrange(r.rank)]: rng.randint(-3, 3) or 1 for _ in range(size)}
+
+            for _ in range(3):
+                a = rand_terms(rng.randint(1, 3))
+                V = np.zeros((4, r.rank), dtype=np.int64)
+                for row in V:
+                    for k in rng.sample(range(r.rank), min(r.rank, 5)):
+                        row[k] = rng.randint(-5, 5)
+                out = r.left_multiply(a, V)
+                assert out.dtype == np.int64
+                assert np.array_equal(out, dense(product_rows(r, a, V), r.rank))
+
+    def test_bignum_blocks(self):
+        r = ring_for("z3", 1, 2)
+        a = r.normal_form(freegrp.mul(X, X)).terms
+        rng = random.Random(5)
+        cols = rng.sample(range(r.rank), 6)
+        # object rows with entries near 2**62 stay exact
+        V = np.zeros((2, r.rank), dtype=object)
+        V[0, cols[:3]] = [2**62 - 1, -(2**62) + 3, 7]
+        V[1, cols[3:]] = [2**63 + 11, 1, -(2**64)]
+        out = r.left_multiply(a, V)
+        assert out.dtype == object
+        assert np.array_equal(out, dense(product_rows(r, a, V), r.rank))
+        # int64 rows whose bound max|V|·sum|c| reaches 2**62 go to Python ints
+        W = np.zeros((1, r.rank), dtype=np.int64)
+        W[0, cols[:2]] = [2**61, -(2**61) + 1]
+        assert sum(map(abs, a.values())) >= 2
+        out = r.left_multiply(a, W)
+        assert out.dtype == object
+        assert np.array_equal(out, dense(product_rows(r, a, W), r.rank))
+
+
 class TestRingRank:
     @pytest.mark.parametrize(
         "name,level,depth",
@@ -209,13 +279,49 @@ class TestIdealLattices:
         assert max(abs(int(c)) for row in lat.basis() for c in row) <= 6
         gens = r.right_generators("f")
         products = [
-            r.terms_to_vec(r.multiply_terms(g.terms, r.vec_to_terms(row)))
+            r.terms_to_vec(r.multiply_terms(g.terms, vec_to_terms(r, row)))
             for row in r.eval_monomial("ff").basis()
             for g in gens
         ]
         basis, pivots = reference_hnf(products, r.rank)
         assert [list(map(int, row)) for row in lat.basis()] == basis
         assert lat.pivot_cols == pivots
+
+    @pytest.mark.parametrize("name,level,depth", [("z2", 0, 3), ("z2", 1, 3), ("z3", 0, 3), ("z2xz2", 0, 2)])
+    def test_coordinate_r_powers(self, name, level, depth):
+        # r^k from dict products: gamma·r^(k-1) over the right generators
+        # gamma of r, starting from the whole ring
+        r = ring_for(name, level, depth)
+        gens = r.right_generators("r")
+        prev = np.eye(r.rank, dtype=np.int64)
+        for k in range(1, depth + 2):
+            rows = [r.terms_to_vec(r.multiply_terms(g.terms, vec_to_terms(r, v))) for v in prev for g in gens]
+            brute = Lattice(r.rank, [v for v in rows if v])
+            lat = r.eval_monomial("r" * k)
+            assert lat == brute == r.ideal_r(k)
+            assert lat.rank == r.rank - r.layer_offsets[min(k, depth)]
+            prev = brute.basis()
+
+    def test_copies_leave_cached_bases_alone(self):
+        # eval_code starts from a copy of a cached monomial lattice and
+        # FunctorValue from a copy of the code lattice; adding rows to a
+        # copy must not change the lattice it was copied from
+        r = ring_for("z3", 1, 3)
+        monos = ["f", "r", "fr", "rf", "ff", "fff", "rr"]
+        before = {m: [row.copy() for row in r.eval_monomial(m).basis()] for m in monos}
+        lats = {m: r.eval_monomial(m) for m in monos}
+        for text in ("fff", "fr+rf", "rr+fff"):
+            code = r.eval_code(parse(text))
+            code_rows = [row.copy() for row in code.basis()]
+            val = FunctorValue(r, parse(text))
+            assert val.c_lattice is code and val.rel.rank == code.rank + 1
+            assert all(np.array_equal(x, y) for x, y in zip(code.basis(), code_rows))
+            assert len(code.basis()) == len(code_rows)
+        for m in monos:
+            assert r.eval_monomial(m) is lats[m]
+            rows = r.eval_monomial(m).basis()
+            assert len(rows) == len(before[m])
+            assert all(np.array_equal(x, y) for x, y in zip(rows, before[m]))
 
     def test_monomials_multiply_out(self):
         # brute-force cross-check: the lattice of a product monomial equals
@@ -228,9 +334,9 @@ class TestIdealLattices:
             right = r.eval_monomial(mono[1:])
             brute = Lattice(r.rank)
             for a in left.basis():
-                ta = r.vec_to_terms(a)
+                ta = vec_to_terms(r, a)
                 for b in right.basis():
-                    tb = r.vec_to_terms(b)
+                    tb = vec_to_terms(r, b)
                     prod = r.multiply_terms(ta, tb)
                     if prod:
                         brute.add([r.terms_to_vec(prod)])
@@ -270,6 +376,20 @@ class TestQuotients:
         assert FinPresAb(r.rank, [*c.basis(), e_one]).invariants() == ((), free_rank)
         f = r.ideal_f()
         assert FinPresAb(f.rank, f.coordinates(c.basis())).invariants() == ((), free_rank)
+
+
+class TestDeadline:
+    def test_expired_deadline_stops_a_level_and_caches_nothing(self):
+        code = parse("fff")
+        r = ring_for("z3", 2, 3)
+        with pytest.raises(CapExceeded):
+            FunctorValue(r, code, Deadline(0))
+        assert "fff" not in r._monomial_cache and "ff" not in r._monomial_cache
+        assert not r._code_cache
+        fresh = ring_for("z3", 2, 3)
+        val, ref = FunctorValue(r, code), FunctorValue(fresh, code)
+        assert val.c_lattice == ref.c_lattice and val.rel == ref.rel
+        assert val.group.invariants() == ref.group.invariants()
 
 
 class TestDominanceSoundness:
