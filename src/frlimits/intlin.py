@@ -10,6 +10,15 @@ diagonal read off the canonical basis after its unit rows are split off,
 finitely presented abelian groups, maps between them, tensor/Tor over Z,
 and homology of three-term complexes of presented groups.
 
+A canonical basis is stored on its non-unit-pivot columns: the pivot
+columns, which pivots are 1, the columns ``cols`` that are no unit pivot,
+and one 2-D block ``B = basis[:, cols]``.  This is exact, because a unit
+row is 1 at its pivot and 0 at every other unit pivot, and every other
+row is 0 at all unit pivots.  Rows are built from it on demand
+(``Lattice.basis``).  ``Lattice.add`` eliminates max(_block_rows(n),
+rank // 8) rows per fold: every fold copies ``B`` once, so on a wide
+lattice of high rank the fold grows with the rank.
+
 Everything is exact.  Matrices are kept as int64 numpy arrays while entry
 bounds allow it and promoted to arbitrary-precision (object dtype) arrays
 whenever an operation could overflow; a lattice basis whose entries fit is
@@ -19,7 +28,6 @@ in float64, which is exact there.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from itertools import chain, islice
 from math import gcd, prod
 from typing import NamedTuple
@@ -35,10 +43,10 @@ _F64_EXACT = 2**53
 # Row and column block of the float64 path of _product.
 _MATMUL_BLOCK = 128
 
-# Lattice.add draws and eliminates rows into the basis in blocks of this
-# many entries (rows times width), and basis rows are stacked for products
-# in blocks of the same size.  Every temporary of a fold is a few such
-# blocks; larger blocks mean fewer folds but a higher peak memory.
+# Lattice.add folds at least this many entries (rows times width) into the
+# basis at a time, and row blocks are built in blocks of the same size.
+# Every temporary of a fold is a few such blocks or one copy of the stored
+# basis; larger blocks mean fewer folds but a higher peak memory.
 _FOLD_ENTRIES = 2**14
 
 
@@ -61,11 +69,6 @@ def _maxabs(a):
 def _frozen(a):
     a.flags.writeable = False
     return a
-
-
-def _stack(arrays, width, dtype):
-    """Equal-length 1-D arrays as the rows of one 2-D array."""
-    return np.array(arrays, dtype=dtype).reshape(len(arrays), width)
 
 
 def _put(block, i, vec):
@@ -96,14 +99,22 @@ def _put(block, i, vec):
 def int_block(rows, n):
     """A block of rows in Z^n (a 2-D array, or a list of dicts column ->
     entry, sequences or 1-D arrays) as one exact (len(rows), n) array:
-    int64 while every |entry| < 2**62, else Python ints."""
-    if (
-        isinstance(rows, np.ndarray)
-        and rows.dtype == np.int64
-        and rows.shape[1:] == (n,)
-        and _maxabs(rows) < _I64_SAFE
+    int64 while every |entry| < 2**62, else Python ints.  An integer array,
+    or a list of 1-D arrays, whose entries fit is converted at once; any
+    other block row by row."""
+    block = rows
+    if isinstance(rows, list) and rows and all(
+        isinstance(r, np.ndarray) and r.shape == (n,) for r in rows
     ):
-        return rows
+        block = np.array(rows)
+    if (
+        isinstance(block, np.ndarray)
+        and block.ndim == 2
+        and block.shape[1] == n
+        and block.dtype.kind in "iuO"
+        and _maxabs(block) < _I64_SAFE
+    ):
+        return block.astype(np.int64, copy=False)
     block = np.zeros((len(rows), n), dtype=np.int64)
     for i, vec in enumerate(rows):
         block = _put(block, i, vec)
@@ -186,165 +197,161 @@ def _reduce_above(E, cols):
 
 
 class _Hermite(NamedTuple):
-    """A basis in canonical Hermite form: its rows by pivot column, the
-    pivot columns, whether each pivot is 1, and each row's largest |entry|."""
+    """A basis in canonical Hermite form, stored on its non-unit-pivot
+    columns: each row's pivot column (increasing) and whether that pivot
+    is 1; ``cols``, the columns that are no unit pivot (increasing); the
+    read-only block ``B``, the basis restricted to ``cols``; and
+    ``height``, each row's largest |entry| in ``B``."""
 
-    rows: list
     piv: np.ndarray
     unit: np.ndarray
     height: np.ndarray
+    cols: np.ndarray
+    B: np.ndarray
 
 
-def _heights(M):
-    return np.abs(M).max(axis=1)
+def _heights(B):
+    return np.abs(B).max(axis=1, initial=0)
 
 
-def _minus_combination(v, coeff, hnf, idx):
-    """v - coeff @ [hnf.rows[i] for i in idx], exactly, stacking at most
-    _block_rows of those rows at a time.  Raises _Overflow instead of an
-    int64 step that could overflow."""
-    bound = _maxabs(coeff) * int(hnf.height[idx].max()) * len(idx)
-    if v.dtype != object and _maxabs(v) + bound >= _I64_SAFE:
-        raise _Overflow
-    step = _block_rows(v.shape[1])
-    for s in range(0, len(idx), step):
-        part = _stack([hnf.rows[i] for i in idx[s : s + step]], v.shape[1], v.dtype)
-        v = v - _product(coeff[:, s : s + step], part, bound)
-    return v
+def _hermite(E, piv, width):
+    """The stored form of canonical echelon rows E in Z^width with pivots
+    at piv."""
+    unit = E[np.arange(len(E)), piv] == 1
+    keep = np.ones(width, dtype=bool)
+    keep[piv[unit]] = False
+    cols = np.flatnonzero(keep)
+    B = E[:, cols]
+    return _Hermite(piv, unit, _heights(B), cols, _frozen(B))
 
 
 def _reduce(V, hnf, coeff=None):
-    """Reduce the rows of V modulo the canonical basis hnf.  Returns R with
-    every entry at a pivot column in [0, pivot) and V - R in the lattice;
-    V itself is left as it is.  Given an array coeff of shape
-    (len(V), len(hnf.rows)), the coefficients are written into it, so that
-    V = coeff @ rows + R.
+    """Reduce the rows of V modulo the canonical basis hnf.  Returns R, the
+    remainders on ``hnf.cols`` (they are 0 at every unit pivot), with every
+    entry at a pivot column in [0, pivot) and V - R in the lattice; V
+    itself is left as it is.  Given an array coeff of shape (len(V), rank),
+    the coefficients are written into it, so that V = coeff @ basis + R.
 
-    A unit pivot's column is zero outside its row, so the coefficients of
-    unit rows are V's own entries there and one product takes them all
-    off.  The other rows vanish on unit-pivot columns and follow left to
-    right, skipping ahead to the next pivot column where V is nonzero; a
-    running bound on |V| keeps the steps in int64 while it is safe.
+    A unit row's coefficient is V's own entry at its pivot, so one product
+    against ``B`` takes all unit rows off.  The other rows vanish on
+    unit-pivot columns and follow left to right on ``cols`` only, skipping
+    ahead to the next pivot column where R is nonzero; a running bound on
+    |R| keeps the steps in int64 while it is safe.
     """
-    rows, piv, unit, height = hnf
+    piv, unit, height, cols, B = hnf
     U = np.flatnonzero(unit)
     c = V[:, piv[U]]
-    used = np.flatnonzero(c.any(axis=0))
+    R = V[:, cols]
+    if coeff is not None:
+        coeff[:, U] = c
+    # a unit row that is a unit vector changes nothing on cols
+    used = np.flatnonzero(c.any(axis=0) & (height[U] != 0))
     if len(used):
-        if coeff is not None:
-            coeff[:, U[used]] = c[:, used]
-        V = _minus_combination(V, c[:, used], hnf, U[used])
-    else:
-        V = V.copy()
+        c = c[:, used]
+        bound = _maxabs(c) * int(height[U[used]].max()) * len(used)
+        if R.dtype != object and _maxabs(R) + bound >= _I64_SAFE:
+            raise _Overflow
+        R -= _product(c, B[U[used]], bound)
     N = np.flatnonzero(~unit)
-    cols = piv[N]
-    top = _maxabs(V)
+    at = np.searchsorted(cols, piv[N])
+    top = _maxabs(R)
     i = 0
     while i < len(N):
-        ahead = np.flatnonzero(V[:, cols[i:]].any(axis=0))
+        ahead = np.flatnonzero(R[:, at[i:]].any(axis=0))
         if not len(ahead):
             break
         i += int(ahead[0])
-        k, j = int(N[i]), int(cols[i])
-        p = int(rows[k][j])
-        q = V[:, j] // p
+        k, j = int(N[i]), int(at[i])
+        p = int(B[k, j])
+        q = R[:, j] // p
         hit = np.flatnonzero(q)
         if len(hit):
             bound = top + (top // p + 1) * int(height[k])
-            if V.dtype != object and bound >= _I64_SAFE:
-                top = _maxabs(V)
+            if R.dtype != object and bound >= _I64_SAFE:
+                top = _maxabs(R)
                 bound = top + (top // p + 1) * int(height[k])
                 if bound >= _I64_SAFE:
                     raise _Overflow
-            V[hit] -= np.outer(q[hit], rows[k])
+            R[hit] -= np.outer(q[hit], B[k])
             if coeff is not None:
                 coeff[hit, k] = q[hit]
             top = bound
         i += 1
-    return V
+    return R
 
 
 def _merge(hnf, Q):
     """The canonical basis of the lattice spanned by hnf and the rows of Q,
     or None if Q adds nothing.
 
-    Q is first reduced modulo hnf, which clears its unit-pivot columns.  On
-    the other columns C, the non-unit rows and what is left of Q are
-    brought to echelon form and reduced above their pivots; then the unit
-    rows with an entry at one of the new pivots are reduced modulo them.
-    Rows that do not change are kept, not copied.
+    Q is reduced modulo hnf, which leaves it on ``cols``.  There the
+    non-unit rows and what is left of Q are brought to echelon form E and
+    reduced above their pivots.  The unit rows with an entry at a pivot of
+    E are reduced modulo E, and the new unit pivots leave ``cols``.  All
+    of it is array operations, and the stored block is copied once.
     """
-    rows, piv, unit, height = hnf
-    n = Q.shape[1]
-    Q = _reduce(Q, hnf)
-    U = np.flatnonzero(unit)
-    keep = np.ones(n, dtype=bool)
-    keep[piv[U]] = False
-    C = np.flatnonzero(keep)
-    Q = Q[:, C]
-    Q = Q[Q.any(axis=1)]
-    if not len(Q):
+    piv, unit, height, cols, B = hnf
+    R = _reduce(Q, hnf)
+    R = R[R.any(axis=1)]
+    if not len(R):
         return None
-    N = np.flatnonzero(~unit)
-    W = np.concatenate([_stack([rows[k][C] for k in N], len(C), Q.dtype), Q])
-    t, cols = _echelon(W)
+    W = np.concatenate([B[~unit], R])
+    t, ecols = _echelon(W)
+    ecols = np.array(ecols, dtype=np.intp)
     E = W[:t]
-    _reduce_above(E, cols)
-    cols = np.array(cols, dtype=np.intp)
-    echelon = _Hermite(E, cols, E[np.arange(t), cols] == 1, _heights(E))
-    P = C[cols]
-    at = _stack([rows[k][P] for k in U], t, Q.dtype)
-    touched = U[at.any(axis=1)]
-    new = {}
-    unit_height = height[U]
-    step = _block_rows(len(C))
-    for s in range(0, len(touched), step):
-        part = touched[s : s + step]
-        X = _reduce(_stack([rows[k][C] for k in part], len(C), Q.dtype), echelon)
-        # a unit row's only entry outside C is its pivot 1
-        unit_height[np.searchsorted(U, part)] = np.maximum(_heights(X), 1)
-        for k, x in zip(part.tolist(), X):
-            row = rows[k].copy()
-            row[C] = x
-            new[k] = _frozen(row)
-    out = [new.get(k, rows[k]) for k in U.tolist()]
-    for e in E:
-        row = np.zeros(n, dtype=Q.dtype)
-        row[C] = e
-        out.append(_frozen(row))
-    out_piv = np.concatenate((piv[U], P))
+    _reduce_above(E, ecols)
+    echelon = _hermite(E, ecols, len(cols))
+    U = np.flatnonzero(unit)
+    out_piv = np.concatenate((piv[U], cols[ecols]))
     order = np.argsort(out_piv)
+    at = np.empty_like(order)
+    at[order] = np.arange(len(order))
+    out = np.empty((len(order), len(echelon.cols)), dtype=W.dtype)
+    out[at[: len(U)]] = B[np.ix_(U, echelon.cols)]
+    out[at[len(U) :]] = echelon.B
+    unit_height = height[U]
+    touched = np.flatnonzero(B[np.ix_(U, ecols)].any(axis=1))
+    if len(touched):
+        X = _reduce(B[U[touched]], echelon)
+        out[at[touched]] = X
+        unit_height[touched] = _heights(X)
     return _Hermite(
-        [out[i] for i in order.tolist()],
         out_piv[order],
         np.concatenate((np.ones(len(U), dtype=bool), echelon.unit))[order],
         np.concatenate((unit_height, echelon.height))[order],
+        cols[echelon.cols],
+        _frozen(out),
     )
 
 
 def _is_big(hnf):
-    return bool(hnf.rows) and hnf.rows[0].dtype == object
+    return hnf.B.dtype == object
 
 
 def _with_dtype(hnf, dtype):
-    return hnf._replace(
-        rows=[_frozen(r.astype(dtype)) for r in hnf.rows], height=hnf.height.astype(dtype)
-    )
+    return hnf._replace(B=_frozen(hnf.B.astype(dtype)), height=hnf.height.astype(dtype))
 
 
 class Lattice:
     """A sublattice of Z^n with a row basis in canonical Hermite form.
 
+    The basis is stored on its non-unit-pivot columns (see the module
+    docstring): the pivots, which of them are 1, the columns ``cols``
+    without a unit pivot and one block ``B = basis[:, cols]``.
+    ``basis(start, stop)`` builds rows from it on demand.
+
     ``Lattice(n, rows)`` and ``add(rows)`` take a block of rows: a 2-D
     array, or any iterable of rows (dicts column -> entry, sequences or
     1-D arrays), generators included.  The rows are drawn and eliminated
-    into the basis ``_block_rows(n)`` at a time (``_merge``): one exact
-    product clears the unit-pivot columns, column-by-column Euclid handles
-    what is left, and the entries above each new pivot are reduced into
-    [0, pivot).  There is no queue: after every call the basis is the
-    canonical one, which is unique, so lattice equality is basis equality.
-    ``coordinate`` builds a span of unit vectors with no elimination, and
-    ``copy`` shares the basis of an existing lattice.
+    into the basis max(``_block_rows(n)``, rank // 8) at a time
+    (``_merge``): one exact product against ``B`` clears the unit-pivot
+    columns, column-by-column Euclid handles what is left on ``cols``,
+    and the entries above each new pivot are reduced into [0, pivot).  A
+    fold copies ``B`` once, so the rank // 8 rule keeps that copy a fixed
+    share of a fold's work.  There is no queue: after every call the basis
+    is the canonical one, which is unique, so lattice equality is basis
+    equality.  ``coordinate`` builds a span of unit vectors with no
+    elimination, and ``copy`` shares the basis of an existing lattice.
 
     ``reduce``, ``contains`` and ``coordinates`` take a block of rows (a
     2-D array or a list of rows; ``[]`` is zero rows) and answer for the
@@ -363,9 +370,7 @@ class Lattice:
 
     def __init__(self, n, rows=()):
         self.n = n
-        self._hnf = _Hermite(
-            [], np.zeros(0, dtype=np.intp), np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int64)
-        )
+        self._hnf = _hermite(np.zeros((0, n), dtype=np.int64), np.zeros(0, dtype=np.intp), n)
         self.add(rows)
 
     @classmethod
@@ -377,29 +382,41 @@ class Lattice:
     @classmethod
     def coordinate(cls, n, cols):
         """The span of the unit vectors e_j for j in cols, increasing.  Those
-        rows are its canonical basis, so nothing is eliminated."""
-        cols = np.asarray(cols, dtype=np.intp)
-        E = np.zeros((len(cols), n), dtype=np.int64)
-        E[np.arange(len(cols)), cols] = 1
-        ones = np.ones(len(cols), dtype=np.int64)
-        return cls._of(n, _Hermite(list(_frozen(E)), cols, ones == 1, ones))
+        rows are its canonical basis, so nothing is eliminated: every pivot
+        is 1, and ``B`` is a zero block."""
+        piv = np.asarray(cols, dtype=np.intp)
+        k = len(piv)
+        rest = np.ones(n, dtype=bool)
+        rest[piv] = False
+        B = np.zeros((k, n - k), dtype=np.int64)
+        return cls._of(
+            n,
+            _Hermite(piv, np.ones(k, dtype=bool), np.zeros(k, dtype=np.int64),
+                     np.flatnonzero(rest), _frozen(B)),
+        )
 
     def copy(self):
         """An equal lattice in O(1).  It shares the basis, which is safe:
-        basis rows are read-only, and ``add`` replaces the basis of the
-        lattice it is called on and writes into no row."""
+        the stored block is read-only, and ``add`` replaces the basis of
+        the lattice it is called on and writes into no stored array."""
         return Lattice._of(self.n, self._hnf)
 
     def add(self, rows):
-        """Eliminate a block of rows into the basis.  A flat vector is
-        refused, not read as a block of scalar rows."""
-        step = _block_rows(self.n)
-        if isinstance(rows, np.ndarray):
-            blocks = (rows[s : s + step] for s in range(0, len(rows), step))
-        else:
+        """Eliminate a block of rows into the basis, max(_block_rows(n),
+        rank // 8) rows per fold.  A flat vector is refused, not read as a
+        block of scalar rows."""
+        if not isinstance(rows, np.ndarray):
             rows = iter(rows)
-            blocks = iter(lambda: list(islice(rows, step)), [])
-        for Q in blocks:
+        start = 0
+        while True:
+            step = max(_block_rows(self.n), self.rank // 8)
+            if isinstance(rows, np.ndarray):
+                Q = rows[start : start + step]
+                start += step
+            else:
+                Q = list(islice(rows, step))
+            if not len(Q):
+                return
             self._fold(int_block(Q, self.n))
 
     def _fold(self, Q):
@@ -423,7 +440,7 @@ class Lattice:
 
     @property
     def rank(self):
-        return len(self._hnf.rows)
+        return len(self._hnf.piv)
 
     @property
     def big(self):
@@ -435,34 +452,50 @@ class Lattice:
         """Pivot column of each basis row, increasing."""
         return self._hnf.piv.tolist()
 
-    def basis(self):
-        """The canonical basis: read-only row arrays, by pivot column."""
-        return self._hnf.rows
+    def basis(self, start=0, stop=None):
+        """Rows start..stop of the canonical basis (all rows by default), by
+        pivot column, as one new (k, n) array built from the stored block."""
+        piv, unit, _, cols, B = self._hnf
+        part = B[start:stop]
+        out = np.zeros((len(part), self.n), dtype=B.dtype)
+        out[:, cols] = part
+        ones = np.flatnonzero(unit[start:stop])
+        out[ones, piv[start:stop][ones]] = 1
+        return out
+
+    def basis_blocks(self, rows):
+        """The canonical basis as consecutive blocks of at most `rows` rows."""
+        for s in range(0, self.rank, rows):
+            yield self.basis(s, s + rows)
 
     # -- membership and coordinates --------------------------------------
 
     def _solve(self, rows):
-        """(C, R) for a block of rows V: V = C @ basis + R exactly, with
-        every entry of R at a pivot column in [0, pivot)."""
+        """(C, R) for a block of rows V: V = C @ basis + R exactly, with R
+        given on the columns without a unit pivot (it is 0 on the others)
+        and every entry of R at a pivot column in [0, pivot)."""
         hnf = self._hnf
         V = int_block(rows, self.n)
         if _is_big(hnf):
             V = V.astype(object)
         try:
-            coeff = np.zeros((len(V), len(hnf.rows)), dtype=V.dtype)
+            coeff = np.zeros((len(V), self.rank), dtype=V.dtype)
             return coeff, _reduce(V, hnf, coeff)
         except _Overflow:
-            coeff = np.zeros((len(V), len(hnf.rows)), dtype=object)
+            coeff = np.zeros((len(V), self.rank), dtype=object)
             return coeff, _reduce(V.astype(object), hnf, coeff)
 
     def reduce(self, rows):
         """The canonical representatives of a block of rows modulo the
         lattice: every entry at a pivot column lies in [0, pivot)."""
-        return self._solve(rows)[1]
+        rem = self._solve(rows)[1]
+        out = np.zeros((len(rem), self.n), dtype=rem.dtype)
+        out[:, self._hnf.cols] = rem
+        return out
 
     def contains(self, rows):
         """True iff every row of the block lies in the lattice."""
-        return not self.reduce(rows).any()
+        return not self._solve(rows)[1].any()
 
     def coordinates(self, rows):
         """The block of rows in the canonical basis, as a (len(rows), rank)
@@ -473,9 +506,10 @@ class Lattice:
     def __eq__(self, other):
         if not isinstance(other, Lattice) or self.n != other.n:
             return NotImplemented
-        a = self.basis()
-        b = other.basis()
-        return len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
+        a, b = self._hnf, other._hnf
+        return all(
+            np.array_equal(x, y) for x, y in ((a.piv, b.piv), (a.unit, b.unit), (a.B, b.B))
+        )
 
     def __hash__(self):
         raise TypeError("Lattice is unhashable (mutable)")
@@ -484,27 +518,38 @@ class Lattice:
         return f"Lattice(n={self.n}, rank={self.rank})"
 
 
-def _lower_block(rows, split, width):
-    """Rows of the canonical HNF of `rows` (vectors in Z^width) whose pivot
-    lies at column `split` or later, restricted to those columns.
+def _lower_block(blocks, split, width):
+    """Rows of the canonical HNF of the rows in `blocks` (2-D blocks of
+    vectors in Z^width) whose pivot lies at column `split` or later,
+    restricted to those columns, as one array.
 
     They are a basis, itself in canonical HNF, of the vectors of the row
     lattice whose first `split` entries are zero.
     """
-    lat = Lattice(width, rows)
-    lower = lat.basis()[bisect_left(lat.pivot_cols, split) :]
-    del lat  # frees the upper rows before the copy below
-    if not lower:
-        return []
+    lat = Lattice(width)
+    for block in blocks:
+        lat.add(block)
     # one compact copy, so the result does not keep the full rows alive
-    return list(_stack([r[split:] for r in lower], width - split, lower[0].dtype))
+    return lat.basis(int(np.searchsorted(lat._hnf.piv, split)))[:, split:].copy()
+
+
+def _augmented(rows, ncols):
+    """The rows [M | I] for M given by `rows` (a 2-D array or a list of
+    rows), in blocks of _block_rows rows, never all at once."""
+    m = len(rows)
+    step = _block_rows(ncols + m)
+    for s in range(0, m, step):
+        M = int_block(rows[s : s + step], ncols)
+        block = np.zeros((len(M), ncols + m), dtype=M.dtype)
+        block[:, :ncols] = M
+        block[np.arange(len(M)), ncols + s + np.arange(len(M))] = 1
+        yield block
 
 
 def kernel_of_matrix(rows, ncols):
-    """Basis of the left kernel {x : x . M = 0} for M given by `rows`."""
-    m = len(rows)
-    aug = ([*r, *(0,) * i, 1, *(0,) * (m - 1 - i)] for i, r in enumerate(rows))
-    return _lower_block(aug, ncols, ncols + m)
+    """Basis of the left kernel {x : x . M = 0} for M given by `rows` (a
+    2-D array or a list of rows), as a list of rows."""
+    return list(_lower_block(_augmented(rows, ncols), ncols, ncols + len(rows)))
 
 
 def lattice_intersection(a, b):
@@ -513,11 +558,12 @@ def lattice_intersection(a, b):
     (x + y, x), and those with x + y = 0 are exactly (0, A n B))."""
     if a.n != b.n:
         raise ValueError(f"lattice_intersection: ambient ranks {a.n} and {b.n} differ")
-    rows = chain(
-        (np.concatenate([r, r]) for r in a.basis()),
-        (np.concatenate([r, 0 * r]) for r in b.basis()),
+    step = _block_rows(2 * a.n)
+    blocks = chain(
+        (np.concatenate([x, x], axis=1) for x in a.basis_blocks(step)),
+        (np.concatenate([y, np.zeros_like(y)], axis=1) for y in b.basis_blocks(step)),
     )
-    return Lattice(a.n, _lower_block(rows, a.n, 2 * a.n))
+    return Lattice(a.n, _lower_block(blocks, a.n, 2 * a.n))
 
 
 # -- Smith normal form -------------------------------------------------------
@@ -618,15 +664,14 @@ def _divisor_chain(orders):
 
 def unit_split(lat):
     """(free_cols, rows): the columns without a unit pivot in the canonical
-    basis, and the basis rows whose pivot is not 1, cut to those columns.
+    basis, and the basis rows whose pivot is not 1, cut to those columns,
+    as one 2-D array.  Both are read off the stored form as they are.
 
     A unit pivot's column is zero outside its row, and the other rows are
     zero on unit-pivot columns, so Z^n / lat is presented on free_cols
     with the cut rows, themselves in canonical HNF, as relations."""
-    rows, piv, unit, _ = lat._hnf
-    free = np.ones(lat.n, dtype=bool)
-    free[piv[unit]] = False
-    return np.flatnonzero(free), [rows[k][free] for k in np.flatnonzero(~unit).tolist()]
+    hnf = lat._hnf
+    return hnf.cols, hnf.B[~hnf.unit]
 
 
 def _smith(lat):
@@ -707,9 +752,7 @@ class FinPresAb:
         """Z^n / L is trivial iff L has rank n and every HNF pivot is 1;
         pivots of an echelon basis depend only on L, so no SNF is needed."""
         rel = self.relations
-        return rel.rank == self.ngens and all(
-            row[j] == 1 for row, j in zip(rel.basis(), rel.pivot_cols)
-        )
+        return rel.rank == self.ngens and bool(rel._hnf.unit.all())
 
     def order(self):
         """Group order, or None if infinite."""
@@ -821,9 +864,9 @@ def _kernel_lattice(g):
     Computed as the b-projection of the kernel of the stacked matrix
     [Mg; R_C]: b Mg = -y R_C exactly says that g(b) dies in C.
     """
-    nb = g.dom.ngens
-    kern = kernel_of_matrix([*g.matrix, *g.cod.relations.basis()], g.cod.ngens)
-    return Lattice(nb, [x[:nb] for x in kern])
+    nb, nc = g.dom.ngens, g.cod.ngens
+    M = np.concatenate([int_block(g.matrix, nc), g.cod.relations.basis()])
+    return Lattice(nb, _lower_block(_augmented(M, nc), nc, nc + len(M))[:, :nb])
 
 
 def homology_at(f, g):

@@ -188,7 +188,7 @@ def code_lattice_equalizer_rank(X):
     """
     v0, v1 = X.values[0], X.values[1]
     rows = v0.c_lattice.basis()
-    if not rows:
+    if not len(rows):
         return 0
     rank = X.ctx.group.ngens
     images = [

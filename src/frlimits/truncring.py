@@ -33,8 +33,8 @@ import numpy as np
 from . import freegrp
 from .errors import CapExceeded
 from .frcode import required_truncation
-from .intlin import (_I64_SAFE, AbMap, FinPresAb, Lattice, _maxabs, int_block,
-                     lattice_intersection, safe_matmul, unit_split)
+from .intlin import (_I64_SAFE, AbMap, FinPresAb, Lattice, _block_rows, _maxabs,
+                     int_block, lattice_intersection, safe_matmul, unit_split)
 from .permgrp import LevelPresentation
 
 DEFAULT_RANK_CAP = 200_000
@@ -76,9 +76,9 @@ def poly_drop_constant(p):
 class TruncatedRing:
     """Ambient (level presentation, truncation depth N); frozen after init.
 
-    Memo tables (cocycles, conjugates, power series) are populated lazily;
-    they are keyed by group elements and Schreier indices only, so results
-    never depend on call order.
+    Memo tables (cocycles, conjugates, power series, section products) are
+    populated lazily; they are keyed by group elements, Schreier indices and
+    ring elements' terms only, so results never depend on call order.
     """
 
     def __init__(self, lp, depth, rank_cap=DEFAULT_RANK_CAP):
@@ -115,6 +115,7 @@ class TruncatedRing:
         self._rho_power = {}
         self._conj = {}
         self._cocycle = {}
+        self._section_products = {}
         self._monomial_cache = {}
         self._code_cache = {}
         self._hom_images = {}
@@ -244,10 +245,17 @@ class TruncatedRing:
         of c times V's slice per layer k < N - |J| (see the module
         docstring).  Every result entry is a sum over distinct terms, so
         max|V|·sum|c| over the |G| products a·s(h) bounds it: the block
-        is int64 while that stays below 2**62, Python ints otherwise.
+        is int64 while that stays below 2**62, Python ints otherwise.  The
+        |G| products are memoized per element, so a monomial build forms
+        them once per right generator.
         """
         off, m = self.layer_offsets, self.lp.num_schreier_gens
-        prods = [self.multiply_terms(terms, {(h, ()): 1}) for h in range(self.lp.group.order)]
+        key = frozenset(terms.items())
+        if key not in self._section_products:
+            self._section_products[key] = [
+                self.multiply_terms(terms, {(h, ()): 1}) for h in range(self.lp.group.order)
+            ]
+        prods = self._section_products[key]
         bound = _maxabs(V) * sum(abs(c) for p in prods for c in p.values())
         dtype = np.int64 if V.dtype == np.int64 and bound < _I64_SAFE else object
         V = V.astype(dtype, copy=False)
@@ -312,11 +320,19 @@ class TruncatedRing:
         (``ideal_r``).  Any other monomial is built right to left: if T is
         the ideal of the tail, the full ideal is the span of gamma·T over
         the right-module generators gamma of the head letter (T absorbs
-        ring factors on the left, so no other products arise).  The
-        canonical basis of T goes in row chunks of _PRODUCT_ENTRIES entries
-        through ``left_multiply``, and each product block straight to
-        ``Lattice.add``; the deadline is checked once per product block.
-        A lattice is cached only when it is complete."""
+        ring factors on the left, so no other products arise).
+
+        A monomial of length k starts from r^k, not from zero: every letter
+        ideal contains r, so r^k lies in every monomial of length k, and
+        seeding with it changes no span.  Its unit pivots then take each
+        product's layers >= k off with one product, and only the lower
+        layers reach the echelon.  r^k is zero once k >= N.
+
+        The canonical basis of T goes in row chunks of _PRODUCT_ENTRIES
+        entries through ``left_multiply``, and the product rows go to one
+        ``Lattice.add`` as a stream, so its folds keep their full size; the
+        deadline is checked once per product block.  A lattice is cached
+        only when it is complete."""
         if mono in self._monomial_cache:
             return self._monomial_cache[mono]
         if mono == "r" * len(mono):
@@ -324,17 +340,19 @@ class TruncatedRing:
         elif mono == "f":
             lat = self.ideal_f()
         else:
-            tail = self.eval_monomial(mono[1:], deadline).basis()
+            tail = self.eval_monomial(mono[1:], deadline)
             gens = self.right_generators(mono[0])
-            lat = Lattice(self.rank)
-            step = max(1, _PRODUCT_ENTRIES // self.rank)
-            for s in range(0, len(tail), step):
-                chunk = np.array(tail[s : s + step])
-                for gamma in gens:
-                    if deadline is not None:
-                        deadline.check()
-                    prod = self.left_multiply(gamma.terms, chunk)
-                    lat.add(prod[prod.any(axis=1)])
+
+            def products():
+                for chunk in tail.basis_blocks(max(1, _PRODUCT_ENTRIES // self.rank)):
+                    for gamma in gens:
+                        if deadline is not None:
+                            deadline.check()
+                        prod = self.left_multiply(gamma.terms, chunk)
+                        yield from prod[prod.any(axis=1)]
+
+            lat = self.ideal_r(len(mono))
+            lat.add(products())
         self._monomial_cache[mono] = lat
         return lat
 
@@ -355,7 +373,8 @@ class TruncatedRing:
             for term in code.terms
         )
         total = first.copy()
-        total.add(chain.from_iterable(lat.basis() for lat in rest))
+        step = _block_rows(self.rank)
+        total.add(chain.from_iterable(b for lat in rest for b in lat.basis_blocks(step)))
         self._code_cache[key] = total
         return total
 
@@ -483,7 +502,8 @@ class FunctorValue:
         # f is the augmentation kernel, and the first |G| basis words are
         # the (g, ()), so a c row lies in f iff its entries there sum to 0
         order = ring.lp.group.order
-        if any(row[:order].sum() for row in self.c_lattice.basis()):
+        step = _block_rows(ring.rank)
+        if any(b[:, :order].sum(axis=1).any() for b in self.c_lattice.basis_blocks(step)):
             raise AssertionError("code lattice escapes f")
         self.rel = self.c_lattice.copy()
         self.rel.add([{ring.index[(0, ())]: 1}])
@@ -491,22 +511,20 @@ class FunctorValue:
         self.group = FinPresAb(len(self.gens), rel_rows)
 
 
-def hom_image_rows(hom, src_ring, tgt_ring, rows):
-    """Images of a block of ring vectors (rows over the basis of src_ring)
-    under a presentation morphism, as one dense block over the basis of
-    tgt_ring.
+def word_images(hom, src_ring, tgt_ring, words):
+    """Images of the basis words of src_ring with the given indices under a
+    presentation morphism, as one (len(words), tgt_ring.rank) block.
 
     The image of a basis word (g, J) is the product of the normal forms
     of the images of s(g) and of each rho_j - 1 in the target ring.  Those
-    normal forms and the image vectors are memoized per hom in the target
-    ring's ``_hom_images``.
+    normal forms, and each word's image as a dense row, are memoized per
+    hom in the target ring's ``_hom_images``.
     """
     memo, sections, diffs = tgt_ring._hom_images.setdefault(hom, ({}, {}, {}))
-    V = int_block(rows, src_ring.rank)
-    used = np.flatnonzero(V.any(axis=0)).tolist()
     lp = src_ring.lp
     one = tgt_ring.one()
-    for k in used:
+    rows = []
+    for k in np.asarray(words).tolist():
         g, J = bw = src_ring.basis[k]
         if bw not in memo:
             if g not in sections:
@@ -516,9 +534,18 @@ def hom_image_rows(hom, src_ring, tgt_ring, rows):
                 if j not in diffs:
                     diffs[j] = tgt_ring.normal_form(hom.apply(lp.schreier_gens[j])) - one
                 elem = elem * diffs[j]
-            memo[bw] = elem.to_vec()
-    images = int_block([memo[src_ring.basis[k]] for k in used], tgt_ring.rank)
-    return safe_matmul(V[:, used], images)
+            memo[bw] = int_block([elem.to_vec()], tgt_ring.rank)[0]
+        rows.append(memo[bw])
+    return np.array(rows) if rows else np.zeros((0, tgt_ring.rank), dtype=np.int64)
+
+
+def hom_image_rows(hom, src_ring, tgt_ring, rows):
+    """Images of a block of ring vectors (rows over the basis of src_ring)
+    under a presentation morphism, as one dense block over the basis of
+    tgt_ring: the block's used columns times their ``word_images``."""
+    V = int_block(rows, src_ring.rank)
+    used = np.flatnonzero(V.any(axis=0))
+    return safe_matmul(V[:, used], word_images(hom, src_ring, tgt_ring, used))
 
 
 def check_over_group(hom, src_lp, tgt_lp):
@@ -539,6 +566,6 @@ def induced_map(hom, src_value, tgt_value):
     if src_ring.depth != tgt_ring.depth:
         raise ValueError("induced_map needs equal truncation depths")
     check_over_group(hom, src_ring.lp, tgt_ring.lp)
-    images = hom_image_rows(hom, src_ring, tgt_ring, [{k: 1} for k in src_value.gens.tolist()])
+    images = word_images(hom, src_ring, tgt_ring, src_value.gens)
     coords = tgt_value.rel.reduce(images)[:, tgt_value.gens]
     return AbMap(src_value.group, tgt_value.group, coords)

@@ -3,7 +3,10 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from frlimits import intlin
 from frlimits.intlin import (
     AbMap,
     FinPresAb,
@@ -17,6 +20,7 @@ from frlimits.intlin import (
     smith_diagonal,
     tensor_Z,
     tor_Z,
+    unit_split,
 )
 
 from oracles import (
@@ -94,6 +98,57 @@ class TestLattice:
         lat.add(units())
         assert lat.rank == n
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_basis_is_independent_of_the_folds(self, data):
+        # at least 16 rows with a leading 1 at distinct columns and random
+        # tails, then dense rows; the canonical basis must not depend on
+        # how the rows are cut into adds, nor on the rank // 8 fold rule,
+        # which a small fold size engages once the rank reaches 16
+        n = data.draw(st.integers(16, 24))
+        entry = st.one_of(st.integers(-9, 9), st.sampled_from([0, 0, 0, 2**62, -(2**70)]))
+        leads = data.draw(st.lists(st.integers(0, n - 1), min_size=16, unique=True))
+        rows = []
+        for j in leads:
+            tail = data.draw(st.lists(entry, min_size=n - 1 - j, max_size=n - 1 - j))
+            rows.append([0] * j + [1] + tail)
+        rows += data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=2, max_size=8))
+        ref, pivots = reference_hnf(rows, n)
+
+        def check(lat):
+            assert [list(map(int, r)) for r in lat.basis()] == ref
+            assert lat.pivot_cols == pivots
+            assert lat.big == any(abs(c) >= 2**62 for r in ref for c in r)
+
+        folds = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(intlin, "_FOLD_ENTRIES", 16)
+            fold = Lattice._fold
+            mp.setattr(Lattice, "_fold", lambda lat, Q: (folds.append(len(Q)), fold(lat, Q)))
+            one = Lattice(n, rows)
+            assert max(folds) > _block_rows(n) == 1
+            check(one)
+            many = Lattice(n)
+            shuffled = data.draw(st.permutations(rows))
+            cuts = sorted(data.draw(st.sets(st.integers(0, len(rows)), max_size=6)) | {0, len(rows)})
+            for lo, hi in zip(cuts, cuts[1:]):
+                many.add(shuffled[lo:hi])
+            check(many)
+        check(Lattice(n, rows))
+        assert many == one
+
+        # any slice of rows equals those rows of the whole basis
+        start = data.draw(st.integers(0, one.rank))
+        stop = data.draw(st.integers(start, one.rank))
+        assert np.array_equal(one.basis(start, stop), one.basis()[start:stop])
+
+        # unit_split: the columns no unit pivot takes, and the other rows cut to them
+        units = [j for r, j in zip(ref, pivots) if r[j] == 1]
+        free, rest = unit_split(one)
+        assert free.tolist() == [j for j in range(n) if j not in units]
+        cut = [[r[j] for j in free] for r, p in zip(ref, pivots) if r[p] != 1]
+        assert [list(map(int, r)) for r in rest] == cut
+
     def test_unit_rows_are_canonical(self):
         lat = Lattice(4, [[0, 1, 0, 0], [0, 0, 0, 1]])
         assert lat.rank == 2
@@ -158,14 +213,16 @@ class TestLattice:
             if block and n:
                 with pytest.raises(TypeError):
                     lat.contains(block[0])  # one vector is a block of one row
-                basis = lat.basis()
+                # a refused add leaves the stored basis object itself alone
+                stored, basis = lat._hnf, lat.basis()
                 flat = [block[0]]
                 if all(abs(c) < 2**63 for c in block[0]):
                     flat.append(np.array(block[0], dtype=np.int64))
                 for vec in flat:
                     with pytest.raises(TypeError):
                         lat.add(vec)  # not n rows of one entry each
-                assert lat.basis() is basis
+                assert lat._hnf is stored
+                assert np.array_equal(lat.basis(), basis)
         assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
         # zero-row blocks

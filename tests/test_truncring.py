@@ -271,7 +271,9 @@ class TestIdealLattices:
 
     def test_s3_fff_stays_small(self):
         # eliminating these products without keeping rows reduced blows
-        # their coefficients up into bignums; the canonical entries are <= 6
+        # their coefficients up into bignums; the canonical entries are <= 6.
+        # At depth 2 the r^3 seed of eval_monomial is zero, so every
+        # product goes through the echelon.
         r = ring_for("s3", 1, 2)
         lat = r.eval_monomial("fff")
         assert lat.big is False
@@ -286,6 +288,24 @@ class TestIdealLattices:
         basis, pivots = reference_hnf(products, r.rank)
         assert [list(map(int, row)) for row in lat.basis()] == basis
         assert lat.pivot_cols == pivots
+
+    @pytest.mark.parametrize("name,level", [("z3", 1), ("s3", 0)])
+    def test_r_power_seed_spans_the_products(self, name, level):
+        # at depth 3, ff and rf start from the nonzero r^2; they must
+        # contain it and still equal the span of their dict products
+        r = ring_for(name, level, 3)
+        r2 = r.ideal_r(2)
+        assert r2.rank > 0
+        for mono in ("ff", "rf"):
+            lat = r.eval_monomial(mono)
+            assert lat.contains(r2.basis())
+            gens = r.right_generators(mono[0])
+            products = [
+                r.terms_to_vec(r.multiply_terms(g.terms, vec_to_terms(r, row)))
+                for row in r.eval_monomial(mono[1:]).basis()
+                for g in gens
+            ]
+            assert lat == Lattice(r.rank, [v for v in products if v]), mono
 
     @pytest.mark.parametrize("name,level,depth", [("z2", 0, 3), ("z2", 1, 3), ("z3", 0, 3), ("z2xz2", 0, 2)])
     def test_coordinate_r_powers(self, name, level, depth):
