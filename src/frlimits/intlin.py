@@ -858,19 +858,29 @@ def safe_matmul(a, b):
 # -- homology of presented complexes ------------------------------------------
 
 
-def _kernel_lattice(g):
-    """Lattice of {b in Z^{ngens(B)} : g(b) = 0 in C} for g: B -> C.
+def _kernel_lattice(G, R_C):
+    """Lattice of {b : b G = 0 in Z^nc / R_C} for the rows G of a map into
+    Z^nc and the relation rows R_C.
 
     Computed as the b-projection of the kernel of the stacked matrix
-    [Mg; R_C]: b Mg = -y R_C exactly says that g(b) dies in C.
+    [G; R_C]: b G = -y R_C exactly says that b G dies in the quotient.
     """
-    nb, nc = g.dom.ngens, g.cod.ngens
-    M = np.concatenate([int_block(g.matrix, nc), g.cod.relations.basis()])
+    nb, nc = len(G), G.shape[1]
+    M = np.concatenate([G, R_C])
     return Lattice(nb, _lower_block(_augmented(M, nc), nc, nc + len(M))[:, :nb])
 
 
 def homology_at(f, g):
-    """ker(g)/im(f) for presented maps A --f--> B --g--> C with g o f = 0."""
+    """ker(g)/im(f) for presented maps A --f--> B --g--> C with g o f = 0.
+
+    B and C are first presented on their surviving generators
+    (``unit_split``): a generator at a unit pivot of the relations equals
+    minus the rest of its relation row, so Z^n / R is Z^cols modulo the
+    non-unit rows cut to ``cols``, and a row v of a map stands for
+    ``R.reduce(v)[cols]``.  So g becomes ``R_C.reduce(g[cols_B])[:,
+    cols_C]`` and f becomes ``R_B.reduce(f)[:, cols_B]``, and the kernel
+    and the coordinate solves run at the size of those presentations.
+    The composite is checked on the maps as given."""
     B = f.cod
     C = g.cod
     if g.dom.ngens != B.ngens:
@@ -880,12 +890,16 @@ def homology_at(f, g):
     if not C.relations.contains(safe_matmul(f.matrix, g.matrix)):
         raise ValueError("homology_at: composite g o f is not zero")
 
-    kernel = _kernel_lattice(g)
+    cols_B, R_B = unit_split(B.relations)
+    cols_C, R_C = unit_split(C.relations)
+    g_cut = C.relations.reduce(int_block(g.matrix, C.ngens)[cols_B])[:, cols_C]
+    f_cut = B.relations.reduce(int_block(f.matrix, B.ngens))[:, cols_B]
+    kernel = _kernel_lattice(g_cut, R_C)
     # relations: images of A generators plus B's own relations, in kernel coords
-    image = kernel.coordinates(f.matrix)
+    image = kernel.coordinates(f_cut)
     if image is None:
         raise AssertionError("image of f escapes ker(g)")
-    rel_B = kernel.coordinates(B.relations.basis())
+    rel_B = kernel.coordinates(R_B)
     if rel_B is None:
         raise AssertionError("relations of B escape ker(g)")
     return FinPresAb(kernel.rank, [*image, *rel_B])

@@ -14,7 +14,11 @@ idx(J)·m^|K| + idx(K).  Right multiplication by t_K is a shift,
 (g, J+K) for all K of one length as one contiguous slice.  Hence
 r^k is the span of the words with |J| >= k, and a·(h, K) = (a·s(h))·t_K
 multiplies a whole block of ring vectors on the left by slice-adds
-(``TruncatedRing.left_multiply``).
+(``TruncatedRing.left_multiply``).  An element of the identity component,
+sum c_L·t_L, multiplies on the right as a sum of strided shifts: word
+(h, K) at position s of layer k goes to position s·m^|L| + idx(L) of
+layer k + |L|, so each (term, layer) is one slice-add with stride m^|L|
+(``TruncatedRing.right_multiply``).
 
 The identity-component subalgebra is a truncated free polynomial algebra
 in the t_j; group sections commute past it via
@@ -271,6 +275,33 @@ class TruncatedRing:
                     out[:, dst : dst + w] += c * V[:, src : src + w]
         return out
 
+    def right_multiply(self, V, terms):
+        """v·b for every row v of the 2-D block V (rows over the basis), b
+        the identity-component element with the given terms (every term
+        (0, L), so b = sum c_L·t_L), as one (len(V), rank) array.
+
+        (h, K)·t_L = (h, K+L), and word (h, K) sits at position
+        s = h·m^k + idx(K) of layer k, while (h, K+L) sits at s·m^|L| +
+        idx(L) of layer k + |L| (see the module docstring): one strided
+        slice-add of c_L times V's layer k per layer k < N - |L|.  The
+        bound rule is ``left_multiply``'s: every result entry is a sum over
+        distinct terms, so the block is int64 while max|V|·sum|c_L| <
+        2**62, Python ints otherwise.  A term (g, L) with g != 0 is refused.
+        """
+        if any(g for g, _ in terms):
+            raise ValueError("right_multiply needs an element of the identity component")
+        off, m = self.layer_offsets, self.lp.num_schreier_gens
+        bound = _maxabs(V) * sum(abs(c) for c in terms.values())
+        dtype = np.int64 if V.dtype == np.int64 and bound < _I64_SAFE else object
+        V = V.astype(dtype, copy=False)
+        out = np.zeros((len(V), self.rank), dtype=dtype)
+        for (_, L), c in terms.items():
+            a, w = len(L), m ** len(L)
+            i = self.index[(0, L)] - off[a]
+            for k in range(self.depth - a):
+                out[:, off[a + k] + i : off[a + k + 1] : w] += c * V[:, off[k] : off[k + 1]]
+        return out
+
     # -- vectors -----------------------------------------------------------
 
     def terms_to_vec(self, terms):
@@ -417,19 +448,6 @@ class RingElement:
     def __neg__(self):
         return RingElement(self.ring, {bw: -c for bw, c in self.terms.items()})
 
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return RingElement(
-                self.ring, {bw: c * other for bw, c in self.terms.items()}
-            )
-        self._check(other)
-        return RingElement(self.ring, self.ring.multiply_terms(self.terms, other.terms))
-
-    def __rmul__(self, other):
-        if not isinstance(other, int):
-            return NotImplemented
-        return self * other
-
     def __eq__(self, other):
         return (
             isinstance(other, RingElement)
@@ -515,28 +533,42 @@ def word_images(hom, src_ring, tgt_ring, words):
     """Images of the basis words of src_ring with the given indices under a
     presentation morphism, as one (len(words), tgt_ring.rank) block.
 
-    The image of a basis word (g, J) is the product of the normal forms
-    of the images of s(g) and of each rho_j - 1 in the target ring.  Those
-    normal forms, and each word's image as a dense row, are memoized per
-    hom in the target ring's ``_hom_images``.
+    The image of (g, J+(j,)) is the image of its prefix (g, J) times
+    phi(t_j), the normal form of phi(rho_j) - 1.  The hom commutes with
+    the projections to G, so phi(rho_j) lies over the identity and phi(t_j)
+    has only terms (0, L): the product is ``right_multiply``, a sum of
+    shifts.  So the rows are built a layer at a time, each layer from the
+    rows of its prefixes grouped by last letter j, starting from layer 0,
+    whose rows are the normal forms of phi(s(g)).  Each word's row
+    (prefixes included) and each phi(t_j) are memoized per hom in the
+    target ring's ``_hom_images``.
     """
-    memo, sections, diffs = tgt_ring._hom_images.setdefault(hom, ({}, {}, {}))
-    lp = src_ring.lp
-    one = tgt_ring.one()
-    rows = []
-    for k in np.asarray(words).tolist():
-        g, J = bw = src_ring.basis[k]
-        if bw not in memo:
-            if g not in sections:
-                sections[g] = tgt_ring.normal_form(hom.apply(lp.transversal[g]))
-            elem = sections[g]
-            for j in J:
-                if j not in diffs:
-                    diffs[j] = tgt_ring.normal_form(hom.apply(lp.schreier_gens[j])) - one
-                elem = elem * diffs[j]
-            memo[bw] = int_block([elem.to_vec()], tgt_ring.rank)[0]
-        rows.append(memo[bw])
-    return np.array(rows) if rows else np.zeros((0, tgt_ring.rank), dtype=np.int64)
+    memo, diffs = tgt_ring._hom_images.setdefault(hom, ({}, {}))
+    lp, rank = src_ring.lp, tgt_ring.rank
+    wanted = [src_ring.basis[k] for k in np.asarray(words).tolist()]
+    layers = [set() for _ in range(src_ring.depth)]
+    for g, J in wanted:
+        while (g, J) not in memo and (g, J) not in layers[len(J)]:
+            layers[len(J)].add((g, J))
+            if not J:
+                break
+            J = J[:-1]
+    if layers[0]:
+        new = sorted(layers[0])
+        block = int_block(
+            [tgt_ring.normal_form(hom.apply(lp.transversal[g])).to_vec() for g, _ in new], rank
+        )
+        memo.update(zip(new, block))
+    for layer in layers[1:]:
+        by_letter = {}
+        for g, J in sorted(layer):
+            by_letter.setdefault(J[-1], []).append((g, J))
+        for j, new in by_letter.items():
+            if j not in diffs:
+                diffs[j] = (tgt_ring.normal_form(hom.apply(lp.schreier_gens[j])) - tgt_ring.one()).terms
+            prefixes = int_block([memo[(g, J[:-1])] for g, J in new], rank)
+            memo.update(zip(new, tgt_ring.right_multiply(prefixes, diffs[j])))
+    return int_block([memo[bw] for bw in wanted], rank)
 
 
 def hom_image_rows(hom, src_ring, tgt_ring, rows):

@@ -200,3 +200,17 @@ def vec_to_terms(ring, row):
     """A ring vector as the terms {basis word: coefficient} of the element,
     so that ``ring.multiply_terms`` can serve as the reference product."""
     return {ring.basis[i]: int(c) for i, c in enumerate(row) if c}
+
+
+def word_image_terms(hom, src_ring, tgt_ring, k):
+    """The image of basis word k = (g, J) of src_ring under a presentation
+    morphism phi, as terms of tgt_ring: the normal form of phi(s(g)) times
+    the normal form of phi(rho_j) - 1 for each letter j of J in turn, each
+    product by the dict product ``multiply_terms``."""
+    g, J = src_ring.basis[k]
+    lp = src_ring.lp
+    terms = tgt_ring.normal_form(hom.apply(lp.transversal[g])).terms
+    for j in J:
+        diff = tgt_ring.normal_form(hom.apply(lp.schreier_gens[j])) - tgt_ring.one()
+        terms = tgt_ring.multiply_terms(terms, diff.terms)
+    return terms

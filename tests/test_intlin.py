@@ -431,6 +431,32 @@ class TestTensorTor:
             assert tor_Z(a, b).iso_eq(tor_Z(b, a))
 
 
+def _padded(n, rels, rng):
+    """Z^n / rels on n + k generators: each new generator is eliminated by
+    the unit relation e_p - x_p, x_p a random combination of the old
+    ones, and the n + k columns are shuffled.  Returns (ngens, relation
+    rows, embed, X, perm): embed takes a vector on the old generators to
+    the new ones, old generator i is new generator perm[i], and new
+    generator perm[n + p] is the class of the combination X[p]."""
+    k = rng.randint(1, 4)
+    X = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+    perm = list(range(n + k))
+    rng.shuffle(perm)
+
+    def embed(v):
+        out = [0] * (n + k)
+        for c, x in enumerate(v):
+            out[perm[c]] = int(x)
+        return out
+
+    units = []
+    for p, x in enumerate(X):
+        row = embed([-c for c in x])
+        row[perm[n + p]] = 1
+        units.append(row)
+    return n + k, [embed(r) for r in rels] + units, embed, X, perm
+
+
 class TestHomologyAt:
     def test_zero_maps_on_z2(self):
         z2 = FinPresAb.free(2)
@@ -506,6 +532,56 @@ class TestHomologyAt:
             got = tuple(d for d in h.torsion)
             assert h.rank == 0
             assert got == expected, (mods_a, mat_f, mods_b, mat_g, mods_c)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_padding_leaves_homology_alone(self, data):
+        # a random complex A --f--> B --g--> C with free and torsion parts:
+        # R_B and the rows of f are combinations of the lattice ker(g) =
+        # {b : b g in R_C}, so g is well defined and g o f = 0.  B and C are
+        # then presented on extra generators that unit relations eliminate,
+        # f and g are carried through, and the homology must not change.
+        rng = data.draw(st.randoms(use_true_random=False))
+        na, nb, nc = rng.randint(1, 3), rng.randint(1, 4), rng.randint(1, 3)
+
+        def rand_rows(count, width, hi=4):
+            return [[rng.randint(-hi, hi) for _ in range(width)] for _ in range(count)]
+
+        g = rand_rows(nb, nc, 3)
+        rel_C = rand_rows(rng.randint(0, nc), nc)
+        K = [row[:nb] for row in kernel_of_matrix(g + rel_C, nc)]
+
+        def combos(count):
+            return [
+                [sum(c * int(row[i]) for c, row in zip(coef, K)) for i in range(nb)]
+                for coef in rand_rows(count, len(K), 3)
+            ]
+
+        rel_B, f = combos(rng.randint(0, nb)), combos(na)
+        A, B, C = FinPresAb.free(na), FinPresAb(nb, rel_B), FinPresAb(nc, rel_C)
+        plain = homology_at(AbMap(A, B, f), AbMap(B, C, g))
+
+        nb2, rel_B2, embed_B, X_B, perm_B = _padded(nb, rel_B, rng)
+        nc2, rel_C2, embed_C, _, _ = _padded(nc, rel_C, rng)
+        B2, C2 = FinPresAb(nb2, rel_B2), FinPresAb(nc2, rel_C2)
+        # f's images, moved by random multiples of B2's unit relations
+        units_B = rel_B2[len(rel_B):]
+        f2 = []
+        for row in f:
+            out = embed_B(row)
+            for u in units_B:
+                c = rng.randint(-2, 2)
+                out = [a + c * b for a, b in zip(out, u)]
+            f2.append(out)
+        # g on the old generators, and on a new one through its x_p
+        g_old = [embed_C(row) for row in g]
+        g2 = [None] * nb2
+        for i in range(nb):
+            g2[perm_B[i]] = g_old[i]
+        for p, x in enumerate(X_B):
+            g2[perm_B[nb + p]] = [sum(c * r[j] for c, r in zip(x, g_old)) for j in range(nc2)]
+        padded = homology_at(AbMap(A, B2, f2), AbMap(B2, C2, g2))
+        assert padded.invariants() == plain.invariants()
 
 
 def test_safe_matmul_big_entries():

@@ -35,7 +35,7 @@ def free(rank):
 
 
 @pytest.mark.parametrize(
-    "name,n", [("z2", 1), ("z2", 2), ("z2", 3), ("z3", 1), ("z3", 2)]
+    "name,n", [("z2", 1), ("z2", 2), ("z2", 3), ("z3", 1), ("z3", 2), ("z3", 3)]
 )
 def test_r_power_is_free_in_top_degree(name, n):
     order = context(name).group.order

@@ -12,12 +12,12 @@ from frlimits.limits import Deadline
 from frlimits.permgrp import LevelPresentation, load_group_file
 from frlimits.truncring import (
     FunctorValue,
-    RingElement,
     TruncatedRing,
     induced_map,
+    word_images,
 )
 
-from oracles import reference_hnf, vec_to_terms
+from oracles import reference_hnf, vec_to_terms, word_image_terms
 
 GROUP_DIR = Path(__file__).resolve().parents[1] / "src" / "frlimits" / "groups"
 
@@ -37,8 +37,9 @@ class TestValidation:
             TruncatedRing(LevelPresentation(g, 0), 0)
 
     def test_scalar_must_be_an_int(self):
-        one = ring_for("z2", 0, 2).one()
-        assert (3 * one).terms == {(0, ()): 3}
+        r = ring_for("z2", 0, 2)
+        one = r.one()
+        assert r.multiply_terms({(0, ()): 3}, one.terms) == {(0, ()): 3}
         with pytest.raises(TypeError):
             1.5 * one
 
@@ -91,9 +92,9 @@ class TestNormalForm:
                     )
 
                 u, v = rand_word(), rand_word()
-                assert r.normal_form(freegrp.mul(u, v)) == r.normal_form(
-                    u
-                ) * r.normal_form(v)
+                assert r.normal_form(freegrp.mul(u, v)).terms == r.multiply_terms(
+                    r.normal_form(u).terms, r.normal_form(v).terms
+                )
 
 
 class TestMultiply:
@@ -101,7 +102,7 @@ class TestMultiply:
         r = ring_for("z2", 0, 2)
         a = r.element({(0, (0,)): 1})
         b = r.element({(1, ()): 1})
-        assert (a * b).terms == {(1, (0,)): 1}
+        assert r.multiply_terms(a.terms, b.terms) == {(1, (0,)): 1}
 
     def test_unit_law(self):
         r = ring_for("z4", 0, 3)
@@ -111,13 +112,13 @@ class TestMultiply:
                 r.basis[rng.randrange(r.rank)]: rng.randint(-3, 3) for _ in range(3)
             }
             a = r.element(terms)
-            assert r.one() * a == a
-            assert a * r.one() == a
+            assert r.multiply_terms(r.one().terms, a.terms) == a.terms
+            assert r.multiply_terms(a.terms, r.one().terms) == a.terms
 
     def test_truncation_kills_high_degree(self):
         r = ring_for("z2", 0, 2)
         a = r.element({(0, (0,)): 1})
-        assert a * a == r.zero()
+        assert r.multiply_terms(a.terms, a.terms) == r.zero().terms
 
     def test_associative_random(self):
         rng = random.Random(13)
@@ -132,14 +133,15 @@ class TestMultiply:
                         }
                     )
 
-                a, b, c = rand_elem(), rand_elem(), rand_elem()
-                assert (a * b) * c == a * (b * c)
+                a, b, c = rand_elem().terms, rand_elem().terms, rand_elem().terms
+                mul = r.multiply_terms
+                assert mul(mul(a, b), c) == mul(a, mul(b, c))
 
     def test_ambient_mismatch(self):
         r1 = ring_for("z2", 0, 2)
         r2 = ring_for("z2", 0, 3)
         with pytest.raises(ValueError):
-            _ = r1.one() * r2.one()
+            _ = r1.one() + r2.one()
 
     def test_dump_format(self):
         r = ring_for("z2", 0, 2)
@@ -213,6 +215,78 @@ class TestLeftMultiply:
         out = r.left_multiply(a, W)
         assert out.dtype == object
         assert np.array_equal(out, dense(product_rows(r, a, W), r.rank))
+
+
+def identity_terms(r, rng, size):
+    """Random terms (0, L) of an identity-component element."""
+    words = [bw for bw in r.basis if bw[0] == 0]
+    return {words[rng.randrange(len(words))]: rng.randint(-3, 3) or 1 for _ in range(size)}
+
+
+def right_product_rows(r, rows, terms):
+    """v·b for each row v, by the dict product multiply_terms."""
+    return [r.terms_to_vec(r.multiply_terms(vec_to_terms(r, v), terms)) for v in rows]
+
+
+class TestRightMultiply:
+    @pytest.mark.parametrize("name,level", KERNEL_RINGS)
+    def test_matches_multiply_terms(self, name, level):
+        rng = random.Random(f"right{name}{level}")
+        for depth in (1, 2, 3):
+            r = ring_for(name, level, depth)
+            for _ in range(3):
+                b = identity_terms(r, rng, rng.randint(1, 4))
+                V = np.zeros((4, r.rank), dtype=np.int64)
+                for row in V:
+                    for k in rng.sample(range(r.rank), min(r.rank, 5)):
+                        row[k] = rng.randint(-5, 5)
+                out = r.right_multiply(V, b)
+                assert out.dtype == np.int64
+                assert np.array_equal(out, dense(right_product_rows(r, V, b), r.rank))
+
+    def test_bignum_blocks(self):
+        r = ring_for("z3", 1, 3)
+        b = (r.normal_form(freegrp.inv(r.lp.schreier_gens[1])) - r.one()).terms
+        assert all(g == 0 for g, _ in b) and sum(map(abs, b.values())) >= 2
+        rng = random.Random(6)
+        cols = rng.sample(range(r.rank), 6)
+        # object rows with entries near 2**62 stay exact
+        V = np.zeros((2, r.rank), dtype=object)
+        V[0, cols[:3]] = [2**62 - 1, -(2**62) + 3, 7]
+        V[1, cols[3:]] = [2**63 + 11, 1, -(2**64)]
+        out = r.right_multiply(V, b)
+        assert out.dtype == object
+        assert np.array_equal(out, dense(right_product_rows(r, V, b), r.rank))
+        # int64 rows whose bound max|V|·sum|c| reaches 2**62 go to Python ints
+        W = np.zeros((1, r.rank), dtype=np.int64)
+        W[0, cols[:2]] = [2**61, -(2**61) + 1]
+        out = r.right_multiply(W, b)
+        assert out.dtype == object
+        assert np.array_equal(out, dense(right_product_rows(r, W, b), r.rank))
+
+    def test_refuses_other_components(self):
+        r = ring_for("z3", 1, 2)
+        V = np.eye(r.rank, dtype=np.int64)[:2]
+        with pytest.raises(ValueError):
+            r.right_multiply(V, {(0, ()): 1, (1, ()): 2})
+
+
+@pytest.mark.parametrize("name", ["z2", "z3", "s3", "z2xz2"])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_word_images_match_the_dict_products(name, depth):
+    # every basis word under both cofaces from level 0 to level 1 and the
+    # codegeneracy back, against the per-word product
+    # s(g)·prod(phi(rho_j) - 1) of the oracle
+    rank = load_group_file(GROUP_DIR / f"{name}.json").ngens
+    lower, upper = ring_for(name, 0, depth), ring_for(name, 1, depth)
+    homs = [(freegrp.coface(0, i, rank), lower, upper) for i in (0, 1)]
+    homs.append((freegrp.codegeneracy(0, 0, rank), upper, lower))
+    for hom, src, tgt in homs:
+        words = np.arange(src.rank)[::-1]
+        expected = dense([tgt.terms_to_vec(word_image_terms(hom, src, tgt, k)) for k in words], tgt.rank)
+        assert np.array_equal(word_images(hom, src, tgt, words), expected)
+        # a second call reads the memo
+        assert np.array_equal(word_images(hom, src, tgt, words[:3]), expected[:3])
 
 
 class TestRingRank:
@@ -461,12 +535,8 @@ class TestInducedMaps:
         # check on each generator at level 1: the image is the fold of its
         # basis word, renormalized at level 0 and reduced modulo r + Z·1
         for i, k in enumerate(v1.gens):
-            gidx, J = r1.basis[k]
-            img = r0.normal_form(fold.apply(r1.lp.transversal[gidx]))
-            for j in J:
-                rho_img = r0.normal_form(fold.apply(r1.lp.schreier_gens[j]))
-                img = img * (rho_img - r0.one())
-            expected = v0.rel.reduce([img.to_vec()])[0, v0.gens]
+            img = r0.terms_to_vec(word_image_terms(fold, r1, r0, k))
+            expected = v0.rel.reduce([img])[0, v0.gens]
             assert [int(x) for x in m.matrix[i]] == expected.tolist()
 
     def test_non_commuting_rejected(self):
