@@ -5,10 +5,18 @@ canonical after every call (each block is eliminated into the basis at
 once, unit pivots first; there is no queue) and are queried in blocks (one
 reduction answers membership and coordinates for a whole block of rows),
 one kernel primitive built on them (left kernels, lattice
-intersection, kernels of presented maps), the Smith invariant-factor
-diagonal read off the canonical basis after its unit rows are split off,
+intersection, kernels of presented maps), Smith invariant factors,
 finitely presented abelian groups, maps between them, tensor/Tor over Z,
 and homology of three-term complexes of presented groups.
+
+There is one elimination routine, ``_echelon``, and the Smith invariants
+use it too.  The unit rows of the canonical basis split off as trivial
+summands; what is left is transposed, which keeps the invariant factors,
+and brought to canonical form again, and so on, until every row is its
+pivot alone (alternating row and column Hermite forms, Kannan and Bachem
+1979).  That ends: a leading pivot can only shrink, to the gcd of its
+row, and once it divides its row the canonical form leaves it alone in
+its row and column.
 
 A canonical basis is stored on its non-unit-pivot columns: the pivot
 columns, which pivots are 1, the columns ``cols`` that are no unit pivot,
@@ -569,83 +577,6 @@ def lattice_intersection(a, b):
 # -- Smith normal form -------------------------------------------------------
 
 
-def _snf_core(mat):
-    """Invariant-factor diagonal of a dense list-of-lists integer matrix,
-    diagonalized in place."""
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-
-    def swap_rows(i, j):
-        if i != j:
-            mat[i], mat[j] = mat[j], mat[i]
-
-    def swap_cols(i, j):
-        if i != j:
-            for r in mat:
-                r[i], r[j] = r[j], r[i]
-
-    def addmul_row(dst, src, q):
-        if q:
-            rd, rs = mat[dst], mat[src]
-            for k in range(n):
-                rd[k] += q * rs[k]
-
-    def addmul_col(dst, src, q):
-        if q:
-            for r in mat:
-                r[dst] += q * r[src]
-
-    t = 0
-    while t < min(m, n):
-        # find smallest nonzero entry in the remaining block
-        best = None
-        for i in range(t, m):
-            row = mat[i]
-            for j in range(t, n):
-                v = row[j]
-                if v:
-                    if best is None or abs(v) < best[0]:
-                        best = (abs(v), i, j)
-                        if abs(v) == 1:
-                            break
-            if best and best[0] == 1:
-                break
-        if best is None:
-            break
-        _, bi, bj = best
-        swap_rows(t, bi)
-        swap_cols(t, bj)
-        while True:
-            # clear column t
-            dirty = False
-            for i in range(t + 1, m):
-                v = mat[i][t]
-                if v:
-                    q = v // mat[t][t]
-                    addmul_row(i, t, -q)
-                    if mat[i][t]:
-                        # remainder became the smaller pivot
-                        swap_rows(t, i)
-                        dirty = True
-            if dirty:
-                continue
-            # clear row t
-            for j in range(t + 1, n):
-                v = mat[t][j]
-                if v:
-                    q = v // mat[t][t]
-                    addmul_col(j, t, -q)
-                    if mat[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-            if not dirty:
-                break
-        t += 1
-
-    # a finished row is zero off the diagonal, so only the pivot's sign is left
-    return _divisor_chain([abs(mat[i][i]) for i in range(min(m, n))])
-
-
 def _divisor_chain(orders):
     """Rewrite a list of cyclic orders in place as d1 | d2 | ..., zeros
     (infinite cyclic) last, by Z/a + Z/b = Z/gcd + Z/lcm; no order is
@@ -675,17 +606,32 @@ def unit_split(lat):
 
 
 def _smith(lat):
-    """The nonzero invariant factors of a lattice's canonical basis: each
-    unit row splits off as a trivial summand (``unit_split``), and the
-    Smith core runs on the rest."""
-    _, rest = unit_split(lat)
-    core = [[int(c) for c in row] for row in rest]
-    return [1] * (lat.rank - len(rest)) + _snf_core(core)
+    """The nonzero invariant factors of a lattice's canonical basis, by
+    alternating row and column Hermite forms (Kannan and Bachem, 1979).
+
+    Each unit row splits off as a trivial summand (``unit_split``).  While
+    a row of the non-unit block ``rest`` has an entry besides its pivot,
+    the loop goes on with the row lattice of ``rest.T``: a matrix and its
+    transpose have the same invariant factors.  It ends because each
+    leading pivot is a positive integer that only ever shrinks, to the gcd
+    of its row, and once it divides its row the canonical form makes that
+    row and column its pivot alone, which later steps keep.  Then the rows
+    are a diagonal, and ``_divisor_chain`` turns it into d1 | d2 | ...."""
+    units = 0
+    while True:
+        _, rest = unit_split(lat)
+        units += lat.rank - len(rest)
+        if not (np.count_nonzero(rest, axis=1) > 1).any():
+            return [1] * units + _divisor_chain([int(d) for d in rest[rest != 0]])
+        lat = Lattice(len(rest), rest.T)
 
 
 def smith_diagonal(matrix):
     """The nonzero invariant factors of an integer matrix, from the
-    canonical HNF of its rows."""
+    canonical HNF of its rows and then of alternately the columns and
+    rows of what its unit rows leave (``_smith``), until every row is its
+    pivot alone; a leading pivot only shrinks until it divides its row,
+    so that ends."""
     rows = list(matrix)
     return _smith(Lattice(len(rows[0]), rows)) if rows else []
 
@@ -734,7 +680,10 @@ class FinPresAb:
         return cls(n, rels)
 
     def invariants(self):
-        """(torsion_factors d1 | d2 | ..., free_rank)."""
+        """(torsion_factors d1 | d2 | ..., free_rank), from the canonical
+        basis of the relations by alternating row and column Hermite forms
+        until every row is its pivot alone (``_smith``), which ends since
+        a leading pivot only shrinks until it divides its row."""
         if self._inv is None:
             nz = _smith(self.relations)
             self._inv = tuple(d for d in nz if d > 1), self.ngens - len(nz)

@@ -119,10 +119,6 @@ class CochainComplex:
             incoming = self.maps[k - 1]
         return homology_at(incoming, self.maps[k])
 
-    @property
-    def top(self):
-        return len(self.levels) - 1
-
 
 def alternate_sum_complex(X):
     """C(X): same levels, differential sum_i (-1)^i d^i; d^2 = 0 is verified

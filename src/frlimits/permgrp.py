@@ -38,7 +38,6 @@ class GroupData:
             if sorted(img) != list(range(self.degree)):
                 raise InputError(f"generator image {img} is not a bijection")
         self.gen_images = [tuple(img) for img in gen_images]
-        self.declared_order = declared_order
 
         identity = tuple(range(self.degree))
         elements = [identity]
@@ -302,15 +301,6 @@ class LevelPresentation:
                 g = g2
         return out
 
-    def expand_schreier_word(self, rho_word):
-        """Substitute Schreier generators back; inverse check for rewrite."""
-        return freegrp.mul(
-            *(
-                self.schreier_gens[j] if s > 0 else freegrp.inv(self.schreier_gens[j])
-                for j, s in rho_word
-            )
-        ) if rho_word else freegrp.IDENTITY
-
     def __repr__(self):
         return (
             f"LevelPresentation({self.group.name}, level={self.level}, "
@@ -353,7 +343,6 @@ def group_from_spec(spec, cap=DEFAULT_ELEMENT_CAP):
         declared_order=spec.get("order"),
         cap=cap,
     )
-    group.generator_names = names
     relators = spec.get("relators", []) or []
     if relators:
         lp0 = LevelPresentation(group, 0)

@@ -9,6 +9,8 @@ so agreement with the package is meaningful evidence.
 from itertools import combinations, product
 from math import gcd
 
+from frlimits import freegrp
+
 
 def _factor(n):
     out = {}
@@ -194,6 +196,18 @@ def reference_hnf(rows, n):
             if q:
                 basis[i] = [a - q * b for a, b in zip(basis[i], basis[k])]
     return basis, pivots
+
+
+def expand_schreier_word(lp, rho_word):
+    """The word in F that a word in the Schreier generators of the level
+    presentation lp stands for: each generator substituted back, so it
+    inverts ``lp.rewrite_in_R``."""
+    return freegrp.mul(
+        *(
+            lp.schreier_gens[j] if s > 0 else freegrp.inv(lp.schreier_gens[j])
+            for j, s in rho_word
+        )
+    ) if rho_word else freegrp.IDENTITY
 
 
 def vec_to_terms(ring, row):

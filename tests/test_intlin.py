@@ -1,5 +1,7 @@
 import random
 import time
+from itertools import combinations
+from math import gcd
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from frlimits.intlin import (
 )
 
 from oracles import (
+    _det,
     brute_homology,
     combine_cyclic_orders,
     determinantal_invariant_factors,
@@ -334,12 +337,42 @@ class TestSmith:
 
     def test_matches_determinantal_divisors(self):
         rng = random.Random(5)
+        mats = []
         for _ in range(100):
             m = rng.randint(1, 5)
             n = rng.randint(1, 5)
-            mat = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+            mats.append([[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)])
+        # bignum entries, some scaled so that large invariant factors
+        # survive, put the transposed Hermite forms in object dtype
+        for _ in range(40):
+            m = rng.randint(1, 4)
+            n = rng.randint(1, 5)
+            scale = rng.choice((1, 2**64, 6 * 2**66))
+            hi = rng.choice((9, 2**70))
+            mats.append(
+                [[scale * rng.randint(-hi, hi) for _ in range(n)] for _ in range(m)]
+            )
+        for mat in mats:
             nonzero = [d for d in smith_diagonal(mat) if d]
             assert nonzero == determinantal_invariant_factors(mat), mat
+
+    def test_wide_bignum_block_does_not_stall(self):
+        # 65-bit entries; the canonical HNF keeps a 4 x 14 non-unit block,
+        # on which row-and-column Euclid on Python ints ran for 40 s
+        rng = random.Random(1)
+        mat = [
+            [rng.randint(-2**65, 2**65) if rng.random() < 0.3 else 0 for _ in range(16)]
+            for _ in range(6)
+        ]
+        # the gcd of all 6 x 6 minors is the product of the invariant factors
+        minors = 0
+        for cols in combinations(range(16), 6):
+            minors = gcd(minors, _det([[row[j] for j in cols] for row in mat]))
+        assert minors == 1
+        start = time.perf_counter()
+        assert smith_diagonal(mat) == [1] * 6
+        assert FinPresAb(16, mat).invariants() == ((), 10)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestFinPresAb:

@@ -12,7 +12,7 @@ from frlimits import intlin
 from frlimits.frcode import max_monomial_length, parse, required_truncation
 from frlimits.intlin import FinPresAb, tensor_Z, tor_Z
 from frlimits.limits import higher_limits
-from frlimits.permgrp import load_group_file
+from frlimits.permgrp import group_from_spec, load_group_file
 from frlimits.truncring import GroupContext
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -101,6 +101,33 @@ def test_report_checks_in_both_modes():
     assert "moore_vs_alternate" not in plain.checks
     assert [g.describe() for g in crossed.lims] == [g.describe() for g in plain.lims]
     assert plain.moore_vanishing == {0: False, 1: False, 2: True, 3: True}
+
+
+# other generating sets of bundled groups: (bundled name, generators, images)
+ALTERNATE_SPECS = {
+    "s3_xyz": ("s3", ["x", "y", "z"], [[2, 1, 3], [2, 3, 1], [3, 2, 1]]),
+    "s3_yx": ("s3", ["y", "x"], [[2, 3, 1], [2, 1, 3]]),
+    "z4_x_x2": ("z4", ["x", "y"], [[2, 3, 4, 1], [3, 4, 1, 2]]),
+}
+
+
+@lru_cache(maxsize=None)
+def alternate_context(alt):
+    name, generators, images = ALTERNATE_SPECS[alt]
+    spec = {"name": alt, "generators": generators, "images": images}
+    return GroupContext(group_from_spec(spec))
+
+
+@pytest.mark.parametrize("code", ["r", "rr", "fr+rf", "rr+frf", "ff"])
+@pytest.mark.parametrize("alt", sorted(ALTERNATE_SPECS))
+def test_limits_do_not_depend_on_the_presentation(alt, code):
+    # lim^i is a functor on the category of presentations of G, so any
+    # generating set of the same group gives the same groups
+    ctx = alternate_context(alt)
+    name = ALTERNATE_SPECS[alt][0]
+    assert ctx.group.order == context(name).group.order
+    report = higher_limits(parse(code), ctx.group, ctx=ctx)
+    assert [g.describe() for g in report.lims] == lims(code, name)
 
 
 LIM_FINITE_CODES = ("r", "rr", "ff", "fr+rf", "rr+frf", "rr+fff", "fff", "rfr", "ffr+rff", "rrr")
