@@ -27,6 +27,10 @@ row is 0 at all unit pivots.  Rows are built from it on demand
 rank // 8) rows per fold: every fold copies ``B`` once, so on a wide
 lattice of high rank the fold grows with the rank.
 
+Rows enter in one format, a block: a 2-D integer array, or a list of rows
+read exactly (``int_block``).  Floats and flat vectors are refused, and a
+stream of rows is an iterator of blocks.
+
 Everything is exact.  Matrices are kept as int64 numpy arrays while entry
 bounds allow it and promoted to arbitrary-precision (object dtype) arrays
 whenever an operation could overflow; a lattice basis whose entries fit is
@@ -36,7 +40,8 @@ in float64, which is exact there.
 
 from __future__ import annotations
 
-from itertools import chain, islice
+import operator
+from itertools import chain
 from math import gcd, prod
 from typing import NamedTuple
 
@@ -74,59 +79,37 @@ def _maxabs(a):
     return max(-int(a.min()), int(a.max()))
 
 
+# every entry as an exact Python int; a non-integer raises TypeError
+_exact = np.frompyfunc(operator.index, 1, 1)
+
+
 def _frozen(a):
     a.flags.writeable = False
     return a
 
 
-def _put(block, i, vec):
-    """Write vec (dict column -> entry, sequence or 1-D array) into row i of
-    block and return the block: int64 while every |entry| < _I64_SAFE, else
-    promoted to object with exact Python ints (int(c): a numpy scalar in an
-    object array would wrap at 2**63).  A row of another length is refused:
-    a scalar or a short row would broadcast across row i."""
-    if not isinstance(vec, dict) and len(vec) != block.shape[1]:
-        raise ValueError(f"a row of length {len(vec)} in Z^{block.shape[1]}")
-    if block.dtype != object:
-        try:
-            if isinstance(vec, dict):
-                if vec:
-                    block[i, list(vec)] = list(vec.values())
-            else:
-                block[i] = vec
-            if _maxabs(block[i]) < _I64_SAFE:
-                return block
-        except OverflowError:
-            pass
-        block = block.astype(object)
-    for j, c in vec.items() if isinstance(vec, dict) else enumerate(vec):
-        block[i, j] = int(c)
-    return block
-
-
 def int_block(rows, n):
-    """A block of rows in Z^n (a 2-D array, or a list of dicts column ->
-    entry, sequences or 1-D arrays) as one exact (len(rows), n) array:
-    int64 while every |entry| < 2**62, else Python ints.  An integer array,
-    or a list of 1-D arrays, whose entries fit is converted at once; any
-    other block row by row."""
-    block = rows
-    if isinstance(rows, list) and rows and all(
-        isinstance(r, np.ndarray) and r.shape == (n,) for r in rows
-    ):
-        block = np.array(rows)
-    if (
-        isinstance(block, np.ndarray)
-        and block.ndim == 2
-        and block.shape[1] == n
-        and block.dtype.kind in "iuO"
-        and _maxabs(block) < _I64_SAFE
-    ):
-        return block.astype(np.int64, copy=False)
-    block = np.zeros((len(rows), n), dtype=np.int64)
-    for i, vec in enumerate(rows):
-        block = _put(block, i, vec)
-    return block
+    """A block of rows in Z^n as one exact (len(rows), n) array: int64
+    while every |entry| < 2**62, else Python ints (object dtype).
+
+    The block is a 2-D integer array or a list of rows.  A list, like an
+    object array, is read entry by entry with ``operator.index``, so no
+    entry is rounded on the way (numpy's own guess reads [[2**63, -1]] as
+    float64) and a float is refused, as a float array is.  A flat vector
+    is refused too, not read as a block of scalar rows."""
+    if isinstance(rows, list):
+        rows = np.array(rows, dtype=object) if rows else np.zeros((0, n), dtype=np.int64)
+    if not isinstance(rows, np.ndarray) or rows.ndim != 2:
+        raise TypeError(f"a block of rows in Z^{n} is a 2-D array or a list of rows")
+    if rows.shape[1] != n:
+        raise ValueError(f"rows of length {rows.shape[1]} in Z^{n}")
+    if rows.dtype == object:
+        rows = _exact(rows)
+    elif rows.dtype.kind not in "iu":
+        raise TypeError(f"entries of dtype {rows.dtype} are not integers")
+    if _maxabs(rows) < _I64_SAFE:
+        return rows.astype(np.int64, copy=False)
+    return rows.astype(object)
 
 
 def _product(a, b, bound):
@@ -348,22 +331,23 @@ class Lattice:
     without a unit pivot and one block ``B = basis[:, cols]``.
     ``basis(start, stop)`` builds rows from it on demand.
 
-    ``Lattice(n, rows)`` and ``add(rows)`` take a block of rows: a 2-D
-    array, or any iterable of rows (dicts column -> entry, sequences or
-    1-D arrays), generators included.  The rows are drawn and eliminated
-    into the basis max(``_block_rows(n)``, rank // 8) at a time
-    (``_merge``): one exact product against ``B`` clears the unit-pivot
-    columns, column-by-column Euclid handles what is left on ``cols``,
-    and the entries above each new pivot are reduced into [0, pivot).  A
-    fold copies ``B`` once, so the rank // 8 rule keeps that copy a fixed
-    share of a fold's work.  There is no queue: after every call the basis
-    is the canonical one, which is unique, so lattice equality is basis
-    equality.  ``coordinate`` builds a span of unit vectors with no
-    elimination, and ``copy`` shares the basis of an existing lattice.
+    ``Lattice(n, blocks)`` and ``add(blocks)`` take one block of rows (a
+    2-D integer array or a list of rows, see ``int_block``) or an iterator
+    of such blocks.  The rows are eliminated into the basis
+    max(``_block_rows(n)``, rank // 8) at a time (``_merge``), a fold
+    spanning blocks where they are shorter: one exact product against
+    ``B`` clears the unit-pivot columns, column-by-column Euclid handles
+    what is left on ``cols``, and the entries above each new pivot are
+    reduced into [0, pivot).  A fold copies ``B`` once, so the rank // 8
+    rule keeps that copy a fixed share of a fold's work.  There is no
+    queue: after every call the basis is the canonical one, which is
+    unique, so lattice equality is basis equality.  ``coordinate`` builds
+    a span of unit vectors with no elimination, and ``copy`` shares the
+    basis of an existing lattice.
 
-    ``reduce``, ``contains`` and ``coordinates`` take a block of rows (a
-    2-D array or a list of rows; ``[]`` is zero rows) and answer for the
-    whole block with one reduction modulo the basis.
+    ``reduce``, ``contains`` and ``coordinates`` take one block of rows
+    (``[]`` is zero rows) and answer for the whole block with one
+    reduction modulo the basis.
 
     Entries are int64 while every step provably stays below 2**62.  A fold
     that could overflow is redone with Python ints (object dtype), and a
@@ -376,10 +360,10 @@ class Lattice:
     # the basis is always canonical; bench/layertrace.py still reads this
     _canonical = True
 
-    def __init__(self, n, rows=()):
+    def __init__(self, n, blocks=()):
         self.n = n
         self._hnf = _hermite(np.zeros((0, n), dtype=np.int64), np.zeros(0, dtype=np.intp), n)
-        self.add(rows)
+        self.add(blocks)
 
     @classmethod
     def _of(cls, n, hnf):
@@ -409,23 +393,22 @@ class Lattice:
         the lattice it is called on and writes into no stored array."""
         return Lattice._of(self.n, self._hnf)
 
-    def add(self, rows):
-        """Eliminate a block of rows into the basis, max(_block_rows(n),
-        rank // 8) rows per fold.  A flat vector is refused, not read as a
-        block of scalar rows."""
-        if not isinstance(rows, np.ndarray):
-            rows = iter(rows)
-        start = 0
-        while True:
-            step = max(_block_rows(self.n), self.rank // 8)
-            if isinstance(rows, np.ndarray):
-                Q = rows[start : start + step]
-                start += step
-            else:
-                Q = list(islice(rows, step))
-            if not len(Q):
-                return
-            self._fold(int_block(Q, self.n))
+    def add(self, blocks):
+        """Eliminate one block of rows, or the blocks an iterator yields,
+        into the basis, max(_block_rows(n), rank // 8) rows per fold.
+        Blocks are drawn as they are needed, so at most one block and one
+        fold's rows wait unmerged."""
+        if isinstance(blocks, (list, np.ndarray)):
+            blocks = (blocks,)
+        Q = np.zeros((0, self.n), dtype=np.int64)
+        for block in blocks:
+            block = int_block(block, self.n)
+            Q = np.concatenate([Q, block]) if len(Q) else block
+            while len(Q) >= (step := max(_block_rows(self.n), self.rank // 8)):
+                self._fold(Q[:step])
+                Q = Q[step:]
+        if len(Q):
+            self._fold(Q)
 
     def _fold(self, Q):
         hnf = self._hnf
@@ -534,9 +517,7 @@ def _lower_block(blocks, split, width):
     They are a basis, itself in canonical HNF, of the vectors of the row
     lattice whose first `split` entries are zero.
     """
-    lat = Lattice(width)
-    for block in blocks:
-        lat.add(block)
+    lat = Lattice(width, blocks)
     # one compact copy, so the result does not keep the full rows alive
     return lat.basis(int(np.searchsorted(lat._hnf.piv, split)))[:, split:].copy()
 
@@ -556,8 +537,8 @@ def _augmented(rows, ncols):
 
 def kernel_of_matrix(rows, ncols):
     """Basis of the left kernel {x : x . M = 0} for M given by `rows` (a
-    2-D array or a list of rows), as a list of rows."""
-    return list(_lower_block(_augmented(rows, ncols), ncols, ncols + len(rows)))
+    2-D array or a list of rows), as one 2-D array of basis rows."""
+    return _lower_block(_augmented(rows, ncols), ncols, ncols + len(rows))
 
 
 def lattice_intersection(a, b):
@@ -851,7 +832,7 @@ def homology_at(f, g):
     rel_B = kernel.coordinates(R_B)
     if rel_B is None:
         raise AssertionError("relations of B escape ker(g)")
-    return FinPresAb(kernel.rank, [*image, *rel_B])
+    return FinPresAb(kernel.rank, np.concatenate([image, rel_B]))
 
 
 # -- tensor and Tor over Z ----------------------------------------------------

@@ -15,6 +15,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import freegrp
 from .errors import CapExceeded
 from .frcode import max_monomial_length, normalize, required_truncation
@@ -142,10 +144,9 @@ def moore_complex(X):
     is the class of d^0."""
     levels = []
     for n in range(X.D + 1):
-        rel_rows = list(X.levels[n].relations.basis())
-        for i in range(1, n + 1):
-            rel_rows.extend(X.d[(n - 1, i)].matrix)
-        levels.append(FinPresAb(X.levels[n].ngens, rel_rows))
+        rel_rows = [X.levels[n].relations.basis()]
+        rel_rows += [X.d[(n - 1, i)].matrix for i in range(1, n + 1)]
+        levels.append(FinPresAb(X.levels[n].ngens, np.concatenate(rel_rows)))
     maps = [
         AbMap(levels[n], levels[n + 1], X.d[(n, 0)].matrix) for n in range(X.D)
     ]
@@ -190,7 +191,7 @@ def code_lattice_equalizer_rank(X):
     images = [
         hom_image_rows(freegrp.coface(0, i, rank), v0.ring, v1.ring, rows) for i in (0, 1)
     ]
-    coords = v1.c_lattice.coordinates([*images[0], *images[1]])
+    coords = v1.c_lattice.coordinates(np.concatenate(images))
     if coords is None:
         raise AssertionError("coface image escapes the code lattice")
     # |coordinates| < 2**62 in int64, so the difference cannot wrap

@@ -20,6 +20,9 @@ sum c_L·t_L, multiplies on the right as a sum of strided shifts: word
 layer k + |L|, so each (term, layer) is one slice-add with stride m^|L|
 (``TruncatedRing.right_multiply``).
 
+A ring element is a term dict {(g, J): c} over the basis words, with no
+zero coefficient; ``multiply_terms`` multiplies two of them.
+
 The identity-component subalgebra is a truncated free polynomial algebra
 in the t_j; group sections commute past it via
 (rho-1)·s(h) = s(h)·(s(h)^{-1} rho s(h) - 1), with conjugates re-rewritten
@@ -29,7 +32,6 @@ in Schreier generators and memoized.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import chain
 from math import comb
 
 import numpy as np
@@ -109,8 +111,6 @@ class TruncatedRing:
             for g in range(order):
                 for J in tuples_by_len[k]:
                     self.basis.append((g, J))
-        # sort key (k, g, J) is the construction order per k; enforce g-major
-        self.basis.sort(key=lambda bw: (len(bw[1]), bw[0], bw[1]))
         self.index = {bw: i for i, bw in enumerate(self.basis)}
         self.rank = len(self.basis)
         if self.rank != rank:
@@ -184,29 +184,13 @@ class TruncatedRing:
             self._cocycle[key] = self._expand_relator_word(word)
         return self._cocycle[key]
 
-    # -- elements ----------------------------------------------------------
-
-    def element(self, terms=None):
-        return RingElement(self, dict(terms or {}))
-
-    def zero(self):
-        return RingElement(self, {})
-
-    def one(self):
-        return RingElement(self, {(0, ()): 1})
-
     def normal_form(self, word):
-        """Class of the group word in the filtration basis: factor through
-        the transversal, rewrite the relator part, expand."""
+        """Class of the group word in the filtration basis, as terms: factor
+        through the transversal, rewrite the relator part, expand."""
         g = self.lp.eval_word(word)
         u = freegrp.mul(freegrp.inv(self.lp.transversal[g]), word)
         poly = self._expand_relator_word(u)
-        return RingElement(self, {(g, J): c for J, c in poly.items()})
-
-    def normal_form_of_rho(self, j):
-        return RingElement(
-            self, {(0, J): c for J, c in self.rho_power_poly(j, 1).items()}
-        )
+        return {(g, J): c for J, c in poly.items()}
 
     def mul_basis(self, bw1, bw2):
         """(g, J)·(h, K) via cocycle and conjugation expansions."""
@@ -302,11 +286,6 @@ class TruncatedRing:
                 out[:, off[a + k] + i : off[a + k + 1] : w] += c * V[:, off[k] : off[k + 1]]
         return out
 
-    # -- vectors -----------------------------------------------------------
-
-    def terms_to_vec(self, terms):
-        return {self.index[bw]: c for bw, c in terms.items()}
-
     # -- ideal lattices ------------------------------------------------------
 
     def ideal_r(self, k=1):
@@ -328,20 +307,18 @@ class TruncatedRing:
         return lat
 
     def right_generators(self, letter):
-        """Elements generating the letter ideal as a right module."""
+        """Elements generating the letter ideal as a right module: x - 1
+        for the generators x of F, and t_j = rho_j - 1, which is 0 at
+        N = 1."""
         if letter == "f":
-            out = []
-            one = self.one()
-            for c in range(self.lp.copies):
-                for i in range(self.lp.base_rank):
-                    out.append(
-                        self.normal_form(freegrp.gen_word(c, i)) - one
-                    )
-            return out
-        if letter == "r":
-            one = self.one()
             return [
-                self.normal_form_of_rho(j) - one
+                _minus_one(self.normal_form(freegrp.gen_word(c, i)))
+                for c in range(self.lp.copies)
+                for i in range(self.lp.base_rank)
+            ]
+        if letter == "r":
+            return [
+                {(0, (j,)): 1} if self.depth > 1 else {}
                 for j in range(self.lp.num_schreier_gens)
             ]
         raise ValueError(f"unknown letter {letter!r}")
@@ -360,7 +337,7 @@ class TruncatedRing:
         layers reach the echelon.  r^k is zero once k >= N.
 
         The canonical basis of T goes in row chunks of _PRODUCT_ENTRIES
-        entries through ``left_multiply``, and the product rows go to one
+        entries through ``left_multiply``, and the product blocks go to one
         ``Lattice.add`` as a stream, so its folds keep their full size; the
         deadline is checked once per product block.  A lattice is cached
         only when it is complete."""
@@ -379,8 +356,8 @@ class TruncatedRing:
                     for gamma in gens:
                         if deadline is not None:
                             deadline.check()
-                        prod = self.left_multiply(gamma.terms, chunk)
-                        yield from prod[prod.any(axis=1)]
+                        prod = self.left_multiply(gamma, chunk)
+                        yield prod[prod.any(axis=1)]
 
             lat = self.ideal_r(len(mono))
             lat.add(products())
@@ -405,77 +382,18 @@ class TruncatedRing:
         )
         total = first.copy()
         step = _block_rows(self.rank)
-        total.add(chain.from_iterable(b for lat in rest for b in lat.basis_blocks(step)))
+        total.add(b for lat in rest for b in lat.basis_blocks(step))
         self._code_cache[key] = total
         return total
 
 
-class RingElement:
-    """Sparse element of a TruncatedRing; zero coefficients never stored."""
-
-    __slots__ = ("ring", "terms")
-
-    def __init__(self, ring, terms):
-        self.ring = ring
-        self.terms = {bw: c for bw, c in terms.items() if c}
-
-    def _check(self, other):
-        if self.ring is not other.ring:
-            raise ValueError("ambient ring mismatch")
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for bw, c in other.terms.items():
-            v = out.get(bw, 0) + c
-            if v:
-                out[bw] = v
-            else:
-                out.pop(bw, None)
-        return RingElement(self.ring, out)
-
-    def __sub__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for bw, c in other.terms.items():
-            v = out.get(bw, 0) - c
-            if v:
-                out[bw] = v
-            else:
-                out.pop(bw, None)
-        return RingElement(self.ring, out)
-
-    def __neg__(self):
-        return RingElement(self.ring, {bw: -c for bw, c in self.terms.items()})
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RingElement)
-            and self.ring is other.ring
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        raise TypeError("RingElement is unhashable")
-
-    def augmentation(self):
-        return sum(c for (g, J), c in self.terms.items() if not J)
-
-    def to_vec(self):
-        return self.ring.terms_to_vec(self.terms)
-
-    def dump(self):
-        """Debug format: one '±k*[g | j1,j2,...]' line per term, sorted."""
-        lines = []
-        for bw in sorted(self.terms, key=lambda b: (len(b[1]), b[0], b[1])):
-            g, J = bw
-            c = self.terms[bw]
-            sign = "+" if c > 0 else "-"
-            lines.append(f"{sign}{abs(c)}*[{g} | {','.join(str(j) for j in J)}]")
-        return "\n".join(lines)
-
-    def __repr__(self):
-        return f"RingElement({self.dump().replace(chr(10), ' ')})"
+def _minus_one(terms):
+    """The terms of a - 1, for a given by its terms."""
+    out = dict(terms)
+    c = out.pop((0, ()), 0) - 1
+    if c:
+        out[(0, ())] = c
+    return out
 
 
 class GroupContext:
@@ -524,7 +442,7 @@ class FunctorValue:
         if any(b[:, :order].sum(axis=1).any() for b in self.c_lattice.basis_blocks(step)):
             raise AssertionError("code lattice escapes f")
         self.rel = self.c_lattice.copy()
-        self.rel.add([{ring.index[(0, ())]: 1}])
+        self.rel.add(np.eye(1, ring.rank, ring.index[(0, ())], dtype=np.int64))
         self.gens, rel_rows = unit_split(self.rel)
         self.group = FinPresAb(len(self.gens), rel_rows)
 
@@ -546,6 +464,8 @@ def word_images(hom, src_ring, tgt_ring, words):
     memo, diffs = tgt_ring._hom_images.setdefault(hom, ({}, {}))
     lp, rank = src_ring.lp, tgt_ring.rank
     wanted = [src_ring.basis[k] for k in np.asarray(words).tolist()]
+    if not wanted:
+        return np.zeros((0, rank), dtype=np.int64)
     layers = [set() for _ in range(src_ring.depth)]
     for g, J in wanted:
         while (g, J) not in memo and (g, J) not in layers[len(J)]:
@@ -555,20 +475,21 @@ def word_images(hom, src_ring, tgt_ring, words):
             J = J[:-1]
     if layers[0]:
         new = sorted(layers[0])
-        block = int_block(
-            [tgt_ring.normal_form(hom.apply(lp.transversal[g])).to_vec() for g, _ in new], rank
-        )
-        memo.update(zip(new, block))
+        block = np.zeros((len(new), rank), dtype=object)
+        for row, (g, _) in zip(block, new):
+            for bw, c in tgt_ring.normal_form(hom.apply(lp.transversal[g])).items():
+                row[tgt_ring.index[bw]] = c
+        memo.update(zip(new, int_block(block, rank)))
     for layer in layers[1:]:
         by_letter = {}
         for g, J in sorted(layer):
             by_letter.setdefault(J[-1], []).append((g, J))
         for j, new in by_letter.items():
             if j not in diffs:
-                diffs[j] = (tgt_ring.normal_form(hom.apply(lp.schreier_gens[j])) - tgt_ring.one()).terms
-            prefixes = int_block([memo[(g, J[:-1])] for g, J in new], rank)
+                diffs[j] = _minus_one(tgt_ring.normal_form(hom.apply(lp.schreier_gens[j])))
+            prefixes = int_block(np.stack([memo[(g, J[:-1])] for g, J in new]), rank)
             memo.update(zip(new, tgt_ring.right_multiply(prefixes, diffs[j])))
-    return int_block([memo[bw] for bw in wanted], rank)
+    return int_block(np.stack([memo[bw] for bw in wanted]), rank)
 
 
 def hom_image_rows(hom, src_ring, tgt_ring, rows):

@@ -216,6 +216,11 @@ def vec_to_terms(ring, row):
     return {ring.basis[i]: int(c) for i, c in enumerate(row) if c}
 
 
+def terms_to_vec(ring, terms):
+    """The terms of a ring element as a dict row {basis index: coefficient}."""
+    return {ring.index[bw]: c for bw, c in terms.items()}
+
+
 def word_image_terms(hom, src_ring, tgt_ring, k):
     """The image of basis word k = (g, J) of src_ring under a presentation
     morphism phi, as terms of tgt_ring: the normal form of phi(s(g)) times
@@ -223,8 +228,9 @@ def word_image_terms(hom, src_ring, tgt_ring, k):
     product by the dict product ``multiply_terms``."""
     g, J = src_ring.basis[k]
     lp = src_ring.lp
-    terms = tgt_ring.normal_form(hom.apply(lp.transversal[g])).terms
+    terms = tgt_ring.normal_form(hom.apply(lp.transversal[g]))
     for j in J:
-        diff = tgt_ring.normal_form(hom.apply(lp.schreier_gens[j])) - tgt_ring.one()
-        terms = tgt_ring.multiply_terms(terms, diff.terms)
+        diff = tgt_ring.normal_form(hom.apply(lp.schreier_gens[j]))
+        diff[(0, ())] = diff.get((0, ()), 0) - 1
+        terms = tgt_ring.multiply_terms(terms, diff)
     return terms

@@ -63,11 +63,13 @@ def as_lists(rows, n):
 class TestLattice:
     def test_matches_reference_hnf(self):
         # rows arrive in up to three add calls, each a list, an int64 array
-        # or a generator, so later blocks merge into an existing basis
+        # or a generator of one-row blocks, so later blocks merge into an
+        # existing basis
         rng = random.Random(29)
         for _ in range(300):
             n = rng.randint(0, 9)
-            rows = random_rows(rng, n, rng.randint(0, 12))
+            rows = [as_lists([r], n)[0] if isinstance(r, dict) else r
+                    for r in random_rows(rng, n, rng.randint(0, 12))]
             lat = Lattice(n)
             cuts = sorted({0, len(rows), *(rng.randint(0, len(rows)) for _ in range(2))})
             for lo, hi in zip(cuts, cuts[1:]):
@@ -76,7 +78,7 @@ class TestLattice:
                 if kind == 1 and all(abs(c) < 2**63 for r in as_lists(part, n) for c in r):
                     part = np.array(as_lists(part, n), dtype=np.int64).reshape(len(part), n)
                 elif kind == 2:
-                    part = (r for r in part)
+                    part = ([r] for r in part)
                 lat.add(part)
             basis, pivots = reference_hnf(rows, n)
             assert [list(map(int, r)) for r in lat.basis()] == basis, (n, rows)
@@ -86,8 +88,8 @@ class TestLattice:
             assert Lattice(n, rows) == lat
 
     def test_add_draws_rows_lazily(self):
-        # add holds at most one block of rows it has not merged, so a long
-        # generator of rows never sits in memory at once
+        # add holds at most one fold of rows it has not merged, so a long
+        # generator of one-row blocks never sits in memory at once
         n = 160
         step = _block_rows(n)
         assert step < n
@@ -96,7 +98,7 @@ class TestLattice:
         def units():
             for i in range(n):
                 assert i + 1 - lat.rank <= step
-                yield {i: 1}
+                yield np.eye(1, n, i, dtype=np.int64)
 
         lat.add(units())
         assert lat.rank == n
@@ -251,6 +253,25 @@ class TestLattice:
         lat.add([[1, 2**70]])
         assert lat.big
         assert lat.contains([[2**63 + 1, 2**70 + 1]])
+        # numpy's own reading of these lists is float64, which rounds them
+        for row in ([2**63, -1], [-(2**63) - 1, 2**70]):
+            lat = Lattice(2, [row])
+            assert lat.big
+            assert [list(map(int, r)) for r in lat.basis()] == reference_hnf([row], 2)[0]
+            assert lat.contains([[3 * c for c in row]])
+            assert not lat.contains([[row[0] + 1, row[1]]])
+
+    def test_non_integer_entries_are_refused(self):
+        # a float is refused, not truncated: FinPresAb(1, [[2.7]]) is not Z/2
+        floats = [[[2.7]], [[0.5, 1]], [[2.0, 1]], [[2**70, 0.5]]]
+        for rows in floats + [np.array(r, dtype=float) for r in floats]:
+            n = len(rows[0])
+            with pytest.raises(TypeError):
+                Lattice(n, rows)
+            with pytest.raises(TypeError):
+                Lattice(n, [[1] * n]).contains(rows)
+            with pytest.raises(TypeError):
+                FinPresAb(n, rows)
 
     def test_numpy_rows_in_bignum_lattice_stay_exact(self):
         # int64 numpy entries stored as they are in object rows would wrap
@@ -317,7 +338,7 @@ def test_kernel_rows_annihilate():
 def test_kernel_of_matrix():
     rows = [[2, 4], [1, 2], [3, 6]]
     kern = kernel_of_matrix(rows, 2)
-    assert kern
+    assert kern.shape == (2, 3)  # one 2-D block of kernel rows
     for x in kern:
         img = [sum(x[i] * rows[i][j] for i in range(3)) for j in range(2)]
         assert img == [0, 0]
