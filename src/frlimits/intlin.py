@@ -25,7 +25,9 @@ row is 1 at its pivot and 0 at every other unit pivot, and every other
 row is 0 at all unit pivots.  Rows are built from it on demand
 (``Lattice.basis``).  ``Lattice.add`` eliminates max(_block_rows(n),
 rank // 8) rows per fold: every fold copies ``B`` once, so on a wide
-lattice of high rank the fold grows with the rank.
+lattice of high rank the fold grows with the rank.  A basis that is
+canonical already, given in this stored form, becomes a lattice with no
+elimination (``Lattice.canonical``), which checks the form instead.
 
 Rows enter in one format, a block: a 2-D integer array, or a list of rows
 read exactly (``int_block``).  Floats and flat vectors are refused, and a
@@ -341,9 +343,9 @@ class Lattice:
     reduced into [0, pivot).  A fold copies ``B`` once, so the rank // 8
     rule keeps that copy a fixed share of a fold's work.  There is no
     queue: after every call the basis is the canonical one, which is
-    unique, so lattice equality is basis equality.  ``coordinate`` builds
-    a span of unit vectors with no elimination, and ``copy`` shares the
-    basis of an existing lattice.
+    unique, so lattice equality is basis equality.  ``canonical`` takes a
+    basis that is already canonical, in its stored form, with no
+    elimination, and ``copy`` shares the basis of an existing lattice.
 
     ``reduce``, ``contains`` and ``coordinates`` take one block of rows
     (``[]`` is zero rows) and answer for the whole block with one
@@ -372,20 +374,42 @@ class Lattice:
         return lat
 
     @classmethod
-    def coordinate(cls, n, cols):
-        """The span of the unit vectors e_j for j in cols, increasing.  Those
-        rows are its canonical basis, so nothing is eliminated: every pivot
-        is 1, and ``B`` is a zero block."""
-        piv = np.asarray(cols, dtype=np.intp)
-        k = len(piv)
-        rest = np.ones(n, dtype=bool)
-        rest[piv] = False
-        B = np.zeros((k, n - k), dtype=np.int64)
-        return cls._of(
-            n,
-            _Hermite(piv, np.ones(k, dtype=bool), np.zeros(k, dtype=np.int64),
-                     np.flatnonzero(rest), _frozen(B)),
-        )
+    def canonical(cls, n, piv, cols, B):
+        """The lattice whose canonical basis is given in its stored form:
+        each row's pivot column ``piv`` (increasing), the columns ``cols``
+        that are no unit pivot (increasing) and the rows on them, the
+        block ``B``; a row whose pivot is not in ``cols`` is 1 there.  So
+        nothing is eliminated and no (rank, n) block is built.  The block
+        is kept as it is, read-only from then on.
+
+        The form is checked, and a form that is not canonical raises
+        ValueError: the unit pivots and ``cols`` must split the n columns,
+        every row must be zero left of its pivot, every pivot in ``cols``
+        must be above 1, and every entry above it in [0, pivot)."""
+        piv = np.asarray(piv, dtype=np.intp)
+        cols = np.asarray(cols, dtype=np.intp)
+        B = int_block(B, len(cols))
+        if len(B) != len(piv):
+            raise ValueError(f"{len(piv)} pivots for {len(B)} rows")
+        for name, a in (("pivots", piv), ("columns", cols)):
+            if len(a) and (a[0] < 0 or a[-1] >= n or (np.diff(a) <= 0).any()):
+                raise ValueError(f"{name} are not increasing in range({n})")
+        unit = np.ones(n, dtype=bool)
+        unit[cols] = False
+        unit = unit[piv]
+        if len(cols) + np.count_nonzero(unit) != n:
+            raise ValueError("the unit pivots and the columns do not split the ambient space")
+        at = np.searchsorted(cols, piv)
+        if ((B != 0) & (np.arange(len(cols)) < at[:, None])).any():
+            raise ValueError("a row is nonzero left of its pivot")
+        rows = np.flatnonzero(~unit)
+        above = B[:, at[rows]]
+        p = above[rows, np.arange(len(rows))]
+        if (p <= 1).any():
+            raise ValueError("a pivot in the columns is not above 1")
+        if ((np.arange(len(piv))[:, None] < rows) & ((above < 0) | (above >= p))).any():
+            raise ValueError("an entry above a pivot is outside [0, pivot)")
+        return cls._of(n, _Hermite(piv, unit, _heights(B), cols, _frozen(B)))
 
     def copy(self):
         """An equal lattice in O(1).  It shares the basis, which is safe:
@@ -454,10 +478,12 @@ class Lattice:
         out[ones, piv[start:stop][ones]] = 1
         return out
 
-    def basis_blocks(self, rows):
-        """The canonical basis as consecutive blocks of at most `rows` rows."""
-        for s in range(0, self.rank, rows):
-            yield self.basis(s, s + rows)
+    def basis_blocks(self, rows, stop=None):
+        """The canonical basis, or its rows before `stop`, as consecutive
+        blocks of at most `rows` rows."""
+        stop = self.rank if stop is None else stop
+        for s in range(0, stop, rows):
+            yield self.basis(s, min(s + rows, stop))
 
     # -- membership and coordinates --------------------------------------
 
@@ -716,11 +742,17 @@ class AbMap:
     __slots__ = ("dom", "cod", "matrix")
 
     def __init__(self, dom, cod, matrix):
+        """The matrix is read exactly (``int_block``): a float is refused,
+        and an entry of 2**63 stays a Python int.  It needs one row per
+        domain generator; an empty input is the zero map."""
         self.dom = dom
         self.cod = cod
-        mat = np.asarray(matrix)
-        if mat.size == 0:
+        if np.size(matrix) == 0:
             mat = np.zeros((dom.ngens, cod.ngens), dtype=np.int64)
+        else:
+            mat = int_block(matrix, cod.ngens)
+            if len(mat) != dom.ngens:
+                raise ValueError(f"{len(mat)} rows for a domain of rank {dom.ngens}")
         self.matrix = mat
 
     @classmethod

@@ -20,6 +20,23 @@ sum c_L·t_L, multiplies on the right as a sum of strided shifts: word
 layer k + |L|, so each (term, layer) is one slice-add with stride m^|L|
 (``TruncatedRing.right_multiply``).
 
+Monomial ideals are built right to left, from the empty monomial, which
+is the whole ring (``TruncatedRing.eval_monomial``).  For w = a·T of
+length k, with T the tail's ideal, T contains r^(k-1), so T's canonical
+rows with a pivot in layer >= k-1 are unit vectors (h, K), and
+gamma·(h, K) = (gamma·s(h))·t_K is, modulo r^k, the layer-0 part of
+gamma·s(h) shifted by t_K.  Hence
+
+    w = r^k + P⊗I + span{gamma·t : t a row of T with pivot below layer k-1},
+
+with gamma over the right generators of the letter a and P the span in
+Z^|G| of the layer-0 parts of the gamma·s(h), h in G: the augmentation
+ideal of Z[G] for f, 0 for r.  P⊗I puts a row v of P at (g, K) -> v_g
+for every K of length k-1.  At g·m^(k-1) + idx(K) in layer k-1, the
+canonical basis of P tensored with the identity, then the unit rows of
+the layers >= k, is canonical as it stands, so that seed is built with
+no elimination and only the tail's rows below layer k-1 are multiplied.
+
 A ring element is a term dict {(g, J): c} over the basis words, with no
 zero coefficient; ``multiply_terms`` multiplies two of them.
 
@@ -120,6 +137,7 @@ class TruncatedRing:
         self._conj = {}
         self._cocycle = {}
         self._section_products = {}
+        self._layer0_spans = {}
         self._monomial_cache = {}
         self._code_cache = {}
         self._hom_images = {}
@@ -224,6 +242,16 @@ class TruncatedRing:
                         del out[bw]
         return out
 
+    def section_products(self, terms):
+        """The |G| products a·s(h), h in G, as term dicts, for the element a
+        with the given terms; memoized per element."""
+        key = frozenset(terms.items())
+        if key not in self._section_products:
+            self._section_products[key] = [
+                self.multiply_terms(terms, {(h, ()): 1}) for h in range(self.lp.group.order)
+            ]
+        return self._section_products[key]
+
     def left_multiply(self, terms, V):
         """a·v for every row v of the 2-D block V (rows over the basis), a
         the element with the given terms, as one (len(V), rank) array.
@@ -238,12 +266,7 @@ class TruncatedRing:
         them once per right generator.
         """
         off, m = self.layer_offsets, self.lp.num_schreier_gens
-        key = frozenset(terms.items())
-        if key not in self._section_products:
-            self._section_products[key] = [
-                self.multiply_terms(terms, {(h, ()): 1}) for h in range(self.lp.group.order)
-            ]
-        prods = self._section_products[key]
+        prods = self.section_products(terms)
         bound = _maxabs(V) * sum(abs(c) for p in prods for c in p.values())
         dtype = np.int64 if V.dtype == np.int64 and bound < _I64_SAFE else object
         V = V.astype(dtype, copy=False)
@@ -288,24 +311,6 @@ class TruncatedRing:
 
     # -- ideal lattices ------------------------------------------------------
 
-    def ideal_r(self, k=1):
-        """r^k: the coordinate lattice of the basis words with |J| >= k,
-        which are the last ones, so it needs no elimination.  A new lattice
-        per call; eval_monomial caches it as the monomial "r" * k."""
-        return Lattice.coordinate(self.rank, range(self.layer_offsets[min(k, self.depth)], self.rank))
-
-    def ideal_f(self):
-        """f = augmentation kernel: r plus the section differences
-        (g, ()) - (0, ()), added as one int64 block.  A new lattice per
-        call; eval_monomial caches it as the monomial "f"."""
-        order = self.lp.group.order
-        diffs = np.zeros((order - 1, self.rank), dtype=np.int64)
-        diffs[:, 0] = -1
-        diffs[np.arange(order - 1), np.arange(1, order)] = 1
-        lat = self.ideal_r()
-        lat.add(diffs)
-        return lat
-
     def right_generators(self, letter):
         """Elements generating the letter ideal as a right module: x - 1
         for the generators x of F, and t_j = rho_j - 1, which is 0 at
@@ -323,43 +328,91 @@ class TruncatedRing:
             ]
         raise ValueError(f"unknown letter {letter!r}")
 
+    def _layer0_span(self, letter):
+        """P for a letter: the span in Z^|G| of the layer-0 parts of
+        gamma·s(h) over its right generators gamma and h in G, memoized
+        per letter.  A term (g, J) of gamma with |J| > 0 takes s(h) into
+        the layers >= |J|, so these are the layer-0 parts of the products
+        gamma_0·s(h) (``section_products``), with gamma_0 the layer-0 terms
+        of gamma; for r, gamma_0 = 0."""
+        if letter not in self._layer0_spans:
+            prods = [
+                p
+                for gamma in self.right_generators(letter)
+                for p in self.section_products({bw: c for bw, c in gamma.items() if not bw[1]})
+            ]
+            rows = np.zeros((len(prods), self.lp.group.order), dtype=object)
+            for row, prod in zip(rows, prods):
+                for (g, J), c in prod.items():
+                    if not J:
+                        row[g] = c
+            self._layer0_spans[letter] = Lattice(self.lp.group.order, rows[(rows != 0).any(axis=1)])
+        return self._layer0_spans[letter]
+
+    def _seed(self, k, letter):
+        """The lattice r^k + P⊗I of the module docstring, for a monomial of
+        length k with the given head letter; P⊗I lies on layer k-1, so it
+        is empty if k = 0 or k > N."""
+        off, depth, n = self.layer_offsets, self.depth, self.rank
+        order = self.lp.group.order
+        start = off[min(k, depth)]
+        lo, M = start, 0
+        H = np.zeros((0, order), dtype=np.int64)
+        hp = np.zeros(0, dtype=np.intp)
+        if 0 < k <= depth:
+            lo, M = off[k - 1], self.lp.num_schreier_gens ** (k - 1)
+            P = self._layer0_span(letter)
+            H, hp = P.basis(), np.array(P.pivot_cols, dtype=np.intp)
+        # word (g, K) of layer k-1 sits at lo + g·M + idx(K); row (i, K) of
+        # P⊗I is H[i, g] there, and B holds it on the g that are no unit pivot
+        keep = np.ones(order, dtype=bool)
+        keep[hp[H[np.arange(len(H)), hp] == 1]] = False
+        hcols = np.flatnonzero(keep)
+        K = np.arange(M)
+        piv = np.concatenate([(lo + hp[:, None] * M + K).ravel(), np.arange(start, n)])
+        cols = np.concatenate([np.arange(lo), (lo + hcols[:, None] * M + K).ravel()])
+        B = np.zeros((len(piv), len(cols)), dtype=H.dtype)
+        for i, c in zip(*np.nonzero(H[:, hcols])):
+            B[i * M + K, lo + c * M + K] = H[i, hcols[c]]
+        return Lattice.canonical(n, piv, cols, B)
+
     def eval_monomial(self, mono, deadline=None):
-        """Lattice of the monomial ideal.  r^k is a coordinate lattice
-        (``ideal_r``).  Any other monomial is built right to left: if T is
-        the ideal of the tail, the full ideal is the span of gamma·T over
-        the right-module generators gamma of the head letter (T absorbs
-        ring factors on the left, so no other products arise).
+        """Lattice of the monomial ideal, built right to left from the empty
+        monomial, the whole ring.  The ideal w = a·T of length k is the span
+        of gamma·t over the right generators gamma of the letter a and the
+        rows t of the canonical basis of the tail's ideal T (T absorbs ring
+        factors on the left, so no other products arise).  By the seed
+        identity of the module docstring,
 
-        A monomial of length k starts from r^k, not from zero: every letter
-        ideal contains r, so r^k lies in every monomial of length k, and
-        seeding with it changes no span.  Its unit pivots then take each
-        product's layers >= k off with one product, and only the lower
-        layers reach the echelon.  r^k is zero once k >= N.
+            w = r^k + P⊗I + span{gamma·t : t a row of T with pivot below layer k-1},
 
-        The canonical basis of T goes in row chunks of _PRODUCT_ENTRIES
-        entries through ``left_multiply``, and the product blocks go to one
-        ``Lattice.add`` as a stream, so its folds keep their full size; the
-        deadline is checked once per product block.  A lattice is cached
-        only when it is complete."""
+        so the lattice starts from the canonical seed r^k + P⊗I (``_seed``,
+        with P from ``_layer0_span``)
+        and only T's rows with a pivot below layer k-1, found by their
+        pivots, are multiplied: at most |G|·sum_{i<k-1} m^i of them.
+
+        Those rows go in chunks of _PRODUCT_ENTRIES entries through
+        ``left_multiply``, and the product blocks go to one ``Lattice.add``
+        as a stream, so its folds keep their full size; the deadline is
+        checked once per product block.  A lattice is cached only when it
+        is complete."""
         if mono in self._monomial_cache:
             return self._monomial_cache[mono]
-        if mono == "r" * len(mono):
-            lat = self.ideal_r(len(mono))
-        elif mono == "f":
-            lat = self.ideal_f()
-        else:
+        k = len(mono)
+        lat = self._seed(k, mono[:1])
+        if k:
             tail = self.eval_monomial(mono[1:], deadline)
-            gens = self.right_generators(mono[0])
+            stop = int(np.searchsorted(tail.pivot_cols, self.layer_offsets[min(k - 1, self.depth)]))
+            gens = self.right_generators(mono[0]) if stop else []
 
             def products():
-                for chunk in tail.basis_blocks(max(1, _PRODUCT_ENTRIES // self.rank)):
+                for chunk in tail.basis_blocks(max(1, _PRODUCT_ENTRIES // self.rank), stop):
                     for gamma in gens:
                         if deadline is not None:
                             deadline.check()
                         prod = self.left_multiply(gamma, chunk)
                         yield prod[prod.any(axis=1)]
 
-            lat = self.ideal_r(len(mono))
             lat.add(products())
         self._monomial_cache[mono] = lat
         return lat

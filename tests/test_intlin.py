@@ -273,6 +273,43 @@ class TestLattice:
             with pytest.raises(TypeError):
                 FinPresAb(n, rows)
 
+    def test_canonical_form_is_taken_as_it_stands(self):
+        # Lattice.canonical builds the lattice from a canonical basis in
+        # its stored form; it must equal the eliminated lattice
+        rng = random.Random(23)
+        for _ in range(60):
+            n = rng.randint(1, 7)
+            rows = as_lists(random_rows(rng, n, rng.randint(0, 8)), n)
+            if rng.random() < 0.3:
+                rows += [[int(i == j) for j in range(n)] for i in rng.sample(range(n), rng.randint(1, n))]
+            ref, pivots = reference_hnf(rows, n) if rows else ([], [])
+            units = [p for r, p in zip(ref, pivots) if r[p] == 1]
+            cols = [j for j in range(n) if j not in units]
+            B = [[r[j] for j in cols] for r in ref]
+            lat = Lattice.canonical(n, pivots, cols, B if ref else np.zeros((0, len(cols)), dtype=np.int64))
+            assert lat == Lattice(n, rows)
+            assert [list(map(int, r)) for r in lat.basis()] == ref
+            assert lat.pivot_cols == pivots
+
+    @pytest.mark.parametrize(
+        "n,piv,cols,B",
+        [
+            pytest.param(2, [0, 1], [0, 1], [[2, 3], [0, 2]], id="entry-above-pivot-too-large"),
+            pytest.param(2, [0, 1], [0, 1], [[2, -1], [0, 2]], id="entry-above-pivot-negative"),
+            pytest.param(2, [1], [0], [[1]], id="nonzero-left-of-pivot"),
+            pytest.param(2, [1, 0], [], np.zeros((2, 0), dtype=np.int64), id="pivots-out-of-order"),
+            pytest.param(3, [0], [1], [[0]], id="column-neither-unit-pivot-nor-in-cols"),
+            pytest.param(2, [0], [0, 1], [[1, 5]], id="unit-pivot-kept-in-cols"),
+            pytest.param(2, [0], [0, 1], [[-2, 1]], id="negative-pivot"),
+            pytest.param(2, [0], [0, 1], [[0, 1]], id="zero-pivot"),
+            pytest.param(2, [2], [0, 1], [[0, 0]], id="pivot-out-of-range"),
+            pytest.param(2, [0, 1], [], np.zeros((1, 0), dtype=np.int64), id="fewer-rows-than-pivots"),
+        ],
+    )
+    def test_canonical_refuses_a_form_that_is_not_canonical(self, n, piv, cols, B):
+        with pytest.raises(ValueError):
+            Lattice.canonical(n, piv, cols, B)
+
     def test_numpy_rows_in_bignum_lattice_stay_exact(self):
         # int64 numpy entries stored as they are in object rows would wrap
         # at 2**63 and make this vector look like a member
@@ -454,6 +491,35 @@ class TestFinPresAb:
             start = time.perf_counter()
             assert build().invariants() == expected
             assert time.perf_counter() - start < 1
+
+
+class TestAbMap:
+    def test_matrix_is_read_exactly(self):
+        # a float matrix is refused, not kept: at float64, [[2]] after
+        # [[0.5]] composed to the identity
+        z, z2 = FinPresAb.free(1), FinPresAb.free(2)
+        with pytest.raises(TypeError):
+            AbMap(z, z, [[0.5]])
+        with pytest.raises(TypeError):
+            AbMap(z, z, np.array([[2.0]]))
+        big = AbMap(z, z2, [[2**63, -1]])
+        assert big.matrix.dtype == object and big.matrix.tolist() == [[2**63, -1]]
+        assert AbMap(z, z, [[2]]).compose(AbMap(z, z, [[3]])).matrix.tolist() == [[6]]
+
+    def test_matrix_must_fit_the_groups(self):
+        z, z2 = FinPresAb.free(1), FinPresAb.free(2)
+        with pytest.raises(ValueError):
+            AbMap(z, z2, [[1, 0], [0, 1]])  # two rows on a rank-1 domain
+        with pytest.raises(ValueError):
+            AbMap(z2, z, [[1, 0], [0, 1]])  # rows of length 2 in Z^1
+        with pytest.raises(TypeError):
+            AbMap(z, z2, np.array([1, 0]))  # a flat vector
+
+    def test_empty_input_is_the_zero_map(self):
+        z2, zero = FinPresAb.free(2), FinPresAb.zero()
+        assert AbMap(z2, zero, []).matrix.shape == (2, 0)
+        assert AbMap(zero, z2, []).matrix.shape == (0, 2)
+        assert AbMap(z2, zero, np.zeros((2, 0), dtype=np.int64)).is_zero_map()
 
 
 class TestTensorTor:

@@ -1,3 +1,4 @@
+import itertools
 import random
 from pathlib import Path
 
@@ -155,6 +156,8 @@ def dense(rows, n):
     return out
 
 
+MONOMIALS = ["".join(w) for k in (1, 2, 3) for w in itertools.product("fr", repeat=k)]
+
 KERNEL_RINGS = [(name, level) for name in ("z2", "z3", "s3", "z2xz2") for level in (0, 1, 2)]
 
 
@@ -305,20 +308,20 @@ class TestIdealLattices:
     def test_z2_level0_ranks(self):
         r = ring_for("z2", 0, 2)
         assert r.rank == 4
-        assert r.ideal_f().rank == 3
-        assert r.ideal_r().rank == 2
+        assert r.eval_monomial("f").rank == 3
+        assert r.eval_monomial("r").rank == 2
 
     def test_trivial_group_depth1(self):
         r = ring_for("trivial", 0, 1)
         assert r.rank == 1
-        assert r.ideal_f().rank == 0
-        assert r.ideal_r().rank == 0
+        assert r.eval_monomial("f").rank == 0
+        assert r.eval_monomial("r").rank == 0
 
     def test_r_inside_f(self):
         for name, level, depth in [("z2", 0, 2), ("z4", 0, 3), ("s3", 1, 2)]:
             r = ring_for(name, level, depth)
-            f = r.ideal_f()
-            for row in r.ideal_r().basis():
+            f = r.eval_monomial("f")
+            for row in r.eval_monomial("r").basis():
                 assert f.contains([row])
 
     def test_r_at_depth_1_is_zero(self):
@@ -357,23 +360,32 @@ class TestIdealLattices:
         assert [list(map(int, row)) for row in lat.basis()] == basis
         assert lat.pivot_cols == pivots
 
-    @pytest.mark.parametrize("name,level", [("z3", 1), ("s3", 0)])
-    def test_r_power_seed_spans_the_products(self, name, level):
-        # at depth 3, ff and rf start from the nonzero r^2; they must
-        # contain it and still equal the span of their dict products
-        r = ring_for(name, level, 3)
-        r2 = r.ideal_r(2)
-        assert r2.rank > 0
-        for mono in ("ff", "rf"):
-            lat = r.eval_monomial(mono)
-            assert lat.contains(r2.basis())
-            gens = r.right_generators(mono[0])
-            products = [
-                terms_to_vec(r, r.multiply_terms(g, vec_to_terms(r, row)))
-                for row in r.eval_monomial(mono[1:]).basis()
-                for g in gens
-            ]
-            assert lat == Lattice(r.rank, dense(products, r.rank)), mono
+    @pytest.mark.parametrize(
+        "name,level,depths",
+        [("z2", 0, 3), ("z2", 1, 3), ("z3", 0, 3), ("z3", 1, 3), ("s3", 0, 3), ("s3", 1, 2), ("z2xz2", 0, 3)],
+        ids=["z2-0", "z2-1", "z3-0", "z3-1", "s3-0", "s3-1", "z2xz2-0"],
+    )
+    def test_r_power_seed_spans_the_products(self, name, level, depths):
+        # eval_monomial starts from r^k + P⊗I and multiplies only the tail
+        # rows below layer k - 1; every monomial of length k <= 3 must
+        # still be the span of the dict products gamma·t over the full
+        # tail basis, and contain r^k.  Depths 1 to 3 give k = 1, k = N
+        # and k > N; the tail of a letter is the whole ring.  s3 at level
+        # 1 stops at depth 2: at depth 3 (rank 2286) its r-headed oracles
+        # eliminate about 43,000 product rows each.
+        for depth in range(1, depths + 1):
+            r = ring_for(name, level, depth)
+            for mono in MONOMIALS:
+                lat = r.eval_monomial(mono)
+                r_k = np.eye(r.rank, dtype=np.int64)[r.layer_offsets[min(len(mono), depth)] :]
+                assert lat.contains(r_k), (depth, mono)
+                gens = r.right_generators(mono[0])
+                products = [
+                    terms_to_vec(r, r.multiply_terms(g, vec_to_terms(r, row)))
+                    for row in r.eval_monomial(mono[1:]).basis()
+                    for g in gens
+                ]
+                assert lat == Lattice(r.rank, dense(products, r.rank)), (depth, mono)
 
     @pytest.mark.parametrize("name,level,depth", [("z2", 0, 3), ("z2", 1, 3), ("z3", 0, 3), ("z2xz2", 0, 2)])
     def test_coordinate_r_powers(self, name, level, depth):
@@ -386,7 +398,7 @@ class TestIdealLattices:
             rows = [terms_to_vec(r, r.multiply_terms(g, vec_to_terms(r, v))) for v in prev for g in gens]
             brute = Lattice(r.rank, dense(rows, r.rank))
             lat = r.eval_monomial("r" * k)
-            assert lat == brute == r.ideal_r(k)
+            assert lat == brute
             assert lat.rank == r.rank - r.layer_offsets[min(k, depth)]
             prev = brute.basis()
 
@@ -462,7 +474,7 @@ class TestQuotients:
         c = val.c_lattice
         e_one = dense([{r.index[(0, ())]: 1}], r.rank)
         assert FinPresAb(r.rank, np.concatenate([c.basis(), e_one])).invariants() == ((), free_rank)
-        f = r.ideal_f()
+        f = r.eval_monomial("f")
         assert FinPresAb(f.rank, f.coordinates(c.basis())).invariants() == ((), free_rank)
 
 
