@@ -38,6 +38,13 @@ bounds allow it and promoted to arbitrary-precision (object dtype) arrays
 whenever an operation could overflow; a lattice basis whose entries fit is
 stored as int64 again.  Products whose partial sums stay below 2**53 run
 in float64, which is exact there.
+
+The elimination loops (``_echelon``, ``_reduce_above``) guard int64 with
+one running bound on |entry| per block, not a check per step: a step that
+takes q times a row off others raises the bound hi to hi + max|q|·hi.
+Only when it reaches 2**62 is it read again from the block, and only when
+the re-read bound of that step does too is the fold redone with Python
+ints.  So a column costs a handful of numpy calls.
 """
 
 from __future__ import annotations
@@ -133,41 +140,46 @@ def _product(a, b, bound):
     return a.astype(object) @ b.astype(object)
 
 
-def _submul(A, rows, q, head):
-    """A[rows] -= outer(q, head) in place; returns the new A[rows].  Raises
-    _Overflow instead of taking an int64 step that could overflow."""
-    block = A[rows]
-    if A.dtype != object and _maxabs(q) * _maxabs(head) + _maxabs(block) >= _I64_SAFE:
-        raise _Overflow
-    block -= np.outer(q, head)
-    A[rows] = block
-    return block
-
-
 def _echelon(W):
     """Bring W to row echelon form in place by unimodular row operations.
 
     Column by column, the live row whose entry has the least absolute value
     reduces the others' entries to remainders until one nonzero entry is
-    left, so a unit pivot clears its column in one step.  Returns (t, cols):
-    W[:t] are the echelon rows, row e with a positive pivot at column
-    cols[e], and W[t:] is zero.
+    left.  The pivot row stays in each update with quotient 0, so a step is
+    one product and one write, and a unit pivot ends its column at once.
+    Returns (t, cols): W[:t] are the echelon rows, row e with a positive
+    pivot at column cols[e], and W[t:] is zero.
+
+    An int64 step is guarded by one running bound ``hi`` on |entry| of the
+    rows and columns still to change: a step with quotients q raises it to
+    hi + max|q|·hi.  Only when that reaches 2**62 is it read again
+    (``_reread``), and only when the re-read bound of the step does too is
+    _Overflow raised instead of taking the step.
     """
     m = len(W)
+    big = W.dtype == object
+    hi = 0 if big else _maxabs(W)
     t = 0
     cols = []
     for j in np.flatnonzero(W.any(axis=0)).tolist():
         if t == m:
             break
-        live = np.flatnonzero(W[t:, j]) + t
+        live = W[t:, j].nonzero()[0] + t
         if not len(live):
             continue
         while len(live) > 1:
             vals = W[live, j]
-            i = int(np.argmin(np.abs(vals)))
-            rest = np.delete(live, i)
-            block = _submul(W[:, j:], rest, np.delete(vals, i) // vals[i], W[live[i], j:])
-            live = np.concatenate((live[i : i + 1], rest[block[:, 0] != 0]))
+            size = np.abs(vals)
+            i = int(size.argmin())
+            q = vals // vals[i]
+            q[i] = 0
+            if not big:
+                mq = int(np.abs(q).max())
+                hi += mq * hi
+                if hi >= _I64_SAFE:
+                    hi = _reread(mq, W[t:, j:], W[live, j:], W[live[i], j:])
+            W[live, j:] -= np.outer(q, W[live[i], j:])
+            live = live[i : i + 1] if size[i] == 1 else live[W[live, j] != 0]
         p = live[0]
         if p != t:
             W[[t, p]] = W[[p, t]]
@@ -178,15 +190,39 @@ def _echelon(W):
     return t, cols
 
 
+def _reread(q, rest, rows, head):
+    """The bound on |entry| after a step that takes at most q times ``head``
+    off ``rows``, read from the arrays: ``rest`` holds every entry still to
+    change.  If the bound on all of ``rest`` reaches 2**62, the step's own
+    rows decide; raises _Overflow if the step could leave int64's safe
+    range."""
+    hi = _maxabs(rest)
+    step = hi + q * hi
+    if step >= _I64_SAFE:
+        step = max(hi, _maxabs(rows) + q * _maxabs(head))
+        if step >= _I64_SAFE:
+            raise _Overflow
+    return step
+
+
 def _reduce_above(E, cols):
     """E are echelon rows with pivots at cols; bring every entry above a
     pivot into [0, pivot).  Pivots go left to right, and each step changes
-    only columns right of its own pivot."""
+    only columns right of its own pivot, under a running bound as in
+    ``_echelon``."""
+    big = E.dtype == object
+    hi = 0 if big else _maxabs(E)
     for e, j in enumerate(cols):
         q = E[:e, j] // E[e, j]
-        hit = np.flatnonzero(q)
+        hit = q.nonzero()[0]
         if len(hit):
-            _submul(E[:, j:], hit, q[hit], E[e, j:])
+            q = q[hit]
+            if not big:
+                mq = int(np.abs(q).max())
+                hi += mq * hi
+                if hi >= _I64_SAFE:
+                    hi = _reread(mq, E[:, j:], E[hit, j:], E[e, j:])
+            E[hit, j:] -= np.outer(q, E[e, j:])
 
 
 class _Hermite(NamedTuple):
@@ -250,14 +286,14 @@ def _reduce(V, hnf, coeff=None):
     top = _maxabs(R)
     i = 0
     while i < len(N):
-        ahead = np.flatnonzero(R[:, at[i:]].any(axis=0))
+        ahead = R[:, at[i:]].any(axis=0).nonzero()[0]
         if not len(ahead):
             break
         i += int(ahead[0])
         k, j = int(N[i]), int(at[i])
         p = int(B[k, j])
         q = R[:, j] // p
-        hit = np.flatnonzero(q)
+        hit = q.nonzero()[0]
         if len(hit):
             bound = top + (top // p + 1) * int(height[k])
             if R.dtype != object and bound >= _I64_SAFE:
@@ -487,20 +523,20 @@ class Lattice:
 
     # -- membership and coordinates --------------------------------------
 
-    def _solve(self, rows):
+    def _solve(self, rows, coords=False):
         """(C, R) for a block of rows V: V = C @ basis + R exactly, with R
         given on the columns without a unit pivot (it is 0 on the others)
-        and every entry of R at a pivot column in [0, pivot)."""
-        hnf = self._hnf
+        and every entry of R at a pivot column in [0, pivot).  C is built
+        only when ``coords`` asks for it, else it is None."""
         V = int_block(rows, self.n)
-        if _is_big(hnf):
+        if _is_big(self._hnf):
             V = V.astype(object)
-        try:
-            coeff = np.zeros((len(V), self.rank), dtype=V.dtype)
-            return coeff, _reduce(V, hnf, coeff)
-        except _Overflow:
-            coeff = np.zeros((len(V), self.rank), dtype=object)
-            return coeff, _reduce(V.astype(object), hnf, coeff)
+        while True:
+            coeff = np.zeros((len(V), self.rank), dtype=V.dtype) if coords else None
+            try:
+                return coeff, _reduce(V, self._hnf, coeff)
+            except _Overflow:
+                V = V.astype(object)
 
     def reduce(self, rows):
         """The canonical representatives of a block of rows modulo the
@@ -517,7 +553,7 @@ class Lattice:
     def coordinates(self, rows):
         """The block of rows in the canonical basis, as a (len(rows), rank)
         array C with rows = C @ basis; None if any row lies outside."""
-        coeff, rem = self._solve(rows)
+        coeff, rem = self._solve(rows, coords=True)
         return None if rem.any() else coeff
 
     def __eq__(self, other):

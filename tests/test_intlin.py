@@ -320,6 +320,33 @@ class TestLattice:
         assert not lat.contains([vec])
         assert lat.coordinates([vec]) is None
 
+    def test_reduce_and_contains_build_no_coordinates(self, monkeypatch):
+        # only coordinates needs the (len(rows), rank) coefficient block
+        built = []
+        reduce = intlin._reduce
+
+        def recorded(V, hnf, coeff=None):
+            built.append(coeff is not None)
+            return reduce(V, hnf, coeff)
+
+        lat = Lattice(3, [[2, 1, 0], [0, 3, 1]])
+        monkeypatch.setattr(intlin, "_reduce", recorded)
+        assert lat.reduce([[2, 4, 1]]).tolist() == [[0, 0, 0]]
+        assert lat.contains([[2, 4, 1]])
+        assert built == [False, False]
+        assert lat.coordinates([[2, 4, 1]]).tolist() == [[1, 1]]
+        assert built == [False, False, True]
+
+    def test_reduction_that_would_wrap_is_redone_exactly(self):
+        # the unit row (1, 2**61) takes 2**61 times itself off (2**61, 0):
+        # -2**122 is far outside int64
+        lat = Lattice(2, [[1, 2**61]])
+        assert not lat.big
+        assert [int(c) for c in lat.reduce([[2**61, 0]])[0]] == [0, -(2**122)]
+        assert not lat.contains([[2**61, 0]])
+        assert lat.contains([[2**61, 2**122]])
+        assert lat.coordinates([[2**61, 0]]) is None
+
     def test_intersection_and_sum(self):
         a = Lattice(2, [[2, 0], [0, 1]])
         b = Lattice(2, [[3, 0], [0, 1]])
@@ -348,6 +375,66 @@ class TestLattice:
                     if b.contains([v]):
                         assert inter.contains([v])
                         break
+
+
+# int64 rows whose elimination crosses 2**62: the first in _echelon (3
+# takes (2**60 + 1) // 3 times the row (3, 2**61) off), the second only in
+# _reduce_above (2**60 times the row (0, 2, 2**61 - 1) comes off the row
+# above it)
+WRAPPING_ROWS = {
+    "_echelon": [[3, 2**61], [2**60 + 1, 5]],
+    "_reduce_above": [[1, 2**61, 0], [0, 2, 2**61 - 1]],
+}
+
+
+def _count_overflows(monkeypatch, names):
+    """Patch the named intlin routines to count the _Overflow each raises."""
+    raised = dict.fromkeys(names, 0)
+    for name in names:
+        fn = getattr(intlin, name)
+
+        def counted(*args, fn=fn, name=name):
+            try:
+                return fn(*args)
+            except intlin._Overflow:
+                raised[name] += 1
+                raise
+
+        monkeypatch.setattr(intlin, name, counted)
+    return raised
+
+
+class TestInt64Guard:
+    @pytest.mark.parametrize("where", sorted(WRAPPING_ROWS))
+    def test_a_step_that_would_wrap_is_redone_with_python_ints(self, where, monkeypatch):
+        rows = WRAPPING_ROWS[where]
+        n = len(rows[0])
+        raised = _count_overflows(monkeypatch, ["_merge", "_echelon", "_reduce_above"])
+        lat = Lattice(n, np.array(rows, dtype=np.int64))
+        assert raised == {"_merge": 1, "_echelon": 0, "_reduce_above": 0, where: 1}
+        basis, pivots = reference_hnf(rows, n)
+        assert [list(map(int, r)) for r in lat.basis()] == basis
+        assert lat.pivot_cols == pivots
+        assert lat.big
+
+    def test_a_bound_past_2_62_is_read_again_before_promoting(self, monkeypatch):
+        # small entries whose running bound passes 2**62 again and again:
+        # each time it is read again from the block, and no fold leaves int64
+        rows = np.random.default_rng(3).integers(-3, 4, size=(100, 10))
+        raised = _count_overflows(monkeypatch, ["_merge"])
+        rereads = []
+        reread = intlin._reread
+
+        def recorded(*args):
+            rereads.append(args[0])
+            return reread(*args)
+
+        monkeypatch.setattr(intlin, "_reread", recorded)
+        lat = Lattice(10, rows)
+        assert rereads
+        assert raised == {"_merge": 0}
+        assert not lat.big
+        assert [list(map(int, r)) for r in lat.basis()] == reference_hnf(rows.tolist(), 10)[0]
 
 
 def test_dimension_mismatch_raises():

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from functools import lru_cache
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -12,10 +13,12 @@ from hypothesis import strategies as st
 
 from frlimits import intlin
 from frlimits.frcode import max_monomial_length, parse, required_truncation
-from frlimits.intlin import FinPresAb, tensor_Z, tor_Z
-from frlimits.limits import higher_limits
+from frlimits.intlin import AbMap, FinPresAb, tensor_Z, tor_Z
+from frlimits.limits import alternate_sum_complex, assemble, higher_limits
 from frlimits.permgrp import group_from_spec, load_group_file
 from frlimits.truncring import GroupContext
+
+from oracles import reference_hnf
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 GROUP_DIR = SRC / "frlimits" / "groups"
@@ -212,7 +215,30 @@ else:
 for name, code in (("z2", "rr+frf"), ("z3", "fff")):
     report = higher_limits(parse(code), load_group_file(f"{sys.argv[1]}/{name}.json"))
     print(" | ".join(g.describe() for g in report.lims))
+
+# int64 rows whose elimination crosses 2**62: the guard must still see it
+import numpy as np
+from frlimits import intlin
+
+overflows = []
+merge = intlin._merge
+
+
+def counted(*args):
+    try:
+        return merge(*args)
+    except intlin._Overflow:
+        overflows.append(1)
+        raise
+
+
+intlin._merge = counted
+rows = [[3, 2**61], [2**60 + 1, 5]]
+print(intlin.Lattice(2, np.array(rows, dtype=np.int64)).basis().tolist(), len(overflows))
 """
+
+# the int64 rows of OPTIMIZED_SCRIPT whose elimination crosses 2**62
+WRAPPING_ROWS = [[3, 2**61], [2**60 + 1, 5]]
 
 
 def test_validation_and_answers_survive_python_O():
@@ -225,4 +251,56 @@ def test_validation_and_answers_survive_python_O():
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["0 | Z/2 | Z | 0", "0 | 0 | 0 | 0"]
+    assert done.stdout.splitlines() == [
+        "0 | Z/2 | Z | 0",
+        "0 | 0 | 0 | 0",
+        f"{reference_hnf(WRAPPING_ROWS, 2)[0]} 1",
+    ]
+
+
+@pytest.mark.parametrize(
+    "name,code", [("s3", "rr+fff"), ("z3", "fff"), ("z3", "rrr"), ("z4", "fff")]
+)
+def test_bench_cases_fold_without_promotion(name, code, monkeypatch):
+    # every fold of these cases fits int64; a running bound so loose that
+    # a fold is redone with Python ints would change no answer, only the time
+    folds, overflows = [], []
+    merge = intlin._merge
+
+    def counted(*args):
+        folds.append(1)
+        try:
+            return merge(*args)
+        except intlin._Overflow:
+            overflows.append(1)
+            raise
+
+    monkeypatch.setattr(intlin, "_merge", counted)
+    group = context(name).group
+    higher_limits(parse(code), group, ctx=GroupContext(group))
+    assert folds
+    assert not overflows
+
+
+def test_a_corrupt_coface_fails_the_cosimplicial_identities():
+    # on z3 the levels of f/rrr are free, so one changed entry of a coface
+    # changes the map, and an identity with it on one side only fails
+    X = assemble(parse("rrr"), context("z3").group, 3, ctx=context("z3"))
+    assert all(g.relations.rank == 0 for g in X.levels)
+    d = X.d[(0, 0)]
+    matrix = d.matrix.copy()
+    matrix[0, 0] += 1
+    X.d[(0, 0)] = AbMap(d.dom, d.cod, matrix)
+    with pytest.raises(AssertionError, match="coface identity"):
+        X.verify_cosimplicial_identities()
+
+
+def test_an_alternate_sum_that_does_not_square_to_zero_is_refused():
+    # cofaces Z -> Z with d0 - d1 = 1 and d0 - d1 + d2 = 1, so d^2 = 1
+    z = FinPresAb.free(1)
+    entries = {(0, 0): 2, (0, 1): 1, (1, 0): 1, (1, 1): 0, (1, 2): 0}
+    X = SimpleNamespace(
+        D=2, levels=[z, z, z], d={key: AbMap(z, z, [[c]]) for key, c in entries.items()}
+    )
+    with pytest.raises(AssertionError, match="square to zero"):
+        alternate_sum_complex(X)
