@@ -182,7 +182,11 @@ class LevelPresentation:
 
     The coset space is G itself; the transversal is the BFS tree over
     letters ordered (copy asc, generator asc, positive before negative),
-    so transversal words are prefix-closed and reduced.
+    so transversal words are prefix-closed and reduced.  Every copy acts
+    on G alike, so a copy-0 letter reaches each element first: every
+    transversal word uses copy-0 letters only, and the transversal is
+    the same at every level.  The relabelling structure maps of
+    ``truncring`` rely on this.
     """
 
     def __init__(self, group, p):

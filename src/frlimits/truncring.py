@@ -37,6 +37,18 @@ canonical basis of P tensored with the identity, then the unit rows of
 the layers >= k, is canonical as it stands, so that seed is built with
 no elimination and only the tail's rows below layer k-1 are multiplied.
 
+A presentation morphism phi sends (g, J) to phi(s(g))·prod phi(t_j)
+(``word_images``).  The transversal uses copy-0 letters only and is the
+same at every level (``LevelPresentation``).  So a hom that fixes copy 0
+and sends each generator to a generator (every coface d^j with j >= 1,
+and every codegeneracy) fixes every s(g), and it sends the Schreier
+generator of edge (g, c, i) to that of edge (g, c', i), or to 1 when that
+is a tree edge.  Such a hom relabels basis words: (g, J) goes to
+(g, sigma(J)), or to 0 if some rho_j in J goes to 1, and its images are
+unit rows read off an index map.  The test is made on the words, not on
+the coface index; d^0 moves copy 0 and takes the general path of
+products (on the trivial group, with s empty, it relabels too).
+
 A ring element is a term dict {(g, J): c} over the basis words, with no
 zero coefficient; ``multiply_terms`` multiplies two of them.
 
@@ -137,10 +149,10 @@ class TruncatedRing:
         self._conj = {}
         self._cocycle = {}
         self._section_products = {}
-        self._layer0_spans = {}
         self._monomial_cache = {}
         self._code_cache = {}
         self._hom_images = {}
+        self._relabellings = {}
 
     def __repr__(self):
         return (
@@ -329,25 +341,24 @@ class TruncatedRing:
         raise ValueError(f"unknown letter {letter!r}")
 
     def _layer0_span(self, letter):
-        """P for a letter: the span in Z^|G| of the layer-0 parts of
-        gamma·s(h) over its right generators gamma and h in G, memoized
-        per letter.  A term (g, J) of gamma with |J| > 0 takes s(h) into
-        the layers >= |J|, so these are the layer-0 parts of the products
-        gamma_0·s(h) (``section_products``), with gamma_0 the layer-0 terms
-        of gamma; for r, gamma_0 = 0."""
-        if letter not in self._layer0_spans:
-            prods = [
-                p
-                for gamma in self.right_generators(letter)
-                for p in self.section_products({bw: c for bw, c in gamma.items() if not bw[1]})
-            ]
-            rows = np.zeros((len(prods), self.lp.group.order), dtype=object)
-            for row, prod in zip(rows, prods):
-                for (g, J), c in prod.items():
-                    if not J:
-                        row[g] = c
-            self._layer0_spans[letter] = Lattice(self.lp.group.order, rows[(rows != 0).any(axis=1)])
-        return self._layer0_spans[letter]
+        """P for a letter, as its canonical basis and the pivot column of
+        each row: the span in Z^|G| of the layer-0 parts of gamma·s(h)
+        over its right generators gamma and h in G.  A term (g, J) of
+        gamma with |J| > 0 takes s(h) into the layers >= |J|, so only the
+        layer-0 part gamma_0 of gamma counts.  For r, gamma_0 = 0, so
+        P = 0.  For f, gamma = x - 1 has gamma_0 = (g_x, ()) - (0, ()),
+        with g_x the image of x in G, and the layer-0 part of gamma_0·s(h)
+        is e_{g_x·h} - e_h.  The generators x map onto G, so these span
+        the augmentation ideal I_G, whose canonical rows are
+        e_g - e_{|G|-1} for g < |G| - 1."""
+        order = self.lp.group.order
+        if letter == "r":
+            return np.zeros((0, order), dtype=np.int64), np.zeros(0, dtype=np.intp)
+        if letter == "f":
+            H = np.eye(order - 1, order, dtype=np.int64)
+            H[:, -1] = -1
+            return H, np.arange(order - 1)
+        raise ValueError(f"unknown letter {letter!r}")
 
     def _seed(self, k, letter):
         """The lattice r^k + P⊗I of the module docstring, for a monomial of
@@ -361,8 +372,7 @@ class TruncatedRing:
         hp = np.zeros(0, dtype=np.intp)
         if 0 < k <= depth:
             lo, M = off[k - 1], self.lp.num_schreier_gens ** (k - 1)
-            P = self._layer0_span(letter)
-            H, hp = P.basis(), np.array(P.pivot_cols, dtype=np.intp)
+            H, hp = self._layer0_span(letter)
         # word (g, K) of layer k-1 sits at lo + g·M + idx(K); row (i, K) of
         # P⊗I is H[i, g] there, and B holds it on the g that are no unit pivot
         keep = np.ones(order, dtype=bool)
@@ -500,11 +510,46 @@ class FunctorValue:
         self.group = FinPresAb(len(self.gens), rel_rows)
 
 
+def _relabelling(hom, src_ring, tgt_ring):
+    """The target index of each basis word of src_ring when the hom
+    relabels basis words, -1 for a word it sends to 0, or None when it
+    does not (see the module docstring).
+
+    The test is on the words: phi(s(g)) must be the target's s(g) for
+    every g, and each phi(rho_j) must be 1 or a target Schreier generator
+    rho'_sigma(j) (sigma(j) = -1 for 1).  Then (g, J) goes to (g, sigma(J)),
+    or to 0 if some sigma(j) is -1.  The map is built a layer at a time
+    from the layout: position s of layer k, extended by j, is s·m + j."""
+    src, tgt = src_ring.lp, tgt_ring.lp
+    if src_ring.depth != tgt_ring.depth:
+        return None
+    if any(hom.apply(s) != tgt.transversal[g] for g, s in enumerate(src.transversal)):
+        return None
+    target = {rho: j for j, rho in enumerate(tgt.schreier_gens)}
+    target[freegrp.IDENTITY] = -1
+    sigma = [target.get(hom.apply(rho)) for rho in src.schreier_gens]
+    if None in sigma:
+        return None
+    sigma = np.array(sigma, dtype=np.intp)
+    pos = np.arange(src.group.order)
+    parts = []
+    for k, off in enumerate(tgt_ring.layer_offsets[:-1]):
+        if k:
+            ok = (pos[:, None] >= 0) & (sigma >= 0)
+            pos = np.where(ok, pos[:, None] * tgt.num_schreier_gens + sigma, -1).ravel()
+        parts.append(np.where(pos >= 0, pos + off, -1))
+    return np.concatenate(parts)
+
+
 def word_images(hom, src_ring, tgt_ring, words):
     """Images of the basis words of src_ring with the given indices under a
     presentation morphism, as one (len(words), tgt_ring.rank) block.
 
-    The image of (g, J+(j,)) is the image of its prefix (g, J) times
+    A hom that relabels basis words (``_relabelling``; every coface but
+    d^0 and every codegeneracy) gives unit rows, or zero rows, read off
+    its word map, memoized per (hom, source depth) in the target ring's
+    ``_relabellings``.  Any other hom takes the general path: the
+    image of (g, J+(j,)) is the image of its prefix (g, J) times
     phi(t_j), the normal form of phi(rho_j) - 1.  The hom commutes with
     the projections to G, so phi(rho_j) lies over the identity and phi(t_j)
     has only terms (0, L): the product is ``right_multiply``, a sum of
@@ -514,9 +559,21 @@ def word_images(hom, src_ring, tgt_ring, words):
     (prefixes included) and each phi(t_j) are memoized per hom in the
     target ring's ``_hom_images``.
     """
+    words = np.asarray(words, dtype=np.intp)
+    rank = tgt_ring.rank
+    key = (hom, src_ring.depth)
+    if key not in tgt_ring._relabellings:
+        tgt_ring._relabellings[key] = _relabelling(hom, src_ring, tgt_ring)
+    where = tgt_ring._relabellings[key]
+    if where is not None:
+        out = np.zeros((len(words), rank), dtype=np.int64)
+        dst = where[words]
+        hit = (dst >= 0).nonzero()[0]
+        out[hit, dst[hit]] = 1
+        return out
     memo, diffs = tgt_ring._hom_images.setdefault(hom, ({}, {}))
-    lp, rank = src_ring.lp, tgt_ring.rank
-    wanted = [src_ring.basis[k] for k in np.asarray(words).tolist()]
+    lp = src_ring.lp
+    wanted = [src_ring.basis[k] for k in words.tolist()]
     if not wanted:
         return np.zeros((0, rank), dtype=np.int64)
     layers = [set() for _ in range(src_ring.depth)]

@@ -203,6 +203,7 @@ from frlimits.freegrp import FreeHom, gen_word
 from frlimits.frcode import parse
 from frlimits.limits import higher_limits
 from frlimits.permgrp import load_group_file
+from frlimits.truncring import GroupContext
 
 if __debug__:
     sys.exit("asserts are still on")
@@ -213,8 +214,13 @@ except ValueError:
 else:
     sys.exit("a FreeHom with too few images was accepted")
 for name, code in (("z2", "rr+frf"), ("z3", "fff")):
-    report = higher_limits(parse(code), load_group_file(f"{sys.argv[1]}/{name}.json"))
+    ctx = GroupContext(load_group_file(f"{sys.argv[1]}/{name}.json"))
+    report = higher_limits(parse(code), ctx.group, ctx=ctx)
     print(" | ".join(g.describe() for g in report.lims))
+
+# how many structure maps of z3 fff relabel basis words, of how many
+maps = [w for ring in ctx._rings.values() for w in ring._relabellings.values()]
+print(sum(w is not None for w in maps), len(maps))
 
 # int64 rows whose elimination crosses 2**62: the guard must still see it
 import numpy as np
@@ -254,6 +260,7 @@ def test_validation_and_answers_survive_python_O():
     assert done.stdout.splitlines() == [
         "0 | Z/2 | Z | 0",
         "0 | 0 | 0 | 0",
+        "12 15",
         f"{reference_hnf(WRAPPING_ROWS, 2)[0]} 1",
     ]
 

@@ -134,6 +134,18 @@ class TestLevelPresentation:
                         letters = freegrp.word_letters(w)[:k]
                         assert freegrp.reduce_word(letters) in words
 
+    @pytest.mark.parametrize("name", ["trivial", "z2", "z2_rank2", "z3", "z4", "z2xz2", "s3"])
+    def test_transversal_uses_copy_0_only(self, name):
+        # every copy acts on G alike, so the BFS reaches each element by a
+        # copy-0 letter first, and the transversal is level 0's at every
+        # level; truncring's relabelling structure maps rely on this
+        g = load(name)
+        level0 = LevelPresentation(g, 0).transversal
+        for p in (0, 1, 2, 3):
+            lp = LevelPresentation(g, p)
+            assert all(c == 0 for w in lp.transversal for c, _, _ in w)
+            assert lp.transversal == level0
+
     def test_nielsen_schreier_rank(self):
         for name in ("trivial", "z2", "z3", "z4", "z2xz2", "s3"):
             g = load(name)

@@ -16,6 +16,7 @@ from frlimits.permgrp import LevelPresentation, load_group_file
 from frlimits.truncring import (
     FunctorValue,
     TruncatedRing,
+    _relabelling,
     induced_map,
     word_images,
 )
@@ -268,22 +269,41 @@ class TestRightMultiply:
             r.right_multiply(V, {(0, ()): 1, (1, ()): 2})
 
 
+def assert_word_images(hom, src, tgt, words):
+    """word_images against the per-word product s(g)·prod(phi(rho_j) - 1)
+    of the oracle, once and again from the memo."""
+    expected = dense([terms_to_vec(tgt, word_image_terms(hom, src, tgt, k)) for k in words], tgt.rank)
+    assert np.array_equal(word_images(hom, src, tgt, words), expected)
+    assert np.array_equal(word_images(hom, src, tgt, words[:3]), expected[:3])
+
+
 @pytest.mark.parametrize("name", ["z2", "z3", "s3", "z2xz2"])
 @pytest.mark.parametrize("depth", [1, 2, 3])
 def test_word_images_match_the_dict_products(name, depth):
-    # every basis word under both cofaces from level 0 to level 1 and the
-    # codegeneracy back, against the per-word product
-    # s(g)·prod(phi(rho_j) - 1) of the oracle
+    # every coface from level p to p + 1 and every codegeneracy back, for
+    # p = 0, 1, 2, on every basis word or on 200 drawn at random; exactly
+    # the homs other than d^0 relabel basis words
     rank = load_group_file(GROUP_DIR / f"{name}.json").ngens
-    lower, upper = ring_for(name, 0, depth), ring_for(name, 1, depth)
-    homs = [(freegrp.coface(0, i, rank), lower, upper) for i in (0, 1)]
-    homs.append((freegrp.codegeneracy(0, 0, rank), upper, lower))
-    for hom, src, tgt in homs:
-        words = np.arange(src.rank)[::-1]
-        expected = dense([terms_to_vec(tgt, word_image_terms(hom, src, tgt, k)) for k in words], tgt.rank)
-        assert np.array_equal(word_images(hom, src, tgt, words), expected)
-        # a second call reads the memo
-        assert np.array_equal(word_images(hom, src, tgt, words[:3]), expected[:3])
+    rng = np.random.default_rng(5)
+    rings = [ring_for(name, p, depth) for p in range(4)]
+    for p in range(3):
+        homs = [(freegrp.coface(p, i, rank), rings[p], rings[p + 1]) for i in range(p + 2)]
+        homs += [(freegrp.codegeneracy(p, j, rank), rings[p + 1], rings[p]) for j in range(p + 1)]
+        for n, (hom, src, tgt) in enumerate(homs):
+            assert (_relabelling(hom, src, tgt) is None) == (n == 0), (p, n)
+            words = np.arange(src.rank)[::-1]
+            if len(words) > 200:
+                words = rng.choice(words, 200, replace=False)
+            assert_word_images(hom, src, tgt, words)
+    # fixing copy 0 is not enough: with the copy-1 generators conjugated
+    # by a copy-0 letter, the Schreier generators of copy-1 edges go to no
+    # Schreier generator, and the hom takes the general path
+    images = [freegrp.gen_word(0, i) for i in range(rank)]
+    images += [freegrp.mul(freegrp.gen_word(0, i), freegrp.gen_word(1, i), freegrp.gen_word(0, i, -1))
+               for i in range(rank)]
+    hom = freegrp.FreeHom(2, rank, 2, rank, tuple(images))
+    assert _relabelling(hom, rings[1], rings[1]) is None
+    assert_word_images(hom, rings[1], rings[1], np.arange(rings[1].rank)[::-1])
 
 
 class TestRingRank:
@@ -359,6 +379,24 @@ class TestIdealLattices:
         basis, pivots = reference_hnf(products, r.rank)
         assert [list(map(int, row)) for row in lat.basis()] == basis
         assert lat.pivot_cols == pivots
+
+    @pytest.mark.parametrize("name", ["trivial", "z2", "z2_rank2", "z3", "z4", "z2xz2", "s3"])
+    def test_layer0_span_is_the_eliminated_span(self, name):
+        # P in closed form (I_G for f, 0 for r) against the span of the
+        # layer-0 parts of gamma_0·s(h), eliminated by the oracle
+        for level, depth in itertools.product((0, 1, 2), (1, 2, 3)):
+            r = ring_for(name, level, depth)
+            order = r.lp.group.order
+            for letter in "fr":
+                rows = []
+                for gamma in r.right_generators(letter):
+                    gamma_0 = {bw: c for bw, c in gamma.items() if not bw[1]}
+                    for prod in r.section_products(gamma_0):
+                        rows.append([prod.get((g, ()), 0) for g in range(order)])
+                basis, pivots = reference_hnf(rows, order)
+                H, hp = r._layer0_span(letter)
+                assert H.tolist() == basis, (level, depth, letter)
+                assert hp.tolist() == pivots
 
     @pytest.mark.parametrize(
         "name,level,depths",
