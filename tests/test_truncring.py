@@ -281,8 +281,9 @@ def assert_word_images(hom, src, tgt, words):
 @pytest.mark.parametrize("depth", [1, 2, 3])
 def test_word_images_match_the_dict_products(name, depth):
     # every coface from level p to p + 1 and every codegeneracy back, for
-    # p = 0, 1, 2, on every basis word or on 200 drawn at random; exactly
-    # the homs other than d^0 relabel basis words
+    # p = 0, 1, 2, on every basis word for p = 0 and on every word or 200
+    # drawn at random for p = 1, 2; exactly the homs other than d^0 relabel
+    # basis words
     rank = load_group_file(GROUP_DIR / f"{name}.json").ngens
     rng = np.random.default_rng(5)
     rings = [ring_for(name, p, depth) for p in range(4)]
@@ -292,7 +293,7 @@ def test_word_images_match_the_dict_products(name, depth):
         for n, (hom, src, tgt) in enumerate(homs):
             assert (_relabelling(hom, src, tgt) is None) == (n == 0), (p, n)
             words = np.arange(src.rank)[::-1]
-            if len(words) > 200:
+            if p and len(words) > 200:
                 words = rng.choice(words, 200, replace=False)
             assert_word_images(hom, src, tgt, words)
     # fixing copy 0 is not enough: with the copy-1 generators conjugated
