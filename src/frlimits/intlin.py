@@ -864,8 +864,7 @@ def _kernel_lattice(G, R_C):
     [G; R_C]: b G = -y R_C exactly says that b G dies in the quotient.
     """
     nb, nc = len(G), G.shape[1]
-    M = np.concatenate([G, R_C])
-    return Lattice(nb, _lower_block(_augmented(M, nc), nc, nc + len(M))[:, :nb])
+    return Lattice(nb, kernel_of_matrix(np.concatenate([G, R_C]), nc)[:, :nb])
 
 
 def homology_at(f, g):

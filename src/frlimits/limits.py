@@ -153,24 +153,19 @@ def moore_complex(X):
     return CochainComplex(levels, maps)
 
 
-def assemble(code, group, top_degree, trunc_n=None, rank_cap=None, deadline=None,
-             ctx=None):
+def assemble(code, group, top_degree, deadline=None, ctx=None):
     """Build the cosimplicial abelian group for the code on levels
-    0..top_degree of the standard complex of G's base presentation."""
+    0..top_degree of the standard complex of G's base presentation, in
+    the rings truncated at the code's faithful depth.  A given context
+    must be one of the same group object."""
     code = normalize(code)
-    if trunc_n is None:
-        trunc_n = required_truncation(code)
-    if trunc_n < required_truncation(code):
-        raise ValueError(
-            f"truncation {trunc_n} below the faithful depth "
-            f"{required_truncation(code)}"
-        )
     if top_degree < 1:
         raise ValueError("top_degree must be at least 1")
     if ctx is None:
-        kwargs = {} if rank_cap is None else {"rank_cap": rank_cap}
-        ctx = GroupContext(group, **kwargs)
-    return CosimplicialAb(code, ctx, top_degree, trunc_n, deadline=deadline)
+        ctx = GroupContext(group)
+    elif ctx.group is not group:
+        raise ValueError(f"the context is one of {ctx.group.name}, not of {group.name}")
+    return CosimplicialAb(code, ctx, top_degree, required_truncation(code), deadline=deadline)
 
 
 def code_lattice_equalizer_rank(X):
@@ -231,8 +226,8 @@ class LimitsReport:
         }
 
 
-def higher_limits(code, group, top_degree=None, trunc_n=None, rank_cap=None,
-                  deadline=None, ctx=None, cross_validate=False):
+def higher_limits(code, group, top_degree=None, deadline=None, ctx=None,
+                  cross_validate=False):
     """lim^i(code) for 0 <= i <= top_degree over Pres(G).
 
     lim^0 = 0 (the code embeds in f, whose limits vanish) and
@@ -249,8 +244,7 @@ def higher_limits(code, group, top_degree=None, trunc_n=None, rank_cap=None,
     if top_degree is None:
         top_degree = max(1, max_monomial_length(code))
     deadline = deadline or Deadline()
-    X = assemble(code, group, top_degree, trunc_n=trunc_n, rank_cap=rank_cap,
-                 deadline=deadline, ctx=ctx)
+    X = assemble(code, group, top_degree, deadline=deadline, ctx=ctx)
     deadline.check()
     Q = moore_complex(X)
     lims = [FinPresAb.zero()]

@@ -1,5 +1,5 @@
 """Finite groups realized by permutations, and the level presentations of
-the standard complex: coset tables, Schreier transversals, Schreier free
+the standard complex: Schreier transversals, Schreier free
 generators of R = ker(F ->> G), and Reidemeister-Schreier rewriting.
 
 G is specified by generator permutations, never by relators: R is the
@@ -196,13 +196,8 @@ class LevelPresentation:
         rank = self.base_rank = group.ngens
 
         n = group.order
-        # coset action per (copy, gen) is the base right-multiplication
+        # every copy of a generator acts on the cosets G as the base one
         gen_elt = [group.gen_element(i) for i in range(rank)]
-        self.coset_table = {
-            (c, i): tuple(group.mul(g, gen_elt[i]) for g in range(n))
-            for c in range(self.copies)
-            for i in range(rank)
-        }
 
         letters = [
             (c, i, sign)
@@ -315,7 +310,7 @@ class LevelPresentation:
 # -- group spec files ----------------------------------------------------------
 
 
-def group_from_spec(spec, cap=DEFAULT_ELEMENT_CAP):
+def group_from_spec(spec):
     """Build GroupData from a parsed spec dict.
 
     Spec schema: {"name": str, "generators": [str], "images": [[int]]
@@ -345,7 +340,6 @@ def group_from_spec(spec, cap=DEFAULT_ELEMENT_CAP):
         zero_based,
         name=spec.get("name", "G"),
         declared_order=spec.get("order"),
-        cap=cap,
     )
     relators = spec.get("relators", []) or []
     if relators:
@@ -359,10 +353,10 @@ def group_from_spec(spec, cap=DEFAULT_ELEMENT_CAP):
     return group
 
 
-def load_group_file(path, cap=DEFAULT_ELEMENT_CAP):
+def load_group_file(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             spec = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read group spec {path}: {exc}") from exc
-    return group_from_spec(spec, cap=cap)
+    return group_from_spec(spec)

@@ -12,10 +12,11 @@ of layer k and idx(J) reads J as a base-m number; idx(J+K) =
 idx(J)·m^|K| + idx(K).  Right multiplication by t_K is a shift,
 (g, J)·t_K = (g, J+K), zero once |J| + |K| >= N, so it moves the words
 (g, J+K) for all K of one length as one contiguous slice.  Hence
-r^k is the span of the words with |J| >= k, and a·(h, K) = (a·s(h))·t_K
-multiplies a whole block of ring vectors on the left by slice-adds
-(``TruncatedRing.left_multiply``).  An element of the identity component,
-sum c_L·t_L, multiplies on the right as a sum of strided shifts: word
+r^k is the span of the words with |J| >= k, and (w - 1)·(h, K) =
+((w - 1)·s(h))·t_K, for a group word w, multiplies a whole block of
+ring vectors on the left by slice-adds (``TruncatedRing.left_multiply``).
+An element of the identity component, sum c_L·t_L, multiplies on the
+right as a sum of strided shifts: word
 (h, K) at position s of layer k goes to position s·m^|L| + idx(L) of
 layer k + |L|, so each (term, layer) is one slice-add with stride m^|L|
 (``TruncatedRing.right_multiply``).
@@ -29,7 +30,8 @@ gamma·s(h) shifted by t_K.  Hence
 
     w = r^k + P⊗I + span{gamma·t : t a row of T with pivot below layer k-1},
 
-with gamma over the right generators of the letter a and P the span in
+with gamma = u - 1 over the right generators u of the letter a (group
+words: the generators x of F for f, the rho_j for r) and P the span in
 Z^|G| of the layer-0 parts of the gamma·s(h), h in G: the augmentation
 ideal of Z[G] for f, 0 for r.  P⊗I puts a row v of P at (g, K) -> v_g
 for every K of length k-1.  At g·m^(k-1) + idx(K) in layer k-1, the
@@ -50,12 +52,9 @@ the coface index; d^0 moves copy 0 and takes the general path of
 products (on the trivial group, with s empty, it relabels too).
 
 A ring element is a term dict {(g, J): c} over the basis words, with no
-zero coefficient; ``multiply_terms`` multiplies two of them.
-
-The identity-component subalgebra is a truncated free polynomial algebra
-in the t_j; group sections commute past it via
-(rho-1)·s(h) = s(h)·(s(h)^{-1} rho s(h) - 1), with conjugates re-rewritten
-in Schreier generators and memoized.
+zero coefficient, and every one the code forms is the normal form of a
+group word (``normal_form``), or such a normal form moved by the shifts of
+``left_multiply`` and ``right_multiply``.
 """
 
 from __future__ import annotations
@@ -102,18 +101,13 @@ def poly_mul(a, b, depth):
     return out
 
 
-def poly_drop_constant(p):
-    out = dict(p)
-    out.pop((), None)
-    return out
-
-
 class TruncatedRing:
     """Ambient (level presentation, truncation depth N); frozen after init.
 
-    Memo tables (cocycles, conjugates, power series, section products) are
-    populated lazily; they are keyed by group elements, Schreier indices and
-    ring elements' terms only, so results never depend on call order.
+    Memo tables (power series, section products, monomial and code
+    lattices, hom images and relabellings) are populated lazily; they are
+    keyed by Schreier indices, group words, monomials, codes and homs only,
+    so results never depend on call order.
     """
 
     def __init__(self, lp, depth, rank_cap=DEFAULT_RANK_CAP):
@@ -146,8 +140,6 @@ class TruncatedRing:
             raise AssertionError(f"{self.rank} basis words, but the ring rank is {rank}")
 
         self._rho_power = {}
-        self._conj = {}
-        self._cocycle = {}
         self._section_products = {}
         self._monomial_cache = {}
         self._code_cache = {}
@@ -186,99 +178,48 @@ class TruncatedRing:
             poly = poly_mul(poly, self.rho_power_poly(j, sign), self.depth)
         return poly
 
-    def _expand_relator_word(self, word):
-        return self.expand_schreier_word(self.lp.rewrite_in_R(word))
-
-    def conj_poly(self, j, h):
-        """Expansion of s(h)^{-1} rho_j s(h); memoized per (j, h)."""
-        key = (j, h)
-        if key not in self._conj:
-            s_h = self.lp.transversal[h]
-            word = freegrp.mul(
-                freegrp.inv(s_h), self.lp.schreier_gens[j], s_h
-            )
-            self._conj[key] = self._expand_relator_word(word)
-        return self._conj[key]
-
-    def cocycle_poly(self, g, h):
-        """Expansion of s(gh)^{-1} s(g) s(h); memoized per (g, h)."""
-        key = (g, h)
-        if key not in self._cocycle:
-            lp = self.lp
-            gh = lp.group.mul(g, h)
-            word = freegrp.mul(
-                freegrp.inv(lp.transversal[gh]),
-                lp.transversal[g],
-                lp.transversal[h],
-            )
-            self._cocycle[key] = self._expand_relator_word(word)
-        return self._cocycle[key]
-
     def normal_form(self, word):
         """Class of the group word in the filtration basis, as terms: factor
         through the transversal, rewrite the relator part, expand."""
         g = self.lp.eval_word(word)
         u = freegrp.mul(freegrp.inv(self.lp.transversal[g]), word)
-        poly = self._expand_relator_word(u)
+        poly = self.expand_schreier_word(self.lp.rewrite_in_R(u))
         return {(g, J): c for J, c in poly.items()}
 
-    def mul_basis(self, bw1, bw2):
-        """(g, J)·(h, K) via cocycle and conjugation expansions."""
-        g, J = bw1
-        h, K = bw2
-        if len(J) + len(K) >= self.depth:
-            # every contribution has filtration degree >= |J| + |K|
-            return {}
-        gh = self.lp.group.mul(g, h)
-        poly = self.cocycle_poly(g, h)
-        for j in J:
-            poly = poly_mul(
-                poly, poly_drop_constant(self.conj_poly(j, h)), self.depth
-            )
-            if not poly:
-                return {}
-        if K:
-            poly = poly_mul(poly, {K: 1}, self.depth)
-        return {(gh, M): c for M, c in poly.items()}
-
-    def multiply_terms(self, a_terms, b_terms):
-        out = {}
-        for bw1, c in a_terms.items():
-            for bw2, d in b_terms.items():
-                cd = c * d
-                for bw, e in self.mul_basis(bw1, bw2).items():
-                    v = out.get(bw, 0) + cd * e
-                    if v:
-                        out[bw] = v
-                    elif bw in out:
-                        del out[bw]
+    def nf_minus_section(self, word, h):
+        """The terms of nf(word) - s(h)."""
+        out = self.normal_form(word)
+        c = out.pop((h, ()), 0) - 1
+        if c:
+            out[(h, ())] = c
         return out
 
-    def section_products(self, terms):
-        """The |G| products a·s(h), h in G, as term dicts, for the element a
-        with the given terms; memoized per element."""
-        key = frozenset(terms.items())
-        if key not in self._section_products:
-            self._section_products[key] = [
-                self.multiply_terms(terms, {(h, ()): 1}) for h in range(self.lp.group.order)
+    def section_products(self, word):
+        """The |G| products (w - 1)·s(h), h in G, as term dicts, for the
+        group word w: each is nf(w·s(h)) - s(h).  Memoized per word."""
+        if word not in self._section_products:
+            self._section_products[word] = [
+                self.nf_minus_section(freegrp.mul(word, s_h), h)
+                for h, s_h in enumerate(self.lp.transversal)
             ]
-        return self._section_products[key]
+        return self._section_products[word]
 
-    def left_multiply(self, terms, V):
-        """a·v for every row v of the 2-D block V (rows over the basis), a
-        the element with the given terms, as one (len(V), rank) array.
+    def left_multiply(self, word, V):
+        """(w - 1)·v for every row v of the 2-D block V (rows over the
+        basis), w the given group word, as one (len(V), rank) array.
 
-        a·(h, K) = (a·s(h))·t_K, and each term c·(g, J) of a·s(h) sends
-        the words (h, K) with |K| = k to the words (g, J+K): one slice-add
-        of c times V's slice per layer k < N - |J| (see the module
-        docstring).  Every result entry is a sum over distinct terms, so
-        max|V|·sum|c| over the |G| products a·s(h) bounds it: the block
-        is int64 while that stays below 2**62, Python ints otherwise.  The
-        |G| products are memoized per element, so a monomial build forms
-        them once per right generator.
+        (w - 1)·(h, K) = ((w - 1)·s(h))·t_K, and each term c·(g, J) of
+        (w - 1)·s(h) sends the words (h, K) with |K| = k to the words
+        (g, J+K): one slice-add of c times V's slice per layer k < N - |J|
+        (see the module docstring).  Every result entry is a sum over
+        distinct terms, so max|V|·sum|c| over the |G| products
+        (w - 1)·s(h) bounds it: the block is int64 while that stays below
+        2**62, Python ints otherwise.  The |G| products are memoized per
+        word (``section_products``), so a monomial build forms them once
+        per right generator.
         """
         off, m = self.layer_offsets, self.lp.num_schreier_gens
-        prods = self.section_products(terms)
+        prods = self.section_products(word)
         bound = _maxabs(V) * sum(abs(c) for p in prods for c in p.values())
         dtype = np.int64 if V.dtype == np.int64 and bound < _I64_SAFE else object
         V = V.astype(dtype, copy=False)
@@ -324,28 +265,22 @@ class TruncatedRing:
     # -- ideal lattices ------------------------------------------------------
 
     def right_generators(self, letter):
-        """Elements generating the letter ideal as a right module: x - 1
-        for the generators x of F, and t_j = rho_j - 1, which is 0 at
-        N = 1."""
+        """The group words w whose differences w - 1 generate the letter
+        ideal as a right module: the generators x of F for f, and the
+        Schreier generators rho_j for r."""
         if letter == "f":
-            return [
-                _minus_one(self.normal_form(freegrp.gen_word(c, i)))
-                for c in range(self.lp.copies)
-                for i in range(self.lp.base_rank)
-            ]
+            lp = self.lp
+            return [freegrp.gen_word(c, i) for c in range(lp.copies) for i in range(lp.base_rank)]
         if letter == "r":
-            return [
-                {(0, (j,)): 1} if self.depth > 1 else {}
-                for j in range(self.lp.num_schreier_gens)
-            ]
+            return self.lp.schreier_gens
         raise ValueError(f"unknown letter {letter!r}")
 
     def _layer0_span(self, letter):
         """P for a letter, as its canonical basis and the pivot column of
         each row: the span in Z^|G| of the layer-0 parts of gamma·s(h)
-        over its right generators gamma and h in G.  A term (g, J) of
-        gamma with |J| > 0 takes s(h) into the layers >= |J|, so only the
-        layer-0 part gamma_0 of gamma counts.  For r, gamma_0 = 0, so
+        over the differences gamma = w - 1 of its right generators w and
+        h in G.  A term (g, J) of gamma with |J| > 0 takes s(h) into the
+        layers >= |J|, so only the layer-0 part gamma_0 of gamma counts.  For r, gamma_0 = 0, so
         P = 0.  For f, gamma = x - 1 has gamma_0 = (g_x, ()) - (0, ()),
         with g_x the image of x in G, and the layer-0 part of gamma_0·s(h)
         is e_{g_x·h} - e_h.  The generators x map onto G, so these span
@@ -389,10 +324,10 @@ class TruncatedRing:
     def eval_monomial(self, mono, deadline=None):
         """Lattice of the monomial ideal, built right to left from the empty
         monomial, the whole ring.  The ideal w = a·T of length k is the span
-        of gamma·t over the right generators gamma of the letter a and the
-        rows t of the canonical basis of the tail's ideal T (T absorbs ring
-        factors on the left, so no other products arise).  By the seed
-        identity of the module docstring,
+        of gamma·t over gamma = u - 1, u a right generator of the letter a,
+        and the rows t of the canonical basis of the tail's ideal T (T
+        absorbs ring factors on the left, so no other products arise).  By
+        the seed identity of the module docstring,
 
             w = r^k + P⊗I + span{gamma·t : t a row of T with pivot below layer k-1},
 
@@ -417,10 +352,10 @@ class TruncatedRing:
 
             def products():
                 for chunk in tail.basis_blocks(max(1, _PRODUCT_ENTRIES // self.rank), stop):
-                    for gamma in gens:
+                    for u in gens:
                         if deadline is not None:
                             deadline.check()
-                        prod = self.left_multiply(gamma, chunk)
+                        prod = self.left_multiply(u, chunk)
                         yield prod[prod.any(axis=1)]
 
             lat.add(products())
@@ -450,22 +385,12 @@ class TruncatedRing:
         return total
 
 
-def _minus_one(terms):
-    """The terms of a - 1, for a given by its terms."""
-    out = dict(terms)
-    c = out.pop((0, ()), 0) - 1
-    if c:
-        out[(0, ())] = c
-    return out
-
-
 class GroupContext:
     """Caches level presentations and truncated rings for one group, so
     coface-image memos and monomial lattices are shared across codes."""
 
-    def __init__(self, group, rank_cap=DEFAULT_RANK_CAP):
+    def __init__(self, group):
         self.group = group
-        self.rank_cap = rank_cap
         self._levels = {}
         self._rings = {}
 
@@ -477,9 +402,7 @@ class GroupContext:
     def ring(self, p, depth):
         key = (p, depth)
         if key not in self._rings:
-            self._rings[key] = TruncatedRing(
-                self.level(p), depth, rank_cap=self.rank_cap
-            )
+            self._rings[key] = TruncatedRing(self.level(p), depth)
         return self._rings[key]
 
 
@@ -596,7 +519,7 @@ def word_images(hom, src_ring, tgt_ring, words):
             by_letter.setdefault(J[-1], []).append((g, J))
         for j, new in by_letter.items():
             if j not in diffs:
-                diffs[j] = _minus_one(tgt_ring.normal_form(hom.apply(lp.schreier_gens[j])))
+                diffs[j] = tgt_ring.nf_minus_section(hom.apply(lp.schreier_gens[j]), 0)
             prefixes = int_block(np.stack([memo[(g, J[:-1])] for g, J in new]), rank)
             memo.update(zip(new, tgt_ring.right_multiply(prefixes, diffs[j])))
     return int_block(np.stack([memo[bw] for bw in wanted]), rank)

@@ -4,12 +4,27 @@ These deliberately avoid the package's own linear algebra: finite abelian
 groups are handled by element enumeration and invariant factors are
 recovered from p-power annihilator counts or from determinantal divisors,
 so agreement with the package is meaningful evidence.
+
+Ring products (``multiply_terms``) are formed by the cocycle and
+conjugation identities, not from normal forms of words as in the
+package.  The identity-component subalgebra of Z[F_p]/r^N is a truncated
+free polynomial algebra in the t_j = rho_j - 1, and group sections
+commute past it via
+
+    s(g)·s(h) = s(gh)·(s(gh)^-1 s(g) s(h)),
+    (rho_j - 1)·s(h) = s(h)·(s(h)^-1 rho_j s(h) - 1),
+
+with the bracketed words in R rewritten in the Schreier generators and
+expanded.  So (g, J)·(h, K) = s(gh)·c(g, h)·prod_j (conj(j, h) - 1)·t_K,
+a product of truncated polynomials.
 """
 
+import weakref
 from itertools import combinations, product
 from math import gcd
 
 from frlimits import freegrp
+from frlimits.truncring import poly_mul
 
 
 def _factor(n):
@@ -212,7 +227,7 @@ def expand_schreier_word(lp, rho_word):
 
 def vec_to_terms(ring, row):
     """A ring vector as the terms {basis word: coefficient} of the element,
-    so that ``ring.multiply_terms`` can serve as the reference product."""
+    so that ``multiply_terms`` can serve as the reference product."""
     return {ring.basis[i]: int(c) for i, c in enumerate(row) if c}
 
 
@@ -221,16 +236,99 @@ def terms_to_vec(ring, terms):
     return {ring.index[bw]: c for bw, c in terms.items()}
 
 
+# -- the reference product of the truncated group ring -------------------------
+
+_MEMO = weakref.WeakKeyDictionary()
+
+
+def _memo(ring):
+    """Per-ring tables of the cocycle and conjugate expansions."""
+    return _MEMO.setdefault(ring, ({}, {}))
+
+
+def _expand_relator_word(ring, word):
+    return ring.expand_schreier_word(ring.lp.rewrite_in_R(word))
+
+
+def conj_poly(ring, j, h):
+    """Expansion of s(h)^-1 rho_j s(h)."""
+    conj = _memo(ring)[0]
+    if (j, h) not in conj:
+        s_h = ring.lp.transversal[h]
+        word = freegrp.mul(freegrp.inv(s_h), ring.lp.schreier_gens[j], s_h)
+        conj[(j, h)] = _expand_relator_word(ring, word)
+    return conj[(j, h)]
+
+
+def cocycle_poly(ring, g, h):
+    """Expansion of s(gh)^-1 s(g) s(h)."""
+    cocycle = _memo(ring)[1]
+    if (g, h) not in cocycle:
+        lp = ring.lp
+        word = freegrp.mul(
+            freegrp.inv(lp.transversal[lp.group.mul(g, h)]), lp.transversal[g], lp.transversal[h]
+        )
+        cocycle[(g, h)] = _expand_relator_word(ring, word)
+    return cocycle[(g, h)]
+
+
+def poly_drop_constant(p):
+    out = dict(p)
+    out.pop((), None)
+    return out
+
+
+def mul_basis(ring, bw1, bw2):
+    """(g, J)·(h, K) via the cocycle and conjugation expansions."""
+    g, J = bw1
+    h, K = bw2
+    if len(J) + len(K) >= ring.depth:
+        # every contribution has filtration degree >= |J| + |K|
+        return {}
+    gh = ring.lp.group.mul(g, h)
+    poly = cocycle_poly(ring, g, h)
+    for j in J:
+        poly = poly_mul(poly, poly_drop_constant(conj_poly(ring, j, h)), ring.depth)
+        if not poly:
+            return {}
+    if K:
+        poly = poly_mul(poly, {K: 1}, ring.depth)
+    return {(gh, M): c for M, c in poly.items()}
+
+
+def multiply_terms(ring, a_terms, b_terms):
+    """The product of two ring elements given by their terms."""
+    out = {}
+    for bw1, c in a_terms.items():
+        for bw2, d in b_terms.items():
+            cd = c * d
+            for bw, e in mul_basis(ring, bw1, bw2).items():
+                v = out.get(bw, 0) + cd * e
+                if v:
+                    out[bw] = v
+                elif bw in out:
+                    del out[bw]
+    return out
+
+
+def minus_one(terms):
+    """The terms of a - 1, for a given by its terms."""
+    out = dict(terms)
+    c = out.pop((0, ()), 0) - 1
+    if c:
+        out[(0, ())] = c
+    return out
+
+
 def word_image_terms(hom, src_ring, tgt_ring, k):
     """The image of basis word k = (g, J) of src_ring under a presentation
     morphism phi, as terms of tgt_ring: the normal form of phi(s(g)) times
     the normal form of phi(rho_j) - 1 for each letter j of J in turn, each
-    product by the dict product ``multiply_terms``."""
+    product by the reference product ``multiply_terms``."""
     g, J = src_ring.basis[k]
     lp = src_ring.lp
     terms = tgt_ring.normal_form(hom.apply(lp.transversal[g]))
     for j in J:
-        diff = tgt_ring.normal_form(hom.apply(lp.schreier_gens[j]))
-        diff[(0, ())] = diff.get((0, ()), 0) - 1
-        terms = tgt_ring.multiply_terms(terms, diff)
+        diff = minus_one(tgt_ring.normal_form(hom.apply(lp.schreier_gens[j])))
+        terms = multiply_terms(tgt_ring, terms, diff)
     return terms

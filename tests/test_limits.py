@@ -311,3 +311,13 @@ def test_an_alternate_sum_that_does_not_square_to_zero_is_refused():
     )
     with pytest.raises(AssertionError, match="square to zero"):
         alternate_sum_complex(X)
+
+
+def test_a_context_of_another_group_is_refused():
+    # with z3's context, z2's report would carry z3's lim^1(r) = Z^2
+    # instead of Z; a context counts as the group's only if it holds the
+    # same group object
+    with pytest.raises(ValueError, match="context"):
+        higher_limits(parse("r"), context("z2").group, ctx=context("z3"))
+    with pytest.raises(ValueError, match="context"):
+        assemble(parse("r"), load_group_file(GROUP_DIR / "z2.json"), 1, ctx=context("z2"))

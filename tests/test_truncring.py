@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from pathlib import Path
@@ -21,7 +22,7 @@ from frlimits.truncring import (
     word_images,
 )
 
-from oracles import reference_hnf, terms_to_vec, vec_to_terms, word_image_terms
+from oracles import minus_one, multiply_terms, reference_hnf, terms_to_vec, vec_to_terms, word_image_terms
 
 GROUP_DIR = Path(__file__).resolve().parents[1] / "src" / "frlimits" / "groups"
 
@@ -45,7 +46,7 @@ class TestValidation:
         # soon as its vector enters a lattice
         r = ring_for("z2", 0, 2)
         one = {(0, ()): 1}
-        assert r.multiply_terms({(0, ()): 3}, one) == {(0, ()): 3}
+        assert multiply_terms(r, {(0, ()): 3}, one) == {(0, ()): 3}
         with pytest.raises(TypeError):
             Lattice(r.rank, dense([terms_to_vec(r, {(0, ()): 1.5})], r.rank))
 
@@ -98,8 +99,8 @@ class TestNormalForm:
                     )
 
                 u, v = rand_word(), rand_word()
-                assert r.normal_form(freegrp.mul(u, v)) == r.multiply_terms(
-                    r.normal_form(u), r.normal_form(v)
+                assert r.normal_form(freegrp.mul(u, v)) == multiply_terms(
+                    r, r.normal_form(u), r.normal_form(v)
                 )
 
 
@@ -108,7 +109,7 @@ class TestMultiply:
         r = ring_for("z2", 0, 2)
         a = {(0, (0,)): 1}
         b = {(1, ()): 1}
-        assert r.multiply_terms(a, b) == {(1, (0,)): 1}
+        assert multiply_terms(r, a, b) == {(1, (0,)): 1}
 
     def test_unit_law(self):
         r = ring_for("z4", 0, 3)
@@ -119,13 +120,13 @@ class TestMultiply:
             }
             a = {bw: c for bw, c in terms.items() if c}
             one = {(0, ()): 1}
-            assert r.multiply_terms(one, a) == a
-            assert r.multiply_terms(a, one) == a
+            assert multiply_terms(r, one, a) == a
+            assert multiply_terms(r, a, one) == a
 
     def test_truncation_kills_high_degree(self):
         r = ring_for("z2", 0, 2)
         a = {(0, (0,)): 1}
-        assert r.multiply_terms(a, a) == {}
+        assert multiply_terms(r, a, a) == {}
 
     def test_associative_random(self):
         rng = random.Random(13)
@@ -140,13 +141,28 @@ class TestMultiply:
                     return {bw: c for bw, c in terms.items() if c}
 
                 a, b, c = rand_elem(), rand_elem(), rand_elem()
-                mul = r.multiply_terms
+                mul = functools.partial(multiply_terms, r)
                 assert mul(mul(a, b), c) == mul(a, mul(b, c))
 
 
-def product_rows(r, terms, rows):
-    """a·v for each row v, by the dict product multiply_terms."""
-    return [terms_to_vec(r, r.multiply_terms(terms, vec_to_terms(r, v))) for v in rows]
+def difference(r, word):
+    """The terms of w - 1 for a group word w."""
+    return minus_one(r.normal_form(word))
+
+
+def product_rows(r, word, rows):
+    """(w - 1)·v for each row v, by the oracle's product multiply_terms."""
+    a = difference(r, word)
+    return [terms_to_vec(r, multiply_terms(r, a, vec_to_terms(r, v))) for v in rows]
+
+
+def random_word(r, rng, length):
+    """A reduced group word of up to the given number of syllables in the
+    alphabet of r's level."""
+    return freegrp.reduce_word(
+        (rng.randrange(r.lp.copies), rng.randrange(r.lp.base_rank), rng.choice([-2, -1, 1, 2]))
+        for _ in range(rng.randint(1, length))
+    )
 
 
 def dense(rows, n):
@@ -179,39 +195,60 @@ class TestLeftMultiply:
         rng = random.Random(f"{name}{level}")
         for depth in (1, 2, 3):
             r = ring_for(name, level, depth)
-
-            def rand_terms(size):
-                return {r.basis[rng.randrange(r.rank)]: rng.randint(-3, 3) or 1 for _ in range(size)}
-
             for _ in range(3):
-                a = rand_terms(rng.randint(1, 3))
+                w = random_word(r, rng, 3)
                 V = np.zeros((4, r.rank), dtype=np.int64)
                 for row in V:
                     for k in rng.sample(range(r.rank), min(r.rank, 5)):
                         row[k] = rng.randint(-5, 5)
-                out = r.left_multiply(a, V)
+                out = r.left_multiply(w, V)
                 assert out.dtype == np.int64
-                assert np.array_equal(out, dense(product_rows(r, a, V), r.rank))
+                assert np.array_equal(out, dense(product_rows(r, w, V), r.rank))
 
     def test_bignum_blocks(self):
         r = ring_for("z3", 1, 2)
-        a = r.normal_form(freegrp.mul(X, X))
+        x2 = freegrp.mul(X, X)
         rng = random.Random(5)
         cols = rng.sample(range(r.rank), 6)
         # object rows with entries near 2**62 stay exact
         V = np.zeros((2, r.rank), dtype=object)
         V[0, cols[:3]] = [2**62 - 1, -(2**62) + 3, 7]
         V[1, cols[3:]] = [2**63 + 11, 1, -(2**64)]
-        out = r.left_multiply(a, V)
+        out = r.left_multiply(x2, V)
         assert out.dtype == object
-        assert np.array_equal(out, dense(product_rows(r, a, V), r.rank))
+        assert np.array_equal(out, dense(product_rows(r, x2, V), r.rank))
         # int64 rows whose bound max|V|·sum|c| reaches 2**62 go to Python ints
         W = np.zeros((1, r.rank), dtype=np.int64)
         W[0, cols[:2]] = [2**61, -(2**61) + 1]
-        assert sum(map(abs, a.values())) >= 2
-        out = r.left_multiply(a, W)
+        a = difference(r, x2)
+        assert sum(abs(c) for h in range(3) for c in multiply_terms(r, a, {(h, ()): 1}).values()) >= 2
+        out = r.left_multiply(x2, W)
         assert out.dtype == object
-        assert np.array_equal(out, dense(product_rows(r, a, W), r.rank))
+        assert np.array_equal(out, dense(product_rows(r, x2, W), r.rank))
+
+    def test_section_products_match_the_oracle(self):
+        # (w - 1)·s(h) as nf(w·s(h)) - s(h), for every right generator w
+        # of f and r, against the oracle's product of nf(w) - 1 and s(h),
+        # on every ring of a bundled group at levels 0-3 and depths 1-3 up
+        # to rank 5000: 164 (ring, letter) pairs.  At N = 1 every product
+        # for r is 0.
+        pairs = 0
+        for name in ("trivial", "z2", "z2_rank2", "z3", "z4", "z2xz2", "s3"):
+            g = load_group_file(GROUP_DIR / f"{name}.json")
+            for level, depth in itertools.product(range(4), (1, 2, 3)):
+                try:
+                    r = TruncatedRing(LevelPresentation(g, level), depth, rank_cap=5000)
+                except CapExceeded:
+                    continue
+                for letter in "fr":
+                    for w in r.right_generators(letter):
+                        a = difference(r, w)
+                        expected = [multiply_terms(r, a, {(h, ()): 1}) for h in range(g.order)]
+                        assert r.section_products(w) == expected, (name, level, depth, letter, w)
+                        if depth == 1 and letter == "r":
+                            assert not any(expected)
+                    pairs += 1
+        assert pairs == 164
 
 
 def identity_terms(r, rng, size):
@@ -221,8 +258,8 @@ def identity_terms(r, rng, size):
 
 
 def right_product_rows(r, rows, terms):
-    """v·b for each row v, by the dict product multiply_terms."""
-    return [terms_to_vec(r, r.multiply_terms(vec_to_terms(r, v), terms)) for v in rows]
+    """v·b for each row v, by the oracle's product multiply_terms."""
+    return [terms_to_vec(r, multiply_terms(r, vec_to_terms(r, v), terms)) for v in rows]
 
 
 class TestRightMultiply:
@@ -371,9 +408,9 @@ class TestIdealLattices:
         assert lat.big is False
         assert lat.rank == 115
         assert max(abs(int(c)) for row in lat.basis() for c in row) <= 6
-        gens = r.right_generators("f")
+        gens = [difference(r, w) for w in r.right_generators("f")]
         products = [
-            terms_to_vec(r, r.multiply_terms(g, vec_to_terms(r, row)))
+            terms_to_vec(r, multiply_terms(r, g, vec_to_terms(r, row)))
             for row in r.eval_monomial("ff").basis()
             for g in gens
         ]
@@ -390,9 +427,10 @@ class TestIdealLattices:
             order = r.lp.group.order
             for letter in "fr":
                 rows = []
-                for gamma in r.right_generators(letter):
-                    gamma_0 = {bw: c for bw, c in gamma.items() if not bw[1]}
-                    for prod in r.section_products(gamma_0):
+                for w in r.right_generators(letter):
+                    gamma_0 = {bw: c for bw, c in difference(r, w).items() if not bw[1]}
+                    for h in range(order):
+                        prod = multiply_terms(r, gamma_0, {(h, ()): 1})
                         rows.append([prod.get((g, ()), 0) for g in range(order)])
                 basis, pivots = reference_hnf(rows, order)
                 H, hp = r._layer0_span(letter)
@@ -407,7 +445,7 @@ class TestIdealLattices:
     def test_r_power_seed_spans_the_products(self, name, level, depths):
         # eval_monomial starts from r^k + P⊗I and multiplies only the tail
         # rows below layer k - 1; every monomial of length k <= 3 must
-        # still be the span of the dict products gamma·t over the full
+        # still be the span of the oracle's products gamma·t over the full
         # tail basis, and contain r^k.  Depths 1 to 3 give k = 1, k = N
         # and k > N; the tail of a letter is the whole ring.  s3 at level
         # 1 stops at depth 2: at depth 3 (rank 2286) its r-headed oracles
@@ -418,9 +456,9 @@ class TestIdealLattices:
                 lat = r.eval_monomial(mono)
                 r_k = np.eye(r.rank, dtype=np.int64)[r.layer_offsets[min(len(mono), depth)] :]
                 assert lat.contains(r_k), (depth, mono)
-                gens = r.right_generators(mono[0])
+                gens = [difference(r, w) for w in r.right_generators(mono[0])]
                 products = [
-                    terms_to_vec(r, r.multiply_terms(g, vec_to_terms(r, row)))
+                    terms_to_vec(r, multiply_terms(r, g, vec_to_terms(r, row)))
                     for row in r.eval_monomial(mono[1:]).basis()
                     for g in gens
                 ]
@@ -428,13 +466,13 @@ class TestIdealLattices:
 
     @pytest.mark.parametrize("name,level,depth", [("z2", 0, 3), ("z2", 1, 3), ("z3", 0, 3), ("z2xz2", 0, 2)])
     def test_coordinate_r_powers(self, name, level, depth):
-        # r^k from dict products: gamma·r^(k-1) over the right generators
-        # gamma of r, starting from the whole ring
+        # r^k from the oracle's products: gamma·r^(k-1) over gamma = rho_j - 1
+        # for the right generators rho_j of r, starting from the whole ring
         r = ring_for(name, level, depth)
-        gens = r.right_generators("r")
+        gens = [difference(r, w) for w in r.right_generators("r")]
         prev = np.eye(r.rank, dtype=np.int64)
         for k in range(1, depth + 2):
-            rows = [terms_to_vec(r, r.multiply_terms(g, vec_to_terms(r, v))) for v in prev for g in gens]
+            rows = [terms_to_vec(r, multiply_terms(r, g, vec_to_terms(r, v))) for v in prev for g in gens]
             brute = Lattice(r.rank, dense(rows, r.rank))
             lat = r.eval_monomial("r" * k)
             assert lat == brute
@@ -476,7 +514,7 @@ class TestIdealLattices:
                 ta = vec_to_terms(r, a)
                 for b in right.basis():
                     tb = vec_to_terms(r, b)
-                    prod = r.multiply_terms(ta, tb)
+                    prod = multiply_terms(r, ta, tb)
                     if prod:
                         brute.add(dense([terms_to_vec(r, prod)], r.rank))
             assert brute == r.eval_monomial(mono)
