@@ -10,13 +10,14 @@ finitely presented abelian groups, maps between them, tensor/Tor over Z,
 and homology of three-term complexes of presented groups.
 
 There is one elimination routine, ``_echelon``, and the Smith invariants
-use it too.  The unit rows of the canonical basis split off as trivial
-summands; what is left is transposed, which keeps the invariant factors,
-and brought to canonical form again, and so on, until every row is its
-pivot alone (alternating row and column Hermite forms, Kannan and Bachem
-1979).  That ends: a leading pivot can only shrink, to the gcd of its
-row, and once it divides its row the canonical form leaves it alone in
-its row and column.
+use it too, as do G_ab's invariant factors (``permgrp`` presents G_ab as
+a ``FinPresAb``).  The unit rows of the canonical basis split off as
+trivial summands; what is left is transposed, which keeps the invariant
+factors, and brought to canonical form again, and so on, until every row
+is its pivot alone (alternating row and column Hermite forms, Kannan and
+Bachem 1979).  That ends: a leading pivot can only shrink, to the gcd of
+its row, and once it divides its row the canonical form leaves it alone
+in its row and column.
 
 A canonical basis is stored on its non-unit-pivot columns: the pivot
 columns, which pivots are 1, the columns ``cols`` that are no unit pivot,
@@ -457,18 +458,30 @@ class Lattice:
         """Eliminate one block of rows, or the blocks an iterator yields,
         into the basis, max(_block_rows(n), rank // 8) rows per fold.
         Blocks are drawn as they are needed, so at most one block and one
-        fold's rows wait unmerged."""
+        fold's rows wait unmerged.  They wait in a list and are joined once
+        per fold, not once per block, which on a wide lattice fed short
+        blocks would copy the waiting rows again for every block.  The
+        list is dropped before the folds run, and the rows they leave are
+        copied, so no fold's buffer outlives it."""
         if isinstance(blocks, (list, np.ndarray)):
             blocks = (blocks,)
-        Q = np.zeros((0, self.n), dtype=np.int64)
+        pending, count = [], 0
         for block in blocks:
-            block = int_block(block, self.n)
-            Q = np.concatenate([Q, block]) if len(Q) else block
-            while len(Q) >= (step := max(_block_rows(self.n), self.rank // 8)):
+            pending.append(int_block(block, self.n))
+            count += len(pending[-1])
+            if count < self._fold_rows():
+                continue
+            Q = pending[0] if len(pending) == 1 else np.concatenate(pending)
+            pending = None
+            while len(Q) >= (step := self._fold_rows()):
                 self._fold(Q[:step])
                 Q = Q[step:]
-        if len(Q):
-            self._fold(Q)
+            pending, count = [Q.copy()], len(Q)
+        if count:
+            self._fold(pending[0] if len(pending) == 1 else np.concatenate(pending))
+
+    def _fold_rows(self):
+        return max(_block_rows(self.n), self.rank // 8)
 
     def _fold(self, Q):
         hnf = self._hnf
@@ -811,36 +824,24 @@ class AbMap:
             )
         return AbMap(other.dom, self.cod, safe_matmul(other.matrix, self.matrix))
 
+    # An int64 matrix has every |entry| < 2**62 (int_block), so a sum or
+    # difference of two stays below 2**63 and cannot wrap; reading it again
+    # through int_block moves an entry of 2**62 or more to Python ints.
+
     def __add__(self, other):
-        return AbMap(self.dom, self.cod, _safe_add(self.matrix, other.matrix))
+        return AbMap(self.dom, self.cod, self.matrix + other.matrix)
 
     def __sub__(self, other):
-        return AbMap(self.dom, self.cod, _safe_add(self.matrix, -_promote_if(other.matrix)))
-
-    def __neg__(self):
-        return AbMap(self.dom, self.cod, -_promote_if(self.matrix))
+        return AbMap(self.dom, self.cod, self.matrix - other.matrix)
 
     def equals_as_map(self, other):
         """Equality as maps of presented groups (difference lands in relations)."""
         if self.dom.ngens != other.dom.ngens or self.cod.ngens != other.cod.ngens:
             return False
-        diff = _safe_add(self.matrix, -_promote_if(other.matrix))
-        return self.cod.relations.contains(diff)
+        return self.cod.relations.contains(self.matrix - other.matrix)
 
     def is_zero_map(self):
         return self.cod.relations.contains(self.matrix)
-
-
-def _promote_if(mat):
-    if mat.dtype == np.int64 and _maxabs(mat) >= _I64_SAFE // 2:
-        return mat.astype(object)
-    return mat
-
-
-def _safe_add(a, b):
-    if a.dtype == np.int64 and b.dtype == np.int64 and _maxabs(a) + _maxabs(b) < _I64_SAFE:
-        return a + b
-    return a.astype(object) + b.astype(object)
 
 
 def safe_matmul(a, b):

@@ -141,12 +141,15 @@ def alternate_sum_complex(X):
 
 def moore_complex(X):
     """Q(X): degree n is X^n modulo the images of d^1..d^n; the differential
-    is the class of d^0."""
+    is the class of d^0.  Each level's canonical relation basis is taken as
+    it is, and only the images of d^1..d^n are eliminated into a copy of
+    it."""
     levels = []
     for n in range(X.D + 1):
-        rel_rows = [X.levels[n].relations.basis()]
-        rel_rows += [X.d[(n - 1, i)].matrix for i in range(1, n + 1)]
-        levels.append(FinPresAb(X.levels[n].ngens, np.concatenate(rel_rows)))
+        rel = X.levels[n].relations.copy()
+        # a generator: add reads a list as one block of rows
+        rel.add(X.d[(n - 1, i)].matrix for i in range(1, n + 1))
+        levels.append(FinPresAb(X.levels[n].ngens, rel))
     maps = [
         AbMap(levels[n], levels[n + 1], X.d[(n, 0)].matrix) for n in range(X.D)
     ]

@@ -4,16 +4,20 @@ generators of R = ker(F ->> G), and Reidemeister-Schreier rewriting.
 
 G is specified by generator permutations, never by relators: R is the
 kernel of the permutation action, so any optional relator list is only
-sanity-checked to evaluate to the identity.
+sanity-checked to evaluate to the identity.  The level-0 Schreier
+generators generate R (Schreier's lemma), so G_ab is Z^ngens modulo their
+exponent sums, and its invariant factors come from the lattice engine of
+``intlin`` like every other invariant in the package.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 
 from . import freegrp
 from .errors import CapExceeded, InputError
-from .intlin import _sorted_chain
+from .intlin import FinPresAb
 
 DEFAULT_ELEMENT_CAP = 5000
 
@@ -84,96 +88,22 @@ class GroupData:
         return self.index[self.gen_images[i]]
 
     def abelianization(self):
-        """Invariant factors of G/[G,G], computed from the closure tables."""
-        n = self.order
-        # commutator subgroup: closure of {aba^-1b^-1} under multiplication
-        comms = set()
-        for a in range(n):
-            for b in range(n):
-                c = self.mul(
-                    self.mul(a, b), self.mul(self.inverse[a], self.inverse[b])
-                )
-                comms.add(c)
-        sub = {0}
-        frontier = [0]
-        while frontier:
-            cur = frontier.pop()
-            for c in comms:
-                nxt = self.mul(cur, c)
-                if nxt not in sub:
-                    sub.add(nxt)
-                    frontier.append(nxt)
-        # quotient group on coset representatives
-        rep = {}
-        cosets = []
-        for g in range(n):
-            key = frozenset(self.mul(h, g) for h in sub)
-            if key not in rep:
-                rep[key] = len(cosets)
-                cosets.append(key)
-        coset_of = {}
-        for key, idx in rep.items():
-            for g in key:
-                coset_of[g] = idx
-        m = len(cosets)
-        reps = [min(key) for key in cosets]
-        table = [
-            [coset_of[self.mul(reps[i], reps[j])] for j in range(m)] for i in range(m)
-        ]
-        return _abelian_invariants_from_table(table)
+        """Invariant factors of G_ab = G/[G,G], () for a perfect group.
+
+        By Schreier's lemma the level-0 Schreier generators generate
+        R = ker(F ->> G), so G_ab = F/R[F,F] is Z^ngens modulo their
+        exponent-sum vectors, and the lattice engine reads the invariants
+        off that presentation."""
+        rows = []
+        for rho in LevelPresentation(self, 0).schreier_gens:
+            row = [0] * self.ngens
+            for _, i, e in rho:
+                row[i] += e
+            rows.append(row)
+        return FinPresAb(self.ngens, rows).torsion
 
     def __repr__(self):
         return f"GroupData({self.name}, order={self.order})"
-
-
-def _factorint(n):
-    out = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
-def _abelian_invariants_from_table(table):
-    """Invariant factors of a finite abelian group given by its table."""
-    n = len(table)
-    # element orders via p^j annihilation counts
-    def power(g, k):
-        acc = 0
-        base = g
-        while k:
-            if k & 1:
-                acc = table[acc][base]
-            base = table[base][base]
-            k >>= 1
-        return acc
-
-    factors = []
-    for p in _factorint(n):
-        logs = [0]
-        j = 1
-        while True:
-            cnt = sum(1 for g in range(n) if power(g, p**j) == 0)
-            e = 0
-            while cnt > 1:
-                if cnt % p:
-                    raise AssertionError(f"the {p}^{j}-torsion count is not a power of {p}")
-                cnt //= p
-                e += 1
-            logs.append(e)
-            if logs[-1] == logs[-2]:
-                break
-            j += 1
-        parts_ge = [logs[k] - logs[k - 1] for k in range(1, len(logs))]
-        for k, c in enumerate(parts_ge):
-            nxt = parts_ge[k + 1] if k + 1 < len(parts_ge) else 0
-            factors.extend([p ** (k + 1)] * (c - nxt))
-    return _sorted_chain(factors)
 
 
 class LevelPresentation:
@@ -314,8 +244,11 @@ def group_from_spec(spec):
     """Build GroupData from a parsed spec dict.
 
     Spec schema: {"name": str, "generators": [str], "images": [[int]]
-    (one-line, 1-indexed), "order": int optional, "relators": [word]
-    optional}.
+    (one-line, 1-indexed), "order": int optional, "relators": [str]
+    optional}.  Every malformed part raises InputError: an image entry
+    that is not exactly an int (a float or a bool), an image or a
+    relator list that is not a list, and a relator that does not parse
+    or uses a letter outside the base alphabet.
     """
     try:
         names = list(spec["generators"])
@@ -324,15 +257,20 @@ def group_from_spec(spec):
         raise InputError(f"malformed group spec: {exc}") from exc
     if not isinstance(images, list) or not images or len(images) != len(names):
         raise InputError("group spec needs one image per generator")
+    if not all(isinstance(row, list) for row in images):
+        raise InputError("each generator image is a list of points")
     degree = len(images[0])
     if degree < 1 or any(len(row) != degree for row in images):
         raise InputError("generator images must share a common degree")
     zero_based = []
     for row in images:
+        # read exactly, as int_block does: a float is refused, not truncated
+        if any(isinstance(v, bool) for v in row):
+            raise InputError(f"bad permutation entry in {row}: a bool is not a point")
         try:
-            z = [int(v) - 1 for v in row]
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"bad permutation entry: {exc}") from exc
+            z = [operator.index(v) - 1 for v in row]
+        except TypeError as exc:
+            raise InputError(f"bad permutation entry in {row}: {exc}") from exc
         if sorted(z) != list(range(degree)):
             raise InputError(f"image {row} is not a permutation of 1..{degree}")
         zero_based.append(z)
@@ -342,11 +280,18 @@ def group_from_spec(spec):
         declared_order=spec.get("order"),
     )
     relators = spec.get("relators", []) or []
+    if not isinstance(relators, list):
+        raise InputError("relators are a list of words")
     if relators:
         lp0 = LevelPresentation(group, 0)
         for relator in relators:
-            word = freegrp.parse_word(relator, names)
-            if lp0.eval_word(word) != 0:
+            if not isinstance(relator, str):
+                raise InputError(f"relator {relator!r} is not a word")
+            try:
+                value = lp0.eval_word(freegrp.parse_word(relator, names))
+            except ValueError as exc:
+                raise InputError(f"relator {relator!r}: {exc}") from exc
+            if value != 0:
                 raise InputError(
                     f"relator {relator!r} does not evaluate to the identity"
                 )

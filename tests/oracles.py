@@ -127,6 +127,65 @@ def brute_quotient_invariants(sub_elems, quot_gens, mods):
     return combine_cyclic_orders(factors)
 
 
+def abelianization_by_enumeration(group):
+    """Invariant factors of G/[G,G] from the group's multiplication table:
+    the closure of all commutators, the table of the quotient on coset
+    representatives, and p-power annihilator counts in that table."""
+    n = group.order
+    comms = {
+        group.mul(group.mul(a, b), group.mul(group.inverse[a], group.inverse[b]))
+        for a in range(n)
+        for b in range(n)
+    }
+    sub = {0}
+    frontier = [0]
+    while frontier:
+        cur = frontier.pop()
+        for c in comms:
+            nxt = group.mul(cur, c)
+            if nxt not in sub:
+                sub.add(nxt)
+                frontier.append(nxt)
+    coset_of, reps = {}, []
+    for g in range(n):
+        if g not in coset_of:
+            for h in sub:
+                coset_of[group.mul(h, g)] = len(reps)
+            reps.append(g)
+    m = len(reps)
+    table = [[coset_of[group.mul(a, b)] for b in reps] for a in reps]
+
+    def power(g, k):
+        acc, base = 0, g
+        while k:
+            if k & 1:
+                acc = table[acc][base]
+            base = table[base][base]
+            k >>= 1
+        return acc
+
+    factors = []
+    for p in _factor(m):
+        logs = [0]
+        j = 1
+        while True:
+            cnt = sum(1 for g in range(m) if power(g, p**j) == 0)
+            e = 0
+            while cnt > 1:
+                assert cnt % p == 0
+                cnt //= p
+                e += 1
+            logs.append(e)
+            if logs[-1] == logs[-2]:
+                break
+            j += 1
+        parts_ge = [logs[k] - logs[k - 1] for k in range(1, len(logs))]
+        for k, c in enumerate(parts_ge):
+            nxt = parts_ge[k + 1] if k + 1 < len(parts_ge) else 0
+            factors.extend([p ** (k + 1)] * (c - nxt))
+    return combine_cyclic_orders(factors)
+
+
 def brute_homology(mods_a, mat_f, mods_b, mat_g, mods_c):
     """Invariant factors of ker(g)/im(f) for finite A --f--> B --g--> C."""
     zero_c = tuple(0 for _ in mods_c)

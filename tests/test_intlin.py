@@ -103,6 +103,23 @@ class TestLattice:
         lat.add(units())
         assert lat.rank == n
 
+    def test_a_stream_of_one_row_blocks_folds_as_one_block(self, monkeypatch):
+        # the blocks wait in a list and are joined once per fold, so the
+        # folds are the ones a single block of the same rows gets
+        n = 48
+        rows = np.random.default_rng(5).integers(-3, 4, size=(200, n))
+        rows += 40 * np.eye(200, n, dtype=np.int64)
+        folds = []
+        fold = Lattice._fold
+        monkeypatch.setattr(intlin, "_FOLD_ENTRIES", 4 * n)
+        monkeypatch.setattr(Lattice, "_fold", lambda lat, Q: (folds.append(len(Q)), fold(lat, Q)))
+        one = Lattice(n, rows)
+        single, folds[:] = list(folds), []
+        many = Lattice(n, (rows[i : i + 1] for i in range(len(rows))))
+        assert many == one
+        assert folds == single
+        assert len(single) > 2 and max(single) > _block_rows(n)
+
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_basis_is_independent_of_the_folds(self, data):
@@ -601,6 +618,25 @@ class TestAbMap:
             AbMap(z2, z, [[1, 0], [0, 1]])  # rows of length 2 in Z^1
         with pytest.raises(TypeError):
             AbMap(z, z2, np.array([1, 0]))  # a flat vector
+
+    def test_sums_at_the_int64_edge_are_exact(self):
+        # int64 matrices hold entries below 2**62, so a sum or difference of
+        # two fits int64 and is then read as Python ints
+        top = 2**62 - 1
+        z2 = FinPresAb.free(2)
+        a = AbMap(z2, z2, [[top, -top], [0, 1]])
+        b = AbMap(z2, z2, [[top, -top], [0, -1]])
+        neg = AbMap(z2, z2, [[-top, top], [0, 1]])
+        assert a.matrix.dtype == np.int64
+        total = a + b
+        assert total.matrix.dtype == object
+        assert total.matrix.tolist() == [[2**63 - 2, -(2**63 - 2)], [0, 0]]
+        assert (neg - b).matrix.tolist() == [[-(2**63 - 2), 2**63 - 2], [0, 2]]
+        assert not a.equals_as_map(neg)
+        # modulo 2**63 - 2 in both coordinates, a and neg differ by relations
+        mod = FinPresAb(2, [[2**63 - 2, 0], [0, 2**63 - 2]])
+        assert AbMap(z2, mod, a.matrix).equals_as_map(AbMap(z2, mod, neg.matrix))
+        assert not AbMap(z2, mod, a.matrix).equals_as_map(AbMap(z2, mod, b.matrix))
 
     def test_empty_input_is_the_zero_map(self):
         z2, zero = FinPresAb.free(2), FinPresAb.zero()

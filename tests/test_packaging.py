@@ -1,7 +1,7 @@
 """pyproject.toml and the package docstring declare only what ships, the
 benchmark's layer tracing finds every name it wraps, no check in the
-package is an assert statement, and every function of the package is
-used."""
+package is an assert statement, every function of the package is used,
+and no module imports another module's private names."""
 
 import ast
 import importlib
@@ -110,3 +110,27 @@ def test_every_function_is_used_by_the_package_or_the_benchmark():
         and not (name.startswith("__") and name.endswith("__"))
     ]
     assert not unused, unused
+
+
+# the private names one package module still takes from another:
+# intlin's int64 bound, block size and |entry| scan, which truncring's
+# products use
+PRIVATE_IMPORTS_OK = {
+    ("truncring.py", "_I64_SAFE"),
+    ("truncring.py", "_block_rows"),
+    ("truncring.py", "_maxabs"),
+}
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # one module owns each decision; a private name imported elsewhere
+    # makes a second owner
+    hits = set()
+    for path in sorted((ROOT / "src" / "frlimits").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "frlimits"
+            ):
+                hits |= {(path.name, a.name) for a in node.names if a.name.startswith("_")}
+    assert hits <= PRIVATE_IMPORTS_OK, sorted(hits - PRIVATE_IMPORTS_OK)

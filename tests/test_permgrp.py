@@ -1,4 +1,5 @@
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ from frlimits.permgrp import (
     load_group_file,
 )
 
-from oracles import expand_schreier_word
+from oracles import abelianization_by_enumeration, expand_schreier_word
 
 GROUP_DIR = Path(__file__).resolve().parents[1] / "src" / "frlimits" / "groups"
 
@@ -72,6 +73,29 @@ class TestClose:
                 }
             )
 
+    @pytest.mark.parametrize(
+        "images",
+        [[[2.7, 1]], [[True, 2]], [5]],
+        ids=["float-entry", "bool-entry", "row-not-a-list"],
+    )
+    def test_images_are_read_exactly(self, images):
+        with pytest.raises(InputError):
+            group_from_spec({"name": "bad", "generators": ["x"], "images": images})
+
+    @pytest.mark.parametrize(
+        "relator", ["y", "x^a", "x@1", 5], ids=["unknown-letter", "bad-exponent", "other-copy", "not-a-string"]
+    )
+    def test_unreadable_relator_is_named(self, relator):
+        spec = {"name": "bad", "generators": ["x"], "images": [[2, 1]], "relators": [relator]}
+        with pytest.raises(InputError, match=re.escape(f"relator {relator!r}")):
+            group_from_spec(spec)
+
+    def test_relators_must_be_a_list(self):
+        # a string would be read letter by letter
+        spec = {"name": "bad", "generators": ["x"], "images": [[2, 1]], "relators": "x^2"}
+        with pytest.raises(InputError):
+            group_from_spec(spec)
+
     def test_mult_table_is_group(self):
         g = load("s3")
         n = g.order
@@ -82,6 +106,19 @@ class TestClose:
         for _ in range(100):
             a, b, c = (rng.randrange(n) for _ in range(3))
             assert g.mul(g.mul(a, b), c) == g.mul(a, g.mul(b, c))
+
+
+# one-line images (1-indexed), the order, and the invariant factors of G_ab
+INLINE_GROUPS = {
+    "q8": ([[2, 5, 4, 7, 6, 1, 8, 3], [3, 8, 5, 2, 7, 4, 1, 6]], 8, (2, 2)),
+    "d8": ([[2, 3, 4, 1], [3, 2, 1, 4]], 8, (2, 2)),
+    "z2^3": ([[2, 1, 3, 4, 5, 6], [1, 2, 4, 3, 5, 6], [1, 2, 3, 4, 6, 5]], 8, (2, 2, 2)),
+    "z6": ([[2, 3, 4, 5, 6, 1]], 6, (6,)),
+    "s4": ([[2, 1, 3, 4], [2, 3, 4, 1]], 24, (2,)),
+    "a4": ([[2, 3, 1, 4], [1, 3, 4, 2]], 12, (3,)),
+    "a5": ([[2, 3, 4, 5, 1], [2, 3, 1, 4, 5]], 60, ()),
+    "d12": ([[2, 3, 4, 5, 6, 1], [1, 6, 5, 4, 3, 2]], 12, (2, 2)),
+}
 
 
 class TestAbelianization:
@@ -98,6 +135,17 @@ class TestAbelianization:
     )
     def test_values(self, name, expected):
         assert load(name).abelianization() == expected
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in GROUP_DIR.glob("*.json")))
+    def test_bundled_groups_match_the_enumeration_oracle(self, name):
+        g = load(name)
+        assert g.abelianization() == abelianization_by_enumeration(g)
+
+    @pytest.mark.parametrize("images,order,expected", INLINE_GROUPS.values(), ids=list(INLINE_GROUPS))
+    def test_inline_groups_match_the_enumeration_oracle(self, images, order, expected):
+        names = [f"x{i}" for i in range(len(images))]
+        g = group_from_spec({"generators": names, "images": images, "order": order})
+        assert g.abelianization() == abelianization_by_enumeration(g) == expected
 
 
 class TestLevelPresentation:
