@@ -7,7 +7,8 @@ reduction answers membership and coordinates for a whole block of rows),
 one kernel primitive built on them (left kernels, lattice
 intersection, kernels of presented maps), Smith invariant factors,
 finitely presented abelian groups, maps between them, tensor/Tor over Z,
-and homology of three-term complexes of presented groups.
+homology of three-term complexes of presented groups, and sparse integer
+matrices with one exact product of stacked factors (``sparse_product``).
 
 There is one elimination routine, ``_echelon``, and the Smith invariants
 use it too, as do G_ab's invariant factors (``permgrp`` presents G_ab as
@@ -51,7 +52,7 @@ ints.  So a column costs a handful of numpy calls.
 from __future__ import annotations
 
 import operator
-from itertools import chain
+from itertools import accumulate, chain
 from math import gcd, prod
 from typing import NamedTuple
 
@@ -852,6 +853,100 @@ def safe_matmul(a, b):
     if a.size == 0 or b.size == 0:
         return np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
     return _product(a, b, _maxabs(a) * _maxabs(b) * a.shape[1])
+
+
+# -- sparse rows ----------------------------------------------------------------
+
+
+class SparseRows(NamedTuple):
+    """An integer matrix by its nonzero entries in row-major order: entry
+    e is data[e] at (row[e], col[e]), and the entries of row r are those
+    from indptr[r] to indptr[r + 1].  ``data`` is int64 or Python ints
+    (object dtype), and every operation here is exact on either."""
+
+    shape: tuple
+    indptr: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
+    data: np.ndarray
+
+    @classmethod
+    def of(cls, matrix):
+        """The nonzero entries of a 2-D int64 or object array, such as an
+        ``AbMap``'s matrix."""
+        # a flat scan of a boolean mask is several times faster than
+        # np.nonzero of the 2-D integer array; the entries are gathered
+        # by (row, column), since a map's matrix need not be C-contiguous
+        # and a flat view of it would be a full copy
+        r, c = np.divmod(np.flatnonzero(matrix != 0), max(matrix.shape[1], 1))
+        return cls(matrix.shape, np.searchsorted(r, np.arange(len(matrix) + 1)), r, c, matrix[r, c])
+
+    @classmethod
+    def summed(cls, shape, row, col, data):
+        """The matrix of the given entries, those at one place summed
+        exactly and zero sums dropped.  The sums stay in int64 while
+        max|entry| times the entries at one place is below 2**62."""
+        width = max(shape[1], 1)
+        key = row * width + col
+        if len(key):
+            order = np.argsort(key, kind="stable")
+            key, data = key[order], data[order]
+            new = np.ones(len(key), dtype=bool)
+            np.not_equal(key[1:], key[:-1], out=new[1:])
+            head = np.flatnonzero(new)
+            most = int(np.diff(head, append=len(key)).max())
+            if data.dtype != object and _maxabs(data) * most >= _I64_SAFE:
+                data = data.astype(object)
+            data = np.add.reduceat(data, head)
+            keep = np.flatnonzero(data != 0)
+            key, data = key[head[keep]], data[keep]
+            if data.dtype == object and _maxabs(data) < _I64_SAFE:
+                data = data.astype(np.int64)
+        row, col = np.divmod(key, width)
+        return cls(shape, np.searchsorted(row, np.arange(shape[0] + 1)), row, col, data)
+
+    def nonzero_rows(self):
+        """(rows, block): the rows that hold an entry, increasing, and
+        those rows as one dense 2-D array."""
+        rows, at = np.unique(self.row, return_inverse=True)
+        block = np.zeros((len(rows), self.shape[1]), dtype=self.data.dtype)
+        block[at, self.col] = self.data
+        return rows, block
+
+
+def sparse_product(left, right):
+    """The exact product of the ``left`` factors stacked vertically and
+    the ``right`` factors side by side, all ``SparseRows``, as one
+    ``SparseRows``: its block (a, b) is left[a] @ right[b].  There is at
+    least one factor on each side, and every left factor has as many
+    columns as every right factor has rows.
+
+    Each left entry (r, c, x) meets the entries of row c of the right
+    factors, found by their row pointers, so the work is the number of
+    such pairs.  The pairwise products are int64 while max|left| ·
+    max|right| < 2**62, else Python ints, and ``summed`` adds the ones at
+    one place by the same rule."""
+    inner = {a.shape[1] for a in left} | {b.shape[0] for b in right}
+    if len(inner) > 1:
+        raise ValueError(f"sparse_product: inner dimensions {sorted(inner)} differ")
+    row_at = list(accumulate((a.shape[0] for a in left), initial=0))
+    col_at = list(accumulate((b.shape[1] for b in right), initial=0))
+    a_row = np.concatenate([a.row + off for a, off in zip(left, row_at)])
+    a_col = np.concatenate([a.col for a in left])
+    a_data = np.concatenate([a.data for a in left])
+    # the right factors side by side: their entries ordered by row
+    order = np.argsort(np.concatenate([b.row for b in right]), kind="stable")
+    b_col = np.concatenate([b.col + off for b, off in zip(right, col_at)])[order]
+    b_data = np.concatenate([b.data for b in right])[order]
+    b_ptr = sum(b.indptr for b in right)
+    start = b_ptr[a_col]
+    count = b_ptr[a_col + 1] - start
+    pair = np.repeat(np.arange(len(a_col)), count)
+    at = np.arange(len(pair)) + np.repeat(start - np.cumsum(count) + count, count)
+    if _maxabs(a_data) * _maxabs(b_data) >= _I64_SAFE:
+        a_data, b_data = a_data.astype(object), b_data.astype(object)
+    shape = (row_at[-1], col_at[-1])
+    return SparseRows.summed(shape, a_row[pair], b_col[at], a_data[pair] * b_data[at])
 
 
 # -- homology of presented complexes ------------------------------------------

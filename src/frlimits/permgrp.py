@@ -245,16 +245,20 @@ def group_from_spec(spec):
 
     Spec schema: {"name": str, "generators": [str], "images": [[int]]
     (one-line, 1-indexed), "order": int optional, "relators": [str]
-    optional}.  Every malformed part raises InputError: an image entry
+    optional}.  Every malformed part raises InputError: a generator list
+    that is not a list of strings, an image entry or a declared order
     that is not exactly an int (a float or a bool), an image or a
     relator list that is not a list, and a relator that does not parse
     or uses a letter outside the base alphabet.
     """
     try:
-        names = list(spec["generators"])
+        names = spec["generators"]
         images = spec["images"]
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed group spec: {exc}") from exc
+    # a string would be read letter by letter
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise InputError("generators are a list of names")
     if not isinstance(images, list) or not images or len(images) != len(names):
         raise InputError("group spec needs one image per generator")
     if not all(isinstance(row, list) for row in images):
@@ -274,12 +278,11 @@ def group_from_spec(spec):
         if sorted(z) != list(range(degree)):
             raise InputError(f"image {row} is not a permutation of 1..{degree}")
         zero_based.append(z)
-    group = GroupData(
-        zero_based,
-        name=spec.get("name", "G"),
-        declared_order=spec.get("order"),
-    )
-    relators = spec.get("relators", []) or []
+    order = spec.get("order")
+    if order is not None and (isinstance(order, bool) or not isinstance(order, int)):
+        raise InputError(f"declared order {order!r} is not an int")
+    group = GroupData(zero_based, name=spec.get("name", "G"), declared_order=order)
+    relators = spec.get("relators", [])
     if not isinstance(relators, list):
         raise InputError("relators are a list of words")
     if relators:

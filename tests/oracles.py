@@ -5,6 +5,12 @@ groups are handled by element enumeration and invariant factors are
 recovered from p-power annihilator counts or from determinantal divisors,
 so agreement with the package is meaningful evidence.
 
+The pairwise cosimplicial check (``cosimplicial_identities_pairwise``) is
+a reference of another kind: it shares the package's lattice engine, but
+forms one dense composite per side of each identity and tests each
+identity on its own, so it checks the batched sparse check's products,
+blocks and bookkeeping.
+
 Ring products (``multiply_terms``) are formed by the cocycle and
 conjugation identities, not from normal forms of words as in the
 package.  The identity-component subalgebra of Z[F_p]/r^N is a truncated
@@ -24,6 +30,7 @@ from itertools import combinations, product
 from math import gcd
 
 from frlimits import freegrp
+from frlimits.intlin import AbMap
 from frlimits.truncring import poly_mul
 
 
@@ -391,3 +398,39 @@ def word_image_terms(hom, src_ring, tgt_ring, k):
         diff = minus_one(tgt_ring.normal_form(hom.apply(lp.schreier_gens[j])))
         terms = multiply_terms(tgt_ring, terms, diff)
     return terms
+
+
+def cosimplicial_identities_pairwise(X):
+    """The cosimplicial identities of X checked one at a time: each side
+    is a dense composite (``AbMap.compose``), and each pair is compared
+    with ``equals_as_map``.  Raises AssertionError naming the first
+    failing identity in the order cofaces, codegeneracies, mixed; returns
+    True otherwise."""
+    d, s, D = X.d, X.s, X.D
+    for p in range(D - 1):
+        for i in range(p + 2):
+            for j in range(i + 1, p + 3):
+                lhs = d[(p + 1, j)].compose(d[(p, i)])
+                rhs = d[(p + 1, i)].compose(d[(p, j - 1)])
+                if not lhs.equals_as_map(rhs):
+                    raise AssertionError(f"coface identity fails at {(p, i, j)}")
+    for p in range(D - 1):
+        for j in range(p + 1):
+            for i in range(j + 1):
+                lhs = s[(p, j)].compose(s[(p + 1, i)])
+                rhs = s[(p, i)].compose(s[(p + 1, j + 1)])
+                if not lhs.equals_as_map(rhs):
+                    raise AssertionError(f"codegeneracy identity fails at {(p, i, j)}")
+    for p in range(D):
+        for j in range(p + 1):
+            for i in range(p + 2):
+                lhs = s[(p, j)].compose(d[(p, i)])
+                if i < j:
+                    rhs = d[(p - 1, i)].compose(s[(p - 1, j - 1)])
+                elif i in (j, j + 1):
+                    rhs = AbMap.identity(X.levels[p])
+                else:
+                    rhs = d[(p - 1, i - 1)].compose(s[(p - 1, j)])
+                if not lhs.equals_as_map(rhs):
+                    raise AssertionError(f"mixed identity fails at {(p, j, i)}")
+    return True

@@ -13,6 +13,7 @@ from frlimits.intlin import (
     AbMap,
     FinPresAb,
     Lattice,
+    SparseRows,
     _block_rows,
     direct_sum,
     homology_at,
@@ -20,6 +21,7 @@ from frlimits.intlin import (
     lattice_intersection,
     safe_matmul,
     smith_diagonal,
+    sparse_product,
     tensor_Z,
     tor_Z,
     unit_split,
@@ -834,3 +836,72 @@ def test_safe_matmul_big_entries():
         b = np.array([[x], [1]], dtype=np.int64)
         out = safe_matmul(a, b)
         assert int(out[0][0]) == x * x + 1
+
+
+def dense_of(S):
+    out = np.zeros(S.shape, dtype=object)
+    out[S.row, S.col] = S.data
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    inner=st.integers(0, 5),
+    heights=st.lists(st.integers(0, 4), min_size=1, max_size=3),
+    widths=st.lists(st.integers(0, 4), min_size=1, max_size=3),
+    big=st.sampled_from([0, 2**31, 2**32, 2**62, 2**70]),
+)
+def test_sparse_product_is_the_exact_product_of_the_stacked_factors(seed, inner, heights, widths, big):
+    # the left factors stacked, the right ones side by side, against the
+    # product of Python ints; big puts one entry of that size in the
+    # first factor on each side: their product fits int64 at 2**31, not at 2**32
+    rng = np.random.default_rng(seed)
+
+    def factor(m, n):
+        return (rng.integers(-3, 4, size=(m, n)) * (rng.random((m, n)) < 0.4)).astype(object)
+
+    left = [factor(m, inner) for m in heights]
+    right = [factor(inner, n) for n in widths]
+    if big and inner:
+        left[0][:, 0] = big
+        right[0][0] = big
+    P = sparse_product([SparseRows.of(intlin.int_block(a, inner)) for a in left],
+                       [SparseRows.of(intlin.int_block(b, b.shape[1])) for b in right])
+    expected = np.concatenate(left) @ np.concatenate(right, axis=1)
+    assert P.shape == expected.shape
+    assert (dense_of(P) == expected).all()
+    assert (P.data != 0).all()
+    assert P.indptr.tolist() == np.searchsorted(P.row, np.arange(P.shape[0] + 1)).tolist()
+    assert sorted(zip(P.row.tolist(), P.col.tolist())) == list(zip(P.row.tolist(), P.col.tolist()))
+
+
+def test_sparse_sums_leave_int64_only_when_they_must():
+    # three entries of 2**61 at one place sum past 2**62; -2**62 + 1 and
+    # 2**62 - 1 cancel; an int64 sum that fits stays int64
+    S = SparseRows.summed(
+        (2, 2),
+        np.array([0, 0, 0, 1, 1]),
+        np.array([0, 0, 0, 1, 1]),
+        np.array([2**61, 2**61, 2**61, -(2**62) + 1, 2**62 - 1], dtype=np.int64),
+    )
+    assert S.data.dtype == object and S.data.tolist() == [3 * 2**61]
+    assert (S.row.tolist(), S.col.tolist(), S.indptr.tolist()) == ([0], [0], [0, 1, 1])
+    fits = SparseRows.summed((1, 3), np.array([0, 0]), np.array([2, 2]), np.array([5, -2]))
+    assert fits.data.dtype == np.int64 and fits.data.tolist() == [3]
+
+
+def test_sparse_rows_of_a_matrix_and_back():
+    M = np.array([[0, 2, 0], [0, 0, 0], [-1, 0, 3]], dtype=np.int64)
+    S = SparseRows.of(M)
+    assert S.indptr.tolist() == [0, 1, 1, 3]
+    rows, block = S.nonzero_rows()
+    assert rows.tolist() == [0, 2]
+    assert block.tolist() == [[0, 2, 0], [-1, 0, 3]]
+
+
+def test_sparse_product_refuses_factors_that_do_not_chain():
+    a = SparseRows.of(np.eye(2, dtype=np.int64))
+    b = SparseRows.of(np.eye(3, dtype=np.int64))
+    with pytest.raises(ValueError, match="inner dimensions"):
+        sparse_product([a], [b])

@@ -1,5 +1,6 @@
 """End-to-end tests of higher_limits against known values of lim^i."""
 
+import copy
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from functools import lru_cache
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,11 +16,11 @@ from hypothesis import strategies as st
 from frlimits import intlin
 from frlimits.frcode import max_monomial_length, parse, required_truncation
 from frlimits.intlin import AbMap, FinPresAb, tensor_Z, tor_Z
-from frlimits.limits import alternate_sum_complex, assemble, higher_limits
+from frlimits.limits import CosimplicialAb, alternate_sum_complex, assemble, higher_limits
 from frlimits.permgrp import group_from_spec, load_group_file
 from frlimits.truncring import GroupContext
 
-from oracles import reference_hnf
+from oracles import cosimplicial_identities_pairwise, reference_hnf
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 GROUP_DIR = SRC / "frlimits" / "groups"
@@ -222,6 +224,22 @@ for name, code in (("z2", "rr+frf"), ("z3", "fff")):
 maps = [w for ring in ctx._rings.values() for w in ring._relabellings.values()]
 print(sum(w is not None for w in maps), len(maps))
 
+# a coface changed in one entry must still fail the identities
+from frlimits.intlin import AbMap
+from frlimits.limits import assemble
+
+X = assemble(parse("rrr"), ctx.group, 3, ctx=ctx)
+d = X.d[(0, 0)]
+matrix = d.matrix.copy()
+matrix[0, 0] += 1
+X.d[(0, 0)] = AbMap(d.dom, d.cod, matrix)
+try:
+    X.verify_cosimplicial_identities()
+except AssertionError as exc:
+    print(exc)
+else:
+    sys.exit("a corrupted coface passed the cosimplicial identities")
+
 # int64 rows whose elimination crosses 2**62: the guard must still see it
 import numpy as np
 from frlimits import intlin
@@ -261,6 +279,7 @@ def test_validation_and_answers_survive_python_O():
         "0 | Z/2 | Z | 0",
         "0 | 0 | 0 | 0",
         "12 15",
+        "coface identity fails at (0, 0, 1)",
         f"{reference_hnf(WRAPPING_ROWS, 2)[0]} 1",
     ]
 
@@ -300,6 +319,115 @@ def test_a_corrupt_coface_fails_the_cosimplicial_identities():
     X.d[(0, 0)] = AbMap(d.dom, d.cod, matrix)
     with pytest.raises(AssertionError, match="coface identity"):
         X.verify_cosimplicial_identities()
+
+
+# the benchmark's cases: every bundled group with the codes of its
+# dictionary sweep, and the deep cases of degree 3
+SWEEP_CODES = ["r", "f", "ff", "rr", "fr+rf", "rr+frf", "rr+fff"]
+BENCH_CASES = [
+    (p.stem, code) for p in sorted(GROUP_DIR.glob("*.json")) for code in SWEEP_CODES
+] + [("z3", "fff"), ("z3", "rrr"), ("z4", "fff")]
+
+
+@lru_cache(maxsize=None)
+def complex_of(name, code):
+    parsed = parse(code)
+    top = max(1, max_monomial_length(parsed))
+    return assemble(parsed, context(name).group, top, ctx=context(name))
+
+
+def with_matrix(X, kind, key, matrix):
+    """A copy of X with the map X.<kind>[key] given a new matrix."""
+    Y = copy.copy(X)
+    Y.d, Y.s = dict(X.d), dict(X.s)
+    old = getattr(Y, kind)[key]
+    getattr(Y, kind)[key] = AbMap(old.dom, old.cod, matrix)
+    return Y
+
+
+def verdicts(X):
+    """What the batched check and the pairwise oracle say of X: True, or
+    the message of the identity they refuse."""
+    out = []
+    for check in (CosimplicialAb.verify_cosimplicial_identities, cosimplicial_identities_pairwise):
+        try:
+            out.append(check(X))
+        except AssertionError as exc:
+            out.append(str(exc))
+    return out
+
+
+@pytest.mark.parametrize("name,code", BENCH_CASES)
+def test_batched_identities_agree_with_the_pairwise_oracle(name, code):
+    assert verdicts(complex_of(name, code)) == [True, True]
+
+
+@pytest.mark.parametrize("name,code", [("z3", "rrr"), ("z3", "fff"), ("s3", "rr+fff"), ("z2xz2", "rr+fff")])
+def test_a_map_changed_in_one_entry_is_refused_by_both_checks(name, code):
+    # each of the 15 structure maps of degree 3 in turn; both checks
+    # name the same identity, so also the same family
+    X = complex_of(name, code)
+    changed = 0
+    for kind in ("d", "s"):
+        for key, m in getattr(X, kind).items():
+            matrix = m.matrix.copy()
+            matrix[0, 0] += 1
+            batched, pairwise = verdicts(with_matrix(X, kind, key, matrix))
+            assert batched == pairwise
+            assert batched is not True, (kind, key)
+            changed += 1
+    assert changed == 15
+
+
+def test_a_map_plus_a_relation_row_is_accepted_by_both_checks():
+    # equal as a map, not as a matrix: the sides of the identities with
+    # it differ by relations of their target
+    X = complex_of("z3", "fff")
+    m = X.d[(1, 0)]
+    matrix = m.matrix.copy()
+    matrix[0] += m.cod.relations.basis()[0]
+    assert not np.array_equal(matrix, m.matrix)
+    assert verdicts(with_matrix(X, "d", (1, 0), matrix)) == [True, True]
+
+
+@pytest.mark.parametrize("name,code", [("z3", "rrr"), ("z3", "fff")])
+def test_the_check_forms_one_product_per_family_and_level(name, code, monkeypatch):
+    # 4D - 3 products and at most one membership test per target level,
+    # where the pairwise check forms 54 composites and tests 33 times
+    X = complex_of(name, code)
+    products, tests = [], []
+
+    def counted(calls, f):
+        def wrapper(*args):
+            calls.append(1)
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr("frlimits.limits.sparse_product", counted(products, intlin.sparse_product))
+    monkeypatch.setattr(intlin.Lattice, "contains", counted(tests, intlin.Lattice.contains))
+    assert X.verify_cosimplicial_identities() is True
+    assert X.D == 3
+    assert len(products) == 4 * X.D - 3
+    assert len(tests) <= X.D + 1
+
+
+@pytest.mark.parametrize(
+    "name,code,expected",
+    [("z3", "fff", True), ("z3", "rrr", "coface identity fails at (0, 0, 1)")],
+)
+def test_entries_beyond_int64_give_the_oracles_verdict(name, code, expected):
+    # d(0, 0) plus 2**62 times a relation row of its target (z3 fff) is
+    # the same map; plus 2**62 at one entry of a free target (z3 rrr) it
+    # is not.  Either way the matrix holds Python ints.
+    X = complex_of(name, code)
+    m = X.d[(0, 0)]
+    relations = m.cod.relations
+    row = relations.basis()[0] if relations.rank else np.eye(m.cod.ngens, dtype=np.int64)[0]
+    matrix = m.matrix.astype(object)
+    matrix[0] += 2**62 * row.astype(object)
+    Y = with_matrix(X, "d", (0, 0), matrix)
+    assert Y.d[(0, 0)].matrix.dtype == object
+    assert verdicts(Y) == [expected, expected]
 
 
 def test_an_alternate_sum_that_does_not_square_to_zero_is_refused():

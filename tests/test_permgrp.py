@@ -96,6 +96,32 @@ class TestClose:
         with pytest.raises(InputError):
             group_from_spec(spec)
 
+    @pytest.mark.parametrize(
+        "part",
+        [
+            {"generators": "x"},
+            {"generators": "xy", "images": [[2, 1], [1, 2]]},
+            {"generators": ["x", 2], "images": [[2, 1], [1, 2]]},
+            {"order": 2.0},
+            {"relators": ""},
+            {"relators": 0},
+        ],
+        ids=["generators-string", "generators-two-letters", "generator-not-a-string",
+             "order-float", "relators-empty-string", "relators-zero"],
+    )
+    def test_malformed_spec_parts_are_refused(self, part):
+        # each of these was read as something else: "xy" as the two
+        # generators x and y, 2.0 as the order 2, "" and 0 as no relators
+        spec = {"name": "bad", "generators": ["x"], "images": [[2, 1]], **part}
+        with pytest.raises(InputError):
+            group_from_spec(spec)
+
+    def test_a_bool_is_not_an_order(self):
+        # True == 1, so it passed the trivial group's order check
+        spec = {"name": "bad", "generators": ["x"], "images": [[1]], "order": True}
+        with pytest.raises(InputError, match="order"):
+            group_from_spec(spec)
+
     def test_mult_table_is_group(self):
         g = load("s3")
         n = g.order
