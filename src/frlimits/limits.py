@@ -38,8 +38,9 @@ from .truncring import (
 
 
 class Deadline:
-    """Wall-clock budget checked between major pipeline steps and, while
-    a level's value is built, once per block of ring products."""
+    """Wall-clock budget checked between major pipeline steps, once per
+    level's ring and, while a level's value is built, once per monomial
+    suffix and once per block of ring products."""
 
     def __init__(self, seconds=None):
         self.seconds = seconds
@@ -64,10 +65,16 @@ class CosimplicialAb:
         self.N = trunc_n
         deadline = deadline or Deadline()
         rank = ctx.group.ngens
-        self.values = []
+        # every level's ring first, so one too wide is refused before any
+        # lattice is built
+        rings = []
         for p in range(depth_d + 1):
             deadline.check()
-            self.values.append(FunctorValue(ctx.ring(p, trunc_n), code, deadline))
+            rings.append(ctx.ring(p, trunc_n))
+        self.values = []
+        for ring in rings:
+            deadline.check()
+            self.values.append(FunctorValue(ring, code, deadline))
         self.levels = [v.group for v in self.values]
         # cofaces d[(p, i)]: level p -> p+1; codegeneracies s[(p, j)]: p+1 -> p
         self.d = {}

@@ -55,6 +55,17 @@ A ring element is a term dict {(g, J): c} over the basis words, with no
 zero coefficient, and every one the code forms is the normal form of a
 group word (``normal_form``), or such a normal form moved by the shifts of
 ``left_multiply`` and ``right_multiply``.
+
+The value f/c of a code c is presented on a basis of the augmentation
+ideal f itself (``FunctorValue``).  f is free on the words of the layers
+>= 1 and on the differences (g, ()) - (|G|-1, ()) for g < |G|-1, and in
+those coordinates an element of f is its ring vector without the entry at
+word |G|-1.  No canonical row of c has its pivot there: a row of f that is
+zero on the layer-0 words before it is zero there too.  So c's canonical
+basis with that column dropped is canonical as it stands, and f/c is
+presented on c's columns without a unit pivot, but for |G|-1, with c's
+other rows cut to them as relations: one lattice per level, c, and
+nothing eliminated.
 """
 
 from __future__ import annotations
@@ -117,13 +128,14 @@ class TruncatedRing:
         self.depth = depth
         m = lp.num_schreier_gens
         order = lp.group.order
-        # layer_offsets[k] is the index of the first word with |J| = k
+        # layer_offsets[k] is the index of the first word with |J| = k; the
+        # sum stops at the first offset past the cap, before m**k grows huge
         self.layer_offsets = [0]
         for k in range(depth):
             self.layer_offsets.append(self.layer_offsets[-1] + order * m**k)
+            if self.layer_offsets[-1] > rank_cap:
+                raise CapExceeded(f"ring rank exceeds the cap {rank_cap}")
         rank = self.layer_offsets[-1]
-        if rank > rank_cap:
-            raise CapExceeded(f"ring rank {rank} exceeds the cap {rank_cap}")
         self.basis = []
         tuples_by_len = [[()]]
         for k in range(1, depth):
@@ -322,45 +334,51 @@ class TruncatedRing:
         return Lattice.canonical(n, piv, cols, B)
 
     def eval_monomial(self, mono, deadline=None):
-        """Lattice of the monomial ideal, built right to left from the empty
-        monomial, the whole ring.  The ideal w = a·T of length k is the span
-        of gamma·t over gamma = u - 1, u a right generator of the letter a,
-        and the rows t of the canonical basis of the tail's ideal T (T
-        absorbs ring factors on the left, so no other products arise).  By
-        the seed identity of the module docstring,
+        """Lattice of the monomial ideal, built right to left in a loop: from
+        the longest suffix of the monomial that is cached already, or else
+        from the empty monomial, the whole ring, one letter at a time.  The
+        ideal w = a·T of length k is the span of gamma·t over gamma = u - 1,
+        u a right generator of the letter a, and the rows t of the canonical
+        basis of the tail's ideal T (T absorbs ring factors on the left, so
+        no other products arise).  By the seed identity of the module
+        docstring,
 
             w = r^k + P⊗I + span{gamma·t : t a row of T with pivot below layer k-1},
 
         so the lattice starts from the canonical seed r^k + P⊗I (``_seed``,
-        with P from ``_layer0_span``)
-        and only T's rows with a pivot below layer k-1, found by their
-        pivots, are multiplied: at most |G|·sum_{i<k-1} m^i of them.
+        with P from ``_layer0_span``) and only T's rows with a pivot below
+        layer k-1, found by their pivots, are multiplied: at most
+        |G|·sum_{i<k-1} m^i of them (``_tail_products``).
 
-        Those rows go in chunks of _PRODUCT_ENTRIES entries through
-        ``left_multiply``, and the product blocks go to one ``Lattice.add``
-        as a stream, so its folds keep their full size; the deadline is
-        checked once per product block.  A lattice is cached only when it
-        is complete."""
-        if mono in self._monomial_cache:
-            return self._monomial_cache[mono]
-        k = len(mono)
-        lat = self._seed(k, mono[:1])
-        if k:
-            tail = self.eval_monomial(mono[1:], deadline)
-            stop = int(np.searchsorted(tail.pivot_cols, self.layer_offsets[min(k - 1, self.depth)]))
-            gens = self.right_generators(mono[0]) if stop else []
+        The deadline is checked once per suffix and once per product block.
+        Each suffix is cached as soon as its lattice is complete, and only
+        then."""
+        cache = self._monomial_cache
+        start = next((i for i in range(len(mono) + 1) if mono[i:] in cache), len(mono) + 1)
+        for i in reversed(range(start)):
+            if deadline is not None:
+                deadline.check()
+            w = mono[i:]
+            lat = self._seed(len(w), w[:1])
+            if w:
+                lat.add(self._tail_products(w, cache[w[1:]], deadline))
+            cache[w] = lat
+        return cache[mono]
 
-            def products():
-                for chunk in tail.basis_blocks(max(1, _PRODUCT_ENTRIES // self.rank), stop):
-                    for u in gens:
-                        if deadline is not None:
-                            deadline.check()
-                        prod = self.left_multiply(u, chunk)
-                        yield prod[prod.any(axis=1)]
-
-            lat.add(products())
-        self._monomial_cache[mono] = lat
-        return lat
+    def _tail_products(self, mono, tail, deadline):
+        """The products gamma·t of ``eval_monomial`` for the monomial mono
+        with the tail lattice T, as a stream of blocks: T's rows with a
+        pivot below layer k-1 go in chunks of _PRODUCT_ENTRIES entries
+        through ``left_multiply``, so the one ``Lattice.add`` that takes the
+        stream keeps its folds at full size."""
+        stop = int(np.searchsorted(tail.pivot_cols, self.layer_offsets[min(len(mono) - 1, self.depth)]))
+        gens = self.right_generators(mono[0]) if stop else []
+        for chunk in tail.basis_blocks(max(1, _PRODUCT_ENTRIES // self.rank), stop):
+            for u in gens:
+                if deadline is not None:
+                    deadline.check()
+                prod = self.left_multiply(u, chunk)
+                yield prod[prod.any(axis=1)]
 
     def eval_code(self, code, deadline=None):
         """Lattice of the code ideal: sums of intersections of monomials.
@@ -410,27 +428,31 @@ class GroupContext:
 
 
 class FunctorValue:
-    """The abelian group f/c at one level.  The augmentation splits the
-    ring as f + Z·1 and c lies in f, so f/c = ring/(c + Z·1) = ring/rel.
-    ``group`` is presented on ``gens``, the basis words that no unit pivot
-    of ``rel`` eliminates, with the other canonical rows of ``rel``, cut
-    to ``gens``, as relations; a ring vector v stands for the class of
-    ``rel.reduce(v)`` read on the ``gens`` columns."""
+    """The abelian group f/c at one level, presented on a basis of f (see
+    the module docstring): ``gens`` are the basis words that are no unit
+    pivot of c, but for word |G|-1, and the relations are c's other
+    canonical rows cut to ``gens``, taken with no elimination
+    (``Lattice.canonical``).  A generator g of layer 0 stands for
+    (g, ()) - (|G|-1, ()), any other for its word, and an element v of f
+    stands for ``c_lattice.reduce(v)`` read on the ``gens`` columns."""
 
     def __init__(self, ring, code, deadline=None):
         self.ring = ring
         self.code = code
         self.c_lattice = ring.eval_code(code, deadline)
         # f is the augmentation kernel, and the first |G| basis words are
-        # the (g, ()), so a c row lies in f iff its entries there sum to 0
+        # the (g, ()), so a c row lies in f iff its entries there sum to 0;
+        # that is what keeps every pivot of c off word |G|-1
         order = ring.lp.group.order
         step = _block_rows(ring.rank)
         if any(b[:, :order].sum(axis=1).any() for b in self.c_lattice.basis_blocks(step)):
             raise AssertionError("code lattice escapes f")
-        self.rel = self.c_lattice.copy()
-        self.rel.add(np.eye(1, ring.rank, ring.index[(0, ())], dtype=np.int64))
-        self.gens, rel_rows = unit_split(self.rel)
-        self.group = FinPresAb(len(self.gens), rel_rows)
+        cols, rows = unit_split(self.c_lattice)
+        keep = cols != order - 1
+        self.gens, rows = cols[keep], rows[:, keep]
+        n = len(self.gens)
+        piv = (rows != 0).argmax(axis=1) if len(rows) else np.zeros(0, dtype=np.intp)
+        self.group = FinPresAb(n, Lattice.canonical(n, piv, np.arange(n), rows))
 
 
 def _relabelling(hom, src_ring, tgt_ring):
@@ -545,13 +567,20 @@ def check_over_group(hom, src_lp, tgt_lp):
 
 def induced_map(hom, src_value, tgt_value):
     """Matrix of f/c applied to a presentation morphism: row i is the image
-    of the source's basis word ``gens[i]``, reduced modulo the target's
-    c + Z·1 and read on the target's ``gens`` columns."""
+    of the source generator ``gens[i]`` (for a layer-0 generator g, the
+    image of word g minus that of word |G|-1), reduced modulo the target's
+    c and read on the target's ``gens`` columns, as a C-contiguous array.
+    A relabelling hom fixes word |G|-1, so for it the subtraction changes
+    only the column that is not read."""
     src_ring = src_value.ring
     tgt_ring = tgt_value.ring
     if src_ring.depth != tgt_ring.depth:
         raise ValueError("induced_map needs equal truncation depths")
     check_over_group(hom, src_ring.lp, tgt_ring.lp)
-    images = word_images(hom, src_ring, tgt_ring, src_value.gens)
-    coords = tgt_value.rel.reduce(images)[:, tgt_value.gens]
+    last = src_ring.lp.group.order - 1
+    images = word_images(hom, src_ring, tgt_ring, np.append(src_value.gens, last))
+    # |entries| < 2**62 in int64, so the difference cannot wrap
+    images, last_image = images[:-1], images[-1]
+    images[: np.searchsorted(src_value.gens, last)] -= last_image
+    coords = tgt_value.c_lattice.reduce(images).take(tgt_value.gens, axis=1)
     return AbMap(src_value.group, tgt_value.group, coords)

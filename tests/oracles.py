@@ -5,6 +5,12 @@ groups are handled by element enumeration and invariant factors are
 recovered from p-power annihilator counts or from determinantal divisors,
 so agreement with the package is meaningful evidence.
 
+The presentation of f/c as ring/(c + Z·1) (``RingQuotientValue`` and
+``ring_quotient_map``) is the package's earlier presentation, kept as a
+reference for the one on f's own basis: it adds the row 1 to a copy of c
+and eliminates it, so its generators and maps differ from the package's,
+and the two agree only up to the change of basis between them.
+
 The pairwise cosimplicial check (``cosimplicial_identities_pairwise``) is
 a reference of another kind: it shares the package's lattice engine, but
 forms one dense composite per side of each identity and tests each
@@ -29,9 +35,11 @@ import weakref
 from itertools import combinations, product
 from math import gcd
 
+import numpy as np
+
 from frlimits import freegrp
-from frlimits.intlin import AbMap
-from frlimits.truncring import poly_mul
+from frlimits.intlin import AbMap, FinPresAb, unit_split
+from frlimits.truncring import poly_mul, word_images
 
 
 def _factor(n):
@@ -434,3 +442,32 @@ def cosimplicial_identities_pairwise(X):
                 if not lhs.equals_as_map(rhs):
                     raise AssertionError(f"mixed identity fails at {(p, j, i)}")
     return True
+
+
+class RingQuotientValue:
+    """f/c presented as ring/(c + Z·1), for a ``FunctorValue`` v: the
+    augmentation splits the ring as f + Z·1, so f/c = ring/rel with rel
+    = c + Z·1.  ``group`` is presented on ``gens``, the basis words that
+    no unit pivot of ``rel`` eliminates, with the other canonical rows of
+    ``rel``, cut to ``gens``, as relations; a ring vector x stands for the
+    class of ``rel.reduce(x)`` read on the ``gens`` columns."""
+
+    def __init__(self, value):
+        ring = value.ring
+        self.ring = ring
+        self.rel = value.c_lattice.copy()
+        self.rel.add(np.eye(1, ring.rank, ring.index[(0, ())], dtype=np.int64))
+        self.gens, rows = unit_split(self.rel)
+        self.group = FinPresAb(len(self.gens), rows)
+
+    def classes(self, rows):
+        """The classes of a block of ring vectors, on ``gens``."""
+        return self.rel.reduce(rows)[:, self.gens]
+
+
+def ring_quotient_map(hom, src, tgt):
+    """The map of ring/(c + Z·1) presentations (``RingQuotientValue``)
+    induced by a presentation morphism: row i is the image of the
+    source's basis word ``gens[i]``, reduced modulo the target's rel."""
+    images = word_images(hom, src.ring, tgt.ring, src.gens)
+    return AbMap(src.group, tgt.group, tgt.classes(images))

@@ -4,6 +4,7 @@ import copy
 import os
 import subprocess
 import sys
+import time
 from functools import lru_cache
 from pathlib import Path
 from types import SimpleNamespace
@@ -13,14 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frlimits import intlin
+from frlimits import freegrp, intlin
+from frlimits.errors import CapExceeded
 from frlimits.frcode import max_monomial_length, parse, required_truncation
 from frlimits.intlin import AbMap, FinPresAb, tensor_Z, tor_Z
-from frlimits.limits import CosimplicialAb, alternate_sum_complex, assemble, higher_limits
+from frlimits.limits import CosimplicialAb, Deadline, alternate_sum_complex, assemble, higher_limits
 from frlimits.permgrp import group_from_spec, load_group_file
 from frlimits.truncring import GroupContext
 
-from oracles import cosimplicial_identities_pairwise, reference_hnf
+from oracles import RingQuotientValue, cosimplicial_identities_pairwise, reference_hnf, ring_quotient_map
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 GROUP_DIR = SRC / "frlimits" / "groups"
@@ -449,3 +451,75 @@ def test_a_context_of_another_group_is_refused():
         higher_limits(parse("r"), context("z2").group, ctx=context("z3"))
     with pytest.raises(ValueError, match="context"):
         assemble(parse("r"), load_group_file(GROUP_DIR / "z2.json"), 1, ctx=context("z2"))
+
+
+@pytest.mark.parametrize(
+    "name,code,seconds", [("s3", "r^20000", 0.5), ("z2", "r^900", None)]
+)
+def test_an_oversize_ring_is_refused_at_once(name, code, seconds):
+    # s3's level-0 ring at depth 20001 passes the rank cap in its sixth
+    # layer, and z2's level-1 ring at depth 901 in its twelfth: both are
+    # refused before a power grows huge or a lower level's lattice is built
+    start = time.monotonic()
+    with pytest.raises(CapExceeded, match="ring rank exceeds the cap"):
+        higher_limits(parse(code), context(name).group, deadline=Deadline(seconds))
+    assert time.monotonic() - start < 0.5
+
+
+def test_a_long_monomial_runs_out_of_time_not_of_stack():
+    # f^1500 + rr needs 1501 levels at depth 2, none of them over the
+    # rank cap; the deadline stops the rings being built
+    with pytest.raises(CapExceeded, match="time budget"):
+        higher_limits(parse("f^1500+rr"), context("z2").group, deadline=Deadline(1))
+
+
+ORACLE_CASES = [
+    (p.stem, code) for p in sorted(GROUP_DIR.glob("*.json")) for code in SWEEP_CODES
+] + [("z3", "fff"), ("z3", "rrr")]
+
+
+def change_of_basis(value, oracle):
+    """The maps between f/c on f's basis (``FunctorValue``) and f/c as
+    ring/(c + Z·1) (``RingQuotientValue``): there, a generator g of layer
+    0 is (g, ()) - (|G|-1, ()) and any other is its word; back, a word x
+    is x - eps(x)·1, read on f's basis."""
+    ring = value.ring
+    order = ring.lp.group.order
+    words = np.eye(ring.rank, dtype=np.int64)
+    there = words[value.gens]
+    there[value.gens < order - 1, order - 1] = -1
+    back = words[oracle.gens]
+    back[oracle.gens < order, 0] -= 1
+    back = value.c_lattice.reduce(back)[:, value.gens]
+    return (AbMap(value.group, oracle.group, oracle.classes(there)),
+            AbMap(oracle.group, value.group, back))
+
+
+@pytest.mark.parametrize("name,code", ORACLE_CASES)
+def test_structure_maps_agree_with_the_ring_quotient_oracle(name, code):
+    # each level is the oracle's group up to an isomorphism given by the
+    # change of basis, and each structure map is the oracle's under it
+    X = complex_of(name, code)
+    oracle = [RingQuotientValue(v) for v in X.values]
+    there = []
+    for v, o in zip(X.values, oracle):
+        assert v.group.invariants() == o.group.invariants()
+        t, b = change_of_basis(v, o)
+        assert t.is_well_defined() and b.is_well_defined()
+        assert t.compose(b).equals_as_map(AbMap.identity(o.group))
+        assert b.compose(t).equals_as_map(AbMap.identity(v.group))
+        there.append(t)
+    rank = context(name).group.ngens
+    maps = [(freegrp.coface(p, i, rank), m, p, p + 1) for (p, i), m in X.d.items()]
+    maps += [(freegrp.codegeneracy(p, j, rank), m, p + 1, p) for (p, j), m in X.s.items()]
+    for hom, m, src, tgt in maps:
+        expected = ring_quotient_map(hom, oracle[src], oracle[tgt])
+        assert there[tgt].compose(m).equals_as_map(expected.compose(there[src]))
+
+
+@pytest.mark.parametrize("code", ["fff", "rrr"])
+def test_structure_maps_are_c_contiguous(code):
+    X = complex_of("z3", code)
+    maps = list(X.d.values()) + list(X.s.values())
+    assert len(maps) == 15
+    assert all(m.matrix.flags.c_contiguous for m in maps)

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import time
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from frlimits import freegrp
 from frlimits.errors import CapExceeded
 from frlimits.frcode import dominated, make_code, min_r_power, normalize, parse, required_truncation
-from frlimits.intlin import FinPresAb, Lattice
+from frlimits.intlin import FinPresAb, Lattice, unit_split
 from frlimits.limits import Deadline
 from frlimits.permgrp import LevelPresentation, load_group_file
 from frlimits.truncring import (
@@ -40,6 +41,16 @@ class TestValidation:
         g = load_group_file(GROUP_DIR / "z2.json")
         with pytest.raises(ValueError):
             TruncatedRing(LevelPresentation(g, 0), 0)
+
+    def test_the_rank_cap_fires_before_the_layers_grow(self):
+        # s3 at level 0 has 7 Schreier generators, so summing every layer
+        # up to depth 20001 would form 7**20000; the sum stops at the
+        # first offset past the cap, and the message names the cap
+        g = load_group_file(GROUP_DIR / "s3.json")
+        start = time.monotonic()
+        with pytest.raises(CapExceeded, match="exceeds the cap 200000$"):
+            TruncatedRing(LevelPresentation(g, 0), 20001)
+        assert time.monotonic() - start < 0.5
 
     def test_scalar_must_be_an_int(self):
         # an element's coefficients are ints; a float one is refused as
@@ -480,9 +491,9 @@ class TestIdealLattices:
             prev = brute.basis()
 
     def test_copies_leave_cached_bases_alone(self):
-        # eval_code starts from a copy of a cached monomial lattice and
-        # FunctorValue from a copy of the code lattice; adding rows to a
-        # copy must not change the lattice it was copied from
+        # eval_code starts from a copy of a cached monomial lattice, and
+        # FunctorValue reads its relations off the cached code lattice;
+        # neither may change the lattice it starts from
         r = ring_for("z3", 1, 3)
         monos = ["f", "r", "fr", "rf", "ff", "fff", "rr"]
         before = {m: [row.copy() for row in r.eval_monomial(m).basis()] for m in monos}
@@ -491,7 +502,8 @@ class TestIdealLattices:
             code = r.eval_code(parse(text))
             code_rows = [row.copy() for row in code.basis()]
             val = FunctorValue(r, parse(text))
-            assert val.c_lattice is code and val.rel.rank == code.rank + 1
+            assert val.c_lattice is code
+            assert val.group.relations.rank == len(unit_split(code)[1])
             assert all(np.array_equal(x, y) for x, y in zip(code.basis(), code_rows))
             assert len(code.basis()) == len(code_rows)
         for m in monos:
@@ -520,6 +532,36 @@ class TestIdealLattices:
             assert brute == r.eval_monomial(mono)
 
 
+class TestLongMonomials:
+    def test_a_long_monomial_is_built_in_a_loop(self):
+        # 1500 letters would overflow the stack one call per letter.  On
+        # z2 at depth 2 the augmentation ideal I of Z/2 has I^2 = 2I, so
+        # f^1500 = 2^1498·f^2, with entries far beyond int64; built from
+        # the cached suffix f^700 or from nothing, it is the same lattice
+        r = ring_for("z2", 0, 2)
+        lat = r.eval_monomial("f" * 1500)
+        assert all("f" * k in r._monomial_cache for k in range(1501))
+        assert lat.big
+        assert lat == Lattice(r.rank, 2**1498 * r.eval_monomial("ff").basis().astype(object))
+        other = ring_for("z2", 0, 2)
+        other.eval_monomial("f" * 700)
+        assert other.eval_monomial("f" * 1500) == lat
+
+    def test_the_deadline_is_checked_once_per_suffix(self):
+        # r^k on z2 at depth 901 multiplies nothing: every suffix is its
+        # canonical seed, and r^900 takes seconds in all; the deadline
+        # stops it between two suffixes, and only complete ones are cached
+        r = ring_for("z2", 0, 901)
+        start = time.monotonic()
+        with pytest.raises(CapExceeded):
+            r.eval_monomial("r" * 900, Deadline(0.2))
+        assert time.monotonic() - start < 1.0
+        cached = sorted(r._monomial_cache, key=len)
+        assert 0 < len(cached) < 901
+        assert cached == ["r" * k for k in range(len(cached))]
+        assert r._monomial_cache[cached[-1]].rank == r.rank - r.layer_offsets[len(cached) - 1]
+
+
 class TestQuotients:
     def test_f_mod_r_is_g(self):
         for name in ("z2", "z3", "z4", "s3"):
@@ -541,9 +583,9 @@ class TestQuotients:
         "level,rank,ngens,free_rank", [(0, 9, 5, 2), (1, 63, 11, 6), (2, 171, 19, 12)]
     )
     def test_presentation_on_surviving_words(self, level, rank, ngens, free_rank):
-        # f/fff on z3 at N = 3, presented on the words that no unit pivot
-        # of fff + Z·1 eliminates, against ring/(c + Z·1) on every basis
-        # word and against f/c in the coordinates of the f lattice
+        # f/fff on z3 at N = 3, presented on the words that are no unit
+        # pivot of fff, but for |G| - 1, against ring/(c + Z·1) on every
+        # basis word and against f/c in the coordinates of the f lattice
         r = ring_for("z3", level, 3)
         val = FunctorValue(r, parse("fff"))
         assert r.rank == rank and val.group.ngens == len(val.gens) == ngens
@@ -553,6 +595,27 @@ class TestQuotients:
         assert FinPresAb(r.rank, np.concatenate([c.basis(), e_one])).invariants() == ((), free_rank)
         f = r.eval_monomial("f")
         assert FinPresAb(f.rank, f.coordinates(c.basis())).invariants() == ((), free_rank)
+
+
+    @pytest.mark.parametrize("text", ["r", "f", "fr+rf", "rr+fff", "fff", "rrr"])
+    def test_a_value_adds_no_rows_once_its_code_is_cached(self, text, monkeypatch):
+        # one lattice per level: the presentation is read off the cached
+        # code lattice, and nothing is eliminated
+        r = ring_for("z3", 1, 3)
+        code = r.eval_code(parse(text))
+        adds = []
+        add = Lattice.add
+
+        def counted(self, blocks):
+            adds.append(1)
+            return add(self, blocks)
+
+        monkeypatch.setattr(Lattice, "add", counted)
+        val = FunctorValue(r, parse(text))
+        assert not adds
+        assert val.c_lattice is code
+        last = r.lp.group.order - 1
+        assert last not in val.gens and last in unit_split(code)[0]
 
 
 class TestDeadline:
@@ -565,7 +628,8 @@ class TestDeadline:
         assert not r._code_cache
         fresh = ring_for("z3", 2, 3)
         val, ref = FunctorValue(r, code), FunctorValue(fresh, code)
-        assert val.c_lattice == ref.c_lattice and val.rel == ref.rel
+        assert val.c_lattice == ref.c_lattice and val.group.relations == ref.group.relations
+        assert np.array_equal(val.gens, ref.gens)
         assert val.group.invariants() == ref.group.invariants()
 
 
@@ -630,10 +694,18 @@ class TestInducedMaps:
         fold = freegrp.codegeneracy(0, 0, 1)
         m = induced_map(fold, v1, v0)
         # check on each generator at level 1: the image is the fold of its
-        # basis word, renormalized at level 0 and reduced modulo r + Z·1
+        # basis word, less that of word |G| - 1 for a layer-0 generator,
+        # renormalized at level 0 by the reference product and reduced
+        # modulo r
+        last = g.order - 1
         for i, k in enumerate(v1.gens):
-            img = dense([terms_to_vec(r0, word_image_terms(fold, r1, r0, k))], r0.rank)
-            expected = v0.rel.reduce(img)[0, v0.gens]
+            terms = word_image_terms(fold, r1, r0, k)
+            if k < last:
+                terms = {**terms}
+                for bw, c in word_image_terms(fold, r1, r0, last).items():
+                    terms[bw] = terms.get(bw, 0) - c
+            img = dense([terms_to_vec(r0, terms)], r0.rank)
+            expected = v0.c_lattice.reduce(img)[0, v0.gens]
             assert [int(x) for x in m.matrix[i]] == expected.tolist()
 
     def test_non_commuting_rejected(self):
