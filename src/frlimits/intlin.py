@@ -528,9 +528,10 @@ class Lattice:
         out[ones, piv[start:stop][ones]] = 1
         return out
 
-    def basis_blocks(self, rows, stop=None):
+    def basis_blocks(self, rows=None, stop=None):
         """The canonical basis, or its rows before `stop`, as consecutive
-        blocks of at most `rows` rows."""
+        blocks of at most `rows` rows (by default ``_block_rows(n)``)."""
+        rows = rows or _block_rows(self.n)
         stop = self.rank if stop is None else stop
         for s in range(0, stop, rows):
             yield self.basis(s, min(s + rows, stop))
@@ -841,9 +842,6 @@ class AbMap:
             return False
         return self.cod.relations.contains(self.matrix - other.matrix)
 
-    def is_zero_map(self):
-        return self.cod.relations.contains(self.matrix)
-
 
 def safe_matmul(a, b):
     """Exact matrix product: float64 (BLAS) while every partial sum stays
@@ -949,6 +947,15 @@ def sparse_product(left, right):
     return SparseRows.summed(shape, a_row[pair], b_col[at], a_data[pair] * b_data[at])
 
 
+def composite_is_zero(f, g):
+    """Whether g o f = 0 as a map of presented groups, for f: A -> B and
+    g: B -> C: the exact sparse product of the two matrices
+    (``sparse_product``), whose nonzero rows are tested with one
+    ``contains`` in C's relations."""
+    _, rows = sparse_product([SparseRows.of(f.matrix)], [SparseRows.of(g.matrix)]).nonzero_rows()
+    return g.cod.relations.contains(rows)
+
+
 # -- homology of presented complexes ------------------------------------------
 
 
@@ -973,14 +980,15 @@ def homology_at(f, g):
     ``R.reduce(v)[cols]``.  So g becomes ``R_C.reduce(g[cols_B])[:,
     cols_C]`` and f becomes ``R_B.reduce(f)[:, cols_B]``, and the kernel
     and the coordinate solves run at the size of those presentations.
-    The composite is checked on the maps as given."""
+    The composite is checked on the maps as given, by their sparse
+    product (``composite_is_zero``)."""
     B = f.cod
     C = g.cod
     if g.dom.ngens != B.ngens:
         raise ValueError(
             f"homology_at: f lands in rank {B.ngens}, g starts from rank {g.dom.ngens}"
         )
-    if not C.relations.contains(safe_matmul(f.matrix, g.matrix)):
+    if not composite_is_zero(f, g):
         raise ValueError("homology_at: composite g o f is not zero")
 
     cols_B, R_B = unit_split(B.relations)

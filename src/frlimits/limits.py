@@ -27,8 +27,8 @@ import numpy as np
 from . import freegrp
 from .errors import CapExceeded
 from .frcode import max_monomial_length, normalize, required_truncation
-from .intlin import (AbMap, FinPresAb, SparseRows, homology_at, kernel_of_matrix,
-                     sparse_product)
+from .intlin import (AbMap, FinPresAb, SparseRows, composite_is_zero, homology_at,
+                     kernel_of_matrix, sparse_product)
 from .truncring import (
     FunctorValue,
     GroupContext,
@@ -52,17 +52,18 @@ class Deadline:
 
 
 class CosimplicialAb:
-    """Levels 0..D of f/code on the standard complex, with all cofaces and
-    codegeneracies as maps of presented groups; the cosimplicial identities
-    are verified on construction, with one sparse product per identity
-    family and level and at most one membership test per level
-    (``verify_cosimplicial_identities``)."""
+    """Levels 0..D of f/code on the standard complex, in the rings truncated
+    at the code's faithful depth N (``required_truncation``), with all
+    cofaces and codegeneracies as maps of presented groups; the
+    cosimplicial identities are verified on construction, with one sparse
+    product per identity family and level and at most one membership test
+    per level (``verify_cosimplicial_identities``)."""
 
-    def __init__(self, code, ctx, depth_d, trunc_n, deadline=None):
+    def __init__(self, code, ctx, depth_d, deadline=None):
         self.code = code
         self.ctx = ctx
         self.D = depth_d
-        self.N = trunc_n
+        self.N = required_truncation(code)
         deadline = deadline or Deadline()
         rank = ctx.group.ngens
         # every level's ring first, so one too wide is refused before any
@@ -70,7 +71,7 @@ class CosimplicialAb:
         rings = []
         for p in range(depth_d + 1):
             deadline.check()
-            rings.append(ctx.ring(p, trunc_n))
+            rings.append(ctx.ring(p, self.N))
         self.values = []
         for ring in rings:
             deadline.check()
@@ -214,7 +215,8 @@ class CochainComplex:
 
 def alternate_sum_complex(X):
     """C(X): same levels, differential sum_i (-1)^i d^i; d^2 = 0 is verified
-    as maps of presented groups and failure signals an induced-map bug."""
+    as maps of presented groups, by sparse products (``composite_is_zero``),
+    and failure signals an induced-map bug."""
     maps = []
     for p in range(X.D):
         acc = X.d[(p, 0)]
@@ -223,8 +225,7 @@ def alternate_sum_complex(X):
             acc = acc + term if i % 2 == 0 else acc - term
         maps.append(acc)
     for k in range(len(maps) - 1):
-        comp = maps[k + 1].compose(maps[k])
-        if not comp.is_zero_map():
+        if not composite_is_zero(maps[k], maps[k + 1]):
             raise AssertionError("alternate-sum differential does not square to zero")
     return CochainComplex(list(X.levels), maps)
 
@@ -258,7 +259,7 @@ def assemble(code, group, top_degree, deadline=None, ctx=None):
         ctx = GroupContext(group)
     elif ctx.group is not group:
         raise ValueError(f"the context is one of {ctx.group.name}, not of {group.name}")
-    return CosimplicialAb(code, ctx, top_degree, required_truncation(code), deadline=deadline)
+    return CosimplicialAb(code, ctx, top_degree, deadline=deadline)
 
 
 def code_lattice_equalizer_rank(X):

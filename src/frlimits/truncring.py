@@ -9,7 +9,9 @@ so the ring rank is sum_{k<N} |G|·m^k with m the Schreier rank.
 Layout: the basis is ordered by (|J|, g, J), so word (g, J) sits at
 off_|J| + g·m^|J| + idx(J), where off_k = sum_{i<k} |G|·m^i is the start
 of layer k and idx(J) reads J as a base-m number; idx(J+K) =
-idx(J)·m^|K| + idx(K).  Right multiplication by t_K is a shift,
+idx(J)·m^|K| + idx(K).  The layout is kept only as this formula
+(``TruncatedRing.position``), never as a table of words, and no offset
+depends on N.  Right multiplication by t_K is a shift,
 (g, J)·t_K = (g, J+K), zero once |J| + |K| >= N, so it moves the words
 (g, J+K) for all K of one length as one contiguous slice.  Hence
 r^k is the span of the words with |J| >= k, and (w - 1)·(h, K) =
@@ -33,11 +35,12 @@ gamma·s(h) shifted by t_K.  Hence
 with gamma = u - 1 over the right generators u of the letter a (group
 words: the generators x of F for f, the rho_j for r) and P the span in
 Z^|G| of the layer-0 parts of the gamma·s(h), h in G: the augmentation
-ideal of Z[G] for f, 0 for r.  P⊗I puts a row v of P at (g, K) -> v_g
-for every K of length k-1.  At g·m^(k-1) + idx(K) in layer k-1, the
-canonical basis of P tensored with the identity, then the unit rows of
-the layers >= k, is canonical as it stands, so that seed is built with
-no elimination and only the tail's rows below layer k-1 are multiplied.
+ideal I_G of Z[G] for f, 0 for r (``TruncatedRing._seed``).  P⊗I puts a
+row v of P at (g, K) -> v_g for every K of length k-1.  At g·m^(k-1) +
+idx(K) in layer k-1, the canonical rows e_g - e_{|G|-1} of I_G tensored
+with the identity, then the unit rows of the layers >= k, are canonical
+as they stand, so that seed is written down in closed form, with no
+elimination, and only the tail's rows below layer k-1 are multiplied.
 
 A presentation morphism phi sends (g, J) to phi(s(g))·prod phi(t_j)
 (``word_images``).  The transversal uses copy-0 letters only and is the
@@ -70,6 +73,7 @@ nothing eliminated.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import reduce
 from math import comb
 
@@ -78,8 +82,8 @@ import numpy as np
 from . import freegrp
 from .errors import CapExceeded
 from .frcode import required_truncation
-from .intlin import (_I64_SAFE, AbMap, FinPresAb, Lattice, _block_rows, _maxabs,
-                     int_block, lattice_intersection, safe_matmul, unit_split)
+from .intlin import (_I64_SAFE, AbMap, FinPresAb, Lattice, _maxabs, int_block,
+                     lattice_intersection, safe_matmul, unit_split)
 from .permgrp import LevelPresentation
 
 DEFAULT_RANK_CAP = 200_000
@@ -135,21 +139,7 @@ class TruncatedRing:
             self.layer_offsets.append(self.layer_offsets[-1] + order * m**k)
             if self.layer_offsets[-1] > rank_cap:
                 raise CapExceeded(f"ring rank exceeds the cap {rank_cap}")
-        rank = self.layer_offsets[-1]
-        self.basis = []
-        tuples_by_len = [[()]]
-        for k in range(1, depth):
-            tuples_by_len.append(
-                [J + (j,) for J in tuples_by_len[k - 1] for j in range(m)]
-            )
-        for k in range(depth):
-            for g in range(order):
-                for J in tuples_by_len[k]:
-                    self.basis.append((g, J))
-        self.index = {bw: i for i, bw in enumerate(self.basis)}
-        self.rank = len(self.basis)
-        if self.rank != rank:
-            raise AssertionError(f"{self.rank} basis words, but the ring rank is {rank}")
+        self.rank = self.layer_offsets[-1]
 
         self._rho_power = {}
         self._section_products = {}
@@ -163,6 +153,14 @@ class TruncatedRing:
             f"TruncatedRing({self.lp.group.name}, level={self.lp.level}, "
             f"N={self.depth}, rank={self.rank})"
         )
+
+    def position(self, g, J):
+        """Index of basis word (g, J): off_|J| + g·m^|J| + idx(J), that is
+        g followed by the letters of J read as one base-m number."""
+        s = g
+        for j in J:
+            s = s * self.lp.num_schreier_gens + j
+        return self.layer_offsets[len(J)] + s
 
     # -- power series and rewriting expansions ---------------------------
 
@@ -239,7 +237,7 @@ class TruncatedRing:
         for h, prod in enumerate(prods):
             for (g, J), c in prod.items():
                 a = len(J)
-                i = self.index[(g, J)] - off[a]
+                i = self.position(g, J) - off[a]
                 for k in range(self.depth - a):
                     w = m**k
                     src = off[k] + h * w
@@ -269,7 +267,7 @@ class TruncatedRing:
         out = np.zeros((len(V), self.rank), dtype=dtype)
         for (_, L), c in terms.items():
             a, w = len(L), m ** len(L)
-            i = self.index[(0, L)] - off[a]
+            i = self.position(0, L) - off[a]
             for k in range(self.depth - a):
                 out[:, off[a + k] + i : off[a + k + 1] : w] += c * V[:, off[k] : off[k + 1]]
         return out
@@ -287,50 +285,36 @@ class TruncatedRing:
             return self.lp.schreier_gens
         raise ValueError(f"unknown letter {letter!r}")
 
-    def _layer0_span(self, letter):
-        """P for a letter, as its canonical basis and the pivot column of
-        each row: the span in Z^|G| of the layer-0 parts of gamma·s(h)
-        over the differences gamma = w - 1 of its right generators w and
-        h in G.  A term (g, J) of gamma with |J| > 0 takes s(h) into the
-        layers >= |J|, so only the layer-0 part gamma_0 of gamma counts.  For r, gamma_0 = 0, so
-        P = 0.  For f, gamma = x - 1 has gamma_0 = (g_x, ()) - (0, ()),
-        with g_x the image of x in G, and the layer-0 part of gamma_0·s(h)
-        is e_{g_x·h} - e_h.  The generators x map onto G, so these span
-        the augmentation ideal I_G, whose canonical rows are
-        e_g - e_{|G|-1} for g < |G| - 1."""
-        order = self.lp.group.order
-        if letter == "r":
-            return np.zeros((0, order), dtype=np.int64), np.zeros(0, dtype=np.intp)
-        if letter == "f":
-            H = np.eye(order - 1, order, dtype=np.int64)
-            H[:, -1] = -1
-            return H, np.arange(order - 1)
-        raise ValueError(f"unknown letter {letter!r}")
-
     def _seed(self, k, letter):
-        """The lattice r^k + P⊗I of the module docstring, for a monomial of
-        length k with the given head letter; P⊗I lies on layer k-1, so it
-        is empty if k = 0 or k > N."""
-        off, depth, n = self.layer_offsets, self.depth, self.rank
-        order = self.lp.group.order
-        start = off[min(k, depth)]
-        lo, M = start, 0
-        H = np.zeros((0, order), dtype=np.int64)
-        hp = np.zeros(0, dtype=np.intp)
-        if 0 < k <= depth:
-            lo, M = off[k - 1], self.lp.num_schreier_gens ** (k - 1)
-            H, hp = self._layer0_span(letter)
-        # word (g, K) of layer k-1 sits at lo + g·M + idx(K); row (i, K) of
-        # P⊗I is H[i, g] there, and B holds it on the g that are no unit pivot
-        keep = np.ones(order, dtype=bool)
-        keep[hp[H[np.arange(len(H)), hp] == 1]] = False
-        hcols = np.flatnonzero(keep)
-        K = np.arange(M)
-        piv = np.concatenate([(lo + hp[:, None] * M + K).ravel(), np.arange(start, n)])
-        cols = np.concatenate([np.arange(lo), (lo + hcols[:, None] * M + K).ravel()])
-        B = np.zeros((len(piv), len(cols)), dtype=H.dtype)
-        for i, c in zip(*np.nonzero(H[:, hcols])):
-            B[i * M + K, lo + c * M + K] = H[i, hcols[c]]
+        """The canonical lattice r^k + P⊗I of the module docstring, for a
+        monomial of length k with the given head letter ("" for the empty
+        monomial), written down in its stored form.
+
+        P is the span in Z^|G| of the layer-0 parts of gamma·s(h) over the
+        differences gamma = w - 1 of the letter's right generators w and h
+        in G.  A term (g, J) of gamma with |J| > 0 takes s(h) into the
+        layers >= |J|, so only the layer-0 part gamma_0 of gamma counts.
+        For r, gamma_0 = 0, so P = 0 and the seed is r^k: the unit rows of
+        the layers >= k.  For f, gamma = x - 1 has gamma_0 = (g_x, ()) -
+        (0, ()), with g_x the image of x in G, and the layer-0 part of
+        gamma_0·s(h) is e_{g_x·h} - e_h.  The generators x map onto G, so
+        these span the augmentation ideal I_G, whose canonical rows are
+        e_g - e_{|G|-1} for g < |G|-1.  So P⊗I adds the unit rows (g, K)
+        of layer k-1 with g < |G|-1, each with -1 at (|G|-1, K).  It lies
+        on layer k-1, so it is empty if k = 0 or k > N."""
+        off, n = self.layer_offsets, self.rank
+        start = off[min(k, self.depth)]
+        # the rows of P⊗I are the words lo..hi-1; the words hi..start-1
+        # are the (|G|-1, K), each a column of B
+        lo = hi = start
+        if letter == "f" and 0 < k <= self.depth:
+            lo, hi = off[k - 1], start - self.lp.num_schreier_gens ** (k - 1)
+        piv = np.concatenate([np.arange(lo, hi), np.arange(start, n)])
+        cols = np.concatenate([np.arange(lo), np.arange(hi, start)])
+        B = np.zeros((len(piv), len(cols)), dtype=np.int64)
+        # word lo + g·M + idx(K) has its -1 at (|G|-1, K), column lo + idx(K)
+        i = np.arange(hi - lo)
+        B[i, lo + i % (start - hi)] = -1
         return Lattice.canonical(n, piv, cols, B)
 
     def eval_monomial(self, mono, deadline=None):
@@ -345,10 +329,10 @@ class TruncatedRing:
 
             w = r^k + P⊗I + span{gamma·t : t a row of T with pivot below layer k-1},
 
-        so the lattice starts from the canonical seed r^k + P⊗I (``_seed``,
-        with P from ``_layer0_span``) and only T's rows with a pivot below
-        layer k-1, found by their pivots, are multiplied: at most
-        |G|·sum_{i<k-1} m^i of them (``_tail_products``).
+        so the lattice starts from the canonical seed r^k + P⊗I (``_seed``)
+        and only T's rows with a pivot below layer k-1, found by their
+        pivots, are multiplied: at most |G|·sum_{i<k-1} m^i of them
+        (``_tail_products``).
 
         The deadline is checked once per suffix and once per product block.
         Each suffix is cached as soon as its lattice is complete, and only
@@ -372,7 +356,7 @@ class TruncatedRing:
         through ``left_multiply``, so the one ``Lattice.add`` that takes the
         stream keeps its folds at full size."""
         stop = int(np.searchsorted(tail.pivot_cols, self.layer_offsets[min(len(mono) - 1, self.depth)]))
-        gens = self.right_generators(mono[0]) if stop else []
+        gens = self.right_generators(mono[0])
         for chunk in tail.basis_blocks(max(1, _PRODUCT_ENTRIES // self.rank), stop):
             for u in gens:
                 if deadline is not None:
@@ -397,8 +381,7 @@ class TruncatedRing:
             for term in code.terms
         )
         total = first.copy()
-        step = _block_rows(self.rank)
-        total.add(b for lat in rest for b in lat.basis_blocks(step))
+        total.add(b for lat in rest for b in lat.basis_blocks())
         self._code_cache[key] = total
         return total
 
@@ -444,8 +427,7 @@ class FunctorValue:
         # the (g, ()), so a c row lies in f iff its entries there sum to 0;
         # that is what keeps every pivot of c off word |G|-1
         order = ring.lp.group.order
-        step = _block_rows(ring.rank)
-        if any(b[:, :order].sum(axis=1).any() for b in self.c_lattice.basis_blocks(step)):
+        if any(b[:, :order].sum(axis=1).any() for b in self.c_lattice.basis_blocks()):
             raise AssertionError("code lattice escapes f")
         cols, rows = unit_split(self.c_lattice)
         keep = cols != order - 1
@@ -500,9 +482,13 @@ def word_images(hom, src_ring, tgt_ring, words):
     has only terms (0, L): the product is ``right_multiply``, a sum of
     shifts.  So the rows are built a layer at a time, each layer from the
     rows of its prefixes grouped by last letter j, starting from layer 0,
-    whose rows are the normal forms of phi(s(g)).  Each word's row
-    (prefixes included) and each phi(t_j) are memoized per hom in the
-    target ring's ``_hom_images``.
+    whose rows are the normal forms of phi(s(g)).  All of it runs on
+    positions: the word at offset t of layer k > 0 has its prefix at
+    offset t // m of layer k-1 and last letter t % m (see the module
+    docstring).  Each word's row (prefixes included), keyed by its source
+    position, and each phi(t_j) are memoized per hom in the target ring's
+    ``_hom_images``; a layer's offset does not depend on N, so the keys
+    mean the same word at every source depth.
     """
     words = np.asarray(words, dtype=np.intp)
     rank = tgt_ring.rank
@@ -516,35 +502,37 @@ def word_images(hom, src_ring, tgt_ring, words):
         hit = (dst >= 0).nonzero()[0]
         out[hit, dst[hit]] = 1
         return out
-    memo, diffs = tgt_ring._hom_images.setdefault(hom, ({}, {}))
-    lp = src_ring.lp
-    wanted = [src_ring.basis[k] for k in words.tolist()]
-    if not wanted:
+    if not len(words):
         return np.zeros((0, rank), dtype=np.int64)
+    memo, diffs = tgt_ring._hom_images.setdefault(hom, ({}, {}))
+    lp, off, m = src_ring.lp, src_ring.layer_offsets, src_ring.lp.num_schreier_gens
+    # the words to build per layer: the wanted ones and their prefixes,
+    # down to the first one memoized
     layers = [set() for _ in range(src_ring.depth)]
-    for g, J in wanted:
-        while (g, J) not in memo and (g, J) not in layers[len(J)]:
-            layers[len(J)].add((g, J))
-            if not J:
+    for s in words.tolist():
+        k = bisect_right(off, s) - 1
+        while s not in memo and s not in layers[k]:
+            layers[k].add(s)
+            if not k:
                 break
-            J = J[:-1]
+            s, k = off[k - 1] + (s - off[k]) // m, k - 1
     if layers[0]:
         new = sorted(layers[0])
         block = np.zeros((len(new), rank), dtype=object)
-        for row, (g, _) in zip(block, new):
-            for bw, c in tgt_ring.normal_form(hom.apply(lp.transversal[g])).items():
-                row[tgt_ring.index[bw]] = c
+        for row, g in zip(block, new):
+            for (h, L), c in tgt_ring.normal_form(hom.apply(lp.transversal[g])).items():
+                row[tgt_ring.position(h, L)] = c
         memo.update(zip(new, int_block(block, rank)))
-    for layer in layers[1:]:
+    for k in range(1, src_ring.depth):
         by_letter = {}
-        for g, J in sorted(layer):
-            by_letter.setdefault(J[-1], []).append((g, J))
+        for s in sorted(layers[k]):
+            by_letter.setdefault((s - off[k]) % m, []).append(s)
         for j, new in by_letter.items():
             if j not in diffs:
                 diffs[j] = tgt_ring.nf_minus_section(hom.apply(lp.schreier_gens[j]), 0)
-            prefixes = int_block(np.stack([memo[(g, J[:-1])] for g, J in new]), rank)
+            prefixes = int_block(np.stack([memo[off[k - 1] + (s - off[k]) // m] for s in new]), rank)
             memo.update(zip(new, tgt_ring.right_multiply(prefixes, diffs[j])))
-    return int_block(np.stack([memo[bw] for bw in wanted]), rank)
+    return int_block(np.stack([memo[s] for s in words.tolist()]), rank)
 
 
 def hom_image_rows(hom, src_ring, tgt_ring, rows):

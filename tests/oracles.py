@@ -17,6 +17,11 @@ forms one dense composite per side of each identity and tests each
 identity on its own, so it checks the batched sparse check's products,
 blocks and bookkeeping.
 
+The package keeps the layout of a truncated ring only as a formula,
+``TruncatedRing.position``; the oracle decodes an index back to its basis
+word on its own (``word_at``), and the tests check that the two are
+inverse.
+
 Ring products (``multiply_terms``) are formed by the cocycle and
 conjugation identities, not from normal forms of words as in the
 package.  The identity-component subalgebra of Z[F_p]/r^N is a truncated
@@ -299,15 +304,35 @@ def expand_schreier_word(lp, rho_word):
     ) if rho_word else freegrp.IDENTITY
 
 
+def word_at(ring, i):
+    """The basis word (g, J) at index i of the ring, decoded on its own
+    rather than by ``TruncatedRing.position``: whole layers of |G|·m^k
+    words are skipped, and the rest splits into g and the base-m digits
+    of J, most significant first."""
+    order, m = ring.lp.group.order, ring.lp.num_schreier_gens
+    k = 0
+    while k < ring.depth and i >= order * m**k:
+        i -= order * m**k
+        k += 1
+    if k == ring.depth or i < 0:
+        raise IndexError("no basis word at that index")
+    g, rest = divmod(i, m**k)
+    J = []
+    for _ in range(k):
+        rest, j = divmod(rest, m)
+        J.insert(0, j)
+    return g, tuple(J)
+
+
 def vec_to_terms(ring, row):
     """A ring vector as the terms {basis word: coefficient} of the element,
     so that ``multiply_terms`` can serve as the reference product."""
-    return {ring.basis[i]: int(c) for i, c in enumerate(row) if c}
+    return {word_at(ring, i): int(c) for i, c in enumerate(row) if c}
 
 
 def terms_to_vec(ring, terms):
     """The terms of a ring element as a dict row {basis index: coefficient}."""
-    return {ring.index[bw]: c for bw, c in terms.items()}
+    return {ring.position(g, J): c for (g, J), c in terms.items()}
 
 
 # -- the reference product of the truncated group ring -------------------------
@@ -399,7 +424,7 @@ def word_image_terms(hom, src_ring, tgt_ring, k):
     morphism phi, as terms of tgt_ring: the normal form of phi(s(g)) times
     the normal form of phi(rho_j) - 1 for each letter j of J in turn, each
     product by the reference product ``multiply_terms``."""
-    g, J = src_ring.basis[k]
+    g, J = word_at(src_ring, k)
     lp = src_ring.lp
     terms = tgt_ring.normal_form(hom.apply(lp.transversal[g]))
     for j in J:
@@ -456,7 +481,7 @@ class RingQuotientValue:
         ring = value.ring
         self.ring = ring
         self.rel = value.c_lattice.copy()
-        self.rel.add(np.eye(1, ring.rank, ring.index[(0, ())], dtype=np.int64))
+        self.rel.add(np.eye(1, ring.rank, ring.position(0, ()), dtype=np.int64))
         self.gens, rows = unit_split(self.rel)
         self.group = FinPresAb(len(self.gens), rows)
 

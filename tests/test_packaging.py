@@ -69,59 +69,71 @@ def test_no_assert_statements_in_the_package():
 
 
 # public API that only the tests reach today (equals_as_map: the pairwise
-# cosimplicial oracle in tests/oracles.py); with the dunder methods,
-# which Python calls itself, these are the only functions of the package
-# that src/ and bench/ may leave unnamed
+# cosimplicial oracle in tests/oracles.py; compose and identity of AbMap:
+# the same oracle; compose and identity of FreeHom: the tests of the
+# simplicial identities); with the dunder methods, which Python calls
+# itself, these are the only functions of the package that src/ and
+# bench/ may leave unnamed
 UNREFERENCED_OK = {
     "direct_sum", "is_well_defined", "to_json_dict", "format_word", "free", "cyclic",
-    "equals_as_map",
+    "equals_as_map", "compose", "identity",
 }
 
 
 def _names(tree):
-    """Every name and attribute a module refers to, and every part of a
-    string that is a dotted name (the benchmark's tracer names its
-    targets as strings such as "TruncatedRing.eval_monomial")."""
-    out = set()
+    """(names, attributes): every name a module refers to, and every
+    attribute it reads, by a dot or by getattr, with each part of a string
+    that is a dotted name (the benchmark's tracer names its targets as
+    strings such as "TruncatedRing.eval_monomial")."""
+    names, attrs = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            out.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
+            attrs.add(node.attr)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("getattr", "hasattr", "setattr") and len(node.args) > 1
+              and isinstance(node.args[1], ast.Constant)):
+            attrs.add(node.args[1].value)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             parts = node.value.split(".")
             if all(part.isidentifier() for part in parts):
-                out.update(parts)
-    return out
+                (attrs if len(parts) > 1 else names).update(parts)
+    return names, attrs
 
 
 def test_every_function_is_used_by_the_package_or_the_benchmark():
-    used, defined = set(), []
+    # a method counts as used only through an attribute or a dotted
+    # string: a local variable of the same name does not call it
+    names, attrs, defined = set(), set(), []
     for top in ("src", "bench"):
         for path in sorted((ROOT / top).rglob("*.py")):
             tree = ast.parse(path.read_text(), filename=str(path))
-            used |= _names(tree)
+            found = _names(tree)
+            names |= found[0]
+            attrs |= found[1]
             if top == "src":
+                methods = {
+                    node for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for node in cls.body
+                }
                 defined += [
-                    (f"{path.name}:{node.lineno}", node.name)
+                    (f"{path.name}:{node.lineno}", node.name, node in methods)
                     for node in ast.walk(tree)
                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                 ]
     unused = [
         where + " " + name
-        for where, name in defined
-        if name not in used and name not in UNREFERENCED_OK
+        for where, name, method in defined
+        if name not in attrs and (method or name not in names) and name not in UNREFERENCED_OK
         and not (name.startswith("__") and name.endswith("__"))
     ]
     assert not unused, unused
 
 
 # the private names one package module still takes from another:
-# intlin's int64 bound, block size and |entry| scan, which truncring's
-# products use
+# intlin's int64 bound and |entry| scan, which truncring's products use
 PRIVATE_IMPORTS_OK = {
     ("truncring.py", "_I64_SAFE"),
-    ("truncring.py", "_block_rows"),
     ("truncring.py", "_maxabs"),
 }
 

@@ -2,6 +2,7 @@ import functools
 import itertools
 import random
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,8 @@ from frlimits.truncring import (
     word_images,
 )
 
-from oracles import minus_one, multiply_terms, reference_hnf, terms_to_vec, vec_to_terms, word_image_terms
+from oracles import (minus_one, multiply_terms, reference_hnf, terms_to_vec, vec_to_terms, word_at,
+                     word_image_terms)
 
 GROUP_DIR = Path(__file__).resolve().parents[1] / "src" / "frlimits" / "groups"
 
@@ -127,7 +129,7 @@ class TestMultiply:
         rng = random.Random(2)
         for _ in range(20):
             terms = {
-                r.basis[rng.randrange(r.rank)]: rng.randint(-3, 3) for _ in range(3)
+                word_at(r, rng.randrange(r.rank)): rng.randint(-3, 3) for _ in range(3)
             }
             a = {bw: c for bw, c in terms.items() if c}
             one = {(0, ()): 1}
@@ -146,7 +148,7 @@ class TestMultiply:
             for _ in range(100):
                 def rand_elem():
                     terms = {
-                        r.basis[rng.randrange(r.rank)]: rng.randint(-2, 2)
+                        word_at(r, rng.randrange(r.rank)): rng.randint(-2, 2)
                         for _ in range(rng.randint(1, 3))
                     }
                     return {bw: c for bw, c in terms.items() if c}
@@ -192,14 +194,22 @@ KERNEL_RINGS = [(name, level) for name in ("z2", "z3", "s3", "z2xz2") for level 
 class TestLeftMultiply:
     @pytest.mark.parametrize("name,level", KERNEL_RINGS)
     def test_layout_formula(self, name, level):
+        # position and the oracle's decoder are inverse on every word, and
+        # the words (g, J), |J| < N, in (|J|, g, J) order are at 0..rank-1
         for depth in (1, 2, 3):
             r = ring_for(name, level, depth)
             m, order = r.lp.num_schreier_gens, r.lp.group.order
             off = [sum(order * m**i for i in range(k)) for k in range(depth + 1)]
             assert r.layer_offsets == off
-            for (g, J), i in r.index.items():
-                idx = sum(j * m ** (len(J) - 1 - p) for p, j in enumerate(J))
-                assert i == off[len(J)] + g * m ** len(J) + idx
+            seen = []
+            for k in range(depth):
+                for g, J in itertools.product(range(order), itertools.product(range(m), repeat=k)):
+                    i = r.position(g, J)
+                    idx = sum(j * m ** (k - 1 - p) for p, j in enumerate(J))
+                    assert i == off[k] + g * m**k + idx
+                    assert word_at(r, i) == (g, J)
+                    seen.append(i)
+            assert seen == list(range(r.rank))
 
     @pytest.mark.parametrize("name,level", KERNEL_RINGS)
     def test_matches_multiply_terms(self, name, level):
@@ -264,7 +274,7 @@ class TestLeftMultiply:
 
 def identity_terms(r, rng, size):
     """Random terms (0, L) of an identity-component element."""
-    words = [bw for bw in r.basis if bw[0] == 0]
+    words = [bw for bw in map(functools.partial(word_at, r), range(r.rank)) if bw[0] == 0]
     return {words[rng.randrange(len(words))]: rng.randint(-3, 3) or 1 for _ in range(size)}
 
 
@@ -372,6 +382,21 @@ class TestRingRank:
         with pytest.raises(CapExceeded):
             TruncatedRing(LevelPresentation(g, 2), 3, rank_cap=100)
 
+    def test_a_wide_ring_holds_no_table_of_words(self):
+        # the layout is a formula, so building a ring allocates less than
+        # one pointer per basis word: s3 at level 5 and N = 3 has m = 67
+        # and rank 6·(1 + 67 + 67**2) = 27342
+        lp = LevelPresentation(load_group_file(GROUP_DIR / "s3.json"), 5)
+        tracemalloc.start()
+        try:
+            r = TruncatedRing(lp, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r.rank == 27342
+        assert peak < 8 * r.rank, peak
+        assert r.position(5, (66, 66)) == r.rank - 1
+
 
 class TestIdealLattices:
     def test_z2_level0_ranks(self):
@@ -431,8 +456,10 @@ class TestIdealLattices:
 
     @pytest.mark.parametrize("name", ["trivial", "z2", "z2_rank2", "z3", "z4", "z2xz2", "s3"])
     def test_layer0_span_is_the_eliminated_span(self, name):
-        # P in closed form (I_G for f, 0 for r) against the span of the
-        # layer-0 parts of gamma_0·s(h), eliminated by the oracle
+        # P in closed form (I_G for f, 0 for r), read off the layer-0 rows
+        # of the seed of a length-1 monomial, against the span of the
+        # layer-0 parts of gamma_0·s(h), eliminated by the oracle; the
+        # seed's other rows are r, the unit rows of the layers >= 1
         for level, depth in itertools.product((0, 1, 2), (1, 2, 3)):
             r = ring_for(name, level, depth)
             order = r.lp.group.order
@@ -444,9 +471,13 @@ class TestIdealLattices:
                         prod = multiply_terms(r, gamma_0, {(h, ()): 1})
                         rows.append([prod.get((g, ()), 0) for g in range(order)])
                 basis, pivots = reference_hnf(rows, order)
-                H, hp = r._layer0_span(letter)
-                assert H.tolist() == basis, (level, depth, letter)
-                assert hp.tolist() == pivots
+                seed = r._seed(1, letter)
+                stop = int(np.searchsorted(seed.pivot_cols, order))
+                H = seed.basis(0, stop)
+                assert H[:, :order].tolist() == basis, (level, depth, letter)
+                assert not H[:, order:].any()
+                assert seed.pivot_cols[:stop] == pivots
+                assert np.array_equal(seed.basis(stop), np.eye(r.rank, dtype=np.int64)[order:])
 
     @pytest.mark.parametrize(
         "name,level,depths",
@@ -591,7 +622,7 @@ class TestQuotients:
         assert r.rank == rank and val.group.ngens == len(val.gens) == ngens
         assert val.group.invariants() == ((), free_rank)
         c = val.c_lattice
-        e_one = dense([{r.index[(0, ())]: 1}], r.rank)
+        e_one = dense([{r.position(0, ()): 1}], r.rank)
         assert FinPresAb(r.rank, np.concatenate([c.basis(), e_one])).invariants() == ((), free_rank)
         f = r.eval_monomial("f")
         assert FinPresAb(f.rank, f.coordinates(c.basis())).invariants() == ((), free_rank)
