@@ -8,7 +8,8 @@ one kernel primitive built on them (left kernels, lattice
 intersection, kernels of presented maps), Smith invariant factors,
 finitely presented abelian groups, maps between them, tensor/Tor over Z,
 homology of three-term complexes of presented groups, and sparse integer
-matrices with one exact product of stacked factors (``sparse_product``).
+matrices, assembled from signed parts at offsets (``SparseRows.placed``),
+with the exact product of two of them (``sparse_product``).
 
 There is one elimination routine, ``_echelon``, and the Smith invariants
 use it too, as do G_ab's invariant factors (``permgrp`` presents G_ab as
@@ -52,7 +53,7 @@ ints.  So a column costs a handful of numpy calls.
 from __future__ import annotations
 
 import operator
-from itertools import accumulate, chain
+from itertools import chain
 from math import gcd, prod
 from typing import NamedTuple
 
@@ -903,6 +904,14 @@ class SparseRows(NamedTuple):
         row, col = np.divmod(key, width)
         return cls(shape, np.searchsorted(row, np.arange(shape[0] + 1)), row, col, data)
 
+    @classmethod
+    def placed(cls, shape, parts):
+        """The matrix of the given shape that holds each part (row offset,
+        column offset, sign, ``SparseRows``) at its offsets, times its
+        sign; where parts overlap they are summed (``summed``)."""
+        rows, cols, data = zip(*((m.row + r, m.col + c, sign * m.data) for r, c, sign, m in parts))
+        return cls.summed(shape, np.concatenate(rows), np.concatenate(cols), np.concatenate(data))
+
     def nonzero_rows(self):
         """(rows, block): the rows that hold an entry, increasing, and
         those rows as one dense 2-D array."""
@@ -912,39 +921,24 @@ class SparseRows(NamedTuple):
         return rows, block
 
 
-def sparse_product(left, right):
-    """The exact product of the ``left`` factors stacked vertically and
-    the ``right`` factors side by side, all ``SparseRows``, as one
-    ``SparseRows``: its block (a, b) is left[a] @ right[b].  There is at
-    least one factor on each side, and every left factor has as many
-    columns as every right factor has rows.
-
-    Each left entry (r, c, x) meets the entries of row c of the right
-    factors, found by their row pointers, so the work is the number of
-    such pairs.  The pairwise products are int64 while max|left| ·
-    max|right| < 2**62, else Python ints, and ``summed`` adds the ones at
-    one place by the same rule."""
-    inner = {a.shape[1] for a in left} | {b.shape[0] for b in right}
-    if len(inner) > 1:
-        raise ValueError(f"sparse_product: inner dimensions {sorted(inner)} differ")
-    row_at = list(accumulate((a.shape[0] for a in left), initial=0))
-    col_at = list(accumulate((b.shape[1] for b in right), initial=0))
-    a_row = np.concatenate([a.row + off for a, off in zip(left, row_at)])
-    a_col = np.concatenate([a.col for a in left])
-    a_data = np.concatenate([a.data for a in left])
-    # the right factors side by side: their entries ordered by row
-    order = np.argsort(np.concatenate([b.row for b in right]), kind="stable")
-    b_col = np.concatenate([b.col + off for b, off in zip(right, col_at)])[order]
-    b_data = np.concatenate([b.data for b in right])[order]
-    b_ptr = sum(b.indptr for b in right)
-    start = b_ptr[a_col]
-    count = b_ptr[a_col + 1] - start
-    pair = np.repeat(np.arange(len(a_col)), count)
+def sparse_product(a, b):
+    """The exact product of two ``SparseRows``, a @ b, as one
+    ``SparseRows``.  Each entry (r, c, x) of a meets the entries of row c
+    of b, found by b's row pointers, so the work is the number of such
+    pairs.  The pairwise products are int64 while max|a| · max|b| <
+    2**62, else Python ints, and ``summed`` adds the ones at one place by
+    the same rule."""
+    if a.shape[1] != b.shape[0]:
+        raise ValueError(f"sparse_product: inner dimensions {a.shape[1]} and {b.shape[0]} differ")
+    start = b.indptr[a.col]
+    count = b.indptr[a.col + 1] - start
+    pair = np.repeat(np.arange(len(a.col)), count)
     at = np.arange(len(pair)) + np.repeat(start - np.cumsum(count) + count, count)
+    a_data, b_data = a.data, b.data
     if _maxabs(a_data) * _maxabs(b_data) >= _I64_SAFE:
         a_data, b_data = a_data.astype(object), b_data.astype(object)
-    shape = (row_at[-1], col_at[-1])
-    return SparseRows.summed(shape, a_row[pair], b_col[at], a_data[pair] * b_data[at])
+    shape = (a.shape[0], b.shape[1])
+    return SparseRows.summed(shape, a.row[pair], b.col[at], a_data[pair] * b_data[at])
 
 
 def composite_is_zero(f, g):
@@ -952,7 +946,7 @@ def composite_is_zero(f, g):
     g: B -> C: the exact sparse product of the two matrices
     (``sparse_product``), whose nonzero rows are tested with one
     ``contains`` in C's relations."""
-    _, rows = sparse_product([SparseRows.of(f.matrix)], [SparseRows.of(g.matrix)]).nonzero_rows()
+    _, rows = sparse_product(SparseRows.of(f.matrix), SparseRows.of(g.matrix)).nonzero_rows()
     return g.cod.relations.contains(rows)
 
 

@@ -10,11 +10,11 @@ is the equalizer of the code lattices in the truncated rings (see
 code_lattice_equalizer_rank).
 
 The cosimplicial identities are proved for every complex built, batched:
-the two sides of every identity of one family at one level are blocks of
-one exact product of the maps' sparse rows (``sparse_product``), so a
-complex of top degree D takes 4D - 3 products, and only the nonzero rows
-of the differences reach the lattice engine, in one membership test per
-target level.
+every identity that lands in one level is one block row of one exact
+product of the maps' sparse rows (``sparse_product``), the difference of
+its two sides, so a complex of top degree D takes at most D + 1 products,
+and only their nonzero rows reach the lattice engine, in one membership
+test per target level.
 """
 
 from __future__ import annotations
@@ -56,8 +56,8 @@ class CosimplicialAb:
     at the code's faithful depth N (``required_truncation``), with all
     cofaces and codegeneracies as maps of presented groups; the
     cosimplicial identities are verified on construction, with one sparse
-    product per identity family and level and at most one membership test
-    per level (``verify_cosimplicial_identities``)."""
+    product and at most one membership test per target level
+    (``verify_cosimplicial_identities``)."""
 
     def __init__(self, code, ctx, depth_d, deadline=None):
         self.code = code
@@ -94,101 +94,77 @@ class CosimplicialAb:
         """All cosimplicial identities as equalities of presented maps.
 
         A composite applies its right map first, and its matrix is the
-        product of the two matrices in the order they apply.  So the
-        identities of one family at one level are blocks of one exact
-        product (``sparse_product``) of the maps applied first, stacked,
-        and the maps applied second, side by side; block (a, b) composes
-        the a-th of the first with the b-th of the second:
+        product of the two matrices in the order they apply.  So an
+        identity (first, second) = (first', second') holds iff every row of
+        [first | -first'] @ [second; second'] lies in the relations of the
+        level it lands in.  The identities, each composite written with
+        its first map on the right, are:
 
-        - coface d(p+1, j) d(p, i) = d(p+1, i) d(p, j-1) for i < j: blocks
-          (i, j) and (j-1, i) of d(p, .) then d(p+1, .);
-        - codegeneracy s(p, j) s(p+1, i) = s(p, i) s(p+1, j+1) for i <= j:
-          blocks (i, j) and (j+1, i) of s(p+1, .) then s(p, .);
-        - mixed s(p, j) d(p, i), block (i, j) of d(p, .) then s(p, .), is
-          d(p-1, i) s(p-1, j-1) for i < j, the identity for i in {j, j+1}
-          and d(p-1, i-1) s(p-1, j) for i > j+1: blocks (j-1, i) and
-          (j, i-1) of s(p-1, .) then d(p-1, .).
+        - coface d(p+1, j) d(p, i) = d(p+1, i) d(p, j-1) for i < j, in
+          level p+2;
+        - codegeneracy s(p, j) s(p+1, i) = s(p, i) s(p+1, j+1) for i <= j,
+          in level p;
+        - mixed s(p, j) d(p, i) = d(p-1, i) s(p-1, j-1) for i < j, the
+          identity for i in {j, j+1} (the level's identity matrix on both
+          sides, as a sparse diagonal) and d(p-1, i-1) s(p-1, j) for
+          i > j+1, in level p.
 
-        That is 4D - 3 products, and each map's sparse rows are read once.
-        The differences of the two sides are summed exactly, and only
-        their nonzero rows are tested, with one ``contains`` per target
-        level.  A failure names the first failing identity in the order
-        cofaces, codegeneracies, mixed, by (p, i, j) as above ((p, j, i)
-        for mixed)."""
+        Every identity that lands in one level is one block row of one
+        exact product (``sparse_product``): the left factor holds each
+        [first | -first'] on the block diagonal, the right factor stacks
+        each [second; second'].  That is at most D + 1 products, and only
+        their nonzero rows are tested, with one ``contains`` per level.  A
+        failing row names its identity by the row offsets, and a failure
+        names the first failing identity in the order cofaces,
+        codegeneracies, mixed, by (p, i, j) as above ((p, j, i) for
+        mixed)."""
         D = self.D
         d = {key: SparseRows.of(m.matrix) for key, m in self.d.items()}
         s = {key: SparseRows.of(m.matrix) for key, m in self.s.items()}
-        # per product: the maps applied first, the maps applied second and
-        # the level the composites land in
-        factors = {}
-        for p in range(D):
-            dp = [d[(p, i)] for i in range(p + 2)]
-            sp = [s[(p, j)] for j in range(p + 1)]
-            factors[("ds", p)] = (dp, sp, p)
-            if p < D - 1:
-                factors[("dd", p)] = (dp, [d[(p + 1, j)] for j in range(p + 3)], p + 2)
-                factors[("ss", p)] = ([s[(p + 1, i)] for i in range(p + 2)], sp, p)
-                factors[("sd", p)] = (sp, dp, p + 1)
-        # (family, label, lhs, rhs): a side is (product, block row, block
-        # column), and None is the identity
+        # (family, label, target level, (first, second, first', second'))
         identities = []
         for p in range(D - 1):
             for i in range(p + 2):
                 for j in range(i + 1, p + 3):
-                    lhs, rhs = (("dd", p), i, j), (("dd", p), j - 1, i)
-                    identities.append(("coface", (p, i, j), lhs, rhs))
+                    sides = d[(p, i)], d[(p + 1, j)], d[(p, j - 1)], d[(p + 1, i)]
+                    identities.append(("coface", (p, i, j), p + 2, sides))
         for p in range(D - 1):
             for j in range(p + 1):
                 for i in range(j + 1):
-                    lhs, rhs = (("ss", p), i, j), (("ss", p), j + 1, i)
-                    identities.append(("codegeneracy", (p, i, j), lhs, rhs))
+                    sides = s[(p + 1, i)], s[(p, j)], s[(p + 1, j + 1)], s[(p, i)]
+                    identities.append(("codegeneracy", (p, i, j), p, sides))
         for p in range(D):
+            r = np.arange(self.levels[p].ngens)
+            one = SparseRows.summed((len(r), len(r)), r, r, np.ones(len(r), dtype=np.int64))
             for j in range(p + 1):
                 for i in range(p + 2):
                     if i < j:
-                        rhs = (("sd", p - 1), j - 1, i)
+                        rhs = s[(p - 1, j - 1)], d[(p - 1, i)]
                     elif i in (j, j + 1):
-                        rhs = None
+                        rhs = one, one
                     else:
-                        rhs = (("sd", p - 1), j, i - 1)
-                    identities.append(("mixed", (p, j, i), (("ds", p), i, j), rhs))
-        # the identity each block of a product is the lhs or the rhs of
-        # (-1: none); the difference entries per target level, as (row
-        # key, column, value) with row key k·width + r for row r of
-        # identity k
-        sides = {
-            name: (np.full((len(a), len(b)), -1), np.full((len(a), len(b)), -1))
-            for name, (a, b, _) in factors.items()
-        }
-        width = max(1, *(g.ngens for g in self.levels))
-        entries = {t: [] for t in range(D + 1)}
-        for k, (_, _, lhs, rhs) in enumerate(identities):
-            sides[lhs[0]][0][lhs[1:]] = k
-            if rhs is not None:
-                sides[rhs[0]][1][rhs[1:]] = k
-            else:
-                t = factors[lhs[0]][2]
-                r = np.arange(self.levels[t].ngens)
-                entries[t].append((k * width + r, r, np.full(len(r), -1)))
-        for name, (first, second, t) in factors.items():
-            P = sparse_product(first, second)
-            block_row, r = np.divmod(P.row, max(first[0].shape[0], 1))
-            block_col, c = np.divmod(P.col, max(second[0].shape[1], 1))
-            for side, sign in zip(sides[name], (1, -1)):
-                k = side[block_row, block_col]
-                hit = np.flatnonzero(k >= 0)
-                entries[t].append((k[hit] * width + r[hit], c[hit], sign * P.data[hit]))
+                        rhs = s[(p - 1, j)], d[(p - 1, i - 1)]
+                    identities.append(("mixed", (p, j, i), p, (d[(p, i)], s[(p, j)], *rhs)))
         failed = []
-        for t, parts in entries.items():
-            if not parts:
-                continue
-            keys, cols, vals = (np.concatenate(x) for x in zip(*parts))
-            shape = (len(identities) * width, self.levels[t].ngens)
-            labels, block = SparseRows.summed(shape, keys, cols, vals).nonzero_rows()
-            relations = self.levels[t].relations
-            if len(block) and not relations.contains(block):
-                wrong = relations.reduce(block).any(axis=1)
-                failed.append(int(labels[wrong].min()) // width)
+        for t in sorted({identity[2] for identity in identities}):
+            ks = [k for k, identity in enumerate(identities) if identity[2] == t]
+            # identity ks[b] takes rows row_at[b]..row_at[b + 1] of the product
+            left, right, row_at, inner = [], [], [0], 0
+            for k in ks:
+                first, second, first2, second2 = identities[k][3]
+                r, mid = row_at[-1], inner + first.shape[1]
+                left += [(r, inner, 1, first), (r, mid, -1, first2)]
+                right += [(inner, 0, 1, second), (mid, 0, 1, second2)]
+                row_at.append(r + first.shape[0])
+                inner = mid + first2.shape[1]
+            level = self.levels[t]
+            rows, block = sparse_product(
+                SparseRows.placed((row_at[-1], inner), left),
+                SparseRows.placed((inner, level.ngens), right),
+            ).nonzero_rows()
+            if len(block) and not level.relations.contains(block):
+                wrong = rows[level.relations.reduce(block).any(axis=1)].min()
+                failed.append(ks[np.searchsorted(row_at, wrong, side="right") - 1])
         if failed:
             family, label, *_ = identities[min(failed)]
             raise AssertionError(f"{family} identity fails at {label}")

@@ -35,7 +35,7 @@ class GroupData:
     generator order (right multiplication by generators).
     """
 
-    def __init__(self, gen_images, name="G", declared_order=None, cap=DEFAULT_ELEMENT_CAP):
+    def __init__(self, gen_images, name="G", declared_order=None):
         self.name = name
         self.degree = len(gen_images[0]) if gen_images else 1
         for img in gen_images:
@@ -53,9 +53,9 @@ class GroupData:
                 for img in self.gen_images:
                     new = _compose(perm, img)
                     if new not in index:
-                        if len(elements) >= cap:
+                        if len(elements) >= DEFAULT_ELEMENT_CAP:
                             raise CapExceeded(
-                                f"group closure exceeded the {cap}-element cap"
+                                f"group closure exceeded the {DEFAULT_ELEMENT_CAP}-element cap"
                             )
                         index[new] = len(elements)
                         elements.append(new)
@@ -245,11 +245,12 @@ def group_from_spec(spec):
 
     Spec schema: {"name": str, "generators": [str], "images": [[int]]
     (one-line, 1-indexed), "order": int optional, "relators": [str]
-    optional}.  Every malformed part raises InputError: a generator list
-    that is not a list of strings, an image entry or a declared order
-    that is not exactly an int (a float or a bool), an image or a
-    relator list that is not a list, and a relator that does not parse
-    or uses a letter outside the base alphabet.
+    optional}.  Every malformed part raises InputError: a name that is
+    not a string, a generator list that is not a list of distinct
+    strings, an image entry or a declared order that is not exactly an
+    int (a float or a bool), an image or a relator list that is not a
+    list, and a relator that does not parse or uses a letter outside the
+    base alphabet.
     """
     try:
         names = spec["generators"]
@@ -259,6 +260,12 @@ def group_from_spec(spec):
     # a string would be read letter by letter
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
         raise InputError("generators are a list of names")
+    # no relator could name the second of two equal names
+    if len(set(names)) != len(names):
+        raise InputError(f"generator names {names} repeat")
+    name = spec.get("name", "G")
+    if not isinstance(name, str):
+        raise InputError(f"group name {name!r} is not a string")
     if not isinstance(images, list) or not images or len(images) != len(names):
         raise InputError("group spec needs one image per generator")
     if not all(isinstance(row, list) for row in images):
@@ -281,7 +288,7 @@ def group_from_spec(spec):
     order = spec.get("order")
     if order is not None and (isinstance(order, bool) or not isinstance(order, int)):
         raise InputError(f"declared order {order!r} is not an int")
-    group = GroupData(zero_based, name=spec.get("name", "G"), declared_order=order)
+    group = GroupData(zero_based, name=name, declared_order=order)
     relators = spec.get("relators", [])
     if not isinstance(relators, list):
         raise InputError("relators are a list of words")

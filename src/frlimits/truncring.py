@@ -125,7 +125,7 @@ class TruncatedRing:
     so results never depend on call order.
     """
 
-    def __init__(self, lp, depth, rank_cap=DEFAULT_RANK_CAP):
+    def __init__(self, lp, depth):
         if depth < 1:
             raise ValueError(f"truncation depth {depth} is below 1")
         self.lp = lp
@@ -137,8 +137,8 @@ class TruncatedRing:
         self.layer_offsets = [0]
         for k in range(depth):
             self.layer_offsets.append(self.layer_offsets[-1] + order * m**k)
-            if self.layer_offsets[-1] > rank_cap:
-                raise CapExceeded(f"ring rank exceeds the cap {rank_cap}")
+            if self.layer_offsets[-1] > DEFAULT_RANK_CAP:
+                raise CapExceeded(f"ring rank exceeds the cap {DEFAULT_RANK_CAP}")
         self.rank = self.layer_offsets[-1]
 
         self._rho_power = {}

@@ -866,33 +866,53 @@ def dense_of(S):
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    inner=st.integers(0, 5),
-    heights=st.lists(st.integers(0, 4), min_size=1, max_size=3),
-    widths=st.lists(st.integers(0, 4), min_size=1, max_size=3),
+    shape=st.tuples(st.integers(0, 6), st.integers(0, 5), st.integers(0, 6)),
     big=st.sampled_from([0, 2**31, 2**32, 2**62, 2**70]),
 )
-def test_sparse_product_is_the_exact_product_of_the_stacked_factors(seed, inner, heights, widths, big):
-    # the left factors stacked, the right ones side by side, against the
-    # product of Python ints; big puts one entry of that size in the
-    # first factor on each side: their product fits int64 at 2**31, not at 2**32
+def test_sparse_product_is_the_exact_product_of_two_matrices(seed, shape, big):
+    # against the product of Python ints; big puts one entry of that size
+    # in each factor: their product fits int64 at 2**31, not at 2**32
     rng = np.random.default_rng(seed)
+    m, inner, n = shape
 
     def factor(m, n):
         return (rng.integers(-3, 4, size=(m, n)) * (rng.random((m, n)) < 0.4)).astype(object)
 
-    left = [factor(m, inner) for m in heights]
-    right = [factor(inner, n) for n in widths]
+    a, b = factor(m, inner), factor(inner, n)
     if big and inner:
-        left[0][:, 0] = big
-        right[0][0] = big
-    P = sparse_product([SparseRows.of(intlin.int_block(a, inner)) for a in left],
-                       [SparseRows.of(intlin.int_block(b, b.shape[1])) for b in right])
-    expected = np.concatenate(left) @ np.concatenate(right, axis=1)
+        a[:, 0] = big
+        b[0] = big
+    P = sparse_product(SparseRows.of(intlin.int_block(a, inner)), SparseRows.of(intlin.int_block(b, n)))
+    expected = a @ b
     assert P.shape == expected.shape
     assert (dense_of(P) == expected).all()
     assert (P.data != 0).all()
     assert P.indptr.tolist() == np.searchsorted(P.row, np.arange(P.shape[0] + 1)).tolist()
     assert sorted(zip(P.row.tolist(), P.col.tolist())) == list(zip(P.row.tolist(), P.col.tolist()))
+
+
+def test_placed_parts_are_shifted_signed_and_summed():
+    # A at (0, 0), -B at (1, 2), A again at (1, 1), where it overlaps
+    # the first A at (1, 1) and -B at (1, 2), and -C, which cancels the
+    # first A's entry at (0, 0)
+    A = np.array([[2, 3], [0, 5]], dtype=np.int64)
+    B = np.array([[1, -1]], dtype=np.int64)
+    C = np.array([[2]], dtype=np.int64)
+    parts = [(0, 0, 1, A), (1, 2, -1, B), (1, 1, 1, A), (0, 0, -1, C)]
+    P = SparseRows.placed((3, 4), [(r, c, sign, SparseRows.of(M)) for r, c, sign, M in parts])
+    expected = np.zeros((3, 4), dtype=np.int64)
+    for r, c, sign, M in parts:
+        expected[r : r + len(M), c : c + M.shape[1]] += sign * M
+    assert P.shape == (3, 4)
+    assert dense_of(P).tolist() == expected.tolist()
+    assert (P.data != 0).all() and P.data.dtype == np.int64
+    assert P.indptr.tolist() == np.searchsorted(P.row, np.arange(4)).tolist()
+    # a part of Python ints: its entries stay exact, and fit int64 again
+    # once they cancel
+    huge = SparseRows.of(np.array([[2**70]], dtype=object))
+    assert SparseRows.placed((1, 2), [(0, 1, -1, huge)]).data.tolist() == [-(2**70)]
+    cancel = SparseRows.placed((1, 1), [(0, 0, 1, huge), (0, 0, -1, huge), (0, 0, 1, SparseRows.of(C))])
+    assert cancel.data.dtype == np.int64 and cancel.data.tolist() == [2]
 
 
 def test_sparse_sums_leave_int64_only_when_they_must():
@@ -922,5 +942,5 @@ def test_sparse_rows_of_a_matrix_and_back():
 def test_sparse_product_refuses_factors_that_do_not_chain():
     a = SparseRows.of(np.eye(2, dtype=np.int64))
     b = SparseRows.of(np.eye(3, dtype=np.int64))
-    with pytest.raises(ValueError, match="inner dimensions"):
-        sparse_product([a], [b])
+    with pytest.raises(ValueError, match="inner dimensions 2 and 3"):
+        sparse_product(a, b)

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from frlimits import freegrp
+from frlimits import freegrp, permgrp
 from frlimits.errors import CapExceeded, InputError
 from frlimits.permgrp import (
     GroupData,
@@ -58,9 +58,10 @@ class TestClose:
                 {"name": "bad", "generators": ["x"], "images": [[2, 3, 1]], "order": 4}
             )
 
-    def test_cap(self):
-        with pytest.raises(CapExceeded):
-            GroupData([[1, 2, 3, 4, 0]], cap=3)
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr(permgrp, "DEFAULT_ELEMENT_CAP", 3)
+        with pytest.raises(CapExceeded, match="3-element cap"):
+            GroupData([[1, 2, 3, 4, 0]])
 
     def test_bad_relator(self):
         with pytest.raises(InputError):
@@ -105,13 +106,18 @@ class TestClose:
             {"order": 2.0},
             {"relators": ""},
             {"relators": 0},
+            {"generators": ["x", "x"], "images": [[2, 1], [1, 2]]},
+            {"name": 5},
         ],
         ids=["generators-string", "generators-two-letters", "generator-not-a-string",
-             "order-float", "relators-empty-string", "relators-zero"],
+             "order-float", "relators-empty-string", "relators-zero",
+             "generators-repeated", "name-not-a-string"],
     )
     def test_malformed_spec_parts_are_refused(self, part):
         # each of these was read as something else: "xy" as the two
-        # generators x and y, 2.0 as the order 2, "" and 0 as no relators
+        # generators x and y, 2.0 as the order 2, "" and 0 as no relators;
+        # two generators named x built a group whose second generator no
+        # relator could name, and the name 5 went into the report
         spec = {"name": "bad", "generators": ["x"], "images": [[2, 1]], **part}
         with pytest.raises(InputError):
             group_from_spec(spec)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frlimits import freegrp
+from frlimits import freegrp, truncring
 from frlimits.errors import CapExceeded
 from frlimits.frcode import dominated, make_code, min_r_power, normalize, parse, required_truncation
 from frlimits.intlin import FinPresAb, Lattice, unit_split
@@ -247,18 +247,19 @@ class TestLeftMultiply:
         assert out.dtype == object
         assert np.array_equal(out, dense(product_rows(r, x2, W), r.rank))
 
-    def test_section_products_match_the_oracle(self):
+    def test_section_products_match_the_oracle(self, monkeypatch):
         # (w - 1)·s(h) as nf(w·s(h)) - s(h), for every right generator w
         # of f and r, against the oracle's product of nf(w) - 1 and s(h),
         # on every ring of a bundled group at levels 0-3 and depths 1-3 up
         # to rank 5000: 164 (ring, letter) pairs.  At N = 1 every product
         # for r is 0.
+        monkeypatch.setattr(truncring, "DEFAULT_RANK_CAP", 5000)
         pairs = 0
         for name in ("trivial", "z2", "z2_rank2", "z3", "z4", "z2xz2", "s3"):
             g = load_group_file(GROUP_DIR / f"{name}.json")
             for level, depth in itertools.product(range(4), (1, 2, 3)):
                 try:
-                    r = TruncatedRing(LevelPresentation(g, level), depth, rank_cap=5000)
+                    r = TruncatedRing(LevelPresentation(g, level), depth)
                 except CapExceeded:
                     continue
                 for letter in "fr":
@@ -377,10 +378,11 @@ class TestRingRank:
         order = r.lp.group.order
         assert r.rank == sum(order * m**k for k in range(depth))
 
-    def test_rank_cap(self):
+    def test_rank_cap(self, monkeypatch):
         g = load_group_file(GROUP_DIR / "s3.json")
-        with pytest.raises(CapExceeded):
-            TruncatedRing(LevelPresentation(g, 2), 3, rank_cap=100)
+        monkeypatch.setattr(truncring, "DEFAULT_RANK_CAP", 100)
+        with pytest.raises(CapExceeded, match="cap 100"):
+            TruncatedRing(LevelPresentation(g, 2), 3)
 
     def test_a_wide_ring_holds_no_table_of_words(self):
         # the layout is a formula, so building a ring allocates less than
