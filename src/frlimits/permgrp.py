@@ -247,10 +247,11 @@ def group_from_spec(spec):
     (one-line, 1-indexed), "order": int optional, "relators": [str]
     optional}.  Every malformed part raises InputError: a name that is
     not a string, a generator list that is not a list of distinct
-    strings, an image entry or a declared order that is not exactly an
-    int (a float or a bool), an image or a relator list that is not a
-    list, and a relator that does not parse or uses a letter outside the
-    base alphabet.
+    strings, a generator name that no word can name (empty, ``1``, or
+    holding ``*``, ``^``, ``@`` or whitespace), an image entry or a
+    declared order that is not exactly an int (a float or a bool), an
+    image or a relator list that is not a list, and a relator that does
+    not parse or uses a letter outside the base alphabet.
     """
     try:
         names = spec["generators"]
@@ -263,6 +264,12 @@ def group_from_spec(spec):
     # no relator could name the second of two equal names
     if len(set(names)) != len(names):
         raise InputError(f"generator names {names} repeat")
+    # parse_word splits a word on "*", "^" and "@", strips the whitespace
+    # around each part and reads "" and "1" as the identity; a name free
+    # of all these reads back as itself in every relator
+    for gen in names:
+        if gen in ("", "1") or any(ch in "*^@" or ch.isspace() for ch in gen):
+            raise InputError(f"generator name {gen!r} cannot be written in a word")
     name = spec.get("name", "G")
     if not isinstance(name, str):
         raise InputError(f"group name {name!r} is not a string")

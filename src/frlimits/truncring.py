@@ -83,7 +83,7 @@ from . import freegrp
 from .errors import CapExceeded
 from .frcode import required_truncation
 from .intlin import (_I64_SAFE, AbMap, FinPresAb, Lattice, _maxabs, int_block,
-                     lattice_intersection, safe_matmul, unit_split)
+                     lattice_intersection, unit_split)
 from .permgrp import LevelPresentation
 
 DEFAULT_RANK_CAP = 200_000
@@ -425,9 +425,13 @@ class FunctorValue:
         self.c_lattice = ring.eval_code(code, deadline)
         # f is the augmentation kernel, and the first |G| basis words are
         # the (g, ()), so a c row lies in f iff its entries there sum to 0;
-        # that is what keeps every pivot of c off word |G|-1
+        # that is what keeps every pivot of c off word |G|-1.  A canonical
+        # row is 0 left of its pivot, so only the rows with a pivot below
+        # |G| are tested, and their sums are taken in Python ints, which
+        # do not wrap
         order = ring.lp.group.order
-        if any(b[:, :order].sum(axis=1).any() for b in self.c_lattice.basis_blocks()):
+        head = self.c_lattice.basis(0, int(np.searchsorted(self.c_lattice.pivot_cols, order)))
+        if head[:, :order].astype(object).sum(axis=1).any():
             raise AssertionError("code lattice escapes f")
         cols, rows = unit_split(self.c_lattice)
         keep = cols != order - 1
@@ -533,15 +537,6 @@ def word_images(hom, src_ring, tgt_ring, words):
             prefixes = int_block(np.stack([memo[off[k - 1] + (s - off[k]) // m] for s in new]), rank)
             memo.update(zip(new, tgt_ring.right_multiply(prefixes, diffs[j])))
     return int_block(np.stack([memo[s] for s in words.tolist()]), rank)
-
-
-def hom_image_rows(hom, src_ring, tgt_ring, rows):
-    """Images of a block of ring vectors (rows over the basis of src_ring)
-    under a presentation morphism, as one dense block over the basis of
-    tgt_ring: the block's used columns times their ``word_images``."""
-    V = int_block(rows, src_ring.rank)
-    used = np.flatnonzero(V.any(axis=0))
-    return safe_matmul(V[:, used], word_images(hom, src_ring, tgt_ring, used))
 
 
 def check_over_group(hom, src_lp, tgt_lp):

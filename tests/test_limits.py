@@ -1,6 +1,7 @@
 """End-to-end tests of higher_limits against known values of lim^i."""
 
 import copy
+import json
 import os
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frlimits import freegrp, intlin
+from frlimits import freegrp, intlin, limits
 from frlimits.errors import CapExceeded
 from frlimits.frcode import max_monomial_length, parse, required_truncation
 from frlimits.intlin import AbMap, FinPresAb, tensor_Z, tor_Z
@@ -26,6 +27,8 @@ from oracles import RingQuotientValue, cosimplicial_identities_pairwise, referen
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 GROUP_DIR = SRC / "frlimits" / "groups"
+# the benchmark's pinned answers, "group:code" -> lim^i descriptions
+BENCH_ANSWERS = json.loads((SRC.parent / "bench" / "expected.json").read_text())
 
 
 @lru_cache(maxsize=None)
@@ -101,15 +104,46 @@ def test_pinned_intersection_codes(code, name, expected):
     assert lims(code, name) == expected
 
 
-def test_report_checks_in_both_modes():
+def test_report_checks_in_both_modes(monkeypatch):
+    # the plain path builds one cochain complex, the Moore one: the
+    # alternate-sum complex is built only to cross-validate, and the
+    # lim^0 equalizer is never called
+    calls = []
+
+    def counted(name):
+        real = getattr(limits, name)
+        return lambda X: calls.append(name) or real(X)
+
+    for name in ("alternate_sum_complex", "code_lattice_equalizer_rank"):
+        monkeypatch.setattr(limits, name, counted(name))
     ctx = context("z2")
     plain = higher_limits(parse("rr+frf"), ctx.group, ctx=ctx)
+    assert calls == []
     crossed = higher_limits(parse("rr+frf"), ctx.group, ctx=ctx, cross_validate=True)
-    assert plain.checks["d_squared_zero"] and crossed.checks["d_squared_zero"]
-    assert crossed.checks["moore_vs_alternate"] is True
-    assert "moore_vs_alternate" not in plain.checks
+    assert calls == ["alternate_sum_complex"]
+    assert plain.checks == {"cosimplicial_identities": True}
+    assert crossed.checks == {
+        "cosimplicial_identities": True, "d_squared_zero": True, "moore_vs_alternate": True,
+    }
     assert [g.describe() for g in crossed.lims] == [g.describe() for g in plain.lims]
     assert plain.moore_vanishing == {0: False, 1: False, 2: True, 3: True}
+    for report in (plain, crossed):
+        checks = json.loads(json.dumps(report.to_json_dict()))["checks"]
+        assert checks.keys() == {*report.checks, "moore_vanishing"}
+
+
+@pytest.mark.parametrize("name", sorted({key.split(":")[0] for key in BENCH_ANSWERS}))
+def test_every_pinned_bench_answer_cross_validates(name):
+    # each answer the benchmark checks, with the alternate-sum complex
+    # built, its d^2 = 0 proved and its cohomology compared degreewise
+    ctx = context(name)
+    for key, answer in BENCH_ANSWERS.items():
+        group, code = key.split(":", 1)
+        if group == name:
+            report = higher_limits(parse(code), ctx.group, ctx=ctx, cross_validate=True)
+            assert [g.describe() for g in report.lims] == answer, key
+            assert report.checks["d_squared_zero"] is True, key
+            assert report.checks["moore_vs_alternate"] is True, key
 
 
 # other generating sets of bundled groups: (bundled name, generators, images)

@@ -108,16 +108,25 @@ class TestClose:
             {"relators": 0},
             {"generators": ["x", "x"], "images": [[2, 1], [1, 2]]},
             {"name": 5},
+            {"generators": ["x", "y^2"], "images": [[2, 1], [1, 2]]},
+            {"generators": ["1"]},
+            {"generators": [""]},
+            {"generators": ["x y"]},
+            {"generators": ["a@1"]},
         ],
         ids=["generators-string", "generators-two-letters", "generator-not-a-string",
              "order-float", "relators-empty-string", "relators-zero",
-             "generators-repeated", "name-not-a-string"],
+             "generators-repeated", "name-not-a-string", "generator-with-caret",
+             "generator-one", "generator-empty", "generator-with-space", "generator-with-at"],
     )
     def test_malformed_spec_parts_are_refused(self, part):
         # each of these was read as something else: "xy" as the two
         # generators x and y, 2.0 as the order 2, "" and 0 as no relators;
         # two generators named x built a group whose second generator no
-        # relator could name, and the name 5 went into the report
+        # relator could name, and the name 5 went into the report; a word
+        # splits on "*", "^" and "@", strips whitespace and reads "" and
+        # "1" as the identity, so the last five names built a group of
+        # order 2 whose relators could not spell its generators
         spec = {"name": "bad", "generators": ["x"], "images": [[2, 1]], **part}
         with pytest.raises(InputError):
             group_from_spec(spec)

@@ -630,6 +630,35 @@ class TestQuotients:
         assert FinPresAb(f.rank, f.coordinates(c.basis())).invariants() == ((), free_rank)
 
 
+    @pytest.mark.parametrize(
+        "name,entries,escapes",
+        [
+            ("z3", {0: 1}, True),
+            ("z3", {0: 2}, True),
+            ("z3", {0: 1, 1: 1, 2: 1}, True),
+            ("z3", {0: 1, 1: -1}, False),
+            ("z3", {3: 1}, False),
+            ("s3", {0: 2**62 - 1, 1: 2**62 - 1, 2: 2**62 - 1, 3: 2**62 - 1, 4: 4}, True),
+            ("z3", {0: 2**62, 1: -(2**62)}, False),
+            ("z3", {0: 2**62, 1: 2**62}, True),
+        ],
+        ids=["e0", "2e0", "e0+e1+e2", "e0-e1", "layer-1-word", "int64-sum-2**64",
+             "object-sum-0", "object-sum-2**63"],
+    )
+    def test_a_code_lattice_outside_f_is_refused(self, name, entries, escapes):
+        # a c row lies in f iff its layer-0 entries sum to 0; the s3 row is
+        # int64, but its layer-0 sum is 2**64, which int64 reads as 0
+        r = ring_for(name, 1, 2)
+        row = [0] * r.rank
+        for k, v in entries.items():
+            row[k] = v
+        r._code_cache["f"] = Lattice(r.rank, [row])
+        if escapes:
+            with pytest.raises(AssertionError, match="escapes f"):
+                FunctorValue(r, parse("f"))
+        else:
+            assert FunctorValue(r, parse("f")).c_lattice is r._code_cache["f"]
+
     @pytest.mark.parametrize("text", ["r", "f", "fr+rf", "rr+fff", "fff", "rrr"])
     def test_a_value_adds_no_rows_once_its_code_is_cached(self, text, monkeypatch):
         # one lattice per level: the presentation is read off the cached
