@@ -652,16 +652,28 @@ def _divisor_chain(orders):
     return orders
 
 
-def unit_split(lat):
+def unit_split(lat, keep=None):
     """(free_cols, rows): the columns without a unit pivot in the canonical
     basis, and the basis rows whose pivot is not 1, cut to those columns,
     as one 2-D array.  Both are read off the stored form as they are.
 
     A unit pivot's column is zero outside its row, and the other rows are
     zero on unit-pivot columns, so Z^n / lat is presented on free_cols
-    with the cut rows, themselves in canonical HNF, as relations."""
+    with the cut rows, themselves in canonical HNF, as relations.
+
+    With a boolean mask ``keep`` of the n columns, the same presents
+    Z^keep / proj_keep(lat), the quotient by the lattice's rows cut to the
+    kept columns: a unit row whose pivot is kept removes that generator
+    and nothing else, so free_cols are the kept columns without a unit
+    pivot, and the relations are every other row, unit rows whose pivot
+    is dropped included, cut to them.  Rows that the cut leaves zero are
+    left out, and the rest need not be canonical."""
     hnf = lat._hnf
-    return hnf.cols, hnf.B[~hnf.unit]
+    if keep is None:
+        return hnf.cols, hnf.B[~hnf.unit]
+    on = keep[hnf.cols]
+    rows = hnf.B[~(hnf.unit & keep[hnf.piv])][:, on]
+    return hnf.cols[on], rows[rows.any(axis=1)]
 
 
 def _smith(lat):

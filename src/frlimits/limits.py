@@ -7,6 +7,17 @@ Moore complex, the shift coming from the short exact sequence
 code -> f -> f/code and the vanishing of the limits of f.  lim^0 is zero
 for the same reason.
 
+Every coface d^i with i >= 1 relabels basis words, so degree n of the
+Moore complex is Z^{A_n} / proj_{A_n}(c), with A_n the basis words whose
+letters use every copy 1..n of F (``moore_complex``).  A word has fewer
+than N letters, N the code's truncation depth, so Moore^n = 0 for every
+n >= N, and lim^i = 0 for every i > N.  So ``higher_limits`` builds
+levels 0..min(D, N - 1) of a report of top degree D, proves their
+cosimplicial identities, checks the relabellings the cut rests on, and
+reads lim^i for N < i <= D as 0.  With ``cross_validate`` it builds
+levels 0..D, proves every identity among them, and compares the
+alternate-sum cohomology with lim^i in every degree.
+
 The cosimplicial identities are proved for every complex built, batched:
 every identity that lands in one level is one block row of one exact
 product of the maps' sparse rows (``sparse_product``), the difference of
@@ -30,8 +41,8 @@ from . import freegrp
 from .errors import CapExceeded
 from .frcode import max_monomial_length, normalize, required_truncation
 from .intlin import (AbMap, FinPresAb, SparseRows, composite_is_zero, homology_at,
-                     kernel_of_matrix, safe_matmul, sparse_product)
-from .truncring import FunctorValue, GroupContext, induced_map, word_images
+                     kernel_of_matrix, safe_matmul, sparse_product, unit_split)
+from .truncring import FunctorValue, GroupContext, induced_map, relabelling, word_images
 
 
 class Deadline:
@@ -204,30 +215,62 @@ def alternate_sum_complex(X):
 
 
 def moore_complex(X):
-    """Q(X): degree n is X^n modulo the images of d^1..d^n; the differential
-    is the class of d^0.  Each level's canonical relation basis is taken as
-    it is, and only the images of d^1..d^n are eliminated into a copy of
-    it."""
-    levels = []
-    for n in range(X.D + 1):
-        rel = X.levels[n].relations.copy()
-        # a generator: add reads a list as one block of rows
-        rel.add(X.d[(n - 1, i)].matrix for i in range(1, n + 1))
-        levels.append(FinPresAb(X.levels[n].ngens, rel))
+    """Q(X), the Moore complex: degree n is X^n modulo the images of
+    d^1..d^n, and the differential is the class of d^0.
+
+    Each d^i with i >= 1 relabels basis words (``truncring.relabelling``),
+    and together d^1..d^n hit exactly the words of level n that miss one
+    of the copies 1..n of F, which is checked here on every call, on the
+    word maps.  So f modulo their images is free on A_n, the all-copies
+    words (``TruncatedRing.all_copies_words``; A_0 is every word), and
+    degree n is Z^{A_n} / proj_{A_n}(c), presented on A_n's words that are
+    no unit pivot of c, with c's other rows cut to them (``unit_split``):
+    the unit rows whose pivot misses a copy carry relations too.  The
+    differential is d^0's matrix cut to the A_n rows and the A_{n+1}
+    columns.  A word has fewer than N letters, so A_n is empty and degree
+    n is 0 for every n >= N; when X reaches level N - 1, the complex ends
+    with the zero level X.D + 1, so that its top cohomology is the top
+    level modulo the image of d^0."""
+    rank = X.ctx.group.ngens
+    levels, keep = [], []
+    for n, value in enumerate(X.values):
+        ring = value.ring
+        words = ring.all_copies_words()
+        if n:
+            hit = np.zeros(ring.rank, dtype=bool)
+            for i in range(1, n + 1):
+                where = relabelling(freegrp.coface(n - 1, i, rank), X.values[n - 1].ring, ring)
+                if where is None:
+                    raise AssertionError(f"coface d^{i} into level {n} relabels no words")
+                hit[where[where >= 0]] = True
+            if not np.array_equal(hit, ~words):
+                raise AssertionError(
+                    f"cofaces 1..{n} into level {n} do not hit exactly its words that miss a copy"
+                )
+        # f's basis has no word |G|-1 (an A_n word only at level 0)
+        words[ring.lp.group.order - 1] = False
+        gens, rows = unit_split(value.c_lattice, words)
+        keep.append(np.searchsorted(value.gens, gens))
+        levels.append(FinPresAb(len(gens), rows))
     maps = [
-        AbMap(levels[n], levels[n + 1], X.d[(n, 0)].matrix) for n in range(X.D)
+        AbMap(levels[n], levels[n + 1], X.d[(n, 0)].matrix[np.ix_(keep[n], keep[n + 1])])
+        for n in range(X.D)
     ]
+    if X.D + 1 >= X.N:
+        levels.append(FinPresAb.zero())
+        maps.append(AbMap.zero(levels[-2], levels[-1]))
     return CochainComplex(levels, maps)
 
 
 def assemble(code, group, top_degree, deadline=None, ctx=None):
     """Build the cosimplicial abelian group for the code on levels
     0..top_degree of the standard complex of G's base presentation, in
-    the rings truncated at the code's faithful depth.  A given context
-    must be one of the same group object."""
+    the rings truncated at the code's faithful depth; top degree 0 is
+    level 0 alone, with no structure maps.  A given context must be one
+    of the same group object."""
     code = normalize(code)
-    if top_degree < 1:
-        raise ValueError("top_degree must be at least 1")
+    if top_degree < 0:
+        raise ValueError("top_degree must be at least 0")
     if ctx is None:
         ctx = GroupContext(group)
     elif ctx.group is not group:
@@ -246,7 +289,10 @@ def code_lattice_equalizer_rank(X):
     kernel.  The coface images of the code rows are the rows' used
     columns times those columns' ``word_images``.
 
-    Nothing in the package calls it: the report's lim^0 is 0 by theorem.
+    It reads levels 0 and 1, so it needs an assembly of top degree at
+    least 1, such as the full one of ``cross_validate``; the plain path
+    of a code with N = 1 builds level 0 alone.  Nothing in the package
+    calls it: the report's lim^0 is 0 by theorem.
     The benchmark's tracer (``bench/layertrace.py``) still wraps it by
     name, and ROADMAP item 7 deletes it once item 1 moves the tracer.
     """
@@ -274,6 +320,7 @@ class LimitsReport:
     group: str
     trunc_n: int
     top_degree: int
+    levels_built: int  # levels 0..levels_built of the standard complex
     lims: list  # lims[i] = lim^i for 0 <= i <= top_degree (FinPresAb)
     moore_vanishing: dict
     checks: dict = field(default_factory=dict)
@@ -284,6 +331,7 @@ class LimitsReport:
             "group": self.group,
             "N": self.trunc_n,
             "levels": self.top_degree,
+            "levels_built": self.levels_built,
             "lims": [
                 {"degree": i, "group": g.describe()} for i, g in enumerate(self.lims)
             ],
@@ -306,30 +354,43 @@ def higher_limits(code, group, top_degree=None, deadline=None, ctx=None,
 
     lim^0 = 0 (the code embeds in f, whose limits vanish) and
     lim^i = pi^{i-1} of the value cosimplicial group, computed from the
-    Moore complex, the one cochain complex built.  The cosimplicial
-    identities are proved on every call (``CosimplicialAb``), and the
-    report flags which Moore degrees vanish.  Only with cross_validate is
-    the alternate-sum complex built: its d^2 = 0 is proved and its
-    cohomology is compared with the Moore one degree by degree
-    ("d_squared_zero" and "moore_vs_alternate" in the checks).
+    Moore complex, the one cochain complex built.  Its degree n is 0 for
+    every n >= N, the code's truncation depth (``moore_complex``: a word
+    has fewer than N letters, so none uses all of the copies 1..n), so
+    lim^i = 0 for every i > N, and the answer needs levels 0..T only,
+    T = min(top_degree, N - 1).  Those are the levels built; their
+    cosimplicial identities are proved (``CosimplicialAb``) and the
+    relabellings the Moore complex is cut by are checked on every call.
+    The report flags which Moore degrees vanish, the ones >= N by the
+    theorem.
+
+    With cross_validate, levels 0..top_degree are built and every
+    identity among them is proved; the alternate-sum complex is built,
+    its d^2 = 0 is proved, and its cohomology is compared with lim^i in
+    every degree, the ones above N included ("d_squared_zero" and
+    "moore_vs_alternate" in the checks).  ``levels_built`` says which
+    levels were built.
 
     The default top_degree is n, the length of the code's longest
-    monomial.  It assumes lim-finiteness: lim^i(code) = 0 for every i > n,
-    so that the report leaves out no nonzero limit.  The tests check
-    lim^(n+1) = 0 on small groups.
+    monomial, and N <= n: r^L lies in every monomial of length L, and an
+    intersection term's depth is at most its longest monomial.  So the
+    default misses no nonzero limit of the truncated complex.
     """
     code = normalize(code)
     if top_degree is None:
         top_degree = max(1, max_monomial_length(code))
+    if top_degree < 1:
+        raise ValueError("top_degree must be at least 1")
     deadline = deadline or Deadline()
-    X = assemble(code, group, top_degree, deadline=deadline, ctx=ctx)
+    built = top_degree if cross_validate else min(top_degree, required_truncation(code) - 1)
+    X = assemble(code, group, built, deadline=deadline, ctx=ctx)
     deadline.check()
     Q = moore_complex(X)
     lims = [FinPresAb.zero()]
     for i in range(1, top_degree + 1):
         deadline.check()
-        lims.append(Q.cohomology(i - 1))
-    moore_vanishing = {k: Q.levels[k].is_trivial() for k in range(top_degree + 1)}
+        lims.append(Q.cohomology(i - 1) if i <= len(Q.maps) else FinPresAb.zero())
+    moore_vanishing = {k: k >= X.N or Q.levels[k].is_trivial() for k in range(top_degree + 1)}
     checks = {"cosimplicial_identities": True}  # verified during assembly
     if cross_validate:
         C = alternate_sum_complex(X)  # raises unless d^2 = 0
@@ -337,13 +398,13 @@ def higher_limits(code, group, top_degree=None, deadline=None, ctx=None,
         checks["moore_vs_alternate"] = all(
             lims[k + 1].iso_eq(C.cohomology(k)) for k in range(top_degree)
         )
-    report = LimitsReport(
+    return LimitsReport(
         code=str(code),
         group=group.name,
         trunc_n=X.N,
         top_degree=top_degree,
+        levels_built=X.D,
         lims=lims,
         moore_vanishing=moore_vanishing,
         checks=checks,
     )
-    return report

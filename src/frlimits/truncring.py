@@ -154,6 +154,29 @@ class TruncatedRing:
             f"N={self.depth}, rank={self.rank})"
         )
 
+    def all_copies_words(self):
+        """Whether each basis word (g, J), in layout order, is an
+        all-copies word: one whose letters use every copy 1..p of F, p the
+        level (copy-0 letters may be there too).  The letter rho_j is the
+        Schreier generator of an edge (g, c, i), of copy c.  The copies a
+        word uses are a bit set, built a layer at a time from the layout:
+        position s of layer k, extended by j, is s·m + j.  A word has fewer
+        than N letters, so there is none at a level p >= N."""
+        lp = self.lp
+        if lp.level >= self.depth:
+            return np.zeros(self.rank, dtype=bool)
+        bit = np.zeros(lp.num_schreier_gens, dtype=np.int64)
+        for (_, c, _), j in lp.edge_to_gen.items():
+            if j is not None:
+                bit[j] = 1 << c
+        used = np.zeros(lp.group.order, dtype=np.int64)
+        parts = [used]
+        for _ in range(1, self.depth):
+            used = (used[:, None] | bit).ravel()
+            parts.append(used)
+        every = (1 << lp.copies) - 2
+        return (np.concatenate(parts) & every) == every
+
     def position(self, g, J):
         """Index of basis word (g, J): off_|J| + g·m^|J| + idx(J), that is
         g followed by the letters of J read as one base-m number."""
@@ -433,9 +456,8 @@ class FunctorValue:
         head = self.c_lattice.basis(0, int(np.searchsorted(self.c_lattice.pivot_cols, order)))
         if head[:, :order].astype(object).sum(axis=1).any():
             raise AssertionError("code lattice escapes f")
-        cols, rows = unit_split(self.c_lattice)
-        keep = cols != order - 1
-        self.gens, rows = cols[keep], rows[:, keep]
+        # f's basis is every word but |G|-1, and no unit pivot of c is there
+        self.gens, rows = unit_split(self.c_lattice, np.arange(ring.rank) != order - 1)
         n = len(self.gens)
         piv = (rows != 0).argmax(axis=1) if len(rows) else np.zeros(0, dtype=np.intp)
         self.group = FinPresAb(n, Lattice.canonical(n, piv, np.arange(n), rows))
@@ -472,15 +494,24 @@ def _relabelling(hom, src_ring, tgt_ring):
     return np.concatenate(parts)
 
 
+def relabelling(hom, src_ring, tgt_ring):
+    """``_relabelling`` of the hom, memoized per (hom, source depth) in
+    the target ring's ``_relabellings``: the word map that ``word_images``
+    reads, and the one the Moore complex's all-copies cut is checked on."""
+    key = (hom, src_ring.depth)
+    if key not in tgt_ring._relabellings:
+        tgt_ring._relabellings[key] = _relabelling(hom, src_ring, tgt_ring)
+    return tgt_ring._relabellings[key]
+
+
 def word_images(hom, src_ring, tgt_ring, words):
     """Images of the basis words of src_ring with the given indices under a
     presentation morphism, as one (len(words), tgt_ring.rank) block.
 
     A hom that relabels basis words (``_relabelling``; every coface but
     d^0 and every codegeneracy) gives unit rows, or zero rows, read off
-    its word map, memoized per (hom, source depth) in the target ring's
-    ``_relabellings``.  Any other hom takes the general path: the
-    image of (g, J+(j,)) is the image of its prefix (g, J) times
+    its word map (``relabelling``).  Any other hom takes the general
+    path: the image of (g, J+(j,)) is the image of its prefix (g, J) times
     phi(t_j), the normal form of phi(rho_j) - 1.  The hom commutes with
     the projections to G, so phi(rho_j) lies over the identity and phi(t_j)
     has only terms (0, L): the product is ``right_multiply``, a sum of
@@ -496,10 +527,7 @@ def word_images(hom, src_ring, tgt_ring, words):
     """
     words = np.asarray(words, dtype=np.intp)
     rank = tgt_ring.rank
-    key = (hom, src_ring.depth)
-    if key not in tgt_ring._relabellings:
-        tgt_ring._relabellings[key] = _relabelling(hom, src_ring, tgt_ring)
-    where = tgt_ring._relabellings[key]
+    where = relabelling(hom, src_ring, tgt_ring)
     if where is not None:
         out = np.zeros((len(words), rank), dtype=np.int64)
         dst = where[words]

@@ -17,6 +17,12 @@ forms one dense composite per side of each identity and tests each
 identity on its own, so it checks the batched sparse check's products,
 blocks and bookkeeping.
 
+The Moore complex by images (``moore_complex_by_images``) is the
+package's earlier construction, kept as a reference for the one on the
+all-copies words: it eliminates the images of d^1..d^n into a copy of
+level n's relations, at every level built, so it does not rest on the
+cofaces relabelling words, nor on the levels >= N being zero.
+
 The package keeps the layout of a truncated ring only as a formula,
 ``TruncatedRing.position``; the oracle decodes an index back to its basis
 word on its own (``word_at``), and the tests check that the two are
@@ -44,6 +50,7 @@ import numpy as np
 
 from frlimits import freegrp
 from frlimits.intlin import AbMap, FinPresAb, unit_split
+from frlimits.limits import CochainComplex
 from frlimits.truncring import poly_mul, word_images
 
 
@@ -496,3 +503,18 @@ def ring_quotient_map(hom, src, tgt):
     source's basis word ``gens[i]``, reduced modulo the target's rel."""
     images = word_images(hom, src.ring, tgt.ring, src.gens)
     return AbMap(src.group, tgt.group, tgt.classes(images))
+
+
+def moore_complex_by_images(X):
+    """The Moore complex of X, degree n being X^n modulo the images of
+    d^1..d^n, for every level of X: each level's canonical relation basis
+    is copied, the images are eliminated into the copy, and the
+    differential is the class of d^0."""
+    levels = []
+    for n in range(X.D + 1):
+        rel = X.levels[n].relations.copy()
+        # a generator: add reads a list as one block of rows
+        rel.add(X.d[(n - 1, i)].matrix for i in range(1, n + 1))
+        levels.append(FinPresAb(X.levels[n].ngens, rel))
+    maps = [AbMap(levels[n], levels[n + 1], X.d[(n, 0)].matrix) for n in range(X.D)]
+    return CochainComplex(levels, maps)

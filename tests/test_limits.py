@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 from functools import lru_cache
+from itertools import combinations, product
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -17,18 +18,22 @@ from hypothesis import strategies as st
 
 from frlimits import freegrp, intlin, limits
 from frlimits.errors import CapExceeded
-from frlimits.frcode import max_monomial_length, parse, required_truncation
+from frlimits.frcode import make_code, max_monomial_length, normalize, parse, required_truncation
 from frlimits.intlin import AbMap, FinPresAb, tensor_Z, tor_Z
-from frlimits.limits import CosimplicialAb, Deadline, alternate_sum_complex, assemble, higher_limits
+from frlimits.limits import (CosimplicialAb, Deadline, alternate_sum_complex, assemble,
+                             code_lattice_equalizer_rank, higher_limits, moore_complex)
 from frlimits.permgrp import group_from_spec, load_group_file
 from frlimits.truncring import GroupContext
 
-from oracles import RingQuotientValue, cosimplicial_identities_pairwise, reference_hnf, ring_quotient_map
+from oracles import (RingQuotientValue, cosimplicial_identities_pairwise, moore_complex_by_images,
+                     reference_hnf, ring_quotient_map)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 GROUP_DIR = SRC / "frlimits" / "groups"
 # the benchmark's pinned answers, "group:code" -> lim^i descriptions
 BENCH_ANSWERS = json.loads((SRC.parent / "bench" / "expected.json").read_text())
+# the codes of the benchmark's dictionary sweep
+SWEEP_CODES = ["r", "f", "ff", "rr", "fr+rf", "rr+frf", "rr+fff"]
 
 
 @lru_cache(maxsize=None)
@@ -105,9 +110,9 @@ def test_pinned_intersection_codes(code, name, expected):
 
 
 def test_report_checks_in_both_modes(monkeypatch):
-    # the plain path builds one cochain complex, the Moore one: the
-    # alternate-sum complex is built only to cross-validate, and the
-    # lim^0 equalizer is never called
+    # the plain path builds one cochain complex, the Moore one, from the
+    # levels below N = 2: the alternate-sum complex and levels 2 and 3 are
+    # built only to cross-validate, and the lim^0 equalizer is never called
     calls = []
 
     def counted(name):
@@ -126,22 +131,37 @@ def test_report_checks_in_both_modes(monkeypatch):
         "cosimplicial_identities": True, "d_squared_zero": True, "moore_vs_alternate": True,
     }
     assert [g.describe() for g in crossed.lims] == [g.describe() for g in plain.lims]
-    assert plain.moore_vanishing == {0: False, 1: False, 2: True, 3: True}
+    assert plain.moore_vanishing == crossed.moore_vanishing == {0: False, 1: False, 2: True, 3: True}
+    assert (plain.levels_built, crossed.levels_built) == (1, 3)
     for report in (plain, crossed):
-        checks = json.loads(json.dumps(report.to_json_dict()))["checks"]
-        assert checks.keys() == {*report.checks, "moore_vanishing"}
+        out = json.loads(json.dumps(report.to_json_dict()))
+        assert out["checks"].keys() == {*report.checks, "moore_vanishing"}
+        assert (out["levels"], out["levels_built"]) == (3, report.levels_built)
+
+
+@pytest.mark.parametrize("name", ["z2", "z3"])
+def test_the_lim0_equalizer_reads_a_full_assembly(name):
+    # the code f has N = 1, so the plain path builds level 0 alone; the
+    # equalizer reads levels 0 and 1, where it gives |G| - 1
+    group = context(name).group
+    X = assemble(parse("f"), group, 1, ctx=context(name))
+    assert code_lattice_equalizer_rank(X) == group.order - 1
 
 
 @pytest.mark.parametrize("name", sorted({key.split(":")[0] for key in BENCH_ANSWERS}))
 def test_every_pinned_bench_answer_cross_validates(name):
-    # each answer the benchmark checks, with the alternate-sum complex
-    # built, its d^2 = 0 proved and its cohomology compared degreewise
+    # each answer the benchmark checks, from the levels below N and from
+    # levels 0..D built in full, with the alternate-sum complex built, its
+    # d^2 = 0 proved and its cohomology compared degreewise
     ctx = context(name)
     for key, answer in BENCH_ANSWERS.items():
         group, code = key.split(":", 1)
         if group == name:
+            plain = higher_limits(parse(code), ctx.group, ctx=ctx)
             report = higher_limits(parse(code), ctx.group, ctx=ctx, cross_validate=True)
+            assert [g.describe() for g in plain.lims] == answer, key
             assert [g.describe() for g in report.lims] == answer, key
+            assert report.levels_built == report.top_degree, key
             assert report.checks["d_squared_zero"] is True, key
             assert report.checks["moore_vs_alternate"] is True, key
 
@@ -226,13 +246,96 @@ LIM_FINITE_CODES = ("r", "rr", "ff", "fr+rf", "rr+frf", "rr+fff", "fff", "rfr", 
     + [("z3", code) for code in LIM_FINITE_CODES if required_truncation(parse(code)) <= 2],
 )
 def test_limits_vanish_above_the_longest_monomial(name, code):
-    # lim-finiteness, which the default top_degree assumes: one degree
-    # above the longest monomial, the limit is zero
+    # one degree above the longest monomial the limit is zero: computed
+    # here from levels 0..n+1 built in full and compared with the
+    # alternate-sum cohomology, not read off Moore^n = 0 for n >= N
     ctx = context(name)
     parsed = parse(code)
     n = max_monomial_length(parsed)
-    report = higher_limits(parsed, ctx.group, top_degree=n + 1, ctx=ctx)
+    report = higher_limits(parsed, ctx.group, top_degree=n + 1, ctx=ctx, cross_validate=True)
+    assert report.levels_built == n + 1
+    assert report.checks["moore_vs_alternate"] is True
     assert report.lims[n + 1].is_trivial()
+
+
+# the paper's dictionary of codes: every sum of the 14 monomials of
+# length 1-3, normalized, which gives 41 codes
+MONOMIALS = ["".join(m) for k in (1, 2, 3) for m in product("fr", repeat=k)]
+DICTIONARY_CODES = sorted({
+    str(normalize(make_code([(m,) for m in subset])))
+    for k in range(1, len(MONOMIALS) + 1) for subset in combinations(MONOMIALS, k)
+})
+
+
+def test_the_dictionary_has_41_codes():
+    assert len(DICTIONARY_CODES) == 41
+
+
+@pytest.mark.parametrize(
+    "name,code",
+    [(name, code) for name in ("z2", "z3") for code in DICTIONARY_CODES]
+    + [(name, code) for name in ("z2_rank2", "z4") for code in SWEEP_CODES],
+)
+def test_moore_levels_on_the_all_copies_words_match_the_oracle(name, code):
+    # levels 0..D built in full: below N each Moore level on the
+    # all-copies words is the oracle's level up to isomorphism, at N and
+    # above the oracle's level is zero and the cut has no generator, and
+    # every cohomology group agrees
+    parsed = parse(code)
+    X = assemble(parsed, context(name).group, max_monomial_length(parsed), ctx=context(name))
+    moore, oracle = moore_complex(X), moore_complex_by_images(X)
+    for n in range(X.D + 1):
+        if n < X.N:
+            assert moore.levels[n].invariants() == oracle.levels[n].invariants(), n
+        else:
+            assert oracle.levels[n].is_trivial() and moore.levels[n].ngens == 0, n
+    for k in range(X.D):
+        assert moore.cohomology(k).invariants() == oracle.cohomology(k).invariants(), k
+
+
+def test_only_the_levels_below_n_are_built():
+    # f^200 + rr has N = 2 and top degree 200: levels 0 and 1 are all the
+    # answer reads, and lim^i = 0 for i > 2 since Moore^n = 0 for n >= 2
+    group = context("z2").group
+    ctx = GroupContext(group)
+    report = higher_limits(parse("f^200+rr"), group, ctx=ctx)
+    assert sorted(ctx._levels) == [0, 1]
+    assert sorted(ctx._rings) == [(0, 2), (1, 2)]
+    assert (report.trunc_n, report.top_degree, report.levels_built) == (2, 200, 1)
+    assert len(report.lims) == 201
+    assert all(g.is_trivial() for g in report.lims[3:])
+    assert report.moore_vanishing == {n: n >= 2 for n in range(201)}
+
+
+def send_one_word_to_zero(where, ring):
+    where[where.argmax()] = -1
+    return where
+
+
+def send_one_word_to_an_all_copies_word(where, ring):
+    where[where.argmax()] = ring.all_copies_words().argmax()
+    return where
+
+
+@pytest.mark.parametrize(
+    "i,change,message",
+    [
+        (1, send_one_word_to_zero, "cofaces 1..2 into level 2 do not hit exactly"),
+        (2, send_one_word_to_an_all_copies_word, "cofaces 1..2 into level 2 do not hit exactly"),
+        (2, lambda where, ring: None, "coface d\\^2 into level 2 relabels no words"),
+    ],
+)
+def test_a_word_map_that_breaks_the_all_copies_cut_is_refused(i, change, message, monkeypatch):
+    # the Moore complex is cut by the words d^1 and d^2 hit; a memoized
+    # word map that hits one word less or one all-copies word more, or is
+    # no relabelling, is refused
+    X = assemble(parse("fff"), context("z3").group, 2, ctx=context("z3"))
+    assert moore_complex(X).levels[2].ngens
+    ring = X.values[2].ring
+    key = (freegrp.coface(1, i, X.ctx.group.ngens), X.values[1].ring.depth)
+    monkeypatch.setitem(ring._relabellings, key, change(ring._relabellings[key].copy(), ring))
+    with pytest.raises(AssertionError, match=message):
+        moore_complex(X)
 
 
 OPTIMIZED_SCRIPT = """
@@ -260,9 +363,25 @@ for name, code in (("z2", "rr+frf"), ("z3", "fff")):
 maps = [w for ring in ctx._rings.values() for w in ring._relabellings.values()]
 print(sum(w is not None for w in maps), len(maps))
 
+# a relabelling word map that misses a word must fail the all-copies check
+from frlimits.freegrp import coface
+from frlimits.limits import assemble, moore_complex
+
+X = assemble(parse("fff"), ctx.group, 2, ctx=ctx)
+memo, key = X.values[1].ring._relabellings, (coface(0, 1, 1), X.values[0].ring.depth)
+kept = memo[key]
+memo[key] = kept.copy()
+memo[key][kept.argmax()] = -1
+try:
+    moore_complex(X)
+except AssertionError as exc:
+    print(exc)
+else:
+    sys.exit("a word map that misses a word passed the all-copies check")
+memo[key] = kept
+
 # a coface changed in one entry must still fail the identities
 from frlimits.intlin import AbMap
-from frlimits.limits import assemble
 
 X = assemble(parse("rrr"), ctx.group, 3, ctx=ctx)
 d = X.d[(0, 0)]
@@ -314,7 +433,8 @@ def test_validation_and_answers_survive_python_O():
     assert done.stdout.splitlines() == [
         "0 | Z/2 | Z | 0",
         "0 | 0 | 0 | 0",
-        "12 15",
+        "6 8",
+        "cofaces 1..1 into level 1 do not hit exactly its words that miss a copy",
         "coface identity fails at (0, 0, 1)",
         f"{reference_hnf(WRAPPING_ROWS, 2)[0]} 1",
     ]
@@ -359,7 +479,6 @@ def test_a_corrupt_coface_fails_the_cosimplicial_identities():
 
 # the benchmark's cases: every bundled group with the codes of its
 # dictionary sweep, and the deep cases of degree 3
-SWEEP_CODES = ["r", "f", "ff", "rr", "fr+rf", "rr+frf", "rr+fff"]
 BENCH_CASES = [
     (p.stem, code) for p in sorted(GROUP_DIR.glob("*.json")) for code in SWEEP_CODES
 ] + [("z3", "fff"), ("z3", "rrr"), ("z4", "fff")]
@@ -507,10 +626,11 @@ def test_an_oversize_ring_is_refused_at_once(name, code, seconds):
 
 
 def test_a_long_monomial_runs_out_of_time_not_of_stack():
-    # f^1500 + rr needs 1501 levels at depth 2, none of them over the
-    # rank cap; the deadline stops the rings being built
+    # f^1500 + rr needs levels 0 and 1 at depth 2, and level 0's lattice
+    # of f^1500 is built one suffix at a time; the deadline stops the
+    # suffixes being built, long before the whole case would end
     with pytest.raises(CapExceeded, match="time budget"):
-        higher_limits(parse("f^1500+rr"), context("z2").group, deadline=Deadline(1))
+        higher_limits(parse("f^1500+rr"), context("z2").group, deadline=Deadline(0.3))
 
 
 ORACLE_CASES = [
