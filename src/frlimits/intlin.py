@@ -4,8 +4,11 @@ Hermite-form row lattices that take rows in blocks and keep their basis
 canonical after every call (each block is eliminated into the basis at
 once, unit pivots first; there is no queue) and are queried in blocks (one
 reduction answers membership and coordinates for a whole block of rows),
-one kernel primitive built on them (left kernels, lattice
-intersection, kernels of presented maps), Smith invariant factors,
+one kernel primitive built on them (``_lower``: the vectors of a lattice
+that vanish on its first columns are its canonical rows with a pivot
+there or later, a slice of the stored form; left kernels, kernels of
+presented maps and lattice intersections each take one elimination and
+this slice), Smith invariant factors,
 finitely presented abelian groups, maps between them, tensor/Tor over Z,
 homology of three-term complexes of presented groups, and sparse integer
 matrices, assembled from signed parts at offsets (``SparseRows.placed``),
@@ -28,9 +31,14 @@ row is 1 at its pivot and 0 at every other unit pivot, and every other
 row is 0 at all unit pivots.  Rows are built from it on demand
 (``Lattice.basis``).  ``Lattice.add`` eliminates max(_block_rows(n),
 rank // 8) rows per fold: every fold copies ``B`` once, so on a wide
-lattice of high rank the fold grows with the rank.  A basis that is
-canonical already, given in this stored form, becomes a lattice with no
-elimination (``Lattice.canonical``), which checks the form instead.
+lattice of high rank the fold grows with the rank.  A fold reduces its
+rows modulo the basis, brings the non-unit rows and what is left to
+echelon form on ``cols`` and reduces the unit rows modulo the result.
+A fold into an empty basis skips the first step, and one into a basis
+with no unit rows the last: then the echelon's own stored form is the
+new basis.  A basis that is canonical already, given in this stored form,
+becomes a lattice with no elimination (``Lattice.canonical``), which
+checks the form instead.
 
 Rows enter in one format, a block: a 2-D integer array, or a list of rows
 read exactly (``int_block``).  Floats and flat vectors are refused, and a
@@ -320,20 +328,26 @@ def _merge(hnf, Q):
     non-unit rows and what is left of Q are brought to echelon form E and
     reduced above their pivots.  The unit rows with an entry at a pivot of
     E are reduced modulo E, and the new unit pivots leave ``cols``.  All
-    of it is array operations, and the stored block is copied once.
+    of it is array operations, and the stored block is copied once.  An
+    empty basis reduces nothing, and a basis with no unit rows has every
+    column in ``cols``, so for either E's own stored form is the answer.
     """
     piv, unit, height, cols, B = hnf
-    R = _reduce(Q, hnf)
-    R = R[R.any(axis=1)]
-    if not len(R):
+    if len(piv):
+        Q = _reduce(Q, hnf)
+    # a copy, which _echelon may write into
+    Q = Q[Q.any(axis=1)]
+    if not len(Q):
         return None
-    W = np.concatenate([B[~unit], R])
+    W = np.concatenate([B[~unit], Q]) if len(piv) else Q
     t, ecols = _echelon(W)
     ecols = np.array(ecols, dtype=np.intp)
     E = W[:t]
     _reduce_above(E, ecols)
     echelon = _hermite(E, ecols, len(cols))
     U = np.flatnonzero(unit)
+    if not len(U):
+        return echelon
     out_piv = np.concatenate((piv[U], cols[ecols]))
     order = np.argsort(out_piv)
     at = np.empty_like(order)
@@ -362,6 +376,21 @@ def _is_big(hnf):
 
 def _with_dtype(hnf, dtype):
     return hnf._replace(B=_frozen(hnf.B.astype(dtype)), height=hnf.height.astype(dtype))
+
+
+def _fitted(hnf):
+    """hnf, stored as int64 again if it is big but every entry fits."""
+    if _is_big(hnf) and hnf.height.max(initial=0) < _I64_SAFE:
+        return _with_dtype(hnf, np.int64)
+    return hnf
+
+
+def _whole(n, rank):
+    """The stored form of the first ``rank`` unit vectors of Z^n: of the
+    zero lattice for rank 0 and of Z^n for rank n."""
+    piv = np.arange(rank)
+    return _Hermite(piv, np.ones(rank, dtype=bool), np.zeros(rank, dtype=np.int64),
+                    np.arange(rank, n), _frozen(np.zeros((rank, n - rank), dtype=np.int64)))
 
 
 class Lattice:
@@ -403,7 +432,7 @@ class Lattice:
 
     def __init__(self, n, blocks=()):
         self.n = n
-        self._hnf = _hermite(np.zeros((0, n), dtype=np.int64), np.zeros(0, dtype=np.intp), n)
+        self._hnf = _whole(n, 0)
         self.add(blocks)
 
     @classmethod
@@ -494,9 +523,7 @@ class Lattice:
         except _Overflow:
             merged = _merge(_with_dtype(hnf, object), Q.astype(object))
         if merged is not None:
-            if _is_big(merged) and merged.height.max() < _I64_SAFE:
-                merged = _with_dtype(merged, np.int64)
-            self._hnf = merged
+            self._hnf = _fitted(merged)
 
     def canonicalize(self):
         # a no-op kept for bench/layertrace.py, which wraps it by name
@@ -587,36 +614,56 @@ class Lattice:
         return f"Lattice(n={self.n}, rank={self.rank})"
 
 
-def _lower_block(blocks, split, width):
-    """Rows of the canonical HNF of the rows in `blocks` (2-D blocks of
-    vectors in Z^width) whose pivot lies at column `split` or later,
-    restricted to those columns, as one array.
+def _lower(lat, split):
+    """The vectors of lat whose first ``split`` entries are zero, as a
+    lattice on the columns from ``split`` on.
 
-    They are a basis, itself in canonical HNF, of the vectors of the row
-    lattice whose first `split` entries are zero.
-    """
-    lat = Lattice(width, blocks)
-    # one compact copy, so the result does not keep the full rows alive
-    return lat.basis(int(np.searchsorted(lat._hnf.piv, split)))[:, split:].copy()
+    Its canonical basis is lat's rows with a pivot at ``split`` or later,
+    cut to those columns, as they stand: they are zero left of ``split``,
+    and their pivots and the entries above them are lat's.  So it is a
+    slice of the stored form, copied so that lat's block can go, with its
+    heights read again and stored as int64 if they fit."""
+    piv, unit, _, cols, B = lat._hnf
+    k = int(np.searchsorted(piv, split))
+    at = int(np.searchsorted(cols, split))
+    B = B[k:, at:].copy()
+    hnf = _Hermite(piv[k:] - split, unit[k:], _heights(B), cols[at:] - split, _frozen(B))
+    return Lattice._of(lat.n - split, _fitted(hnf))
 
 
-def _augmented(rows, ncols):
-    """The rows [M | I] for M given by `rows` (a 2-D array or a list of
-    rows), in blocks of _block_rows rows, never all at once."""
-    m = len(rows)
-    step = _block_rows(ncols + m)
-    for s in range(0, m, step):
-        M = int_block(rows[s : s + step], ncols)
-        block = np.zeros((len(M), ncols + m), dtype=M.dtype)
-        block[:, :ncols] = M
-        block[np.arange(len(M)), ncols + s + np.arange(len(M))] = 1
-        yield block
+def _kernel_lattice(G, R):
+    """The lattice {b : b·G lies in the span of the rows R}, for the rows
+    G of a map into Z^nc and relation rows R in Z^nc.
+
+    One elimination of the rows [G | I] over [R | 0], the nc columns
+    first: the vectors of their span that are zero on those columns are
+    the (0, b) with b·G = -y·R for some y, so the kernel is the span's
+    ``_lower`` part.  With nc = 0 it is all of Z^nb, written down with no
+    elimination."""
+    nb, nc = G.shape
+    if not nc:
+        return Lattice._of(nb, _whole(nb, nb))
+    M = np.concatenate([G, R])
+    step = _block_rows(nc + nb)
+
+    def blocks():
+        # _block_rows rows at a time, never all at once
+        for s in range(0, len(M), step):
+            block = np.zeros((len(M[s : s + step]), nc + nb), dtype=M.dtype)
+            block[:, :nc] = M[s : s + step]
+            i = np.arange(s, min(s + step, nb))
+            block[i - s, nc + i] = 1
+            yield block
+
+    return _lower(Lattice(nc + nb, blocks()), nc)
 
 
 def kernel_of_matrix(rows, ncols):
     """Basis of the left kernel {x : x . M = 0} for M given by `rows` (a
-    2-D array or a list of rows), as one 2-D array of basis rows."""
-    return _lower_block(_augmented(rows, ncols), ncols, ncols + len(rows))
+    2-D array or a list of rows), as one 2-D array of canonical basis rows
+    (``_kernel_lattice`` with no relation rows)."""
+    M = int_block(rows, ncols)
+    return _kernel_lattice(M, np.zeros((0, ncols), dtype=np.int64)).basis()
 
 
 def lattice_intersection(a, b):
@@ -630,7 +677,7 @@ def lattice_intersection(a, b):
         (np.concatenate([x, x], axis=1) for x in a.basis_blocks(step)),
         (np.concatenate([y, np.zeros_like(y)], axis=1) for y in b.basis_blocks(step)),
     )
-    return Lattice(a.n, _lower_block(blocks, a.n, 2 * a.n))
+    return _lower(Lattice(2 * a.n, blocks), a.n)
 
 
 # -- Smith normal form -------------------------------------------------------
@@ -965,17 +1012,6 @@ def composite_is_zero(f, g):
 # -- homology of presented complexes ------------------------------------------
 
 
-def _kernel_lattice(G, R_C):
-    """Lattice of {b : b G = 0 in Z^nc / R_C} for the rows G of a map into
-    Z^nc and the relation rows R_C.
-
-    Computed as the b-projection of the kernel of the stacked matrix
-    [G; R_C]: b G = -y R_C exactly says that b G dies in the quotient.
-    """
-    nb, nc = len(G), G.shape[1]
-    return Lattice(nb, kernel_of_matrix(np.concatenate([G, R_C]), nc)[:, :nb])
-
-
 def homology_at(f, g):
     """ker(g)/im(f) for presented maps A --f--> B --g--> C with g o f = 0.
 
@@ -986,8 +1022,11 @@ def homology_at(f, g):
     ``R.reduce(v)[cols]``.  So g becomes ``R_C.reduce(g[cols_B])[:,
     cols_C]`` and f becomes ``R_B.reduce(f)[:, cols_B]``, and the kernel
     and the coordinate solves run at the size of those presentations.
-    The composite is checked on the maps as given, by their sparse
-    product (``composite_is_zero``)."""
+    The kernel {b : b·g in R_C} is one elimination, whose rows with a
+    pivot in the identity block are its canonical basis as they stand
+    (``_kernel_lattice``); when C has no surviving generator it is all of
+    Z^cols_B, with nothing eliminated.  The composite is checked on the
+    maps as given, by their sparse product (``composite_is_zero``)."""
     B = f.cod
     C = g.cod
     if g.dom.ngens != B.ngens:

@@ -38,11 +38,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import freegrp
-from .errors import CapExceeded
+from .errors import CapExceeded, InputError
 from .frcode import max_monomial_length, normalize, required_truncation
 from .intlin import (AbMap, FinPresAb, SparseRows, composite_is_zero, homology_at,
                      kernel_of_matrix, safe_matmul, sparse_product, unit_split)
-from .truncring import FunctorValue, GroupContext, induced_map, relabelling, word_images
+from .truncring import (FunctorValue, GroupContext, induced_map, rank_sum, relabelling,
+                        word_images)
 
 
 class Deadline:
@@ -74,8 +75,10 @@ class CosimplicialAb:
         self.N = required_truncation(code)
         deadline = deadline or Deadline()
         rank = ctx.group.ngens
-        # every level's ring first, so one too wide is refused before any
-        # lattice is built
+        # the rings' ranks summed by formula, so levels too wide in all are
+        # refused before any is built; then every level's ring, so one too
+        # wide is refused before any lattice is built
+        rank_sum(ctx.group, depth_d + 1, self.N)
         rings = []
         for p in range(depth_d + 1):
             deadline.check()
@@ -222,33 +225,35 @@ def moore_complex(X):
     and together d^1..d^n hit exactly the words of level n that miss one
     of the copies 1..n of F, which is checked here on every call, on the
     word maps.  So f modulo their images is free on A_n, the all-copies
-    words (``TruncatedRing.all_copies_words``; A_0 is every word), and
-    degree n is Z^{A_n} / proj_{A_n}(c), presented on A_n's words that are
-    no unit pivot of c, with c's other rows cut to them (``unit_split``):
-    the unit rows whose pivot misses a copy carry relations too.  The
+    words (``TruncatedRing.all_copies_words``), and degree n >= 1 is
+    Z^{A_n} / proj_{A_n}(c), presented on A_n's words that are no unit
+    pivot of c, with c's other rows cut to them (``unit_split``): the unit
+    rows whose pivot misses a copy carry relations too.  A_0 is every
+    word, so degree 0 is f/c as ``FunctorValue`` presents it, on every
+    word but |G|-1, and it is taken as it is, ``X.levels[0]``.  The
     differential is d^0's matrix cut to the A_n rows and the A_{n+1}
     columns.  A word has fewer than N letters, so A_n is empty and degree
     n is 0 for every n >= N; when X reaches level N - 1, the complex ends
     with the zero level X.D + 1, so that its top cohomology is the top
     level modulo the image of d^0."""
     rank = X.ctx.group.ngens
-    levels, keep = [], []
-    for n, value in enumerate(X.values):
+    # A_0 is every word, and without word |G|-1 that is f's basis, the
+    # cut X.levels[0] is presented on already
+    levels, keep = [X.levels[0]], [np.arange(X.levels[0].ngens)]
+    for n, value in enumerate(X.values[1:], 1):
         ring = value.ring
         words = ring.all_copies_words()
-        if n:
-            hit = np.zeros(ring.rank, dtype=bool)
-            for i in range(1, n + 1):
-                where = relabelling(freegrp.coface(n - 1, i, rank), X.values[n - 1].ring, ring)
-                if where is None:
-                    raise AssertionError(f"coface d^{i} into level {n} relabels no words")
-                hit[where[where >= 0]] = True
-            if not np.array_equal(hit, ~words):
-                raise AssertionError(
-                    f"cofaces 1..{n} into level {n} do not hit exactly its words that miss a copy"
-                )
-        # f's basis has no word |G|-1 (an A_n word only at level 0)
-        words[ring.lp.group.order - 1] = False
+        hit = np.zeros(ring.rank, dtype=bool)
+        for i in range(1, n + 1):
+            where = relabelling(freegrp.coface(n - 1, i, rank), X.values[n - 1].ring, ring)
+            if where is None:
+                raise AssertionError(f"coface d^{i} into level {n} relabels no words")
+            hit[where[where >= 0]] = True
+        if not np.array_equal(hit, ~words):
+            raise AssertionError(
+                f"cofaces 1..{n} into level {n} do not hit exactly its words that miss a copy"
+            )
+        # word |G|-1 is an all-copies word only at level 0
         gens, rows = unit_split(value.c_lattice, words)
         keep.append(np.searchsorted(value.gens, gens))
         levels.append(FinPresAb(len(gens), rows))
@@ -376,11 +381,14 @@ def higher_limits(code, group, top_degree=None, deadline=None, ctx=None,
     intersection term's depth is at most its longest monomial.  So the
     default misses no nonzero limit of the truncated complex.
     """
+    # a bool or a float would pass the comparison below and build levels
+    if top_degree is not None and type(top_degree) is not int:
+        raise InputError(f"top_degree {top_degree!r} is not an int")
     code = normalize(code)
     if top_degree is None:
         top_degree = max(1, max_monomial_length(code))
     if top_degree < 1:
-        raise ValueError("top_degree must be at least 1")
+        raise InputError("top_degree must be at least 1")
     deadline = deadline or Deadline()
     built = top_degree if cross_validate else min(top_degree, required_truncation(code) - 1)
     X = assemble(code, group, built, deadline=deadline, ctx=ctx)

@@ -106,6 +106,13 @@ class GroupData:
         return f"GroupData({self.name}, order={self.order})"
 
 
+def schreier_rank(order, copies, rank):
+    """The rank 1 + |G|·(copies·rank - 1) of the kernel of F ->> G, F free
+    on copies·rank generators (Schreier's formula): the number of
+    Schreier generators of a level presentation with that many copies."""
+    return 1 + order * (copies * rank - 1)
+
+
 class LevelPresentation:
     """Level p of the standard complex: F^{*(p+1)} ->> G with the Schreier
     data fixing all downstream bases.
@@ -174,7 +181,7 @@ class LevelPresentation:
                         self.edge_to_gen[(g, c, i)] = len(self.schreier_gens)
                         self.schreier_gens.append(rho)
 
-        expected = 1 + n * (self.copies * rank - 1)
+        expected = schreier_rank(n, self.copies, rank)
         if len(self.schreier_gens) != expected:
             raise AssertionError(
                 f"Schreier rank {len(self.schreier_gens)} != {expected}"

@@ -84,7 +84,7 @@ from .errors import CapExceeded
 from .frcode import required_truncation
 from .intlin import (_I64_SAFE, AbMap, FinPresAb, Lattice, _maxabs, int_block,
                      lattice_intersection, unit_split)
-from .permgrp import LevelPresentation
+from .permgrp import LevelPresentation, schreier_rank
 
 DEFAULT_RANK_CAP = 200_000
 
@@ -93,6 +93,30 @@ DEFAULT_RANK_CAP = 200_000
 # whatever its height, so short chunks are slow on wide rings, while the
 # chunk, its product and their temporaries add to the peak memory.
 _PRODUCT_ENTRIES = 2**16
+
+
+def layer_sizes(order, m, depth):
+    """The sizes |G|·m^k, k < depth, of the filtration layers of a ring
+    over a level with m Schreier generators, one at a time, so a caller
+    that stops at a cap never forms the large powers."""
+    return (order * m**k for k in range(depth))
+
+
+def rank_sum(group, levels, depth):
+    """The words that the rings of levels 0..levels-1 truncated at the
+    given depth hold in all, with no level built: level p has
+    schreier_rank(|G|, p + 1, rank) Schreier generators, and its ring the
+    layers of ``layer_sizes``.  Raises CapExceeded at the first layer
+    that takes the sum past DEFAULT_RANK_CAP."""
+    total = 0
+    for p in range(levels):
+        for size in layer_sizes(group.order, schreier_rank(group.order, p + 1, group.ngens), depth):
+            total += size
+            if total > DEFAULT_RANK_CAP:
+                raise CapExceeded(
+                    f"ring rank exceeds the cap {DEFAULT_RANK_CAP} summed over levels 0..{levels - 1}"
+                )
+    return total
 
 
 # -- truncated free polynomials in the differences t_j -------------------------
@@ -130,13 +154,11 @@ class TruncatedRing:
             raise ValueError(f"truncation depth {depth} is below 1")
         self.lp = lp
         self.depth = depth
-        m = lp.num_schreier_gens
-        order = lp.group.order
         # layer_offsets[k] is the index of the first word with |J| = k; the
         # sum stops at the first offset past the cap, before m**k grows huge
         self.layer_offsets = [0]
-        for k in range(depth):
-            self.layer_offsets.append(self.layer_offsets[-1] + order * m**k)
+        for size in layer_sizes(lp.group.order, lp.num_schreier_gens, depth):
+            self.layer_offsets.append(self.layer_offsets[-1] + size)
             if self.layer_offsets[-1] > DEFAULT_RANK_CAP:
                 raise CapExceeded(f"ring rank exceeds the cap {DEFAULT_RANK_CAP}")
         self.rank = self.layer_offsets[-1]

@@ -23,6 +23,12 @@ all-copies words: it eliminates the images of d^1..d^n into a copy of
 level n's relations, at every level built, so it does not rest on the
 cofaces relabelling words, nor on the levels >= N being zero.
 
+The two-step kernel (``kernel_by_two_eliminations``) is the package's
+earlier kernel of a presented map, kept as a reference for the one-pass
+kernel: it eliminates [G; R | I] with an identity block for every row,
+relation rows included, and eliminates the kernel again after cutting
+it to G's rows.
+
 The package keeps the layout of a truncated ring only as a formula,
 ``TruncatedRing.position``; the oracle decodes an index back to its basis
 word on its own (``word_at``), and the tests check that the two are
@@ -49,7 +55,7 @@ from math import gcd
 import numpy as np
 
 from frlimits import freegrp
-from frlimits.intlin import AbMap, FinPresAb, unit_split
+from frlimits.intlin import AbMap, FinPresAb, Lattice, unit_split
 from frlimits.limits import CochainComplex
 from frlimits.truncring import poly_mul, word_images
 
@@ -297,6 +303,23 @@ def reference_hnf(rows, n):
             if q:
                 basis[i] = [a - q * b for a, b in zip(basis[i], basis[k])]
     return basis, pivots
+
+
+def kernel_by_two_eliminations(G, R):
+    """The lattice {b : b·G lies in the span of the rows R}, for blocks G
+    (nb × nc) and R (any × nc): the left kernel of the stacked [G; R],
+    read off the canonical basis of [G; R | I] as its rows with a pivot
+    in the identity block, then cut to the first nb coordinates and
+    eliminated again as a lattice of its own."""
+    nb, nc = G.shape
+    M = np.concatenate([G, R])
+    m = len(M)
+    aug = np.zeros((m, nc + m), dtype=M.dtype)
+    aug[:, :nc] = M
+    aug[np.arange(m), nc + np.arange(m)] = 1
+    lat = Lattice(nc + m, aug)
+    rows = lat.basis(int(np.searchsorted(lat.pivot_cols, nc)))
+    return Lattice(nb, rows[:, nc : nc + nb])
 
 
 def expand_schreier_word(lp, rho_word):

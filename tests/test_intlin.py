@@ -34,6 +34,7 @@ from oracles import (
     combine_cyclic_orders,
     determinantal_invariant_factors,
     elements,
+    kernel_by_two_eliminations,
     reference_hnf,
     subgroup_span,
 )
@@ -488,6 +489,134 @@ def test_kernel_of_matrix():
         assert img == [0, 0]
     # kernel has rank 2 here (rows are all proportional)
     assert len(kern) == 2
+
+
+def stored_form(lat):
+    """A lattice's stored canonical form, dtypes included."""
+    h = lat._hnf
+    return (h.piv.tolist(), h.unit.tolist(), h.cols.tolist(), h.height.tolist(),
+            str(h.height.dtype), h.B.tolist(), str(h.B.dtype), h.B.shape)
+
+
+class TestOnePassKernel:
+    # intlin._kernel_lattice eliminates [G | I] over [R | 0] once and
+    # slices the kernel off the stored form; the oracle eliminates
+    # [G; R | I] and then the cut kernel again.  Both are the canonical
+    # basis of one lattice, so their stored forms are equal
+
+    def test_random_int64_blocks(self):
+        rng = np.random.default_rng(5)
+        ranks = set()
+        for _ in range(300):
+            nb, nc, nr = (int(x) for x in rng.integers(0, 7, size=3))
+            G = rng.integers(-4, 5, size=(nb, nc)) * rng.integers(0, 2, size=(nb, nc))
+            R = rng.integers(-6, 7, size=(nr, nc))
+            kernel = intlin._kernel_lattice(G, R)
+            assert stored_form(kernel) == stored_form(kernel_by_two_eliminations(G, R))
+            ranks.add((kernel.rank > 0, kernel.rank < nb))
+        assert ranks == {(False, False), (True, False), (True, True), (False, True)}
+
+    def test_kernel_of_matrix_is_the_kernel_with_no_relations(self):
+        rng = np.random.default_rng(6)
+        for _ in range(100):
+            m, n = (int(x) for x in rng.integers(0, 6, size=2))
+            M = rng.integers(-3, 4, size=(m, n))
+            expected = kernel_by_two_eliminations(M, np.zeros((0, n), dtype=np.int64))
+            got = kernel_of_matrix(M, n)
+            assert got.dtype == np.int64
+            assert got.tolist() == expected.basis().tolist()
+
+    def test_entries_past_int64(self, monkeypatch):
+        # the elimination goes bignum; a kernel whose entries fit comes
+        # back as int64, as a fresh lattice of its rows would be stored
+        eliminated = []
+        real_lower = intlin._lower
+
+        def lower(lat, split):
+            eliminated.append(lat.big)
+            return real_lower(lat, split)
+
+        monkeypatch.setattr(intlin, "_lower", lower)
+        big = 2**63
+        none = np.zeros((0, 2), dtype=np.int64)
+        cases = [
+            # b0 + b1 = 0 and b2 = 0: (1, -1, 0) fits
+            (np.array([[big, 0], [big, 0], [0, 1]], dtype=object), none, False),
+            # b2 must be a multiple of 2**63
+            (np.array([[big, 0], [big, 0], [0, 1]], dtype=object),
+             np.array([[0, big]], dtype=object), True),
+            # b0 + 2**62 b1 = 0: (2**62, -1) does not fit
+            (np.array([[1], [2**62]], dtype=object), np.zeros((0, 1), dtype=np.int64), True),
+        ]
+        for G, R, is_big in cases:
+            kernel = intlin._kernel_lattice(G, R)
+            assert eliminated.pop() is True
+            assert kernel.big is is_big
+            assert kernel._hnf.B.dtype == (object if is_big else np.int64)
+            assert stored_form(kernel) == stored_form(kernel_by_two_eliminations(G, R))
+        rng = random.Random(7)
+        for _ in range(60):
+            nb, nc, nr = rng.randint(1, 4), rng.randint(1, 3), rng.randint(0, 2)
+            G = np.array([[rng.randint(-2, 2) * rng.choice([1, 2**62, 2**70]) for _ in range(nc)]
+                          for _ in range(nb)], dtype=object)
+            R = np.array([[rng.randint(-3, 3) * rng.choice([1, 2**64]) for _ in range(nc)]
+                          for _ in range(nr)], dtype=object).reshape(nr, nc)
+            assert stored_form(intlin._kernel_lattice(G, R)) == stored_form(
+                kernel_by_two_eliminations(G, R))
+
+    @pytest.mark.parametrize("nb,nc,nr", [(3, 0, 0), (0, 2, 1), (0, 0, 0), (3, 2, 0), (2, 3, 2)])
+    def test_empty_shapes_and_the_zero_map(self, nb, nc, nr):
+        rng = np.random.default_rng(nb * 9 + nc * 3 + nr)
+        R = rng.integers(-5, 6, size=(nr, nc))
+        for G in (np.zeros((nb, nc), dtype=np.int64), rng.integers(-3, 4, size=(nb, nc))):
+            kernel = intlin._kernel_lattice(G, R)
+            assert stored_form(kernel) == stored_form(kernel_by_two_eliminations(G, R))
+            if not G.any():
+                # g = 0: every b is in the kernel
+                assert kernel.rank == nb and kernel._hnf.unit.all()
+
+    def test_no_columns_is_the_whole_space_with_no_elimination(self, monkeypatch):
+        expected = kernel_by_two_eliminations(np.zeros((4, 0), dtype=np.int64),
+                                              np.zeros((0, 0), dtype=np.int64))
+
+        def refuse(self, blocks):
+            raise AssertionError("Lattice.add called")
+
+        monkeypatch.setattr(Lattice, "add", refuse)
+        kernel = intlin._kernel_lattice(np.zeros((4, 0), dtype=np.int64), np.zeros((0, 0), dtype=np.int64))
+        assert stored_form(kernel) == stored_form(expected)
+        assert kernel.n == kernel.rank == 4
+
+
+def test_a_fresh_lattice_reduces_nothing(monkeypatch):
+    # one fold into the empty basis: echelon form and the reduction above
+    # the pivots, and no reduction modulo the (empty) basis
+    def refuse(*args, **kwargs):
+        raise AssertionError("_reduce called")
+
+    monkeypatch.setattr(intlin, "_reduce", refuse)
+    rng = random.Random(41)
+    for _ in range(150):
+        n = rng.randint(1, 8)
+        rows = random_rows(rng, n, rng.randint(0, 10))
+        lat = Lattice(n, as_lists(rows, n))
+        assert [list(map(int, r)) for r in lat.basis()] == reference_hnf(rows, n)[0]
+
+
+def test_a_basis_with_no_unit_rows_takes_the_echelon_as_it_is():
+    # every pivot of the basis is above 1, so the fold has no unit rows to
+    # reduce modulo its echelon form
+    rng = random.Random(43)
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        # upper triangular, so its canonical pivots are its diagonal
+        base = [[rng.choice([2, 3, 6]) if i == j else rng.randint(0, 5) * (j > i) for j in range(n)]
+                for i in range(n)]
+        lat = Lattice(n, base)
+        assert not lat._hnf.unit.any()
+        more = as_lists(random_rows(rng, n, rng.randint(1, 4)), n)
+        lat.add(more)
+        assert [list(map(int, r)) for r in lat.basis()] == reference_hnf(base + more, n)[0]
 
 
 class TestSmith:

@@ -17,13 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frlimits import freegrp, intlin, limits
-from frlimits.errors import CapExceeded
+from frlimits.errors import CapExceeded, InputError
 from frlimits.frcode import make_code, max_monomial_length, normalize, parse, required_truncation
 from frlimits.intlin import AbMap, FinPresAb, tensor_Z, tor_Z
 from frlimits.limits import (CosimplicialAb, Deadline, alternate_sum_complex, assemble,
                              code_lattice_equalizer_rank, higher_limits, moore_complex)
 from frlimits.permgrp import group_from_spec, load_group_file
-from frlimits.truncring import GroupContext
+from frlimits.truncring import GroupContext, rank_sum
 
 from oracles import (RingQuotientValue, cosimplicial_identities_pairwise, moore_complex_by_images,
                      reference_hnf, ring_quotient_map)
@@ -305,6 +305,94 @@ def test_only_the_levels_below_n_are_built():
     assert len(report.lims) == 201
     assert all(g.is_trivial() for g in report.lims[3:])
     assert report.moore_vanishing == {n: n >= 2 for n in range(201)}
+
+
+@pytest.mark.parametrize("name,code", [("z2", "rr+frf"), ("z3", "fff"), ("s3", "rr+fff")])
+def test_moore_degree_0_is_the_level_as_presented(name, code):
+    # A_0 without word |G|-1 is f's basis, the one the level is presented on
+    X = assemble(parse(code), context(name).group, 2, ctx=context(name))
+    assert moore_complex(X).levels[0] is X.levels[0]
+
+
+@pytest.mark.parametrize(
+    "name,code,degrees", [("z2", "rr+frf", 2), ("z3", "rrr", 3), ("s3", "rr+fff", 2), ("z4", "fr+rf", 2)]
+)
+def test_each_moore_kernel_takes_one_fold_and_the_top_none(name, code, degrees, monkeypatch):
+    # the kernel of a Moore differential is one Lattice.add; the top one,
+    # at degree N - 1, maps into the zero level, so its kernel is every
+    # element, and it takes none
+    counts, inside = [], []
+    real_add, real_kernel = intlin.Lattice.add, intlin._kernel_lattice
+
+    def add(self, blocks):
+        if inside:
+            counts[-1] += 1
+        return real_add(self, blocks)
+
+    def kernel(G, R):
+        counts.append(0)
+        inside.append(True)
+        try:
+            return real_kernel(G, R)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(intlin.Lattice, "add", add)
+    monkeypatch.setattr(intlin, "_kernel_lattice", kernel)
+    higher_limits(parse(code), context(name).group, ctx=context(name))
+    assert counts == [1] * (degrees - 1) + [0]
+
+
+def test_an_uncapped_level_count_is_refused_before_any_level():
+    # cross-validated, f^1500 + rr builds levels 0..1500 at depth 2, whose
+    # rings hold sum_p 2·(1 + m_p) = 4,509,004 words with m_p = 1 + 2p;
+    # they are refused by their sum before a level is built.  The plain
+    # path builds levels 0 and 1, 4 + 8 = 12 words, and answers
+    group = context("z2").group
+    ctx = GroupContext(group)
+    start = time.monotonic()
+    with pytest.raises(CapExceeded, match="summed over levels 0..1500"):
+        higher_limits(parse("f^1500+rr"), group, ctx=ctx, cross_validate=True, deadline=Deadline(3))
+    assert time.monotonic() - start < 0.5
+    assert not ctx._levels and not ctx._rings
+    assert rank_sum(group, 2, 2) == 12
+    report = higher_limits(parse("f^1500+rr"), group, ctx=ctx)
+    assert sorted(ctx._levels) == [0, 1]
+    assert [g.invariants() for g in report.lims[:4]] == [((), 0), ((2,), 0), ((2**1498,), 0), ((), 0)]
+
+
+def test_no_known_case_passes_the_rank_sum_cap():
+    # the largest pinned bench case, plain and cross-validated, and the
+    # order-8 groups cross-validated at degree 3
+    sums = []
+    for key in BENCH_ANSWERS:
+        name, code = key.split(":", 1)
+        code = normalize(parse(code))
+        N, D = required_truncation(code), max(1, max_monomial_length(code))
+        group = context(name).group
+        sums.append((rank_sum(group, min(D, N - 1) + 1, N), rank_sum(group, D + 1, N)))
+    assert max(plain for plain, _ in sums) == 500
+    assert max(crossed for _, crossed in sums) == 1232
+    d8 = group_from_spec({"generators": ["a", "b"], "images": [[2, 3, 4, 1], [3, 2, 1, 4]]})
+    q8 = group_from_spec({"generators": ["a", "b"],
+                          "images": [[2, 5, 4, 7, 6, 1, 8, 3], [3, 8, 5, 2, 7, 4, 1, 6]]})
+    for group in (d8, q8):
+        assert group.order == 8
+        # fff and rrr both have N = 3: levels 0..3 at depth 3
+        assert rank_sum(group, 4, 3) == 46176
+
+
+@pytest.mark.parametrize("top_degree", [True, 2.0, "2", 0])
+def test_top_degree_must_be_an_int(top_degree):
+    # refused before a level is built; InputError is a ValueError, which
+    # top_degree=0 raised before
+    group = context("z2").group
+    ctx = GroupContext(group)
+    with pytest.raises(InputError, match="top_degree"):
+        higher_limits(parse("rr"), group, top_degree=top_degree, ctx=ctx)
+    assert not ctx._levels
+    with pytest.raises(ValueError):
+        higher_limits(parse("rr"), group, top_degree=top_degree, ctx=ctx)
 
 
 def send_one_word_to_zero(where, ring):

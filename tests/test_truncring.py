@@ -21,6 +21,7 @@ from frlimits.truncring import (
     TruncatedRing,
     _relabelling,
     induced_map,
+    rank_sum,
     word_images,
 )
 
@@ -377,6 +378,27 @@ class TestRingRank:
         m = r.lp.num_schreier_gens
         order = r.lp.group.order
         assert r.rank == sum(order * m**k for k in range(depth))
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in GROUP_DIR.glob("*.json")))
+    def test_the_rank_sum_is_the_rings_ranks_summed(self, name):
+        # the formula, with no level built, against the rings themselves
+        g = load_group_file(GROUP_DIR / f"{name}.json")
+        for depth in (1, 2, 3):
+            ranks = [TruncatedRing(LevelPresentation(g, p), depth).rank for p in range(3)]
+            assert [rank_sum(g, levels, depth) for levels in (1, 2, 3)] == [
+                sum(ranks[:1]), sum(ranks[:2]), sum(ranks)]
+
+    def test_the_rank_sum_cap_stops_the_sum(self, monkeypatch):
+        # s3 at depth 3 has 342 words at level 0 and 2286 at level 1
+        g = load_group_file(GROUP_DIR / "s3.json")
+        monkeypatch.setattr(truncring, "DEFAULT_RANK_CAP", 2628)
+        assert rank_sum(g, 2, 3) == 2628
+        with pytest.raises(CapExceeded, match="cap 2628 summed over levels 0..2"):
+            rank_sum(g, 3, 3)
+        # no large power is formed: 10**6 levels at depth 10**9 pass the
+        # cap in level 0's fifth layer
+        with pytest.raises(CapExceeded):
+            rank_sum(g, 10**6, 10**9)
 
     def test_rank_cap(self, monkeypatch):
         g = load_group_file(GROUP_DIR / "s3.json")
