@@ -548,12 +548,17 @@ class Lattice:
     def basis(self, start=0, stop=None):
         """Rows start..stop of the canonical basis (all rows by default), by
         pivot column, as one new (k, n) array built from the stored block."""
+        return self.basis_rows(slice(start, stop))
+
+    def basis_rows(self, index):
+        """The canonical basis rows that a slice or an increasing index
+        array picks, as one new (k, n) array built from the stored block."""
         piv, unit, _, cols, B = self._hnf
-        part = B[start:stop]
+        part = B[index]
         out = np.zeros((len(part), self.n), dtype=B.dtype)
         out[:, cols] = part
-        ones = np.flatnonzero(unit[start:stop])
-        out[ones, piv[start:stop][ones]] = 1
+        ones = np.flatnonzero(unit[index])
+        out[ones, piv[index][ones]] = 1
         return out
 
     def basis_blocks(self, rows=None, stop=None):
@@ -666,10 +671,22 @@ def kernel_of_matrix(rows, ncols):
     return _kernel_lattice(M, np.zeros((0, ncols), dtype=np.int64)).basis()
 
 
-def lattice_intersection(a, b):
+def checked(blocks, deadline):
+    """The blocks as they come, with the deadline (anything with a
+    ``check`` method that raises once time is up, or None) checked before
+    each, so a ``Lattice.add`` that draws them can be stopped between
+    folds."""
+    for block in blocks:
+        if deadline is not None:
+            deadline.check()
+        yield block
+
+
+def lattice_intersection(a, b, deadline=None):
     """Intersection of two lattices in the same ambient Z^n (Zassenhaus:
     the rows (x, x) for x in A and (y, 0) for y in B span the vectors
-    (x + y, x), and those with x + y = 0 are exactly (0, A n B))."""
+    (x + y, x), and those with x + y = 0 are exactly (0, A n B)).  The
+    deadline is checked before each block of those rows."""
     if a.n != b.n:
         raise ValueError(f"lattice_intersection: ambient ranks {a.n} and {b.n} differ")
     step = _block_rows(2 * a.n)
@@ -677,7 +694,7 @@ def lattice_intersection(a, b):
         (np.concatenate([x, x], axis=1) for x in a.basis_blocks(step)),
         (np.concatenate([y, np.zeros_like(y)], axis=1) for y in b.basis_blocks(step)),
     )
-    return _lower(Lattice(2 * a.n, blocks), a.n)
+    return _lower(Lattice(2 * a.n, checked(blocks, deadline)), a.n)
 
 
 # -- Smith normal form -------------------------------------------------------

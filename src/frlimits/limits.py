@@ -272,7 +272,11 @@ def assemble(code, group, top_degree, deadline=None, ctx=None):
     0..top_degree of the standard complex of G's base presentation, in
     the rings truncated at the code's faithful depth; top degree 0 is
     level 0 alone, with no structure maps.  A given context must be one
-    of the same group object."""
+    of the same group object.  A top degree that is not exactly an int
+    (a bool or a float would pass the comparison and build levels) raises
+    InputError before any level is built."""
+    if type(top_degree) is not int:
+        raise InputError(f"top_degree {top_degree!r} is not an int")
     code = normalize(code)
     if top_degree < 0:
         raise ValueError("top_degree must be at least 0")

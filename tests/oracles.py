@@ -29,6 +29,15 @@ kernel: it eliminates [G; R | I] with an identity block for every row,
 relation rows included, and eliminates the kernel again after cutting
 it to G's rows.
 
+The monomial lattice by products (``monomial_by_products``) is the
+package's earlier construction of a monomial longer than the truncation
+depth, kept as a reference for the seed past the depth: it multiplies
+every row of the tail by every generator, with no seed, so it does not
+rest on the powers of the augmentation ideal.  Those powers, and the
+quotients Delta/Delta^n, are built here from products in Z[G] on the
+multiplication table (``augmentation_power_rows``,
+``augmentation_quotient_invariants``), with no truncated ring.
+
 The package keeps the layout of a truncated ring only as a formula,
 ``TruncatedRing.position``; the oracle decodes an index back to its basis
 word on its own (``word_at``), and the tests check that the two are
@@ -320,6 +329,68 @@ def kernel_by_two_eliminations(G, R):
     lat = Lattice(nc + m, aug)
     rows = lat.basis(int(np.searchsorted(lat.pivot_cols, nc)))
     return Lattice(nb, rows[:, nc : nc + nb])
+
+
+def monomial_by_products(ring, mono, lats=None):
+    """The monomial lattice built as ``eval_monomial`` built it before the
+    identity past the truncation depth N, kept as a reference for it:
+    right to left, each suffix w = a·T of length k is the closed-form seed
+    r^k + P⊗I (``_seed``) for k <= N, and the zero lattice for k > N,
+    plus the products gamma·t of every right generator of a with every
+    canonical row t of T below layer min(k-1, N), through
+    ``left_multiply``.  Past N, that is every row of T times every
+    generator.  Its suffixes live in the dict ``lats`` (a new one by
+    default), which it fills in and reads, so it shares no lattice with
+    the ring's caches."""
+    lats = {} if lats is None else lats
+    lats.setdefault("", ring._seed(0, ""))
+    for i in reversed(range(len(mono))):
+        w = mono[i:]
+        if w in lats:
+            continue
+        k, tail = len(w), lats[w[1:]]
+        lat = ring._seed(k, w[0]) if k <= ring.depth else Lattice(ring.rank)
+        rows = tail.basis(0, int(np.searchsorted(tail.pivot_cols,
+                                                 ring.layer_offsets[min(k - 1, ring.depth)])))
+        lat.add(ring.left_multiply(u, rows) for u in ring.right_generators(w[0]))
+        lats[w] = lat
+    return lats[mono]
+
+
+def group_ring_product(group, a, b):
+    """The product of two elements of Z[G], given as coefficient lists
+    over G's elements, from the multiplication table."""
+    out = [0] * group.order
+    for g, x in enumerate(a):
+        if x:
+            for h, y in enumerate(b):
+                if y:
+                    out[group.mul(g, h)] += x * y
+    return out
+
+
+def augmentation_power_rows(group, n):
+    """The canonical basis of Delta^n in Z^|G|, Delta the augmentation
+    ideal of Z[G], from products in Z[G] alone: Delta is spanned by the
+    g - 1, and Delta^(k+1) by the products (g - 1)·v over the g - 1 and a
+    basis v of Delta^k, brought to Hermite form by ``reference_hnf``."""
+    one = [1] + [0] * (group.order - 1)
+    delta = [[(h == g) - o for h, o in enumerate(one)] for g in range(1, group.order)]
+    rows = reference_hnf(delta, group.order)[0]
+    for _ in range(n - 1):
+        rows = reference_hnf([group_ring_product(group, d, v) for d in delta for v in rows],
+                             group.order)[0]
+    return rows
+
+
+def augmentation_quotient_invariants(group, n):
+    """The invariant factors of Delta/Delta^n.  Delta is free on the
+    e_g - e_1 over g != 1, and an element v of Delta has coordinates
+    v[1:] there (the identity is element 0), so Delta/Delta^n is
+    Z^(|G|-1) modulo those coordinates of Delta^n's basis, which has full
+    rank; its invariant factors are the determinantal ones above 1."""
+    coords = [row[1:] for row in augmentation_power_rows(group, n)]
+    return tuple(d for d in determinantal_invariant_factors(coords) if d != 1)
 
 
 def expand_schreier_word(lp, rho_word):

@@ -25,8 +25,9 @@ from frlimits.limits import (CosimplicialAb, Deadline, alternate_sum_complex, as
 from frlimits.permgrp import group_from_spec, load_group_file
 from frlimits.truncring import GroupContext, rank_sum
 
-from oracles import (RingQuotientValue, cosimplicial_identities_pairwise, moore_complex_by_images,
-                     reference_hnf, ring_quotient_map)
+from oracles import (RingQuotientValue, augmentation_quotient_invariants,
+                     cosimplicial_identities_pairwise, moore_complex_by_images, reference_hnf,
+                     ring_quotient_map)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 GROUP_DIR = SRC / "frlimits" / "groups"
@@ -84,9 +85,9 @@ def test_intersections_with_a_larger_ideal(name, code, monkeypatch):
     # lattice_intersection rather than a cache
     calls = []
 
-    def counted(a, b):
+    def counted(a, b, deadline=None):
         calls.append((a.n, b.n))
-        return intlin.lattice_intersection(a, b)
+        return intlin.lattice_intersection(a, b, deadline)
 
     monkeypatch.setattr("frlimits.truncring.lattice_intersection", counted)
     group = context(name).group
@@ -393,6 +394,32 @@ def test_top_degree_must_be_an_int(top_degree):
     assert not ctx._levels
     with pytest.raises(ValueError):
         higher_limits(parse("rr"), group, top_degree=top_degree, ctx=ctx)
+
+
+@pytest.mark.parametrize("top_degree", [True, 2.0, "2"])
+def test_assemble_refuses_a_top_degree_that_is_not_an_int(top_degree):
+    # True would build levels 0..1 and 2.0 raise a bare TypeError from
+    # range; both are refused before any level is built
+    group = context("z2").group
+    ctx = GroupContext(group)
+    with pytest.raises(InputError, match="top_degree"):
+        assemble(parse("rr"), group, top_degree, ctx=ctx)
+    assert not ctx._levels and not ctx._rings
+
+
+@pytest.mark.parametrize(
+    "name,n,expected",
+    [("z2", 2, "Z/2"), ("z2", 3, "Z/4"), ("z3", 2, "Z/3"), ("z3", 3, "Z/3 + Z/3"),
+     ("s3", 2, "Z/2"), ("s3", 3, "Z/4")],
+)
+def test_r_plus_a_power_of_f_is_an_augmentation_quotient(name, n, expected):
+    # f/(r + f^n) is Delta/Delta^n for the augmentation ideal Delta of
+    # Z[G], whatever the presentation, so lim^1(r + f^n) is Delta/Delta^n,
+    # built by products in Z[G] alone, and every other degree is 0
+    group = context(name).group
+    quotient = FinPresAb.from_invariants(list(augmentation_quotient_invariants(group, n)), 0)
+    assert quotient.describe() == expected
+    assert lims("r+" + "f" * n, name) == ["0", expected] + ["0"] * (n - 1)
 
 
 def send_one_word_to_zero(where, ring):

@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 from frlimits import freegrp, truncring
 from frlimits.errors import CapExceeded
 from frlimits.frcode import dominated, make_code, min_r_power, normalize, parse, required_truncation
-from frlimits.intlin import FinPresAb, Lattice, unit_split
+from frlimits.intlin import FinPresAb, Lattice, lattice_intersection, unit_split
 from frlimits.limits import Deadline
-from frlimits.permgrp import LevelPresentation, load_group_file
+from frlimits.permgrp import LevelPresentation, load_group_file, schreier_rank
 from frlimits.truncring import (
     FunctorValue,
     TruncatedRing,
@@ -25,8 +25,8 @@ from frlimits.truncring import (
     word_images,
 )
 
-from oracles import (minus_one, multiply_terms, reference_hnf, terms_to_vec, vec_to_terms, word_at,
-                     word_image_terms)
+from oracles import (augmentation_power_rows, group_ring_product, minus_one, monomial_by_products,
+                     multiply_terms, reference_hnf, terms_to_vec, vec_to_terms, word_at, word_image_terms)
 
 GROUP_DIR = Path(__file__).resolve().parents[1] / "src" / "frlimits" / "groups"
 
@@ -461,8 +461,8 @@ class TestIdealLattices:
     def test_s3_fff_stays_small(self):
         # eliminating these products without keeping rows reduced blows
         # their coefficients up into bignums; the canonical entries are <= 6.
-        # At depth 2 the r^3 seed of eval_monomial is zero, so every
-        # product goes through the echelon.
+        # At depth 2, r^3 is zero, and fff is built past the depth from
+        # the seed Delta^2⊗I and the products of ff's other rows
         r = ring_for("s3", 1, 2)
         lat = r.eval_monomial("fff")
         assert lat.big is False
@@ -585,6 +585,157 @@ class TestIdealLattices:
                     if prod:
                         brute.add(dense([terms_to_vec(r, prod)], r.rank))
             assert brute == r.eval_monomial(mono)
+
+
+# the rings of the monomials-past-N check: levels 0-2 at depths 1-3 on
+# every bundled group, up to this rank (the oracle multiplies every row of
+# every suffix past N by every generator, so it takes seconds from here on)
+PAST_DEPTH_RANK = 350
+
+
+@functools.lru_cache(maxsize=None)
+def group_for(name):
+    return load_group_file(GROUP_DIR / f"{name}.json")
+
+
+def ring_rank(name, level, depth):
+    g = group_for(name)
+    return sum(truncring.layer_sizes(g.order, schreier_rank(g.order, level + 1, g.ngens), depth))
+
+
+PAST_DEPTH_RINGS = [
+    (name, level, depth)
+    for name in ("trivial", "z2", "z2_rank2", "z3", "z4", "z2xz2", "s3")
+    for level in (0, 1, 2)
+    for depth in (1, 2, 3)
+    if ring_rank(name, level, depth) <= PAST_DEPTH_RANK
+]
+
+
+def count_folded_rows(monkeypatch, width):
+    """A list that receives the row count of every fold into a lattice in
+    Z^width from now on."""
+    rows = []
+    fold = Lattice._fold
+
+    def counted(self, Q):
+        if self.n == width:
+            rows.append(len(Q))
+        return fold(self, Q)
+
+    monkeypatch.setattr(Lattice, "_fold", counted)
+    return rows
+
+
+class TestPastTheDepth:
+    @pytest.mark.parametrize("name,level,depth", PAST_DEPTH_RINGS)
+    def test_monomials_past_n_match_the_products(self, name, level, depth):
+        # every f/r monomial of length N+1 and N+2, built from the seed
+        # Delta^(k-N)⊗I and the slice S of its tail, against the lattice
+        # of every product of its tail's rows (the construction before)
+        r = ring_for(name, level, depth)
+        lats = {}
+        for k in (depth + 1, depth + 2):
+            for mono in map("".join, itertools.product("fr", repeat=k)):
+                assert r.eval_monomial(mono) == monomial_by_products(r, mono, lats), mono
+
+    def test_s3_fff_folds_a_third_of_the_rows(self, monkeypatch):
+        # on s3 level 1 at N = 2, ff has 115 rows; every one times each of
+        # the 4 generators is 460 rows.  Past N only the 5 rows below the
+        # top layer take the 4 generators, the 15 top-layer rows whose
+        # pivot is no unit pivot of Delta⊗I take the 2 distinct images,
+        # and the seed Delta^2⊗I adds 5·19 rows: 145 in all
+        r = ring_for("s3", 1, 2)
+        r.eval_monomial("ff")
+        rows = count_folded_rows(monkeypatch, r.rank)
+        lat = r.eval_monomial("fff")
+        assert sum(rows) == 5 * 4 + 15 * 2 + 5 * 19 <= 160
+        assert lat == monomial_by_products(r, "fff")
+
+    @pytest.mark.parametrize("name", ["trivial", "z2", "z2_rank2", "z3", "z4", "z2xz2", "s3"])
+    def test_powers_of_f_at_depth_1_multiply_nothing_out(self, name, monkeypatch):
+        # at N = 1 the ring is Z[G], every word is on the top layer, and
+        # f^n is Delta^n: no row goes through left_multiply, and
+        # ff = Delta·Delta is the seed L⊗I = Delta^2 alone, no product
+        # row.  From f^3 on, the rows of Delta^(n-1) that are no unit row
+        # are still multiplied, by the top-layer gathers
+        r = ring_for(name, 1, 1)
+        powers = r.powers
+        for j in range(1, 5):
+            powers.seed(j)
+        products = {n: monomial_by_products(ring_for(name, 1, 1), "f" * n) for n in range(3, 6)}
+        calls = []
+        monkeypatch.setattr(TruncatedRing, "left_multiply", lambda *args: calls.append(args))
+        r.eval_monomial("f")
+        rows = count_folded_rows(monkeypatch, r.rank)
+        r.eval_monomial("ff")
+        seed = powers.seed(1)
+        assert sum(rows) == (seed[1].rank if seed else 0)
+        for n, lat in products.items():
+            assert r.eval_monomial("f" * n) == lat
+        assert not calls
+
+    @pytest.mark.parametrize("name", ["trivial", "z2", "z3", "z2xz2", "s3"])
+    def test_the_powers_are_the_group_ring_powers(self, name):
+        # f^j at N = 1 is Delta^j, against the oracle's products in Z[G];
+        # the seeds of AugmentationPowers are its unit rows' pivots and
+        # L_j, the span of their products by g - 1 over the generators'
+        # images, which lies in Delta^(j+1); the chain ends at the first
+        # power with no unit row
+        group = group_for(name)
+        order = group.order
+        powers = truncring.AugmentationPowers(group)
+        differences = [[int(h == group.gen_element(i)) - int(h == 0) for h in range(order)]
+                       for i in range(group.ngens)]
+        for j in range(1, 5):
+            basis = augmentation_power_rows(group, j)
+            ref = Lattice(order, basis)
+            assert TruncatedRing(LevelPresentation(group, 0), 1).eval_monomial("f" * j) == ref
+            pivots = [next(i for i, c in enumerate(row) if c) for row in basis]
+            units = [(p, row) for p, row in zip(pivots, basis) if row[p] == 1]
+            seed = powers.seed(j)
+            if not units:
+                assert seed is None
+                break
+            assert seed[0].tolist() == [p for p, _ in units]
+            products = [group_ring_product(group, d, u) for d in differences for _, u in units]
+            assert seed[1] == Lattice(order, products)
+            assert Lattice(order, augmentation_power_rows(group, j + 1)).contains(seed[1].basis())
+
+
+class TestSumsAndIntersections:
+    def test_a_sum_starts_from_its_largest_term(self, monkeypatch):
+        # rr is the zero lattice at N = 2, so rr + fff is fff, a copy of
+        # its cached lattice with nothing folded
+        r = ring_for("s3", 1, 2)
+        for mono in ("rr", "fff"):
+            r.eval_monomial(mono)
+        rows = count_folded_rows(monkeypatch, r.rank)
+        total = r.eval_code(parse("rr+fff"))
+        assert not rows
+        assert total == r.eval_monomial("fff")
+
+    @pytest.mark.parametrize("text", ["fr&rf", "fr+rf", "r&ff+rr"])
+    def test_an_expired_deadline_stops_a_sum_or_an_intersection(self, text):
+        # every monomial is cached, so only the blocks fed into the sum
+        # and the intersections are left; the expired deadline stops
+        # them, nothing is cached, and the same call without one finishes
+        r = ring_for("z3", 1, 2)
+        code = parse(text)
+        for mono in code.monomials:
+            r.eval_monomial(mono)
+        with pytest.raises(CapExceeded):
+            r.eval_code(code, Deadline(-1))
+        assert not r._code_cache
+        fresh = ring_for("z3", 1, 2)
+        assert r.eval_code(code) == fresh.eval_code(code)
+
+    def test_an_expired_deadline_stops_an_intersection(self):
+        r = ring_for("z3", 1, 2)
+        a, b = r.eval_monomial("fr"), r.eval_monomial("rf")
+        with pytest.raises(CapExceeded):
+            lattice_intersection(a, b, Deadline(-1))
+        assert lattice_intersection(a, b) == lattice_intersection(a, b, Deadline())
 
 
 class TestLongMonomials:
