@@ -10,8 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import InputError
 
-class FrCodeError(ValueError):
+# the most letters a code may spell out, summed over its monomials; the
+# value of truncring.DEFAULT_RANK_CAP, which imports this module
+MAX_LETTERS = 200_000
+
+
+class FrCodeError(InputError):
     """Syntax error; `offset` is the byte offset of the offending input."""
 
     def __init__(self, message, offset):
@@ -73,10 +79,14 @@ def parse(text):
              intersection := mono (('∩'|'&') mono)*;
              mono := item+; item := ('f'|'r') ('^' positive-int)?.
     Whitespace is ignored; anything else is a syntax error reported with
-    its byte offset.
+    its byte offset.  A code whose monomials spell out more than
+    MAX_LETTERS letters in all is refused at the letter or exponent that
+    passes the cap, before that exponent is expanded.
     """
     i = 0
     n = len(text)
+    # letters spelled out so far, summed before each exponent is expanded
+    spelled = 0
 
     def skip_ws():
         nonlocal i
@@ -87,12 +97,12 @@ def parse(text):
         raise FrCodeError(msg, _byte_offset(text, i if at is None else at))
 
     def parse_mono():
-        nonlocal i
+        nonlocal i, spelled
         letters = []
         while True:
             skip_ws()
             if i < n and text[i] in "fr":
-                letter = text[i]
+                letter, at = text[i], i
                 i += 1
                 exp = 1
                 skip_ws()
@@ -100,13 +110,18 @@ def parse(text):
                     i += 1
                     skip_ws()
                     start = i
-                    while i < n and text[i].isdigit():
+                    while i < n and "0" <= text[i] <= "9":
                         i += 1
                     if i == start:
                         error("expected an exponent", start)
-                    exp = int(text[start:i])
+                    # a long digit string is over the cap: no huge int is formed
+                    exp = int(text[start:i]) if i - start <= len(str(MAX_LETTERS)) else MAX_LETTERS + 1
                     if exp == 0:
                         error("exponent must be positive", start)
+                    at = start
+                if spelled + exp > MAX_LETTERS:
+                    error(f"the code spells out more than {MAX_LETTERS} letters", at)
+                spelled += exp
                 letters.append(letter * exp)
             else:
                 break

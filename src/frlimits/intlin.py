@@ -545,6 +545,13 @@ class Lattice:
         """Pivot column of each basis row, increasing."""
         return self._hnf.piv.tolist()
 
+    @property
+    def stored_form(self):
+        """(piv, cols, B), the stored form that ``canonical`` takes: the
+        lattice's own arrays, which no caller may write into."""
+        piv, _, _, cols, B = self._hnf
+        return piv, cols, B
+
     def basis(self, start=0, stop=None):
         """Rows start..stop of the canonical basis (all rows by default), by
         pivot column, as one new (k, n) array built from the stored block."""

@@ -49,7 +49,8 @@ from .truncring import (FunctorValue, GroupContext, induced_map, rank_sum, relab
 class Deadline:
     """Wall-clock budget checked between major pipeline steps, once per
     level's ring and, while a level's value is built, once per monomial
-    suffix and once per block of ring products."""
+    suffix, once per block of ring products, and once per block of rows
+    fed into a sum of terms or into an intersection of monomials."""
 
     def __init__(self, seconds=None):
         self.seconds = seconds
@@ -273,13 +274,13 @@ def assemble(code, group, top_degree, deadline=None, ctx=None):
     the rings truncated at the code's faithful depth; top degree 0 is
     level 0 alone, with no structure maps.  A given context must be one
     of the same group object.  A top degree that is not exactly an int
-    (a bool or a float would pass the comparison and build levels) raises
-    InputError before any level is built."""
+    (a bool or a float would pass the comparison and build levels), or
+    that is negative, raises InputError before any level is built."""
     if type(top_degree) is not int:
         raise InputError(f"top_degree {top_degree!r} is not an int")
     code = normalize(code)
     if top_degree < 0:
-        raise ValueError("top_degree must be at least 0")
+        raise InputError("top_degree must be at least 0")
     if ctx is None:
         ctx = GroupContext(group)
     elif ctx.group is not group:

@@ -24,45 +24,44 @@ layer k + |L|, so each (term, layer) is one slice-add with stride m^|L|
 (``TruncatedRing.right_multiply``).
 
 Monomial ideals are built right to left, from the empty monomial, which
-is the whole ring (``TruncatedRing.eval_monomial``).  For w = a·T of
-length k, with T the tail's ideal, T contains r^(k-1), so T's canonical
-rows with a pivot in layer >= k-1 are unit vectors (h, K), and
-gamma·(h, K) = (gamma·s(h))·t_K is, modulo r^k, the layer-0 part of
-gamma·s(h) shifted by t_K.  Hence
+is the whole ring (``TruncatedRing.eval_monomial``), by one identity.
+Let w = a·T have length k, with T the tail's ideal, and let
+l = min(k, N) - 1 and j = k - 1 - l.  T contains r^(k-1), so it contains
+every word of the layers above l (there are none when k > N), and so
+does w.  Modulo those words, gamma·(h, K) = (gamma·s(h))·t_K for |K| = l
+keeps only the layer-0 part of gamma·s(h), for gamma = u - 1 over the
+right generators u of the letter a (group words: the generators x of F
+for f, the rho_j for r): x - 1 acts as g_x - 1 on the group coordinate,
+g_x the image of x in G, and rho_j - 1 acts as 0.  If T's first j letters
+are f, T contains f^j·r^l, whose layer-l part is Delta^j⊗I, with Delta
+the augmentation ideal of Z[G] and Delta^0 = Z[G]; so for k <= N, where
+j = 0, Delta^0⊗I is all of layer l.  For X in Z^|G|, X⊗I puts a row v of
+X at (g, K) -> v_g for every K of length l.  Let U be the unit rows of
+Delta^j's canonical basis for an f head whose tail starts with j letters
+f, and none otherwise.  A unit pivot of a sublattice is a unit pivot of T, since
+T's pivot there divides 1; T's canonical row there and U⊗I's differ by a
+vector of T with a later pivot.  So, by induction from the last pivot,
+U⊗I and the slice S of T's canonical rows whose pivot is no unit pivot of
+U⊗I span T, and
 
-    w = r^k + P⊗I + span{gamma·t : t a row of T with pivot below layer k-1},
+    w = L⊗I + (the words of the layers above l) + span{gamma·s : s in S},
+    L = span{(g_x - 1)·u : u in U},
 
-with gamma = u - 1 over the right generators u of the letter a (group
-words: the generators x of F for f, the rho_j for r) and P the span in
-Z^|G| of the layer-0 parts of the gamma·s(h), h in G: the augmentation
-ideal I_G of Z[G] for f, 0 for r (``TruncatedRing._seed``).  P⊗I puts a
-row v of P at (g, K) -> v_g for every K of length k-1.  At g·m^(k-1) +
-idx(K) in layer k-1, the canonical rows e_g - e_{|G|-1} of I_G tensored
-with the identity, then the unit rows of the layers >= k, are canonical
-as they stand, so that seed is written down in closed form, with no
-elimination, and only the tail's rows below layer k-1 are multiplied.
+with one x per distinct nontrivial image g_x.  The rows of S above layer
+l drop out, since their products lie above l.  Those below l take every
+generator, those on layer l one generator per distinct image for f and
+none for r, and for k <= N there are none on layer l.  For k <= N,
+L = Delta (the generators map onto G) and the first two terms are
+r^k + Delta⊗I.  The first two terms are canonical as they stand, by L's
+pivots and then K, so they are written down with no elimination
+(``TruncatedRing._seed``), and S is read off T's pivots.
 
-Past the depth, k > N, r^k is 0 and T holds more than unit rows on the
-top layer N-1.  There gamma·(h, K) keeps only the layer-0 part of
-gamma·s(h), so x - 1 acts as g_x - 1 on the group coordinate, g_x the
-image of x in G, and rho_j - 1 acts as 0.  If T's first k-N letters are
-f, T contains f^(k-N)·r^(N-1), whose top-layer part is P(T)⊗I with
-P(T) = Delta^(k-N), the power of the augmentation ideal Delta of Z[G]
-(the image of f^j in Z[G] is Delta^j); else P(T) = 0 will do.  Let U be
-the unit rows of P(T)'s canonical basis.  A unit pivot of a sublattice
-is a unit pivot of T, since T's pivot there divides 1; T's canonical row
-there and U⊗I's differ by a vector of T with a later pivot.  So, by
-induction from the last pivot, U⊗I and the slice S of T's canonical rows
-whose pivot is no unit pivot of U⊗I span T, and
-
-    w = L⊗I + span{gamma·s : s in S},  L = span{(g_x - 1)·u : u in U},
-
-with one x per distinct nontrivial image g_x.  S is read off T's pivots,
-with no elimination, and its top-layer rows need one generator per
-distinct image for f and none for r.  L⊗I is canonical as it stands,
-like the seed above.  Delta^j, U and L depend on G alone
-(``AugmentationPowers``); once a power has no unit row, U is empty from
-there on, and every row of T is multiplied.
+The ring at N = 1 is Z[G] at every level, and f^j there is Delta^j.  So
+U and L are read off f^j of the level-0 ring at N = 1, the base ring,
+which builds them by this same identity (``TruncatedRing.power``); a
+``GroupContext`` shares one base ring among its rings.  The chain stops at
+the first power with no unit row (Delta^2 = 2·Delta on Z/2): a unit pivot
+of a sublattice is a unit pivot of the lattice, so no later power has one.
 
 A presentation morphism phi sends (g, J) to phi(s(g))·prod phi(t_j)
 (``word_images``).  The transversal uses copy-0 letters only and is the
@@ -96,7 +95,7 @@ nothing eliminated.
 from __future__ import annotations
 
 from bisect import bisect_right
-from functools import partial, reduce
+from functools import cached_property, partial, reduce
 from itertools import chain
 from math import comb
 
@@ -163,78 +162,24 @@ def poly_mul(a, b, depth):
     return out
 
 
-class AugmentationPowers:
-    """The powers Delta^j, j >= 1, of the augmentation ideal Delta of Z[G]
-    in Z^|G| (coordinate h for the element h), and what ``eval_monomial``
-    reads of them past the truncation depth: for each j, the pivots of the
-    unit rows U_j of Delta^j's canonical basis, and the lattice
-    L_j = span{(g - 1)·u : u in U_j, g in ``images``}.
-
-    ``images`` are the distinct nontrivial images of the generators, and
-    (g - 1)·e_h = e_{gh} - e_h.  The differences x - 1 over the generators
-    generate Delta as a right ideal, since ab - 1 = (a - 1)·b + (b - 1),
-    so Delta^(j+1) = span{(g - 1)·v : v in Delta^j, g in ``images``}.
-    None of it depends on the level or on N, so a ``GroupContext`` keeps
-    one for all its rings.  The chain stops at the first power with no
-    unit row (Delta^2 = 2·Delta on Z/2): a unit pivot of a sublattice is
-    a unit pivot of the lattice, so no later power has one either."""
-
-    def __init__(self, group):
-        order = group.order
-        self.images = list(dict.fromkeys(g for g in map(group.gen_element, range(group.ngens)) if g))
-        self._left = [np.asarray(group.mult_table[g], dtype=np.intp) for g in self.images]
-        self._seeds = []
-        # the canonical rows of the next power, None once one has no unit
-        # row; Delta's are e_h - e_{|G|-1}, h < |G|-1
-        self._rows = np.eye(order - 1, order, dtype=np.int64)
-        self._rows[:, -1] = -1
-
-    def times(self, V):
-        """The blocks (g - 1)·V, one per g in ``images``: V's second axis
-        is the group coordinate, and any further axes ride along.  Each
-        entry is a difference of two of V's, so a block is int64 while
-        2·max|V| < 2**62, Python ints otherwise."""
-        if V.dtype != object and 2 * _maxabs(V) >= _I64_SAFE:
-            V = V.astype(object)
-        for dest in self._left:
-            out = np.zeros_like(V)
-            out[:, dest] = V
-            out -= V
-            yield out
-
-    def seed(self, j):
-        """(pivots of U_j, L_j), or None once Delta^j has no unit row."""
-        while len(self._seeds) < j and self._rows is not None:
-            rows = self._rows
-            piv = (rows != 0).argmax(axis=1)
-            unit = rows[np.arange(len(rows)), piv] == 1
-            if not unit.any():
-                self._rows = None
-                break
-            L = Lattice(rows.shape[1], self.times(rows[unit]))
-            self._seeds.append((piv[unit], L))
-            # L is Delta^(j+1) itself when every row of Delta^j is a unit
-            self._rows = (L if unit.all() else Lattice(rows.shape[1], self.times(rows))).basis()
-        return self._seeds[j - 1] if j <= len(self._seeds) else None
-
-
 class TruncatedRing:
     """Ambient (level presentation, truncation depth N); frozen after init.
 
     Memo tables (power series, section products, monomial and code
-    lattices, hom images and relabellings) are populated lazily; they are
-    keyed by Schreier indices, group words, monomials, codes and homs only,
-    so results never depend on call order.  The powers of the augmentation
-    ideal of Z[G] come from ``powers``, which a ``GroupContext`` shares
-    among the rings of its group; by default the ring keeps its own.
+    lattices, hom images and relabellings, powers of the augmentation
+    ideal) are populated lazily; they are keyed by Schreier indices, group
+    words, monomials, codes, homs and exponents only, so results never
+    depend on call order.  The powers of the augmentation
+    ideal of Z[G] come from ``base``, the level-0 ring at N = 1, which a
+    ``GroupContext`` shares among the rings of its group; by default a ring
+    makes its own, and that ring is its own base.
     """
 
-    def __init__(self, lp, depth, powers=None):
+    def __init__(self, lp, depth, base=None):
         if depth < 1:
             raise ValueError(f"truncation depth {depth} is below 1")
         self.lp = lp
         self.depth = depth
-        self.powers = AugmentationPowers(lp.group) if powers is None else powers
         # layer_offsets[k] is the index of the first word with |J| = k; the
         # sum stops at the first offset past the cap, before m**k grows huge
         self.layer_offsets = [0]
@@ -243,6 +188,10 @@ class TruncatedRing:
             if self.layer_offsets[-1] > DEFAULT_RANK_CAP:
                 raise CapExceeded(f"ring rank exceeds the cap {DEFAULT_RANK_CAP}")
         self.rank = self.layer_offsets[-1]
+        if base is None:
+            base = self if (lp.level, depth) == (0, 1) else TruncatedRing(
+                lp if lp.level == 0 else LevelPresentation(lp.group, 0), 1)
+        self.base = base
 
         self._rho_power = {}
         self._section_products = {}
@@ -250,6 +199,7 @@ class TruncatedRing:
         self._code_cache = {}
         self._hom_images = {}
         self._relabellings = {}
+        self._powers = []
 
     def __repr__(self):
         return (
@@ -316,8 +266,11 @@ class TruncatedRing:
 
     def normal_form(self, word):
         """Class of the group word in the filtration basis, as terms: factor
-        through the transversal, rewrite the relator part, expand."""
+        through the transversal, rewrite the relator part, expand.  At
+        N = 1 the expansion is its constant term 1, so the word is s(g)."""
         g = self.lp.eval_word(word)
+        if self.depth == 1:
+            return {(g, ()): 1}
         u = freegrp.mul(freegrp.inv(self.lp.transversal[g]), word)
         poly = self.expand_schreier_word(self.lp.rewrite_in_R(u))
         return {(g, J): c for J, c in poly.items()}
@@ -340,19 +293,21 @@ class TruncatedRing:
             ]
         return self._section_products[word]
 
-    def left_multiply(self, word, V):
+    def left_multiply(self, word, V, layer=0):
         """(w - 1)·v for every row v of the 2-D block V (rows over the
-        basis), w the given group word, as one (len(V), rank) array.
+        basis), w the given group word, as one (len(V), rank) array; V is
+        zero on the layers below the given one, which are not read.
 
         (w - 1)·(h, K) = ((w - 1)·s(h))·t_K, and each term c·(g, J) of
         (w - 1)·s(h) sends the words (h, K) with |K| = k to the words
         (g, J+K): one slice-add of c times V's slice per layer k < N - |J|
-        (see the module docstring).  Every result entry is a sum over
-        distinct terms, so max|V|·sum|c| over the |G| products
-        (w - 1)·s(h) bounds it: the block is int64 while that stays below
-        2**62, Python ints otherwise.  The |G| products are memoized per
-        word (``section_products``), so a monomial build forms them once
-        per right generator.
+        from the given one on (see the module docstring), so a block on the
+        top layer costs one slice-add per term of layer 0.  Every result
+        entry is a sum over distinct terms, so max|V|·sum|c| over the |G|
+        products (w - 1)·s(h) bounds it: the block is int64 while that
+        stays below 2**62, Python ints otherwise.  The |G| products are
+        memoized per word (``section_products``), so a monomial build forms
+        them once per right generator.
         """
         off, m = self.layer_offsets, self.lp.num_schreier_gens
         prods = self.section_products(word)
@@ -363,8 +318,10 @@ class TruncatedRing:
         for h, prod in enumerate(prods):
             for (g, J), c in prod.items():
                 a = len(J)
+                if layer + a >= self.depth:
+                    continue
                 i = self.position(g, J) - off[a]
-                for k in range(self.depth - a):
+                for k in range(layer, self.depth - a):
                     w = m**k
                     src = off[k] + h * w
                     dst = off[a + k] + i * w
@@ -411,36 +368,78 @@ class TruncatedRing:
             return self.lp.schreier_gens
         raise ValueError(f"unknown letter {letter!r}")
 
-    def _seed(self, k, letter):
-        """The canonical lattice r^k + P⊗I of the module docstring, for a
-        monomial of length k <= N with the given head letter ("" for the
-        empty monomial), written down in its stored form.
+    def image_generators(self, letter):
+        """One right generator of the letter per distinct nontrivial image
+        in G, the first in ``right_generators`` order: the generators of
+        copy 0 for f, none for r, whose generators lie over the identity.
+        On the top layer x - 1 acts as g_x - 1, so these give every product
+        of a top-layer row there."""
+        return self._f_images if letter == "f" else []
 
-        P is the span in Z^|G| of the layer-0 parts of gamma·s(h) over the
-        differences gamma = w - 1 of the letter's right generators w and h
-        in G.  A term (g, J) of gamma with |J| > 0 takes s(h) into the
-        layers >= |J|, so only the layer-0 part gamma_0 of gamma counts.
-        For r, gamma_0 = 0, so P = 0 and the seed is r^k: the unit rows of
-        the layers >= k.  For f, gamma = x - 1 has gamma_0 = (g_x, ()) -
-        (0, ()), with g_x the image of x in G, and the layer-0 part of
-        gamma_0·s(h) is e_{g_x·h} - e_h.  The generators x map onto G, so
-        these span the augmentation ideal I_G, whose canonical rows are
-        e_g - e_{|G|-1} for g < |G|-1.  So P⊗I adds the unit rows (g, K)
-        of layer k-1 with g < |G|-1, each with -1 at (|G|-1, K).  It lies
-        on layer k-1, so it is empty if k = 0."""
+    @cached_property
+    def _f_images(self):
+        images = {}
+        for x in self.right_generators("f"):
+            images.setdefault(self.lp.eval_word(x), x)
+        images.pop(0, None)
+        return list(images.values())
+
+    def power(self, j):
+        """(the pivots of U_j, L_j) of the module docstring for Delta^j,
+        or None once Delta^j has no unit row, in a ring at N = 1: U_j is
+        the unit rows of f^j's canonical basis, and L_j the lattice of
+        their products by the ``image_generators`` of f, through
+        ``left_multiply``; L_0 = Delta is written down.  Rings read these
+        off their ``base``.  Memoized; the chain stops at the first power
+        with no unit row."""
+        powers = self._powers
+        if not powers:
+            # Delta^0 = Z[G]: U_0 is all of G, and L_0 = Delta, since the
+            # generators map onto G; its canonical rows are e_g - e_{|G|-1}
+            n = self.rank
+            powers.append((np.arange(n), Lattice.canonical(
+                n, np.arange(n - 1), [n - 1], np.full((n - 1, 1), -1, dtype=np.int64))))
+        while len(powers) <= j and powers[-1] is not None:
+            T = self.eval_monomial("f" * len(powers))
+            piv, cols, _ = T.stored_form
+            unit = np.flatnonzero(~np.isin(piv, cols))
+            if not len(unit):
+                powers.append(None)
+                break
+            U = T.basis_rows(unit)
+            L = Lattice(self.rank, (self.left_multiply(x, U) for x in self.image_generators("f")))
+            powers.append((piv[unit], L))
+        return powers[j] if j < len(powers) else None
+
+    def _seed(self, layer, L=None):
+        """The canonical lattice L⊗I + (the words of the layers above the
+        given one) of the module docstring, written down in its stored
+        form; L is a lattice in Z^|G|, None for 0, and layer -1 gives the
+        whole ring.
+
+        Row (v, K) of L⊗I, v a row of L's canonical basis and K of length
+        l, has v_g at (g, K), word off_l + g·M + idx(K), M = m^l.  Its
+        pivot is v's pivot at K, its unit pivots are L's at every K, and
+        its entry at (c, K) for a column c of L's stored block is v_c; the
+        words of the layers above are unit rows past every column.  For
+        the f seed of length k <= N, L = Delta has the canonical rows
+        e_g - e_{|G|-1}, g < |G|-1, so each row of L⊗I is a unit with -1 at
+        (|G|-1, K)."""
         off, n = self.layer_offsets, self.rank
-        start = off[k]
-        # the rows of P⊗I are the words lo..hi-1; the words hi..start-1
-        # are the (|G|-1, K), each a column of B
-        lo = hi = start
-        if letter == "f" and k:
-            lo, hi = off[k - 1], start - self.lp.num_schreier_gens ** (k - 1)
-        piv = np.concatenate([np.arange(lo, hi), np.arange(start, n)])
-        cols = np.concatenate([np.arange(lo), np.arange(hi, start)])
-        B = np.zeros((len(piv), len(cols)), dtype=np.int64)
-        # word lo + g·M + idx(K) has its -1 at (|G|-1, K), column lo + idx(K)
-        i = np.arange(hi - lo)
-        B[i, lo + i % (start - hi)] = -1
+        start = off[layer + 1]
+        piv, cols = np.arange(start, n), np.arange(start)
+        if L is None:
+            if start == n:  # past N with no seed: nothing to write down
+                return Lattice(n)
+            return Lattice.canonical(n, piv, cols, np.zeros((len(piv), start), dtype=np.int64))
+        lo, M = off[layer], self.lp.num_schreier_gens**layer
+        lpiv, lcols, LB = L.stored_form
+        K = np.arange(M)
+        piv = np.concatenate([(lo + lpiv[:, None] * M + K).ravel(), piv])
+        cols = np.concatenate([cols[:lo], (lo + lcols[:, None] * M + K).ravel()])
+        B = np.zeros((len(piv), len(cols)), dtype=LB.dtype)
+        # rows (v, K) by columns (c, K'), as a view: LB where K = K'
+        B[: len(lpiv) * M, lo:].reshape(len(lpiv), M, len(lcols), M)[:, K, :, K] = LB
         return Lattice.canonical(n, piv, cols, B)
 
     def eval_monomial(self, mono, deadline=None):
@@ -450,25 +449,20 @@ class TruncatedRing:
         ideal w = a·T of length k is the span of gamma·t over gamma = u - 1,
         u a right generator of the letter a, and the rows t of the canonical
         basis of the tail's ideal T (T absorbs ring factors on the left, so
-        no other products arise).  By the seed identities of the module
-        docstring,
+        no other products arise).  By the identity of the module docstring,
+        with l = min(k, N) - 1 and j = k - 1 - l,
 
-            w = r^k + P⊗I + span{gamma·t : t a row of T with pivot below layer k-1}
+            w = L⊗I + (the words of the layers above l) + span{gamma·s : s in S},
 
-        for k <= N, so the lattice starts from the canonical seed r^k + P⊗I
-        (``_seed``) and only T's rows with a pivot below layer k-1, found by
-        their pivots, are multiplied: at most |G|·sum_{i<k-1} m^i of them
-        (``_tail_products``).  For k > N,
-
-            w = L⊗I + span{gamma·s : s in S}
-
-        (``_past_depth``), with U the unit rows of Delta^(k-N) when T's
-        first k-N letters are f (none otherwise) and L the span of their
-        products by the g_x - 1.  The slice S of T's canonical rows whose
-        pivot is no unit pivot of U⊗I is enough: U⊗I lies in T, so its
-        unit pivots are unit pivots of T, and U⊗I and S span T.  Only S is
-        multiplied, its top-layer rows by one generator per distinct image
-        in G (none for r), and L⊗I is folded in last.
+        so the lattice starts from the canonical seed of the first two
+        terms (``_seed``), with L = L_j of the base ring's ``power`` for an
+        f head whose tail starts with j letters f and L = 0 otherwise.  S
+        is read off T's pivots: the rows below layer l, multiplied by every
+        right generator, and the rows on layer l whose group coordinate is
+        no pivot of U_j, multiplied by the ``image_generators``, first.
+        Folding those first keeps the later folds cheap on a wide ring
+        (fffrf on z2xz2 level 1 at N = 3 took 0.7 s in this order against
+        5.4 s in the reverse one, on one core of a 2-vCPU host).
 
         The deadline is checked once per suffix and once per product block.
         Each suffix is cached as soon as its lattice is complete, and only
@@ -479,101 +473,51 @@ class TruncatedRing:
             if deadline is not None:
                 deadline.check()
             w = mono[i:]
-            if len(w) > self.depth:
-                lat = self._past_depth(w, cache[w[1:]], deadline)
-            else:
-                lat = self._seed(len(w), w[:1])
-                if w:
-                    lat.add(self._tail_products(w[0], cache[w[1:]], len(w) - 1, deadline))
+            if not w:
+                cache[w] = self._seed(-1)
+                continue
+            layer = min(len(w), self.depth) - 1
+            j = len(w) - 1 - layer
+            power = self.base.power(j) if w[0] == "f" and "r" not in w[1 : j + 1] else None
+            units, L = power if power is not None else ([], None)
+            tail, gens = cache[w[1:]], self.image_generators(w[0])
+            # T's rows below layer l, and those on it whose group
+            # coordinate (g, K) -> g is no pivot of U_j: none when U_j is
+            # all of G, and none needed when no generator has an image
+            off, order = self.layer_offsets, self.lp.group.order
+            piv = tail.stored_form[0]
+            lo, hi = np.searchsorted(piv, off[layer : layer + 2])
+            on = []
+            if gens and len(units) < order:
+                outside = np.ones(order, dtype=bool)
+                outside[units] = False
+                M = self.lp.num_schreier_gens**layer
+                on = lo + np.flatnonzero(outside[(piv[lo:hi] - off[layer]) // M])
+            lat = self._seed(layer, L)
+            lat.add(chain(self._products(gens, tail, on, deadline),
+                          self._products(self.right_generators(w[0]), tail, np.arange(lo), deadline)))
             cache[w] = lat
         return cache[mono]
 
-    def _tail_products(self, letter, tail, layer, deadline):
-        """The products gamma·t over the letter's right generators and the
-        rows t of the tail lattice T with a pivot below the given layer, as
-        a stream of blocks: the rows go in chunks of _PRODUCT_ENTRIES
-        entries through ``left_multiply``, so the one ``Lattice.add`` that
-        takes the stream keeps its folds at full size."""
-        stop = int(np.searchsorted(tail.pivot_cols, self.layer_offsets[layer]))
-        gens = self.right_generators(letter)
-        for chunk in tail.basis_blocks(max(1, _PRODUCT_ENTRIES // self.rank), stop):
+    def _products(self, gens, tail, rows, deadline):
+        """The products (u - 1)·t over the given group words u and the rows
+        t of the tail lattice with an index in ``rows``, as a stream of
+        blocks: the rows go in chunks of _PRODUCT_ENTRIES entries through
+        ``left_multiply``, so the one ``Lattice.add`` that takes the stream
+        keeps its folds at full size."""
+        if not len(gens):
+            return
+        step = max(1, _PRODUCT_ENTRIES // self.rank)
+        piv = tail.stored_form[0]
+        for s in range(0, len(rows), step):
+            chunk = tail.basis_rows(rows[s : s + step])
+            # canonical rows are zero left of their pivots, which increase
+            layer = bisect_right(self.layer_offsets, piv[rows[s]]) - 1
             for u in gens:
                 if deadline is not None:
                     deadline.check()
-                prod = self.left_multiply(u, chunk)
+                prod = self.left_multiply(u, chunk, layer)
                 yield prod[prod.any(axis=1)]
-
-    def _past_depth(self, w, tail, deadline):
-        """The lattice of a monomial w = a·T longer than N, from the tail
-        lattice T, by the identity past N of the module docstring.  For
-        a = r it is the products of T's rows below the top layer by every
-        right generator of a (on the top layer they are 0).  For a = f,
-        the products of the top-layer rows of S by one generator per
-        distinct image (``_top_products``) come first, then those of the
-        rows below the top layer by every generator, and L⊗I
-        (``_tensor_seed``) is folded last."""
-        N, order = self.depth, self.lp.group.order
-        below = self._tail_products(w[0], tail, N - 1, deadline)
-        if w[0] == "r":
-            return Lattice(self.rank, below)
-        j = len(w) - N
-        # P(T) = Delta^j when T's first j letters are f, else 0
-        seed = self.powers.seed(j) if "r" not in w[1 : j + 1] else None
-        units, L = seed if seed is not None else ((), None)
-        top = self.layer_offsets[N - 1]
-        piv = np.asarray(tail.pivot_cols, dtype=np.intp)
-        stop = int(np.searchsorted(piv, top))
-        # a top-layer pivot (g, K) is a unit pivot of U⊗I iff g is one of U's
-        group_of = (piv[stop:] - top) // ((self.rank - top) // order)
-        # the top-layer products first: the others folded into their basis
-        # keep the folds cheap on a wide ring (fffrf on z2xz2 level 1 at
-        # N = 3 takes 0.7 s in this order and 5.4 s in the reverse one, on
-        # one core of a 2-vCPU host)
-        blocks = [self._top_products(tail, stop + np.flatnonzero(~np.isin(group_of, units)),
-                                     deadline), below]
-        if L is not None:
-            blocks.append(self._tensor_seed(L).basis_blocks())
-        return Lattice(self.rank, chain(*blocks))
-
-    def _top_products(self, tail, rows, deadline):
-        """(g - 1)·t for every g in ``powers.images`` and every row t of
-        the tail lattice with an index in ``rows``, as a stream of blocks.
-        Each such row lies on the top layer N-1, where x - 1 acts as
-        g_x - 1 on the group coordinate alone (the module docstring): word
-        (h, K) goes to (g·h, K), a gather of the layer seen as |G| blocks of
-        m^(N-1) words."""
-        top, order = self.layer_offsets[-2], self.lp.group.order
-        step = max(1, _PRODUCT_ENTRIES // self.rank)
-        for s in range(0, len(rows), step):
-            chunk = tail.basis_rows(rows[s : s + step])
-            for prod in self.powers.times(chunk[:, top:].reshape(len(chunk), order, -1)):
-                if deadline is not None:
-                    deadline.check()
-                out = np.zeros((len(chunk), self.rank), dtype=prod.dtype)
-                out[:, top:] = prod.reshape(len(chunk), -1)
-                yield out[out.any(axis=1)]
-
-    def _tensor_seed(self, L):
-        """L⊗I on the top layer N-1 for a lattice L in Z^|G|: each row v of
-        L's canonical basis and each K of length N-1 give the row with v_g
-        at (g, K), word top + g·M + idx(K), M = m^(N-1).  By v's pivot,
-        then K, these rows are canonical as they stand (two K share no
-        column), so they are written down with no elimination and checked
-        by ``Lattice.canonical``."""
-        n, top, order = self.rank, self.layer_offsets[-2], self.lp.group.order
-        M = (n - top) // order
-        rows = L.basis()
-        lpiv = np.asarray(L.pivot_cols, dtype=np.intp)
-        K = np.arange(M)
-        piv = top + lpiv[:, None] * M + K
-        keep = np.ones(n, dtype=bool)
-        keep[piv[rows[np.arange(len(rows)), lpiv] == 1]] = False
-        full = np.zeros((len(rows) * M, n), dtype=rows.dtype)
-        full[np.arange(len(rows))[:, None, None] * M + K, top + np.arange(order)[:, None] * M + K] = (
-            rows[:, :, None]
-        )
-        cols = np.flatnonzero(keep)
-        return Lattice.canonical(n, piv.ravel(), cols, full[:, cols])
 
     def eval_code(self, code, deadline=None):
         """Lattice of the code ideal: sums of intersections of monomials.
@@ -604,13 +548,18 @@ class TruncatedRing:
 
 class GroupContext:
     """Caches level presentations and truncated rings for one group, so
-    coface-image memos and monomial lattices are shared across codes."""
+    coface-image memos and monomial lattices are shared across codes.  Its
+    rings share one base ring, the level-0 ring at N = 1 (``base``), built
+    with the first of them and kept out of the rings it hands out."""
 
     def __init__(self, group):
         self.group = group
-        self.powers = AugmentationPowers(group)
         self._levels = {}
         self._rings = {}
+
+    @cached_property
+    def base(self):
+        return TruncatedRing(self.level(0), 1)
 
     def level(self, p):
         if p not in self._levels:
@@ -620,7 +569,7 @@ class GroupContext:
     def ring(self, p, depth):
         key = (p, depth)
         if key not in self._rings:
-            self._rings[key] = TruncatedRing(self.level(p), depth, self.powers)
+            self._rings[key] = TruncatedRing(self.level(p), depth, self.base)
         return self._rings[key]
 
 

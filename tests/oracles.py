@@ -30,10 +30,11 @@ relation rows included, and eliminates the kernel again after cutting
 it to G's rows.
 
 The monomial lattice by products (``monomial_by_products``) is the
-package's earlier construction of a monomial longer than the truncation
-depth, kept as a reference for the seed past the depth: it multiplies
-every row of the tail by every generator, with no seed, so it does not
-rest on the powers of the augmentation ideal.  Those powers, and the
+span of every product of a right generator with a row of the tail, plus
+the unit rows of r^k, as a reference for the seeded construction: it
+writes no seed down, so it does not rest on the identity of the
+``truncring`` module docstring nor on the powers of the augmentation
+ideal.  Those powers, and the
 quotients Delta/Delta^n, are built here from products in Z[G] on the
 multiplication table (``augmentation_power_rows``,
 ``augmentation_quotient_invariants``), with no truncated ring.
@@ -332,26 +333,27 @@ def kernel_by_two_eliminations(G, R):
 
 
 def monomial_by_products(ring, mono, lats=None):
-    """The monomial lattice built as ``eval_monomial`` built it before the
-    identity past the truncation depth N, kept as a reference for it:
-    right to left, each suffix w = a·T of length k is the closed-form seed
-    r^k + P⊗I (``_seed``) for k <= N, and the zero lattice for k > N,
-    plus the products gamma·t of every right generator of a with every
-    canonical row t of T below layer min(k-1, N), through
-    ``left_multiply``.  Past N, that is every row of T times every
-    generator.  Its suffixes live in the dict ``lats`` (a new one by
-    default), which it fills in and reads, so it shares no lattice with
-    the ring's caches."""
+    """The monomial lattice from products alone, as a reference for
+    ``eval_monomial``: right to left, from the whole ring, each suffix
+    w = a·T of length k is the span of the unit rows of r^k (the words of
+    the layers >= k, none for k >= N) and the products gamma·t, through
+    ``left_multiply``, of every right generator of a with every canonical
+    row t of T whose pivot lies below those layers.  T contains r^(k-1),
+    so its other rows are unit rows of r^k, and their products lie in
+    r^(k+1).  So no seed
+    is written down and no power of the augmentation ideal is read.  Its
+    suffixes live in the dict ``lats`` (a new one by default), which it
+    fills in and reads, so it shares no lattice with the ring's caches."""
     lats = {} if lats is None else lats
-    lats.setdefault("", ring._seed(0, ""))
+    lats.setdefault("", Lattice(ring.rank, np.eye(ring.rank, dtype=np.int64)))
     for i in reversed(range(len(mono))):
         w = mono[i:]
         if w in lats:
             continue
         k, tail = len(w), lats[w[1:]]
-        lat = ring._seed(k, w[0]) if k <= ring.depth else Lattice(ring.rank)
-        rows = tail.basis(0, int(np.searchsorted(tail.pivot_cols,
-                                                 ring.layer_offsets[min(k - 1, ring.depth)])))
+        start = ring.layer_offsets[min(k, ring.depth)]
+        lat = Lattice(ring.rank, np.eye(ring.rank, dtype=np.int64)[start:])
+        rows = tail.basis(0, int(np.searchsorted(tail.pivot_cols, start)))
         lat.add(ring.left_multiply(u, rows) for u in ring.right_generators(w[0]))
         lats[w] = lat
     return lats[mono]

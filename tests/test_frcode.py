@@ -1,8 +1,12 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frlimits.errors import InputError
 from frlimits.frcode import (
+    MAX_LETTERS,
     FrCodeError,
     dominated,
     make_code,
@@ -52,6 +56,36 @@ class TestParse:
         # monomials sort by (length, lex with r < f); terms sorted, deduped
         assert str(parse("frf+rr+rr")) == "rr+frf"
         assert str(parse("f+r")) == "r+f"
+
+    @pytest.mark.parametrize("text,offset", [("x", 0), ("f^0", 2), ("rf^", 3), ("f^2²", 3)])
+    def test_a_syntax_error_is_an_input_error(self, text, offset):
+        # a bad code exits with code 1, like every InputError; a digit
+        # outside 0-9 is no exponent digit
+        with pytest.raises(InputError) as exc:
+            parse(text)
+        assert type(exc.value) is FrCodeError
+        assert exc.value.offset == offset
+
+    @pytest.mark.parametrize(
+        "text,offset",
+        [("f^99999999999", 2), ("r+f^" + "9" * 5000, 4), (f"rf^{MAX_LETTERS}", 3),
+         (f"f^{MAX_LETTERS} r", 9), (f"f^100000+rf^100000", 12)],
+    )
+    def test_an_oversize_code_is_refused_before_it_is_spelled_out(self, text, offset):
+        # the letters are summed before each exponent is expanded, and a
+        # digit string too long for the cap is never read as an int
+        tracemalloc.start()
+        try:
+            with pytest.raises(FrCodeError, match=f"more than {MAX_LETTERS} letters") as exc:
+                parse(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.offset == offset
+        assert peak < 1_000_000
+
+    def test_a_code_at_the_letter_cap_is_read(self):
+        assert max_monomial_length(parse(f"r+f^{MAX_LETTERS - 1}")) == MAX_LETTERS - 1
 
     def test_byte_offset_after_unicode(self):
         with pytest.raises(FrCodeError) as exc:

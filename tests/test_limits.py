@@ -396,10 +396,11 @@ def test_top_degree_must_be_an_int(top_degree):
         higher_limits(parse("rr"), group, top_degree=top_degree, ctx=ctx)
 
 
-@pytest.mark.parametrize("top_degree", [True, 2.0, "2"])
+@pytest.mark.parametrize("top_degree", [True, 2.0, "2", -1])
 def test_assemble_refuses_a_top_degree_that_is_not_an_int(top_degree):
     # True would build levels 0..1 and 2.0 raise a bare TypeError from
-    # range; both are refused before any level is built
+    # range; both are refused before any level is built, and so is a
+    # negative top degree, as an InputError like higher_limits raises
     group = context("z2").group
     ctx = GroupContext(group)
     with pytest.raises(InputError, match="top_degree"):

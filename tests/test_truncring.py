@@ -226,6 +226,11 @@ class TestLeftMultiply:
                 out = r.left_multiply(w, V)
                 assert out.dtype == np.int64
                 assert np.array_equal(out, dense(product_rows(r, w, V), r.rank))
+                # a block zero on the layers below k skips them
+                for k, start in enumerate(r.layer_offsets[:-1]):
+                    W = V.copy()
+                    W[:, :start] = 0
+                    assert np.array_equal(r.left_multiply(w, W, k), dense(product_rows(r, w, W), r.rank))
 
     def test_bignum_blocks(self):
         r = ring_for("z3", 1, 2)
@@ -480,10 +485,10 @@ class TestIdealLattices:
 
     @pytest.mark.parametrize("name", ["trivial", "z2", "z2_rank2", "z3", "z4", "z2xz2", "s3"])
     def test_layer0_span_is_the_eliminated_span(self, name):
-        # P in closed form (I_G for f, 0 for r), read off the layer-0 rows
-        # of the seed of a length-1 monomial, against the span of the
-        # layer-0 parts of gamma_0·s(h), eliminated by the oracle; the
-        # seed's other rows are r, the unit rows of the layers >= 1
+        # the lattice of a length-1 monomial is its seed: P⊗I on layer 0
+        # (P = Delta for f, the base ring's L_0, and 0 for r) and the unit
+        # rows of the layers >= 1.  P is checked against the span of the
+        # layer-0 parts of gamma_0·s(h), eliminated by the oracle
         for level, depth in itertools.product((0, 1, 2), (1, 2, 3)):
             r = ring_for(name, level, depth)
             order = r.lp.group.order
@@ -495,7 +500,7 @@ class TestIdealLattices:
                         prod = multiply_terms(r, gamma_0, {(h, ()): 1})
                         rows.append([prod.get((g, ()), 0) for g in range(order)])
                 basis, pivots = reference_hnf(rows, order)
-                seed = r._seed(1, letter)
+                seed = r.eval_monomial(letter)
                 stop = int(np.searchsorted(seed.pivot_cols, order))
                 H = seed.basis(0, stop)
                 assert H[:, :order].tolist() == basis, (level, depth, letter)
@@ -630,77 +635,81 @@ def count_folded_rows(monkeypatch, width):
 class TestPastTheDepth:
     @pytest.mark.parametrize("name,level,depth", PAST_DEPTH_RINGS)
     def test_monomials_past_n_match_the_products(self, name, level, depth):
-        # every f/r monomial of length N+1 and N+2, built from the seed
-        # Delta^(k-N)⊗I and the slice S of its tail, against the lattice
-        # of every product of its tail's rows (the construction before)
+        # every f/r monomial of length 1 to N+2, built from its seed and
+        # the slice S of its tail (past N the seed is Delta^(k-N)⊗I, or
+        # nothing), against the oracle's span of every product of its
+        # tail's rows and the unit rows of r^k
         r = ring_for(name, level, depth)
         lats = {}
-        for k in (depth + 1, depth + 2):
+        for k in range(1, depth + 3):
             for mono in map("".join, itertools.product("fr", repeat=k)):
                 assert r.eval_monomial(mono) == monomial_by_products(r, mono, lats), mono
 
     def test_s3_fff_folds_a_third_of_the_rows(self, monkeypatch):
         # on s3 level 1 at N = 2, ff has 115 rows; every one times each of
         # the 4 generators is 460 rows.  Past N only the 5 rows below the
-        # top layer take the 4 generators, the 15 top-layer rows whose
-        # pivot is no unit pivot of Delta⊗I take the 2 distinct images,
-        # and the seed Delta^2⊗I adds 5·19 rows: 145 in all
+        # top layer take the 4 generators, and the 15 top-layer rows whose
+        # pivot is no unit pivot of Delta⊗I take the 2 distinct images: 50
+        # in all.  The seed Delta^2⊗I is written down, not folded
         r = ring_for("s3", 1, 2)
         r.eval_monomial("ff")
+        r.base.power(1)
         rows = count_folded_rows(monkeypatch, r.rank)
         lat = r.eval_monomial("fff")
-        assert sum(rows) == 5 * 4 + 15 * 2 + 5 * 19 <= 160
+        assert sum(rows) == 5 * 4 + 15 * 2 <= 50
         assert lat == monomial_by_products(r, "fff")
 
     @pytest.mark.parametrize("name", ["trivial", "z2", "z2_rank2", "z3", "z4", "z2xz2", "s3"])
     def test_powers_of_f_at_depth_1_multiply_nothing_out(self, name, monkeypatch):
-        # at N = 1 the ring is Z[G], every word is on the top layer, and
-        # f^n is Delta^n: no row goes through left_multiply, and
-        # ff = Delta·Delta is the seed L⊗I = Delta^2 alone, no product
-        # row.  From f^3 on, the rows of Delta^(n-1) that are no unit row
-        # are still multiplied, by the top-layer gathers
+        # at N = 1 the ring is Z[G] at every level, every word is on the
+        # top layer, and f^n is Delta^n.  f = Delta is the seed L_0 alone,
+        # and Delta's canonical rows are all unit rows, so ff is the seed
+        # L_1 = Delta^2 alone: neither multiplies or folds a row once the
+        # base ring holds its powers.  From f^3 on, the rows of
+        # Delta^(n-1) that are no unit row are multiplied
         r = ring_for(name, 1, 1)
-        powers = r.powers
-        for j in range(1, 5):
-            powers.seed(j)
-        products = {n: monomial_by_products(ring_for(name, 1, 1), "f" * n) for n in range(3, 6)}
+        for j in range(5):
+            r.base.power(j)
+        products = {n: monomial_by_products(ring_for(name, 1, 1), "f" * n) for n in range(1, 6)}
         calls = []
         monkeypatch.setattr(TruncatedRing, "left_multiply", lambda *args: calls.append(args))
-        r.eval_monomial("f")
         rows = count_folded_rows(monkeypatch, r.rank)
         r.eval_monomial("ff")
-        seed = powers.seed(1)
-        assert sum(rows) == (seed[1].rank if seed else 0)
+        assert not rows and not calls
+        monkeypatch.undo()
         for n, lat in products.items():
-            assert r.eval_monomial("f" * n) == lat
-        assert not calls
+            assert r.eval_monomial("f" * n) == lat == r.base.eval_monomial("f" * n)
 
     @pytest.mark.parametrize("name", ["trivial", "z2", "z3", "z2xz2", "s3"])
     def test_the_powers_are_the_group_ring_powers(self, name):
-        # f^j at N = 1 is Delta^j, against the oracle's products in Z[G];
-        # the seeds of AugmentationPowers are its unit rows' pivots and
-        # L_j, the span of their products by g - 1 over the generators'
-        # images, which lies in Delta^(j+1); the chain ends at the first
-        # power with no unit row
+        # f^j of the base ring, the level-0 ring at N = 1, is Delta^j,
+        # against the oracle's products in Z[G]; its powers are the pivots
+        # of Delta^j's unit rows and L_j, the span of their products by
+        # g - 1 over the generators' images, which lies in Delta^(j+1); the
+        # chain ends at the first power with no unit row
         group = group_for(name)
         order = group.order
-        powers = truncring.AugmentationPowers(group)
+        base = TruncatedRing(LevelPresentation(group, 0), 1)
+        assert base.base is base
+        other = ring_for(name, 1, 2).base
+        assert (other.lp.level, other.depth, other.base) == (0, 1, other)
         differences = [[int(h == group.gen_element(i)) - int(h == 0) for h in range(order)]
                        for i in range(group.ngens)]
-        for j in range(1, 5):
-            basis = augmentation_power_rows(group, j)
+        for j in range(0, 5):
+            basis = augmentation_power_rows(group, j) if j else np.eye(order, dtype=np.int64).tolist()
             ref = Lattice(order, basis)
-            assert TruncatedRing(LevelPresentation(group, 0), 1).eval_monomial("f" * j) == ref
+            assert base.eval_monomial("f" * j) == ref
             pivots = [next(i for i, c in enumerate(row) if c) for row in basis]
             units = [(p, row) for p, row in zip(pivots, basis) if row[p] == 1]
-            seed = powers.seed(j)
+            power = base.power(j)
             if not units:
-                assert seed is None
+                assert power is None
+                assert base.power(j + 1) is None
                 break
-            assert seed[0].tolist() == [p for p, _ in units]
+            assert power[0].tolist() == [p for p, _ in units]
             products = [group_ring_product(group, d, u) for d in differences for _, u in units]
-            assert seed[1] == Lattice(order, products)
-            assert Lattice(order, augmentation_power_rows(group, j + 1)).contains(seed[1].basis())
+            assert power[1] == Lattice(order, products)
+            assert Lattice(order, augmentation_power_rows(group, j + 1)).contains(power[1].basis())
 
 
 class TestSumsAndIntersections:
