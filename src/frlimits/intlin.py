@@ -6,13 +6,25 @@ once, unit pivots first; there is no queue) and are queried in blocks (one
 reduction answers membership and coordinates for a whole block of rows),
 one kernel primitive built on them (``_lower``: the vectors of a lattice
 that vanish on its first columns are its canonical rows with a pivot
-there or later, a slice of the stored form; left kernels, kernels of
-presented maps and lattice intersections each take one elimination and
-this slice), Smith invariant factors,
-finitely presented abelian groups, maps between them, tensor/Tor over Z,
-homology of three-term complexes of presented groups, and sparse integer
-matrices, assembled from signed parts at offsets (``SparseRows.placed``),
-with the exact product of two of them (``sparse_product``).
+there or later, a slice of the stored form; left kernels and lattice
+intersections each take one elimination and this slice), Smith invariant
+factors, finitely presented abelian groups, maps between them, tensor/Tor
+over Z, homology of three-term complexes of presented groups, and sparse
+integer matrices, assembled from signed parts at offsets
+(``SparseRows.placed``), with the exact product of two of them
+(``sparse_product``).
+
+Homology builds no kernel basis (``homology_at``).  For A --f--> B --g-->
+C, with B = Z^b / R_B and C = Z^c / R_C on independent relation rows,
+one coordinate solve gives h and e with h·R_C = f·g and e·R_C = R_B·g,
+and fails unless g o f = 0 and g is well defined.  Then the free complex
+
+    Z^A + Z^R_B --[[f, -h], [R_B, -e]]--> Z^b + Z^R_C --[g; R_C]--> Z^c,
+
+a cone of the relations twisted by h and e, has the homology of A --> B
+--> C in the middle.  Its kernel there is saturated, so the homology is
+read off the rank of the right map, one echelon form, and the Smith
+invariants of the left one.
 
 There is one elimination routine, ``_echelon``, and the Smith invariants
 use it too, as do G_ab's invariant factors (``permgrp`` presents G_ab as
@@ -97,6 +109,17 @@ def _maxabs(a):
     if a.size == 0:
         return 0
     return max(-int(a.min()), int(a.max()))
+
+
+def for_sums(V, weight):
+    """V as int64 or as Python ints (object dtype), chosen for a result
+    whose every entry is a sum of terms c·v, v an entry of V, with the
+    |c| of one entry's terms summing to at most ``weight``: int64 while V
+    is and max|V|·weight < 2**62, so that no such sum can wrap, else
+    Python ints.  V is not copied when its dtype stays."""
+    if V.dtype == np.int64 and _maxabs(V) * weight < _I64_SAFE:
+        return V
+    return V.astype(object, copy=False)
 
 
 # every entry as an exact Python int; a non-integer raises TypeError
@@ -568,13 +591,12 @@ class Lattice:
         out[ones, piv[index][ones]] = 1
         return out
 
-    def basis_blocks(self, rows=None, stop=None):
-        """The canonical basis, or its rows before `stop`, as consecutive
-        blocks of at most `rows` rows (by default ``_block_rows(n)``)."""
+    def basis_blocks(self, rows=None):
+        """The canonical basis as consecutive blocks of at most `rows` rows
+        (by default ``_block_rows(n)``)."""
         rows = rows or _block_rows(self.n)
-        stop = self.rank if stop is None else stop
-        for s in range(0, stop, rows):
-            yield self.basis(s, min(s + rows, stop))
+        for s in range(0, self.rank, rows):
+            yield self.basis(s, s + rows)
 
     # -- membership and coordinates --------------------------------------
 
@@ -643,39 +665,15 @@ def _lower(lat, split):
     return Lattice._of(lat.n - split, _fitted(hnf))
 
 
-def _kernel_lattice(G, R):
-    """The lattice {b : b·G lies in the span of the rows R}, for the rows
-    G of a map into Z^nc and relation rows R in Z^nc.
-
-    One elimination of the rows [G | I] over [R | 0], the nc columns
-    first: the vectors of their span that are zero on those columns are
-    the (0, b) with b·G = -y·R for some y, so the kernel is the span's
-    ``_lower`` part.  With nc = 0 it is all of Z^nb, written down with no
-    elimination."""
-    nb, nc = G.shape
-    if not nc:
-        return Lattice._of(nb, _whole(nb, nb))
-    M = np.concatenate([G, R])
-    step = _block_rows(nc + nb)
-
-    def blocks():
-        # _block_rows rows at a time, never all at once
-        for s in range(0, len(M), step):
-            block = np.zeros((len(M[s : s + step]), nc + nb), dtype=M.dtype)
-            block[:, :nc] = M[s : s + step]
-            i = np.arange(s, min(s + step, nb))
-            block[i - s, nc + i] = 1
-            yield block
-
-    return _lower(Lattice(nc + nb, blocks()), nc)
-
-
 def kernel_of_matrix(rows, ncols):
     """Basis of the left kernel {x : x . M = 0} for M given by `rows` (a
-    2-D array or a list of rows), as one 2-D array of canonical basis rows
-    (``_kernel_lattice`` with no relation rows)."""
+    2-D array or a list of rows), as one 2-D array of canonical basis rows:
+    the vectors of the span of the rows [M | I] that vanish on its first
+    ncols columns are the (0, x) with x . M = 0, so the kernel is that
+    span's ``_lower`` part, one elimination."""
     M = int_block(rows, ncols)
-    return _kernel_lattice(M, np.zeros((0, ncols), dtype=np.int64)).basis()
+    span = Lattice(ncols + len(M), np.concatenate([M, np.eye(len(M), dtype=np.int64)], axis=1))
+    return _lower(span, ncols).basis()
 
 
 def checked(blocks, deadline):
@@ -813,13 +811,15 @@ class FinPresAb:
 
     @classmethod
     def from_invariants(cls, torsion, rank):
-        n = len(torsion) + rank
-        rels = []
-        for i, d in enumerate(torsion):
-            row = [0] * n
-            row[i] = d
-            rels.append(row)
-        return cls(n, rels)
+        """Z/d1 + ... + Z/dk + Z^rank on k + rank generators, every d > 1.
+        The relations d_i·e_i are a canonical basis as they stand, so they
+        are stored with nothing eliminated."""
+        k, n = len(torsion), len(torsion) + rank
+        if any(d <= 1 for d in torsion):
+            raise ValueError(f"torsion orders {torsion} are not all above 1")
+        B = int_block([[d if i == j else 0 for j in range(n)] for i, d in enumerate(torsion)], n)
+        hnf = _Hermite(np.arange(k), np.zeros(k, dtype=bool), _heights(B), np.arange(n), _frozen(B))
+        return cls(n, Lattice._of(n, hnf))
 
     def invariants(self):
         """(torsion_factors d1 | d2 | ..., free_rank), from the canonical
@@ -1036,43 +1036,86 @@ def composite_is_zero(f, g):
 # -- homology of presented complexes ------------------------------------------
 
 
+def _surviving(lat):
+    """The relations of Z^n / lat on its surviving generators
+    (``unit_split``): the rows whose pivot is not 1, cut to the columns
+    without a unit pivot, as a lattice there.  They are canonical there
+    as they stand, so nothing is eliminated."""
+    piv, unit, height, cols, B = lat._hnf
+    hnf = _Hermite(np.searchsorted(cols, piv[~unit]), unit[~unit], height[~unit],
+                   np.arange(len(cols)), B[~unit])
+    return Lattice._of(len(cols), hnf)
+
+
+def _rank(W):
+    """The rank of an integer matrix, from its echelon form, which is
+    written into W.  A step that could leave int64 raises before it is
+    taken, so the rows as they then stand, which span the same lattice,
+    go on with Python ints."""
+    try:
+        return _echelon(W)[0]
+    except _Overflow:
+        return _echelon(W.astype(object))[0]
+
+
 def homology_at(f, g):
-    """ker(g)/im(f) for presented maps A --f--> B --g--> C with g o f = 0.
+    """ker(g)/im(f) for presented maps A --f--> B --g--> C with g o f = 0,
+    from one rank and one group's Smith invariants; no kernel basis is
+    built.
 
-    B and C are first presented on their surviving generators
-    (``unit_split``): a generator at a unit pivot of the relations equals
-    minus the rest of its relation row, so Z^n / R is Z^cols modulo the
-    non-unit rows cut to ``cols``, and a row v of a map stands for
-    ``R.reduce(v)[cols]``.  So g becomes ``R_C.reduce(g[cols_B])[:,
-    cols_C]`` and f becomes ``R_B.reduce(f)[:, cols_B]``, and the kernel
-    and the coordinate solves run at the size of those presentations.
-    The kernel {b : b·g in R_C} is one elimination, whose rows with a
-    pivot in the identity block are its canonical basis as they stand
-    (``_kernel_lattice``); when C has no surviving generator it is all of
-    Z^cols_B, with nothing eliminated.  The composite is checked on the
-    maps as given, by their sparse product (``composite_is_zero``)."""
-    B = f.cod
-    C = g.cod
+    B and C are presented on their surviving generators (``unit_split``):
+    B = Z^cols_B / R_B and C = Z^cols_C / R_C, with R_B and R_C the
+    canonical rows whose pivot is not 1, which are independent.  A row of
+    a map stands for its remainder modulo the relations, which lies on
+    the surviving columns, so f and g become f_cut and g_cut.  One
+    coordinate solve in R_C, of the rows of [f_cut; R_B]·g_cut, formed
+    sparse, gives h and e with
+
+        h·R_C = f_cut·g_cut    (they exist iff g o f = 0),
+        e·R_C = R_B·g_cut      (they exist iff g is well defined),
+
+    so that the free complex
+
+        Z^A + Z^R_B --d_A--> Z^cols_B + Z^R_C --d_B--> Z^cols_C,
+        d_A = [[f_cut, -h], [R_B, -e]],   d_B = [g_cut; R_C],
+
+    has d_A·d_B = 0.  It is the cone of the relations, truncated and
+    twisted by h and e, and H is its homology in the middle: (b, y) lies
+    in ker d_B iff b·g_cut = -y·R_C, and then y is unique, so dropping y
+    takes ker d_B onto ker(g) and im d_A onto im(f) + R_B.  ker d_B is
+    saturated, being a kernel, so coker d_A is H plus a free group of
+    rank rk d_B: H has the torsion of coker d_A and rank
+    |cols_B| + rk R_C - rk d_B - rk d_A.  That is one echelon form for
+    rk d_B (``_rank``) and the Smith invariants of d_A.  Where R_C is
+    empty, so are h and e, and H is read off the rank of g_cut and the
+    Smith form of [f_cut; R_B].
+
+    f must land in the group g starts from, presented alike: on as many
+    generators and with the same relation lattice."""
+    B, C = f.cod, g.cod
     if g.dom.ngens != B.ngens:
-        raise ValueError(
-            f"homology_at: f lands in rank {B.ngens}, g starts from rank {g.dom.ngens}"
-        )
-    if not composite_is_zero(f, g):
-        raise ValueError("homology_at: composite g o f is not zero")
-
+        raise ValueError(f"homology_at: f lands in rank {B.ngens}, g starts from rank {g.dom.ngens}")
+    if g.dom is not B and g.dom.relations != B.relations:
+        raise ValueError("homology_at: f lands in a group presented unlike g's domain")
     cols_B, R_B = unit_split(B.relations)
-    cols_C, R_C = unit_split(C.relations)
-    g_cut = C.relations.reduce(int_block(g.matrix, C.ngens)[cols_B])[:, cols_C]
-    f_cut = B.relations.reduce(int_block(f.matrix, B.ngens))[:, cols_B]
-    kernel = _kernel_lattice(g_cut, R_C)
-    # relations: images of A generators plus B's own relations, in kernel coords
-    image = kernel.coordinates(f_cut)
-    if image is None:
-        raise AssertionError("image of f escapes ker(g)")
-    rel_B = kernel.coordinates(R_B)
-    if rel_B is None:
+    rel_C = _surviving(C.relations)
+    # [f_cut; R_B] and g_cut
+    cut = np.concatenate([B.relations._solve(f.matrix)[1], R_B])
+    g_cut = C.relations._solve(g.matrix[cols_B])[1]
+    rows, block = sparse_product(SparseRows.of(cut), SparseRows.of(g_cut)).nonzero_rows()
+    twist, rest = rel_C._solve(block, coords=True)
+    outside = rows[rest.any(axis=1)]
+    if len(outside) and outside[0] < len(f.matrix):
+        raise ValueError("homology_at: composite g o f is not zero")
+    if len(outside):
         raise AssertionError("relations of B escape ker(g)")
-    return FinPresAb(kernel.rank, np.concatenate([image, rel_B]))
+    # [h; e] on the product's nonzero rows, 0 on the others
+    coords = np.zeros((len(cut), rel_C.rank), dtype=twist.dtype)
+    coords[rows] = twist
+    rank_d_B = _rank(np.concatenate([g_cut, rel_C._hnf.B]))
+    cone = FinPresAb(len(cols_B) + rel_C.rank, np.concatenate([cut, -coords], axis=1))
+    torsion, free = cone.invariants()
+    return FinPresAb.from_invariants(torsion, free - rank_d_B)
 
 
 # -- tensor and Tor over Z ----------------------------------------------------

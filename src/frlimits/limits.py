@@ -191,9 +191,9 @@ class CochainComplex:
     maps: list
 
     def cohomology(self, k):
-        """H^k; requires the outgoing differential, so k <= D - 1."""
-        if k >= len(self.maps):
-            raise ValueError(f"degree {k} needs level {k + 1} maps")
+        """H^k for 0 <= k <= D - 1, since it needs the outgoing differential."""
+        if not 0 <= k < len(self.maps):
+            raise ValueError(f"degree {k} is outside 0..{len(self.maps) - 1}")
         if k == 0:
             incoming = AbMap.zero(FinPresAb.zero(), self.levels[0])
         else:
@@ -304,7 +304,7 @@ def code_lattice_equalizer_rank(X):
     of a code with N = 1 builds level 0 alone.  Nothing in the package
     calls it: the report's lim^0 is 0 by theorem.
     The benchmark's tracer (``bench/layertrace.py``) still wraps it by
-    name, and ROADMAP item 7 deletes it once item 1 moves the tracer.
+    name, and ROADMAP item 9 deletes it once item 1 moves the tracer.
     """
     v0, v1 = X.values[0], X.values[1]
     rows = v0.c_lattice.basis()

@@ -104,8 +104,8 @@ import numpy as np
 from . import freegrp
 from .errors import CapExceeded
 from .frcode import required_truncation
-from .intlin import (_I64_SAFE, AbMap, FinPresAb, Lattice, _maxabs, checked, int_block,
-                     lattice_intersection, unit_split)
+from .intlin import (AbMap, FinPresAb, Lattice, checked, for_sums, int_block, lattice_intersection,
+                     unit_split)
 from .permgrp import LevelPresentation, schreier_rank
 
 DEFAULT_RANK_CAP = 200_000
@@ -305,16 +305,14 @@ class TruncatedRing:
         top layer costs one slice-add per term of layer 0.  Every result
         entry is a sum over distinct terms, so max|V|·sum|c| over the |G|
         products (w - 1)·s(h) bounds it: the block is int64 while that
-        stays below 2**62, Python ints otherwise.  The |G| products are
-        memoized per word (``section_products``), so a monomial build forms
-        them once per right generator.
+        stays below 2**62, Python ints otherwise (``intlin.for_sums``).
+        The |G| products are memoized per word (``section_products``), so
+        a monomial build forms them once per right generator.
         """
         off, m = self.layer_offsets, self.lp.num_schreier_gens
         prods = self.section_products(word)
-        bound = _maxabs(V) * sum(abs(c) for p in prods for c in p.values())
-        dtype = np.int64 if V.dtype == np.int64 and bound < _I64_SAFE else object
-        V = V.astype(dtype, copy=False)
-        out = np.zeros((len(V), self.rank), dtype=dtype)
+        V = for_sums(V, sum(abs(c) for p in prods for c in p.values()))
+        out = np.zeros((len(V), self.rank), dtype=V.dtype)
         for h, prod in enumerate(prods):
             for (g, J), c in prod.items():
                 a = len(J)
@@ -344,10 +342,8 @@ class TruncatedRing:
         if any(g for g, _ in terms):
             raise ValueError("right_multiply needs an element of the identity component")
         off, m = self.layer_offsets, self.lp.num_schreier_gens
-        bound = _maxabs(V) * sum(abs(c) for c in terms.values())
-        dtype = np.int64 if V.dtype == np.int64 and bound < _I64_SAFE else object
-        V = V.astype(dtype, copy=False)
-        out = np.zeros((len(V), self.rank), dtype=dtype)
+        V = for_sums(V, sum(abs(c) for c in terms.values()))
+        out = np.zeros((len(V), self.rank), dtype=V.dtype)
         for (_, L), c in terms.items():
             a, w = len(L), m ** len(L)
             i = self.position(0, L) - off[a]

@@ -24,10 +24,14 @@ level n's relations, at every level built, so it does not rest on the
 cofaces relabelling words, nor on the levels >= N being zero.
 
 The two-step kernel (``kernel_by_two_eliminations``) is the package's
-earlier kernel of a presented map, kept as a reference for the one-pass
-kernel: it eliminates [G; R | I] with an identity block for every row,
-relation rows included, and eliminates the kernel again after cutting
-it to G's rows.
+earlier kernel of a presented map, kept as a reference for
+``kernel_of_matrix``: it eliminates [G; R | I] with an identity block for
+every row, relation rows included, and eliminates the kernel again after
+cutting it to G's rows.  The homology by a kernel basis
+(``homology_by_kernel``) is the package's earlier ``homology_at``, kept
+as a reference for the one read off ranks and Smith invariants: it
+builds ker(g) with the two-step kernel and presents the homology in its
+coordinates.
 
 The monomial lattice by products (``monomial_by_products``) is the
 span of every product of a right generator with a row of the tail, plus
@@ -65,7 +69,7 @@ from math import gcd
 import numpy as np
 
 from frlimits import freegrp
-from frlimits.intlin import AbMap, FinPresAb, Lattice, unit_split
+from frlimits.intlin import AbMap, FinPresAb, Lattice, composite_is_zero, unit_split
 from frlimits.limits import CochainComplex
 from frlimits.truncring import poly_mul, word_images
 
@@ -330,6 +334,28 @@ def kernel_by_two_eliminations(G, R):
     lat = Lattice(nc + m, aug)
     rows = lat.basis(int(np.searchsorted(lat.pivot_cols, nc)))
     return Lattice(nb, rows[:, nc : nc + nb])
+
+
+def homology_by_kernel(f, g):
+    """ker(g)/im(f) for presented maps A --f--> B --g--> C with g o f = 0,
+    in the coordinates of a basis of ker(g): B and C are presented on
+    their surviving generators (``unit_split``), the kernel {b : b·g_cut
+    in R_C} is ``kernel_by_two_eliminations``, and the images of f and the
+    relations R_B are solved for in its basis."""
+    B, C = f.cod, g.cod
+    if g.dom.ngens != B.ngens:
+        raise ValueError("homology_by_kernel: the middle ranks differ")
+    if not composite_is_zero(f, g):
+        raise ValueError("homology_by_kernel: composite g o f is not zero")
+    cols_B, R_B = unit_split(B.relations)
+    cols_C, R_C = unit_split(C.relations)
+    g_cut = C.relations.reduce(g.matrix[cols_B])[:, cols_C]
+    f_cut = B.relations.reduce(f.matrix)[:, cols_B]
+    kernel = kernel_by_two_eliminations(g_cut, R_C)
+    image, rel_B = kernel.coordinates(f_cut), kernel.coordinates(R_B)
+    if image is None or rel_B is None:
+        raise AssertionError("image of f or relations of B escape ker(g)")
+    return FinPresAb(kernel.rank, np.concatenate([image, rel_B]))
 
 
 def monomial_by_products(ring, mono, lats=None):

@@ -34,6 +34,7 @@ from oracles import (
     combine_cyclic_orders,
     determinantal_invariant_factors,
     elements,
+    homology_by_kernel,
     kernel_by_two_eliminations,
     reference_hnf,
     subgroup_span,
@@ -499,32 +500,35 @@ def stored_form(lat):
 
 
 class TestOnePassKernel:
-    # intlin._kernel_lattice eliminates [G | I] over [R | 0] once and
-    # slices the kernel off the stored form; the oracle eliminates
-    # [G; R | I] and then the cut kernel again.  Both are the canonical
-    # basis of one lattice, so their stored forms are equal
+    # kernel_of_matrix eliminates [M | I] once and slices the kernel off
+    # the stored form; the oracle eliminates [M | I] and then the cut
+    # kernel again.  Both are the canonical basis of one lattice, so their
+    # stored forms are equal
+
+    @staticmethod
+    def check(M):
+        n = M.shape[1]
+        expected = kernel_by_two_eliminations(M, np.zeros((0, n), dtype=np.int64))
+        got = kernel_of_matrix(M, n)
+        assert got.dtype == expected.basis().dtype
+        assert got.tolist() == expected.basis().tolist()
+        return got
 
     def test_random_int64_blocks(self):
         rng = np.random.default_rng(5)
         ranks = set()
         for _ in range(300):
-            nb, nc, nr = (int(x) for x in rng.integers(0, 7, size=3))
-            G = rng.integers(-4, 5, size=(nb, nc)) * rng.integers(0, 2, size=(nb, nc))
-            R = rng.integers(-6, 7, size=(nr, nc))
-            kernel = intlin._kernel_lattice(G, R)
-            assert stored_form(kernel) == stored_form(kernel_by_two_eliminations(G, R))
-            ranks.add((kernel.rank > 0, kernel.rank < nb))
+            m, n = (int(x) for x in rng.integers(0, 7, size=2))
+            M = rng.integers(-4, 5, size=(m, n)) * rng.integers(0, 2, size=(m, n))
+            rank = len(self.check(M))
+            ranks.add((rank > 0, rank < m))
         assert ranks == {(False, False), (True, False), (True, True), (False, True)}
 
     def test_kernel_of_matrix_is_the_kernel_with_no_relations(self):
         rng = np.random.default_rng(6)
         for _ in range(100):
             m, n = (int(x) for x in rng.integers(0, 6, size=2))
-            M = rng.integers(-3, 4, size=(m, n))
-            expected = kernel_by_two_eliminations(M, np.zeros((0, n), dtype=np.int64))
-            got = kernel_of_matrix(M, n)
-            assert got.dtype == np.int64
-            assert got.tolist() == expected.basis().tolist()
+            assert self.check(rng.integers(-3, 4, size=(m, n))).dtype == np.int64
 
     def test_entries_past_int64(self, monkeypatch):
         # the elimination goes bignum; a kernel whose entries fit comes
@@ -538,54 +542,38 @@ class TestOnePassKernel:
 
         monkeypatch.setattr(intlin, "_lower", lower)
         big = 2**63
-        none = np.zeros((0, 2), dtype=np.int64)
         cases = [
             # b0 + b1 = 0 and b2 = 0: (1, -1, 0) fits
-            (np.array([[big, 0], [big, 0], [0, 1]], dtype=object), none, False),
-            # b2 must be a multiple of 2**63
-            (np.array([[big, 0], [big, 0], [0, 1]], dtype=object),
-             np.array([[0, big]], dtype=object), True),
+            (np.array([[big, 0], [big, 0], [0, 1]], dtype=object), False),
             # b0 + 2**62 b1 = 0: (2**62, -1) does not fit
-            (np.array([[1], [2**62]], dtype=object), np.zeros((0, 1), dtype=np.int64), True),
+            (np.array([[1], [2**62]], dtype=object), True),
         ]
-        for G, R, is_big in cases:
-            kernel = intlin._kernel_lattice(G, R)
+        for M, is_big in cases:
+            kernel = self.check(M)
             assert eliminated.pop() is True
-            assert kernel.big is is_big
-            assert kernel._hnf.B.dtype == (object if is_big else np.int64)
-            assert stored_form(kernel) == stored_form(kernel_by_two_eliminations(G, R))
+            assert kernel.dtype == (object if is_big else np.int64)
         rng = random.Random(7)
         for _ in range(60):
-            nb, nc, nr = rng.randint(1, 4), rng.randint(1, 3), rng.randint(0, 2)
-            G = np.array([[rng.randint(-2, 2) * rng.choice([1, 2**62, 2**70]) for _ in range(nc)]
-                          for _ in range(nb)], dtype=object)
-            R = np.array([[rng.randint(-3, 3) * rng.choice([1, 2**64]) for _ in range(nc)]
-                          for _ in range(nr)], dtype=object).reshape(nr, nc)
-            assert stored_form(intlin._kernel_lattice(G, R)) == stored_form(
-                kernel_by_two_eliminations(G, R))
+            m, n = rng.randint(1, 5), rng.randint(1, 3)
+            self.check(np.array([[rng.randint(-2, 2) * rng.choice([1, 2**62, 2**70])
+                                  for _ in range(n)] for _ in range(m)], dtype=object))
 
     @pytest.mark.parametrize("nb,nc,nr", [(3, 0, 0), (0, 2, 1), (0, 0, 0), (3, 2, 0), (2, 3, 2)])
     def test_empty_shapes_and_the_zero_map(self, nb, nc, nr):
+        # the kernel of [G; R], G zero or not, with R random
         rng = np.random.default_rng(nb * 9 + nc * 3 + nr)
         R = rng.integers(-5, 6, size=(nr, nc))
         for G in (np.zeros((nb, nc), dtype=np.int64), rng.integers(-3, 4, size=(nb, nc))):
-            kernel = intlin._kernel_lattice(G, R)
-            assert stored_form(kernel) == stored_form(kernel_by_two_eliminations(G, R))
-            if not G.any():
-                # g = 0: every b is in the kernel
-                assert kernel.rank == nb and kernel._hnf.unit.all()
+            M = np.concatenate([G, R])
+            kernel = self.check(M)
+            assert kernel.shape[1] == len(M)
+            if not M.any():
+                # M = 0: every x is in the kernel
+                assert (kernel == np.eye(len(M), dtype=np.int64)).all()
 
-    def test_no_columns_is_the_whole_space_with_no_elimination(self, monkeypatch):
-        expected = kernel_by_two_eliminations(np.zeros((4, 0), dtype=np.int64),
-                                              np.zeros((0, 0), dtype=np.int64))
-
-        def refuse(self, blocks):
-            raise AssertionError("Lattice.add called")
-
-        monkeypatch.setattr(Lattice, "add", refuse)
-        kernel = intlin._kernel_lattice(np.zeros((4, 0), dtype=np.int64), np.zeros((0, 0), dtype=np.int64))
-        assert stored_form(kernel) == stored_form(expected)
-        assert kernel.n == kernel.rank == 4
+    def test_no_columns_is_the_whole_space(self):
+        kernel = self.check(np.zeros((4, 0), dtype=np.int64))
+        assert (kernel == np.eye(4, dtype=np.int64)).all()
 
 
 def test_a_fresh_lattice_reduces_nothing(monkeypatch):
@@ -777,6 +765,20 @@ class TestAbMap:
         assert AbMap(z2, zero, np.zeros((2, 0), dtype=np.int64)).equals_as_map(AbMap.zero(z2, zero))
 
 
+def test_from_invariants_stores_the_diagonal_as_it_stands():
+    # the rows d_i·e_i are canonical, so the stored form is the one an
+    # elimination of them gives, int64 or not; an order <= 1 is refused
+    for torsion, rank in (((), 0), ((), 3), ((2,), 0), ((2, 6, 12), 2), ((2**63, 2**70), 1)):
+        n = len(torsion) + rank
+        group = FinPresAb.from_invariants(torsion, rank)
+        rows = [[d if i == j else 0 for j in range(n)] for i, d in enumerate(torsion)]
+        assert stored_form(group.relations) == stored_form(Lattice(n, rows))
+        assert group.invariants() == (torsion, rank)
+    for torsion in ((1,), (2, 0), (-2,)):
+        with pytest.raises(ValueError):
+            FinPresAb.from_invariants(torsion, 1)
+
+
 class TestTensorTor:
     def test_tor_gcd_rule(self):
         a = direct_sum([FinPresAb.cyclic(4), FinPresAb.free(1)])
@@ -832,6 +834,31 @@ def _padded(n, rels, rng):
     return n + k, [embed(r) for r in rels] + units, embed, X, perm
 
 
+def _random_complex(rng, big=1):
+    """(na, nb, nc, rel_B, rel_C, f, g): a random complex A --f--> B --g-->
+    C with A = Z^na, B = Z^nb / rel_B and C = Z^nc / rel_C, with free and
+    torsion parts.  R_B and the rows of f are combinations of the lattice
+    ker(g) = {b : b g in R_C}, so g is well defined and g o f = 0.  Every
+    entry of g and of rel_C is a small number, times ``big`` for some."""
+    na, nb, nc = rng.randint(1, 3), rng.randint(1, 4), rng.randint(1, 3)
+
+    def rand_rows(count, width, hi=4):
+        return [[rng.randint(-hi, hi) * rng.choice([1, big]) for _ in range(width)]
+                for _ in range(count)]
+
+    g = rand_rows(nb, nc, 3)
+    rel_C = rand_rows(rng.randint(0, nc), nc)
+    K = [row[:nb] for row in kernel_of_matrix(g + rel_C, nc)]
+
+    def combos(count):
+        return [
+            [sum(c * int(row[i]) for c, row in zip(coef, K)) for i in range(nb)]
+            for coef in [[rng.randint(-3, 3) for _ in K] for _ in range(count)]
+        ]
+
+    return na, nb, nc, combos(rng.randint(0, nb)), rel_C, combos(na), g
+
+
 class TestHomologyAt:
     def test_zero_maps_on_z2(self):
         z2 = FinPresAb.free(2)
@@ -855,6 +882,32 @@ class TestHomologyAt:
         g = AbMap(z, z, [[1]])
         with pytest.raises(ValueError):
             homology_at(f, g)
+
+    def test_the_middle_group_must_be_presented_alike(self):
+        # f: 0 -> Z/2 and g: Z -> 0 meet in a group of rank 1, presented
+        # as Z/2 on one side and Z on the other; either answer would be
+        # one of two presentations, so neither is given
+        z, z2, zero = FinPresAb.free(1), FinPresAb.cyclic(2), FinPresAb.zero()
+        for middle_f, middle_g in ((z2, z), (z, z2)):
+            with pytest.raises(ValueError, match="presented"):
+                homology_at(AbMap.zero(zero, middle_f), AbMap.zero(middle_g, zero))
+        # equal lattices in two objects are one presentation
+        assert homology_at(AbMap.zero(zero, z2), AbMap.zero(FinPresAb.cyclic(2), zero)).invariants() == ((2,), 0)
+
+    def test_matches_the_kernel_oracle_past_int64(self):
+        # the random complexes of test_padding_leaves_homology_alone, with
+        # g, R_C and the combinations scaled past 2**62: the coordinate
+        # solves, the cone and its Smith form go bignum
+        rng = random.Random(29)
+        outcomes = set()
+        for trial in range(80):
+            na, nb, nc, rel_B, rel_C, f, g = _random_complex(rng, big=rng.choice([2**62, 2**70]))
+            A, B, C = FinPresAb.free(na), FinPresAb(nb, rel_B), FinPresAb(nc, rel_C)
+            maps = AbMap(A, B, f), AbMap(B, C, g)
+            got = homology_at(*maps).invariants()
+            assert got == homology_by_kernel(*maps).invariants(), trial
+            outcomes.add((bool(got[0]), bool(got[1])))
+        assert len(outcomes) >= 3
 
     def test_the_sparse_composite_check_matches_the_dense_product(self):
         # composite_is_zero against the dense composite tested in full, on
@@ -922,6 +975,7 @@ class TestHomologyAt:
             C = FinPresAb(nc, [[mods_c[i] if j == i else 0 for j in range(nc)] for i in range(nc)])
             h = homology_at(AbMap(A, B, mat_f), AbMap(B, C, mat_g))
             expected = brute_homology(mods_a, mat_f, mods_b, mat_g, mods_c)
+            assert h.invariants() == homology_by_kernel(AbMap(A, B, mat_f), AbMap(B, C, mat_g)).invariants()
             got = tuple(d for d in h.torsion)
             assert h.rank == 0
             assert got == expected, (mods_a, mat_f, mods_b, mat_g, mods_c)
@@ -935,24 +989,10 @@ class TestHomologyAt:
         # then presented on extra generators that unit relations eliminate,
         # f and g are carried through, and the homology must not change.
         rng = data.draw(st.randoms(use_true_random=False))
-        na, nb, nc = rng.randint(1, 3), rng.randint(1, 4), rng.randint(1, 3)
-
-        def rand_rows(count, width, hi=4):
-            return [[rng.randint(-hi, hi) for _ in range(width)] for _ in range(count)]
-
-        g = rand_rows(nb, nc, 3)
-        rel_C = rand_rows(rng.randint(0, nc), nc)
-        K = [row[:nb] for row in kernel_of_matrix(g + rel_C, nc)]
-
-        def combos(count):
-            return [
-                [sum(c * int(row[i]) for c, row in zip(coef, K)) for i in range(nb)]
-                for coef in rand_rows(count, len(K), 3)
-            ]
-
-        rel_B, f = combos(rng.randint(0, nb)), combos(na)
+        na, nb, nc, rel_B, rel_C, f, g = _random_complex(rng)
         A, B, C = FinPresAb.free(na), FinPresAb(nb, rel_B), FinPresAb(nc, rel_C)
         plain = homology_at(AbMap(A, B, f), AbMap(B, C, g))
+        assert plain.invariants() == homology_by_kernel(AbMap(A, B, f), AbMap(B, C, g)).invariants()
 
         nb2, rel_B2, embed_B, X_B, perm_B = _padded(nb, rel_B, rng)
         nc2, rel_C2, embed_C, _, _ = _padded(nc, rel_C, rng)

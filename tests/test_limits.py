@@ -26,8 +26,8 @@ from frlimits.permgrp import group_from_spec, load_group_file
 from frlimits.truncring import GroupContext, rank_sum
 
 from oracles import (RingQuotientValue, augmentation_quotient_invariants,
-                     cosimplicial_identities_pairwise, moore_complex_by_images, reference_hnf,
-                     ring_quotient_map)
+                     cosimplicial_identities_pairwise, homology_by_kernel, moore_complex_by_images,
+                     reference_hnf, ring_quotient_map)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 GROUP_DIR = SRC / "frlimits" / "groups"
@@ -315,33 +315,64 @@ def test_moore_degree_0_is_the_level_as_presented(name, code):
     assert moore_complex(X).levels[0] is X.levels[0]
 
 
+@pytest.mark.parametrize("name,code", [(name, code) for name in ("z2", "z3") for code in DICTIONARY_CODES])
+def test_homology_matches_the_kernel_oracle_on_both_complexes(name, code):
+    # levels 0..D built in full: every cohomology group of the Moore
+    # complex and of the alternate-sum complex, from ranks and Smith
+    # invariants, is the one the kernel-basis oracle presents
+    parsed = parse(code)
+    X = assemble(parsed, context(name).group, max_monomial_length(parsed), ctx=context(name))
+    for Q in (moore_complex(X), alternate_sum_complex(X)):
+        for k in range(len(Q.maps)):
+            incoming = Q.maps[k - 1] if k else AbMap.zero(FinPresAb.zero(), Q.levels[0])
+            expected = homology_by_kernel(incoming, Q.maps[k]).invariants()
+            assert Q.cohomology(k).invariants() == expected, k
+
+
 @pytest.mark.parametrize(
     "name,code,degrees", [("z2", "rr+frf", 2), ("z3", "rrr", 3), ("s3", "rr+fff", 2), ("z4", "fr+rf", 2)]
 )
-def test_each_moore_kernel_takes_one_fold_and_the_top_none(name, code, degrees, monkeypatch):
-    # the kernel of a Moore differential is one Lattice.add; the top one,
-    # at degree N - 1, maps into the zero level, so its kernel is every
-    # element, and it takes none
-    counts, inside = [], []
-    real_add, real_kernel = intlin.Lattice.add, intlin._kernel_lattice
+def test_moore_cohomology_builds_no_kernel_lattice(name, code, degrees, monkeypatch):
+    # no kernel primitive (``_lower``) runs, and every lattice built for
+    # one degree is at most as wide as its cone's own columns: the cone
+    # differential's, |cols_B| + rk R_C, or the next differential's,
+    # |cols_C|.  A kernel of [g | I] would be |cols_B| + |cols_C| wide,
+    # which is wider wherever C has no relations and both have columns
+    assert not hasattr(intlin, "_kernel_lattice")
+    widths, bounds, kernel_widths = [], [], []
+    real_init, real_homology = intlin.Lattice.__init__, intlin.homology_at
 
-    def add(self, blocks):
-        if inside:
-            counts[-1] += 1
-        return real_add(self, blocks)
+    def init(self, n, blocks=()):
+        if widths:
+            widths[-1].append(n)
+        return real_init(self, n, blocks)
 
-    def kernel(G, R):
-        counts.append(0)
-        inside.append(True)
-        try:
-            return real_kernel(G, R)
-        finally:
-            inside.pop()
+    def refuse(*args):
+        raise AssertionError("a kernel lattice is built")
 
-    monkeypatch.setattr(intlin.Lattice, "add", add)
-    monkeypatch.setattr(intlin, "_kernel_lattice", kernel)
+    def homology(f, g):
+        cols_B, _ = intlin.unit_split(f.cod.relations)
+        cols_C, R_C = intlin.unit_split(g.cod.relations)
+        bounds.append(max(len(cols_B) + len(R_C), len(cols_C)))
+        kernel_widths.append(len(cols_B) + len(cols_C))
+        widths.append([])
+        return real_homology(f, g)
+
+    monkeypatch.setattr(intlin.Lattice, "__init__", init)
+    monkeypatch.setattr(intlin, "_lower", refuse)
+    monkeypatch.setattr(limits, "homology_at", homology)
     higher_limits(parse(code), context(name).group, ctx=context(name))
-    assert counts == [1] * (degrees - 1) + [0]
+    assert len(widths) == degrees
+    assert all(max(w, default=0) <= bound for w, bound in zip(widths, bounds))
+    assert any(bound < width for bound, width in zip(bounds, kernel_widths))
+
+
+def test_cohomology_refuses_a_negative_degree():
+    Q = moore_complex(assemble(parse("rrr"), context("z3").group, 2, ctx=context("z3")))
+    assert Q.cohomology(0).invariants() == ((), 0)
+    for k in (-1, -len(Q.maps)):
+        with pytest.raises(ValueError, match="degree"):
+            Q.cohomology(k)
 
 
 def test_an_uncapped_level_count_is_refused_before_any_level():

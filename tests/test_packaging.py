@@ -14,6 +14,8 @@ import pytest
 import frlimits
 from frlimits.intlin import Lattice
 
+from code_lines import code_lines
+
 tomllib = pytest.importorskip("tomllib")
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -141,12 +143,8 @@ def test_every_function_is_used_by_the_package_or_the_benchmark():
     assert not stale, stale
 
 
-# the private names one package module still takes from another:
-# intlin's int64 bound and |entry| scan, which truncring's products use
-PRIVATE_IMPORTS_OK = {
-    ("truncring.py", "_I64_SAFE"),
-    ("truncring.py", "_maxabs"),
-}
+# the private names one package module still takes from another: none
+PRIVATE_IMPORTS_OK = set()
 
 
 def test_no_module_imports_a_private_name_of_another():
@@ -163,3 +161,26 @@ def test_no_module_imports_a_private_name_of_another():
     # exact, so an entry no module needs any more fails too
     assert hits == PRIVATE_IMPORTS_OK, (sorted(hits - PRIVATE_IMPORTS_OK),
                                         sorted(PRIVATE_IMPORTS_OK - hits))
+
+
+def test_code_lines_skip_comments_blank_lines_and_docstrings():
+    # the rule the change log counts code lines by: a line holding a token
+    # other than a comment, a newline or indentation, outside docstrings
+    source = (
+        '"""A module\ndocstring."""\n'
+        "\n"
+        "# a comment\n"
+        "x = 1  # and a trailing one\n"
+        "\n"
+        "def f():\n"
+        '    """A function\n    docstring."""\n'
+        '    s = """a string\n    of two lines"""\n'
+        "    return s\n"
+        "\n"
+        "class C:\n"
+        '    "a class docstring"\n'
+        "    y = (1,\n"
+        "         2)\n"
+    )
+    assert code_lines(source) == 8
+    assert code_lines("") == 0
