@@ -7,6 +7,7 @@ no two adjacent syllables sharing (copy, gen).  Copies are 0-indexed.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 
@@ -77,8 +78,17 @@ def format_word(word, names):
     return "*".join(parts)
 
 
+def _number(text, sign):
+    """An int in ASCII digits after an optional ``sign`` pattern: ``int``
+    would also read other scripts' digits and '_' separators."""
+    if not re.fullmatch(sign + "[0-9]+", text.strip()):
+        raise ValueError(f"{text!r} is not a number in ASCII digits")
+    return int(text)
+
+
 def parse_word(text, names):
-    """Inverse of format_word: 'x*y^-2*x@2' -> reduced word."""
+    """Inverse of format_word: 'x*y^-2*x@2' -> reduced word.  Exponents
+    and copy indices are read in ASCII digits only."""
     text = text.strip()
     if text in ("", "1"):
         return IDENTITY
@@ -88,11 +98,11 @@ def parse_word(text, names):
         exp = 1
         if "^" in chunk:
             chunk, pow_s = chunk.split("^", 1)
-            exp = int(pow_s)
+            exp = _number(pow_s, "-?")
         copy = 0
         if "@" in chunk:
             chunk, copy_s = chunk.split("@", 1)
-            copy = int(copy_s)
+            copy = _number(copy_s, "")
         if chunk not in names:
             raise ValueError(f"unknown generator {chunk!r}")
         sylls.append((copy, names.index(chunk), exp))

@@ -9,22 +9,39 @@ that vanish on its first columns are its canonical rows with a pivot
 there or later, a slice of the stored form; left kernels and lattice
 intersections each take one elimination and this slice), Smith invariant
 factors, finitely presented abelian groups, maps between them, tensor/Tor
-over Z, homology of three-term complexes of presented groups, and sparse
+over Z, the cohomology of complexes of presented groups, and sparse
 integer matrices, assembled from signed parts at offsets
 (``SparseRows.placed``), with the exact product of two of them
 (``sparse_product``).
 
-Homology builds no kernel basis (``homology_at``).  For A --f--> B --g-->
-C, with B = Z^b / R_B and C = Z^c / R_C on independent relation rows,
+Cohomology builds no kernel basis (``cochain_homology``), and it takes a
+whole complex L_0 --> L_1 --> ... --> L_K in one pass.  At a level B
+with incoming f: A --> B and outgoing g: B --> C, and B = Z^b / R_B and
+C = Z^c / R_C on independent relation rows (the surviving generators),
 one coordinate solve gives h and e with h·R_C = f·g and e·R_C = R_B·g,
 and fails unless g o f = 0 and g is well defined.  Then the free complex
 
-    Z^A + Z^R_B --[[f, -h], [R_B, -e]]--> Z^b + Z^R_C --[g; R_C]--> Z^c,
+    Z^A + Z^R_B --d_A--> Z^b + Z^R_C --d_B--> Z^c,
+    d_A = [[f, -h], [R_B, -e]],   d_B = [g; R_C],
 
 a cone of the relations twisted by h and e, has the homology of A --> B
---> C in the middle.  Its kernel there is saturated, so the homology is
-read off the rank of the right map, one echelon form, and the Smith
-invariants of the left one.
+--> C in the middle: (b, y) lies in ker d_B iff b·g = -y·R_C, and then
+y is unique, so dropping y takes ker d_B onto ker(g) and im d_A onto
+im(f) + R_B.  Its kernel there is saturated, so the homology has the
+torsion of coker d_A and rank b + rk R_C - rk d_B - rk d_A.
+
+rk d_B at B is rk d_A at C, so one level's cone gives the rank the
+level below needs, and only the top level's rank takes an echelon form.
+At C, d_A = [[g, -h'], [R_C, -e']], and its rows are g's rows at every
+generator of B.  A rational relation x among the rows of [g; R_C] gives
+x·[h'; e']·R_D = x·[g; R_C]·g' = 0, and R_D's rows are independent, so
+x kills the twist columns too: rk d_A = rk [g; R_C].  The row of g at a
+generator of B that does not survive is, by the unit relation that
+removes it, minus g at surviving generators plus g of a relation of B,
+which lies in R_C; so rk [g; R_C] is the rank of d_B at B, where g has
+its surviving rows only.  This is how Dumas, Heckenbach, Saunders and
+Welker (2003) read simplicial homology off the ranks and Smith forms of
+consecutive boundary maps.
 
 There is one elimination routine, ``_echelon``, and the Smith invariants
 use it too, as do G_ab's invariant factors (``permgrp`` presents G_ab as
@@ -1024,27 +1041,18 @@ def sparse_product(a, b):
     return SparseRows.summed(shape, a.row[pair], b.col[at], a_data[pair] * b_data[at])
 
 
-def composite_is_zero(f, g):
-    """Whether g o f = 0 as a map of presented groups, for f: A -> B and
-    g: B -> C: the exact sparse product of the two matrices
-    (``sparse_product``), whose nonzero rows are tested with one
-    ``contains`` in C's relations."""
-    _, rows = sparse_product(SparseRows.of(f.matrix), SparseRows.of(g.matrix)).nonzero_rows()
-    return g.cod.relations.contains(rows)
-
-
 # -- homology of presented complexes ------------------------------------------
 
 
 def _surviving(lat):
-    """The relations of Z^n / lat on its surviving generators
-    (``unit_split``): the rows whose pivot is not 1, cut to the columns
-    without a unit pivot, as a lattice there.  They are canonical there
-    as they stand, so nothing is eliminated."""
+    """(cols, rel): Z^n / lat on its surviving generators (``unit_split``),
+    the columns ``cols`` without a unit pivot, with the rows whose pivot
+    is not 1, cut to them, as a lattice ``rel`` there.  They are
+    canonical there as they stand, so nothing is eliminated."""
     piv, unit, height, cols, B = lat._hnf
     hnf = _Hermite(np.searchsorted(cols, piv[~unit]), unit[~unit], height[~unit],
                    np.arange(len(cols)), B[~unit])
-    return Lattice._of(len(cols), hnf)
+    return cols, Lattice._of(len(cols), hnf)
 
 
 def _rank(W):
@@ -1058,64 +1066,65 @@ def _rank(W):
         return _echelon(W.astype(object))[0]
 
 
+def cochain_homology(maps, deadline=None):
+    """[H^0, ..., H^(K-1)] of a complex L_0 --maps[0]--> L_1 --> ... -->
+    L_K of presented groups, H^k = ker(maps[k]) / im(maps[k-1]) with
+    im(maps[-1]) = 0, in one pass with no kernel basis built (see the
+    module docstring).  The deadline (anything with a ``check`` method,
+    or None) is checked once per level.
+
+    Each level is presented once, on its surviving generators, and each
+    map is reduced modulo its codomain once; at level k, g_cut is the
+    rows of that cut at the level's surviving generators, and f_cut is
+    the cut of maps[k-1] in full (no rows at level 0).  One coordinate
+    solve in R_(k+1) of the rows of [f_cut; R_k]·g_cut, formed sparse,
+    gives the twist of level k's cone; it refuses maps[k] o maps[k-1]
+    != 0 with ValueError and a map that is not well defined with
+    AssertionError.  The cone's Smith invariants give H^k's torsion and
+    the free rank of coker d_A; rk d_B at level k is the rank of the
+    cone at level k + 1, so only the top level's is an echelon form
+    (``_rank``).  Each map must land in the group the next one starts
+    from, presented alike: on as many generators and with the same
+    relation lattice."""
+    for k, (f, g) in enumerate(zip(maps, maps[1:])):
+        # lattices of two ranks are unequal
+        if g.dom is not f.cod and g.dom.relations != f.cod.relations:
+            raise ValueError(f"map {k} lands in a group presented unlike map {k + 1}'s domain")
+    if not maps:
+        return []
+    cols_B, rel_B = _surviving(maps[0].dom.relations)
+    f_cut = np.zeros((0, len(cols_B)), dtype=np.int64)
+    # (torsion, free rank of coker d_A) and rk d_A, level by level
+    parts, ranks = [], []
+    for k, g in enumerate(checked(maps, deadline)):
+        cols_C, rel_C = _surviving(g.cod.relations)
+        cut = g.cod.relations._solve(g.matrix)[1]
+        g_cut = cut[cols_B]
+        left = np.concatenate([f_cut, rel_B._hnf.B])
+        rows, block = sparse_product(SparseRows.of(left), SparseRows.of(g_cut)).nonzero_rows()
+        twist, rest = rel_C._solve(block, coords=True)
+        if rest.any():
+            if rows[rest.any(axis=1)][0] < len(f_cut):
+                raise ValueError(f"maps {k - 1} and {k} do not compose to zero")
+            raise AssertionError("relations of B escape ker(g)")
+        # [h; e] on the product's nonzero rows, 0 on the others
+        coords = np.zeros((len(left), rel_C.rank), dtype=twist.dtype)
+        coords[rows] = twist
+        cone = FinPresAb(len(cols_B) + rel_C.rank, np.concatenate([left, -coords], axis=1))
+        parts.append(cone.invariants())
+        ranks.append(cone.relations.rank)
+        f_cut, cols_B, rel_B = cut, cols_C, rel_C
+    # rk d_B at the last level: [g_cut; R_K], the top level's only cost
+    ranks.append(_rank(np.concatenate([g_cut, rel_B._hnf.B])))
+    return [FinPresAb.from_invariants(t, free - r) for (t, free), r in zip(parts, ranks[1:])]
+
+
 def homology_at(f, g):
-    """ker(g)/im(f) for presented maps A --f--> B --g--> C with g o f = 0,
-    from one rank and one group's Smith invariants; no kernel basis is
-    built.
-
-    B and C are presented on their surviving generators (``unit_split``):
-    B = Z^cols_B / R_B and C = Z^cols_C / R_C, with R_B and R_C the
-    canonical rows whose pivot is not 1, which are independent.  A row of
-    a map stands for its remainder modulo the relations, which lies on
-    the surviving columns, so f and g become f_cut and g_cut.  One
-    coordinate solve in R_C, of the rows of [f_cut; R_B]·g_cut, formed
-    sparse, gives h and e with
-
-        h·R_C = f_cut·g_cut    (they exist iff g o f = 0),
-        e·R_C = R_B·g_cut      (they exist iff g is well defined),
-
-    so that the free complex
-
-        Z^A + Z^R_B --d_A--> Z^cols_B + Z^R_C --d_B--> Z^cols_C,
-        d_A = [[f_cut, -h], [R_B, -e]],   d_B = [g_cut; R_C],
-
-    has d_A·d_B = 0.  It is the cone of the relations, truncated and
-    twisted by h and e, and H is its homology in the middle: (b, y) lies
-    in ker d_B iff b·g_cut = -y·R_C, and then y is unique, so dropping y
-    takes ker d_B onto ker(g) and im d_A onto im(f) + R_B.  ker d_B is
-    saturated, being a kernel, so coker d_A is H plus a free group of
-    rank rk d_B: H has the torsion of coker d_A and rank
-    |cols_B| + rk R_C - rk d_B - rk d_A.  That is one echelon form for
-    rk d_B (``_rank``) and the Smith invariants of d_A.  Where R_C is
-    empty, so are h and e, and H is read off the rank of g_cut and the
-    Smith form of [f_cut; R_B].
-
-    f must land in the group g starts from, presented alike: on as many
-    generators and with the same relation lattice."""
-    B, C = f.cod, g.cod
-    if g.dom.ngens != B.ngens:
-        raise ValueError(f"homology_at: f lands in rank {B.ngens}, g starts from rank {g.dom.ngens}")
-    if g.dom is not B and g.dom.relations != B.relations:
-        raise ValueError("homology_at: f lands in a group presented unlike g's domain")
-    cols_B, R_B = unit_split(B.relations)
-    rel_C = _surviving(C.relations)
-    # [f_cut; R_B] and g_cut
-    cut = np.concatenate([B.relations._solve(f.matrix)[1], R_B])
-    g_cut = C.relations._solve(g.matrix[cols_B])[1]
-    rows, block = sparse_product(SparseRows.of(cut), SparseRows.of(g_cut)).nonzero_rows()
-    twist, rest = rel_C._solve(block, coords=True)
-    outside = rows[rest.any(axis=1)]
-    if len(outside) and outside[0] < len(f.matrix):
-        raise ValueError("homology_at: composite g o f is not zero")
-    if len(outside):
-        raise AssertionError("relations of B escape ker(g)")
-    # [h; e] on the product's nonzero rows, 0 on the others
-    coords = np.zeros((len(cut), rel_C.rank), dtype=twist.dtype)
-    coords[rows] = twist
-    rank_d_B = _rank(np.concatenate([g_cut, rel_C._hnf.B]))
-    cone = FinPresAb(len(cols_B) + rel_C.rank, np.concatenate([cut, -coords], axis=1))
-    torsion, free = cone.invariants()
-    return FinPresAb.from_invariants(torsion, free - rank_d_B)
+    """ker(g)/im(f) for presented maps A --f--> B --g--> C with g o f = 0:
+    H^1 of the pass over [f, g] (``cochain_homology``), which also refuses
+    an f or a g that is not well defined.  f must land in the group g
+    starts from, presented alike."""
+    return cochain_homology([f, g])[1]
 
 
 # -- tensor and Tor over Z ----------------------------------------------------

@@ -26,8 +26,14 @@ and only their nonzero rows reach the lattice engine, in one membership
 test per target level.  The square of the alternate-sum differential,
 sum (-1)^(i+j) d(p+1, j) d(p, i), is a signed sum of the differences of
 the coface identities, so d^2 = 0 follows from them; the alternate-sum
-complex is built, and its d^2 = 0 proved, only to cross-validate the
-Moore cohomology.
+complex is built only to cross-validate the Moore cohomology, and its
+d^2 = 0 is proved once, by the coordinate solve of its cohomology pass.
+
+A complex's cohomology is one pass over its maps
+(``intlin.cochain_homology``): each level is presented once, each map
+reduced modulo its codomain once, and each degree read off the Smith
+invariants of one twisted cone, with the rank the degree below needs
+taken from the same cone.
 """
 
 from __future__ import annotations
@@ -40,10 +46,10 @@ import numpy as np
 from . import freegrp
 from .errors import CapExceeded, InputError
 from .frcode import max_monomial_length, normalize, required_truncation
-from .intlin import (AbMap, FinPresAb, SparseRows, composite_is_zero, homology_at,
-                     kernel_of_matrix, safe_matmul, sparse_product, unit_split)
-from .truncring import (FunctorValue, GroupContext, induced_map, rank_sum, relabelling,
-                        word_images)
+from .intlin import (AbMap, FinPresAb, SparseRows, cochain_homology, kernel_of_matrix,
+                     safe_matmul, sparse_product, unit_split)
+from .truncring import (DEFAULT_RANK_CAP, FunctorValue, GroupContext, induced_map, rank_sum,
+                        relabelling, word_images)
 
 
 class Deadline:
@@ -185,26 +191,25 @@ class CosimplicialAb:
 
 @dataclass
 class CochainComplex:
-    """Bounded complex in degrees 0..D with maps[k]: levels[k] -> levels[k+1]."""
+    """Bounded complex levels[0] --maps[0]--> levels[1] --> ... -->
+    levels[D], with maps[k]: levels[k] -> levels[k+1]."""
 
     levels: list
     maps: list
 
-    def cohomology(self, k):
-        """H^k for 0 <= k <= D - 1, since it needs the outgoing differential."""
-        if not 0 <= k < len(self.maps):
-            raise ValueError(f"degree {k} is outside 0..{len(self.maps) - 1}")
-        if k == 0:
-            incoming = AbMap.zero(FinPresAb.zero(), self.levels[0])
-        else:
-            incoming = self.maps[k - 1]
-        return homology_at(incoming, self.maps[k])
+    def cohomology(self, deadline=None):
+        """[H^0, ..., H^(D-1)], every degree with an outgoing map, in one
+        pass over the maps (``cochain_homology``), which checks the
+        deadline once per degree.  The pass proves d^2 = 0 as maps of
+        presented groups, and refuses a complex where it fails with
+        ValueError."""
+        return cochain_homology(self.maps, deadline)
 
 
 def alternate_sum_complex(X):
-    """C(X): same levels, differential sum_i (-1)^i d^i; d^2 = 0 is verified
-    as maps of presented groups, by sparse products (``composite_is_zero``),
-    and failure signals an induced-map bug."""
+    """C(X): same levels, differential sum_i (-1)^i d^i.  Its d^2 = 0 is
+    proved by its cohomology pass, which refuses it with ValueError, a
+    sign of an induced-map bug, where it fails."""
     maps = []
     for p in range(X.D):
         acc = X.d[(p, 0)]
@@ -212,9 +217,6 @@ def alternate_sum_complex(X):
             term = X.d[(p, i)]
             acc = acc + term if i % 2 == 0 else acc - term
         maps.append(acc)
-    for k in range(len(maps) - 1):
-        if not composite_is_zero(maps[k], maps[k + 1]):
-            raise AssertionError("alternate-sum differential does not square to zero")
     return CochainComplex(list(X.levels), maps)
 
 
@@ -371,15 +373,19 @@ def higher_limits(code, group, top_degree=None, deadline=None, ctx=None,
     T = min(top_degree, N - 1).  Those are the levels built; their
     cosimplicial identities are proved (``CosimplicialAb``) and the
     relabellings the Moore complex is cut by are checked on every call.
-    The report flags which Moore degrees vanish, the ones >= N by the
-    theorem.
+    Its cohomology is one pass over its maps up to degree top_degree - 1
+    (``CochainComplex.cohomology``), and the degrees past its last one
+    share one zero group.  The report flags which Moore degrees vanish, the ones
+    >= N by the theorem.  A top_degree above DEFAULT_RANK_CAP raises
+    CapExceeded before any level is built: the report holds an entry per
+    degree.
 
     With cross_validate, levels 0..top_degree are built and every
     identity among them is proved; the alternate-sum complex is built,
-    its d^2 = 0 is proved, and its cohomology is compared with lim^i in
-    every degree, the ones above N included ("d_squared_zero" and
-    "moore_vs_alternate" in the checks).  ``levels_built`` says which
-    levels were built.
+    its cohomology pass proves its d^2 = 0, and that cohomology is
+    compared with lim^i in every degree, the ones above N included
+    ("d_squared_zero" and "moore_vs_alternate" in the checks).
+    ``levels_built`` says which levels were built.
 
     The default top_degree is n, the length of the code's longest
     monomial, and N <= n: r^L lies in every monomial of length L, and an
@@ -394,23 +400,24 @@ def higher_limits(code, group, top_degree=None, deadline=None, ctx=None,
         top_degree = max(1, max_monomial_length(code))
     if top_degree < 1:
         raise InputError("top_degree must be at least 1")
+    # the report holds an entry per degree
+    if top_degree > DEFAULT_RANK_CAP:
+        raise CapExceeded(f"top_degree {top_degree} exceeds the cap {DEFAULT_RANK_CAP}")
     deadline = deadline or Deadline()
     built = top_degree if cross_validate else min(top_degree, required_truncation(code) - 1)
     X = assemble(code, group, built, deadline=deadline, ctx=ctx)
     deadline.check()
     Q = moore_complex(X)
-    lims = [FinPresAb.zero()]
-    for i in range(1, top_degree + 1):
-        deadline.check()
-        lims.append(Q.cohomology(i - 1) if i <= len(Q.maps) else FinPresAb.zero())
+    # lim^i = H^(i-1) for i <= top_degree, so no degree from top_degree on is read
+    moore = CochainComplex(Q.levels[: top_degree + 1], Q.maps[:top_degree]).cohomology(deadline)
+    zero = FinPresAb.zero()
+    lims = [zero, *moore] + [zero] * (top_degree - len(moore))
     moore_vanishing = {k: k >= X.N or Q.levels[k].is_trivial() for k in range(top_degree + 1)}
     checks = {"cosimplicial_identities": True}  # verified during assembly
     if cross_validate:
-        C = alternate_sum_complex(X)  # raises unless d^2 = 0
+        alternate = alternate_sum_complex(X).cohomology(deadline)  # raises unless d^2 = 0
         checks["d_squared_zero"] = True
-        checks["moore_vs_alternate"] = all(
-            lims[k + 1].iso_eq(C.cohomology(k)) for k in range(top_degree)
-        )
+        checks["moore_vs_alternate"] = all(a.iso_eq(b) for a, b in zip(lims[1:], alternate))
     return LimitsReport(
         code=str(code),
         group=group.name,

@@ -203,10 +203,11 @@ class LevelPresentation:
         for c, i, e in word:
             if not (0 <= c < self.copies and 0 <= i < self.base_rank):
                 raise ValueError(f"letter ({c},{i}) outside the level alphabet")
-            x = self.group.gen_element(i)
+            x = group.gen_element(i)
             if e < 0:
-                x = group.inverse[x]
-            for _ in range(abs(e)):
+                x, e = group.inverse[x], -e
+            # x^|G| = 1, so x^e = x^(e mod |G|)
+            for _ in range(e % group.order):
                 g = group.mul(g, x)
         return g
 
@@ -326,6 +327,6 @@ def load_group_file(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             spec = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read group spec {path}: {exc}") from exc
     return group_from_spec(spec)

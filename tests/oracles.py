@@ -29,9 +29,9 @@ earlier kernel of a presented map, kept as a reference for
 every row, relation rows included, and eliminates the kernel again after
 cutting it to G's rows.  The homology by a kernel basis
 (``homology_by_kernel``) is the package's earlier ``homology_at``, kept
-as a reference for the one read off ranks and Smith invariants: it
-builds ker(g) with the two-step kernel and presents the homology in its
-coordinates.
+as a reference for the cohomology pass read off ranks and Smith
+invariants: it checks g o f = 0 on the dense composite, builds ker(g)
+with the two-step kernel and presents the homology in its coordinates.
 
 The monomial lattice by products (``monomial_by_products``) is the
 span of every product of a right generator with a row of the tail, plus
@@ -69,7 +69,7 @@ from math import gcd
 import numpy as np
 
 from frlimits import freegrp
-from frlimits.intlin import AbMap, FinPresAb, Lattice, composite_is_zero, unit_split
+from frlimits.intlin import AbMap, FinPresAb, Lattice, unit_split
 from frlimits.limits import CochainComplex
 from frlimits.truncring import poly_mul, word_images
 
@@ -341,11 +341,12 @@ def homology_by_kernel(f, g):
     in the coordinates of a basis of ker(g): B and C are presented on
     their surviving generators (``unit_split``), the kernel {b : b·g_cut
     in R_C} is ``kernel_by_two_eliminations``, and the images of f and the
-    relations R_B are solved for in its basis."""
+    relations R_B are solved for in its basis.  g o f = 0 is checked on
+    the dense product of the two matrices."""
     B, C = f.cod, g.cod
     if g.dom.ngens != B.ngens:
         raise ValueError("homology_by_kernel: the middle ranks differ")
-    if not composite_is_zero(f, g):
+    if not C.relations.contains(g.compose(f).matrix):
         raise ValueError("homology_by_kernel: composite g o f is not zero")
     cols_B, R_B = unit_split(B.relations)
     cols_C, R_C = unit_split(C.relations)

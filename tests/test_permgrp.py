@@ -1,5 +1,6 @@
 import random
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -90,6 +91,40 @@ class TestClose:
         spec = {"name": "bad", "generators": ["x"], "images": [[2, 1]], "relators": [relator]}
         with pytest.raises(InputError, match=re.escape(f"relator {relator!r}")):
             group_from_spec(spec)
+
+    @pytest.mark.parametrize(
+        "images,relator",
+        [([[2, 1]], "a^1_0"), ([[2, 3, 1]], "a^\u0663"), ([[2, 1]], "a@\u0660"), ([[2, 1]], "a^+2")],
+        ids=["underscore-in-exponent", "arabic-indic-exponent", "arabic-indic-copy", "plus-sign"],
+    )
+    def test_numbers_in_words_are_ascii_digits(self, images, relator):
+        # int() would read a^1_0 as a^10, which is 1 on z2, and a^3 in
+        # Arabic-Indic digits as a^3, which is 1 on z3
+        spec = {"name": "bad", "generators": ["a"], "images": images, "relators": [relator]}
+        with pytest.raises(InputError, match="ASCII digits"):
+            group_from_spec(spec)
+
+    def test_a_large_exponent_is_read_modulo_the_order(self):
+        # x^e is taken as x^(e mod |G|), so a huge exponent costs no more
+        # than a small one; e multiplications would take hours here
+        spec = {"name": "z2", "generators": ["a"], "images": [[2, 1]],
+                "relators": ["a^100000000000", "a^-100000000001*a"]}
+        start = time.monotonic()
+        assert group_from_spec(spec).order == 2
+        assert time.monotonic() - start < 0.5
+        lp = LevelPresentation(load("s3"), 0)
+        x, y = freegrp.gen_word(0, 0), freegrp.gen_word(0, 1)
+        for e in (-7, -3, -1, 0, 2, 5, 6 * 10**12 + 1):
+            assert lp.eval_word(freegrp.gen_word(0, 1, e)) == lp.eval_word(freegrp.gen_word(0, 1, e % 3))
+        assert lp.eval_word(freegrp.mul(x, y, freegrp.inv(x))) == lp.eval_word(freegrp.gen_word(0, 1, -1))
+
+    def test_a_group_file_that_is_not_utf8_is_refused(self, tmp_path):
+        # a UTF-16 byte order mark is no UTF-8, and must not escape as a
+        # bare UnicodeDecodeError
+        path = tmp_path / "z2.json"
+        path.write_bytes(b"\xff\xfe" + '{"generators": ["x"], "images": [[2, 1]]}'.encode("utf-16-le"))
+        with pytest.raises(InputError, match="cannot read group spec"):
+            load_group_file(path)
 
     def test_relators_must_be_a_list(self):
         # a string would be read letter by letter
