@@ -7,7 +7,7 @@ Submodules:
     truncring -- exact arithmetic in Z[F]/r^N, ideal lattices, code evaluation
     intlin    -- exact integer linear algebra, presented abelian groups
     limits    -- the cosimplicial complex, Moore/alternate-sum cohomology
-    errors    -- InputError and CapExceeded
+    errors    -- InputError, CapExceeded and the run budget Deadline
 """
 
 __version__ = "0.1.0"

@@ -6,11 +6,11 @@ once, unit pivots first; there is no queue) and are queried in blocks (one
 reduction answers membership and coordinates for a whole block of rows),
 one kernel primitive built on them (``_lower``: the vectors of a lattice
 that vanish on its first columns are its canonical rows with a pivot
-there or later, a slice of the stored form; left kernels and lattice
-intersections each take one elimination and this slice), Smith invariant
-factors, finitely presented abelian groups, maps between them, tensor/Tor
-over Z, the cohomology of complexes of presented groups, and sparse
-integer matrices, assembled from signed parts at offsets
+there or later, a slice of the stored form; a lattice intersection takes
+one elimination and this slice), Smith invariant factors, finitely
+presented abelian groups, maps between them, tensor/Tor over Z, the
+cohomology of complexes of presented groups, and sparse integer
+matrices, assembled from signed parts at offsets
 (``SparseRows.placed``), with the exact product of two of them
 (``sparse_product``).
 
@@ -95,6 +95,8 @@ from math import gcd, prod
 from typing import NamedTuple
 
 import numpy as np
+
+from .errors import Deadline
 
 # int64 arithmetic is used only while |result| stays below this bound.
 _I64_SAFE = 2**62
@@ -682,29 +684,16 @@ def _lower(lat, split):
     return Lattice._of(lat.n - split, _fitted(hnf))
 
 
-def kernel_of_matrix(rows, ncols):
-    """Basis of the left kernel {x : x . M = 0} for M given by `rows` (a
-    2-D array or a list of rows), as one 2-D array of canonical basis rows:
-    the vectors of the span of the rows [M | I] that vanish on its first
-    ncols columns are the (0, x) with x . M = 0, so the kernel is that
-    span's ``_lower`` part, one elimination."""
-    M = int_block(rows, ncols)
-    span = Lattice(ncols + len(M), np.concatenate([M, np.eye(len(M), dtype=np.int64)], axis=1))
-    return _lower(span, ncols).basis()
-
-
 def checked(blocks, deadline):
-    """The blocks as they come, with the deadline (anything with a
-    ``check`` method that raises once time is up, or None) checked before
-    each, so a ``Lattice.add`` that draws them can be stopped between
-    folds."""
+    """The blocks as they come, with the deadline (``errors.Deadline``)
+    checked before each, so a ``Lattice.add`` that draws them can be
+    stopped between folds."""
     for block in blocks:
-        if deadline is not None:
-            deadline.check()
+        deadline.check()
         yield block
 
 
-def lattice_intersection(a, b, deadline=None):
+def lattice_intersection(a, b, deadline=Deadline()):
     """Intersection of two lattices in the same ambient Z^n (Zassenhaus:
     the rows (x, x) for x in A and (y, 0) for y in B span the vectors
     (x + y, x), and those with x + y = 0 are exactly (0, A n B)).  The
@@ -804,7 +793,7 @@ class FinPresAb:
     manipulated in the original coordinates.
     """
 
-    __slots__ = ("ngens", "relations", "_inv")
+    __slots__ = ("ngens", "relations")
 
     def __init__(self, ngens, relations=None):
         self.ngens = ngens
@@ -812,7 +801,6 @@ class FinPresAb:
             self.relations = relations
         else:
             self.relations = Lattice(ngens, [] if relations is None else relations)
-        self._inv = None
 
     @classmethod
     def free(cls, rank):
@@ -843,10 +831,8 @@ class FinPresAb:
         basis of the relations by alternating row and column Hermite forms
         until every row is its pivot alone (``_smith``), which ends since
         a leading pivot only shrinks until it divides its row."""
-        if self._inv is None:
-            nz = _smith(self.relations)
-            self._inv = tuple(d for d in nz if d > 1), self.ngens - len(nz)
-        return self._inv
+        nz = _smith(self.relations)
+        return tuple(d for d in nz if d > 1), self.ngens - len(nz)
 
     @property
     def torsion(self):
@@ -1066,12 +1052,11 @@ def _rank(W):
         return _echelon(W.astype(object))[0]
 
 
-def cochain_homology(maps, deadline=None):
+def cochain_homology(maps, deadline=Deadline()):
     """[H^0, ..., H^(K-1)] of a complex L_0 --maps[0]--> L_1 --> ... -->
     L_K of presented groups, H^k = ker(maps[k]) / im(maps[k-1]) with
     im(maps[-1]) = 0, in one pass with no kernel basis built (see the
-    module docstring).  The deadline (anything with a ``check`` method,
-    or None) is checked once per level.
+    module docstring).  The deadline is checked once per level.
 
     Each level is presented once, on its surviving generators, and each
     map is reduced modulo its codomain once; at level k, g_cut is the

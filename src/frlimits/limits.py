@@ -38,33 +38,18 @@ taken from the same cone.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import freegrp
-from .errors import CapExceeded, InputError
-from .frcode import max_monomial_length, normalize, required_truncation
-from .intlin import (AbMap, FinPresAb, SparseRows, cochain_homology, kernel_of_matrix,
-                     safe_matmul, sparse_product, unit_split)
+from .errors import CapExceeded, Deadline, InputError
+from .frcode import FrCode, max_monomial_length, normalize, required_truncation
+from .intlin import (AbMap, FinPresAb, Lattice, SparseRows, cochain_homology, safe_matmul,
+                     sparse_product, unit_split)
+from .permgrp import GroupData
 from .truncring import (DEFAULT_RANK_CAP, FunctorValue, GroupContext, induced_map, rank_sum,
                         relabelling, word_images)
-
-
-class Deadline:
-    """Wall-clock budget checked between major pipeline steps, once per
-    level's ring and, while a level's value is built, once per monomial
-    suffix, once per block of ring products, and once per block of rows
-    fed into a sum of terms or into an intersection of monomials."""
-
-    def __init__(self, seconds=None):
-        self.seconds = seconds
-        self.start = time.monotonic()
-
-    def check(self):
-        if self.seconds is not None and time.monotonic() - self.start > self.seconds:
-            raise CapExceeded(f"time budget of {self.seconds}s exhausted")
 
 
 class CosimplicialAb:
@@ -75,12 +60,11 @@ class CosimplicialAb:
     product and at most one membership test per target level
     (``verify_cosimplicial_identities``)."""
 
-    def __init__(self, code, ctx, depth_d, deadline=None):
+    def __init__(self, code, ctx, depth_d, deadline=Deadline()):
         self.code = code
         self.ctx = ctx
         self.D = depth_d
         self.N = required_truncation(code)
-        deadline = deadline or Deadline()
         rank = ctx.group.ngens
         # the rings' ranks summed by formula, so levels too wide in all are
         # refused before any is built; then every level's ring, so one too
@@ -197,7 +181,7 @@ class CochainComplex:
     levels: list
     maps: list
 
-    def cohomology(self, deadline=None):
+    def cohomology(self, deadline=Deadline()):
         """[H^0, ..., H^(D-1)], every degree with an outgoing map, in one
         pass over the maps (``cochain_homology``), which checks the
         deadline once per degree.  The pass proves d^2 = 0 as maps of
@@ -270,14 +254,25 @@ def moore_complex(X):
     return CochainComplex(levels, maps)
 
 
-def assemble(code, group, top_degree, deadline=None, ctx=None):
+def _check_types(code, group, deadline):
+    """Refuse a code, a group or a deadline of the wrong type (a code or
+    a group name as a string, a budget as a number) with InputError, so
+    that none fails later with AttributeError."""
+    for value, kind in ((code, FrCode), (group, GroupData), (deadline, Deadline)):
+        if not isinstance(value, kind):
+            raise InputError(f"{value!r} is not a {kind.__name__}")
+
+
+def assemble(code, group, top_degree, deadline=Deadline(), ctx=None):
     """Build the cosimplicial abelian group for the code on levels
     0..top_degree of the standard complex of G's base presentation, in
     the rings truncated at the code's faithful depth; top degree 0 is
     level 0 alone, with no structure maps.  A given context must be one
     of the same group object.  A top degree that is not exactly an int
     (a bool or a float would pass the comparison and build levels), or
-    that is negative, raises InputError before any level is built."""
+    that is negative, and a code, a group, a deadline or a context of
+    the wrong type raise InputError before any level is built."""
+    _check_types(code, group, deadline)
     if type(top_degree) is not int:
         raise InputError(f"top_degree {top_degree!r} is not an int")
     code = normalize(code)
@@ -285,6 +280,8 @@ def assemble(code, group, top_degree, deadline=None, ctx=None):
         raise InputError("top_degree must be at least 0")
     if ctx is None:
         ctx = GroupContext(group)
+    elif not isinstance(ctx, GroupContext):
+        raise InputError(f"{ctx!r} is not a GroupContext")
     elif ctx.group is not group:
         raise ValueError(f"the context is one of {ctx.group.name}, not of {group.name}")
     return CosimplicialAb(code, ctx, top_degree, deadline=deadline)
@@ -297,9 +294,12 @@ def code_lattice_equalizer_rank(X):
     This is lim^0 of the truncated code, not of the code.  For the code f
     it reads |G| - 1: at N = 1 the truncated code is the augmentation
     ideal of Z[G], whose limit is not zero, while lim^0(f) = 0.  The code
-    lattices are free abelian groups, so the equalizer is a plain integer
-    kernel.  The coface images of the code rows are the rows' used
-    columns times those columns' ``word_images``.
+    lattices are free abelian groups, so the equalizer is the left kernel
+    of the difference of the two coface images in the coordinates of the
+    level-1 code lattice, and by rank-nullity its rank is the rank of the
+    level-0 code lattice minus the rank of those difference rows.  The
+    coface images of the code rows are the rows' used columns times those
+    columns' ``word_images``.
 
     It reads levels 0 and 1, so it needs an assembly of top degree at
     least 1, such as the full one of ``cross_validate``; the plain path
@@ -322,8 +322,7 @@ def code_lattice_equalizer_rank(X):
     if coords is None:
         raise AssertionError("coface image escapes the code lattice")
     # |coordinates| < 2**62 in int64, so the difference cannot wrap
-    kern = kernel_of_matrix(coords[: len(rows)] - coords[len(rows) :], v1.c_lattice.rank)
-    return len(kern)
+    return len(rows) - Lattice(v1.c_lattice.rank, coords[: len(rows)] - coords[len(rows) :]).rank
 
 
 @dataclass
@@ -360,7 +359,7 @@ class LimitsReport:
         }
 
 
-def higher_limits(code, group, top_degree=None, deadline=None, ctx=None,
+def higher_limits(code, group, top_degree=None, deadline=Deadline(), ctx=None,
                   cross_validate=False):
     """lim^i(code) for 0 <= i <= top_degree over Pres(G).
 
@@ -378,7 +377,8 @@ def higher_limits(code, group, top_degree=None, deadline=None, ctx=None,
     share one zero group.  The report flags which Moore degrees vanish, the ones
     >= N by the theorem.  A top_degree above DEFAULT_RANK_CAP raises
     CapExceeded before any level is built: the report holds an entry per
-    degree.
+    degree.  A code, a group, a deadline or a context of the wrong type
+    raises InputError before any level is built.
 
     With cross_validate, levels 0..top_degree are built and every
     identity among them is proved; the alternate-sum complex is built,
@@ -392,6 +392,7 @@ def higher_limits(code, group, top_degree=None, deadline=None, ctx=None,
     intersection term's depth is at most its longest monomial.  So the
     default misses no nonzero limit of the truncated complex.
     """
+    _check_types(code, group, deadline)
     # a bool or a float would pass the comparison below and build levels
     if top_degree is not None and type(top_degree) is not int:
         raise InputError(f"top_degree {top_degree!r} is not an int")
@@ -403,7 +404,6 @@ def higher_limits(code, group, top_degree=None, deadline=None, ctx=None,
     # the report holds an entry per degree
     if top_degree > DEFAULT_RANK_CAP:
         raise CapExceeded(f"top_degree {top_degree} exceeds the cap {DEFAULT_RANK_CAP}")
-    deadline = deadline or Deadline()
     built = top_degree if cross_validate else min(top_degree, required_truncation(code) - 1)
     X = assemble(code, group, built, deadline=deadline, ctx=ctx)
     deadline.check()

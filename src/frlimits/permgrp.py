@@ -27,12 +27,24 @@ def _compose(p, q):
     return tuple(q[i] for i in p)
 
 
+def _invert(p):
+    """The inverse permutation."""
+    out = [0] * len(p)
+    for i, j in enumerate(p):
+        out[j] = i
+    return tuple(out)
+
+
 class GroupData:
     """A finite permutation group with BFS-ordered elements.
 
-    elements[0] is the identity; the multiplication table holds element
-    indices; the element order is the deterministic BFS closure in fixed
-    generator order (right multiplication by generators).
+    elements[0] is the identity; the element order is the deterministic
+    BFS closure in fixed generator order (right multiplication by
+    generators).  The package multiplies only by a generator or its
+    inverse, so the closure keeps each generator's right action on the
+    element indices and the action of its inverse (``step``), |G|·2k
+    entries for k generators, and no |G|×|G| table; ``mul`` and
+    ``inverse`` compose and invert the permutations themselves.
     """
 
     def __init__(self, gen_images, name="G", declared_order=None):
@@ -46,32 +58,30 @@ class GroupData:
         identity = tuple(range(self.degree))
         elements = [identity]
         index = {identity: 0}
-        queue = [identity]
-        while queue:
-            nxt = []
-            for perm in queue:
-                for img in self.gen_images:
-                    new = _compose(perm, img)
-                    if new not in index:
-                        if len(elements) >= DEFAULT_ELEMENT_CAP:
-                            raise CapExceeded(
-                                f"group closure exceeded the {DEFAULT_ELEMENT_CAP}-element cap"
-                            )
-                        index[new] = len(elements)
-                        elements.append(new)
-                        nxt.append(new)
-            queue = nxt
+        # right[i][g]: the index of element g times generator i
+        right = [[] for _ in self.gen_images]
+        for perm in elements:  # grows while it is read: the BFS queue
+            for act, img in zip(right, self.gen_images):
+                new = _compose(perm, img)
+                if new not in index:
+                    if len(elements) >= DEFAULT_ELEMENT_CAP:
+                        raise CapExceeded(
+                            f"group closure exceeded the {DEFAULT_ELEMENT_CAP}-element cap"
+                        )
+                    index[new] = len(elements)
+                    elements.append(new)
+                act.append(index[new])
         self.elements = elements
         self.index = index
         n = len(elements)
         if declared_order is not None and declared_order != n:
             raise InputError(f"declared order {declared_order} but closure has {n}")
-        self.mult_table = [
-            [index[_compose(a, b)] for b in elements] for a in elements
-        ]
-        self.inverse = [0] * n
-        for i, row in enumerate(self.mult_table):
-            self.inverse[i] = row.index(0)
+        left = [[0] * n for _ in right]
+        for act, back in zip(right, left):
+            for g, h in enumerate(act):
+                back[h] = g
+        self._step = {1: right, -1: left}
+        self.inverse = [index[_invert(p)] for p in elements]
 
     @property
     def order(self):
@@ -82,10 +92,13 @@ class GroupData:
         return len(self.gen_images)
 
     def mul(self, a, b):
-        return self.mult_table[a][b]
+        return self.index[_compose(self.elements[a], self.elements[b])]
 
-    def gen_element(self, i):
-        return self.index[self.gen_images[i]]
+    def step(self, i, sign):
+        """The right action of generator i (sign 1) or of its inverse
+        (sign -1) on the element indices, as a list: entry g is the index
+        of g·x_i^sign."""
+        return self._step[sign][i]
 
     def abelianization(self):
         """Invariant factors of G_ab = G/[G,G], () for a perfect group.
@@ -133,15 +146,13 @@ class LevelPresentation:
         rank = self.base_rank = group.ngens
 
         n = group.order
-        # every copy of a generator acts on the cosets G as the base one
-        gen_elt = [group.gen_element(i) for i in range(rank)]
-
         letters = [
             (c, i, sign)
             for c in range(self.copies)
             for i in range(rank)
             for sign in (1, -1)
         ]
+        # every copy of a generator acts on the cosets G as the base one
         transversal = [None] * n
         transversal[0] = freegrp.IDENTITY
         queue = [0]
@@ -149,11 +160,7 @@ class LevelPresentation:
             nxt = []
             for g in queue:
                 for c, i, sign in letters:
-                    t = (
-                        group.mul(g, gen_elt[i])
-                        if sign > 0
-                        else group.mul(g, group.inverse[gen_elt[i]])
-                    )
+                    t = group.step(i, sign)[g]
                     if transversal[t] is None:
                         transversal[t] = freegrp.mul(
                             transversal[g], freegrp.gen_word(c, i, sign)
@@ -169,7 +176,7 @@ class LevelPresentation:
         for g in range(n):
             for c in range(self.copies):
                 for i in range(rank):
-                    t = group.mul(g, gen_elt[i])
+                    t = group.step(i, 1)[g]
                     rho = freegrp.mul(
                         transversal[g],
                         freegrp.gen_word(c, i, 1),
@@ -203,12 +210,10 @@ class LevelPresentation:
         for c, i, e in word:
             if not (0 <= c < self.copies and 0 <= i < self.base_rank):
                 raise ValueError(f"letter ({c},{i}) outside the level alphabet")
-            x = group.gen_element(i)
-            if e < 0:
-                x, e = group.inverse[x], -e
+            act = group.step(i, 1 if e > 0 else -1)
             # x^|G| = 1, so x^e = x^(e mod |G|)
-            for _ in range(e % group.order):
-                g = group.mul(g, x)
+            for _ in range(abs(e) % group.order):
+                g = act[g]
         return g
 
     def rewrite_in_R(self, word):
@@ -224,14 +229,13 @@ class LevelPresentation:
         g = 0
         group = self.group
         for c, i, sign in freegrp.word_letters(word):
-            x = group.gen_element(i)
             if sign > 0:
                 idx = self.edge_to_gen[(g, c, i)]
                 if idx is not None:
                     out.append((idx, 1))
-                g = group.mul(g, x)
+                g = group.step(i, 1)[g]
             else:
-                g2 = group.mul(g, group.inverse[x])
+                g2 = group.step(i, -1)[g]
                 idx = self.edge_to_gen[(g2, c, i)]
                 if idx is not None:
                     out.append((idx, -1))

@@ -102,7 +102,7 @@ from math import comb
 import numpy as np
 
 from . import freegrp
-from .errors import CapExceeded
+from .errors import CapExceeded, Deadline
 from .frcode import required_truncation
 from .intlin import (AbMap, FinPresAb, Lattice, checked, for_sums, int_block, lattice_intersection,
                      unit_split)
@@ -165,14 +165,16 @@ def poly_mul(a, b, depth):
 class TruncatedRing:
     """Ambient (level presentation, truncation depth N); frozen after init.
 
-    Memo tables (power series, section products, monomial and code
-    lattices, hom images and relabellings, powers of the augmentation
-    ideal) are populated lazily; they are keyed by Schreier indices, group
-    words, monomials, codes, homs and exponents only, so results never
-    depend on call order.  The powers of the augmentation
-    ideal of Z[G] come from ``base``, the level-0 ring at N = 1, which a
-    ``GroupContext`` shares among the rings of its group; by default a ring
-    makes its own, and that ring is its own base.
+    Memo tables (section products, monomial lattices, hom images and
+    relabellings, powers of the augmentation ideal) are populated lazily;
+    they are keyed by group words, monomials, homs and exponents only, so
+    results never depend on call order.  Code lattices and the power
+    series of the Schreier generators are not memoized: a pipeline asks
+    for each level's code lattice once, and a series is a few terms.  The
+    powers of the augmentation ideal of Z[G] come from ``base``, the
+    level-0 ring at N = 1, which a ``GroupContext`` shares among the rings
+    of its group; by default a ring makes its own, and that ring is its
+    own base.
     """
 
     def __init__(self, lp, depth, base=None):
@@ -193,10 +195,8 @@ class TruncatedRing:
                 lp if lp.level == 0 else LevelPresentation(lp.group, 0), 1)
         self.base = base
 
-        self._rho_power = {}
         self._section_products = {}
         self._monomial_cache = {}
-        self._code_cache = {}
         self._hom_images = {}
         self._relabellings = {}
         self._powers = []
@@ -212,23 +212,22 @@ class TruncatedRing:
         all-copies word: one whose letters use every copy 1..p of F, p the
         level (copy-0 letters may be there too).  The letter rho_j is the
         Schreier generator of an edge (g, c, i), of copy c.  The copies a
-        word uses are a bit set, built a layer at a time from the layout:
-        position s of layer k, extended by j, is s·m + j.  A word has fewer
-        than N letters, so there is none at a level p >= N."""
+        word uses are a row of booleans, one per copy, built a layer at a
+        time from the layout: position s of layer k, extended by j, is
+        s·m + j.  A word has fewer than N letters, so it uses fewer than
+        N copies, and there is none at a level p >= N, however many
+        copies the level has."""
         lp = self.lp
-        if lp.level >= self.depth:
-            return np.zeros(self.rank, dtype=bool)
-        bit = np.zeros(lp.num_schreier_gens, dtype=np.int64)
+        copy = np.zeros((lp.num_schreier_gens, lp.copies), dtype=bool)
         for (_, c, _), j in lp.edge_to_gen.items():
             if j is not None:
-                bit[j] = 1 << c
-        used = np.zeros(lp.group.order, dtype=np.int64)
+                copy[j, c] = True
+        used = np.zeros((lp.group.order, lp.copies), dtype=bool)
         parts = [used]
         for _ in range(1, self.depth):
-            used = (used[:, None] | bit).ravel()
+            used = (used[:, None] | copy).reshape(-1, lp.copies)
             parts.append(used)
-        every = (1 << lp.copies) - 2
-        return (np.concatenate(parts) & every) == every
+        return np.concatenate(parts)[:, 1:].all(axis=1)
 
     def position(self, g, J):
         """Index of basis word (g, J): off_|J| + g·m^|J| + idx(J), that is
@@ -243,19 +242,9 @@ class TruncatedRing:
     def rho_power_poly(self, j, exp):
         """(1 + t_j)^exp truncated; negative exponents via the geometric
         series for (1 + t)^{-1}."""
-        key = (j, exp)
-        memo = self._rho_power
-        if key not in memo:
-            out = {}
-            if exp >= 0:
-                for k in range(min(exp, self.depth - 1) + 1):
-                    out[(j,) * k] = comb(exp, k)
-            else:
-                mexp = -exp
-                for k in range(self.depth):
-                    out[(j,) * k] = (-1) ** k * comb(mexp + k - 1, k)
-            memo[key] = out
-        return memo[key]
+        if exp >= 0:
+            return {(j,) * k: comb(exp, k) for k in range(min(exp, self.depth - 1) + 1)}
+        return {(j,) * k: (-1) ** k * comb(k - exp - 1, k) for k in range(self.depth)}
 
     def expand_schreier_word(self, rho_word):
         """Expansion of a word in the Schreier generators, constant term 1."""
@@ -438,7 +427,7 @@ class TruncatedRing:
         B[: len(lpiv) * M, lo:].reshape(len(lpiv), M, len(lcols), M)[:, K, :, K] = LB
         return Lattice.canonical(n, piv, cols, B)
 
-    def eval_monomial(self, mono, deadline=None):
+    def eval_monomial(self, mono, deadline=Deadline()):
         """Lattice of the monomial ideal, built right to left in a loop: from
         the longest suffix of the monomial that is cached already, or else
         from the empty monomial, the whole ring, one letter at a time.  The
@@ -466,8 +455,7 @@ class TruncatedRing:
         cache = self._monomial_cache
         start = next((i for i in range(len(mono) + 1) if mono[i:] in cache), len(mono) + 1)
         for i in reversed(range(start)):
-            if deadline is not None:
-                deadline.check()
+            deadline.check()
             w = mono[i:]
             if not w:
                 cache[w] = self._seed(-1)
@@ -510,21 +498,18 @@ class TruncatedRing:
             # canonical rows are zero left of their pivots, which increase
             layer = bisect_right(self.layer_offsets, piv[rows[s]]) - 1
             for u in gens:
-                if deadline is not None:
-                    deadline.check()
+                deadline.check()
                 prod = self.left_multiply(u, chunk, layer)
                 yield prod[prod.any(axis=1)]
 
-    def eval_code(self, code, deadline=None):
+    def eval_code(self, code, deadline=Deadline()):
         """Lattice of the code ideal: sums of intersections of monomials.
         It starts from a copy of the term of largest rank and folds the
         others into it, so a one-term code is not eliminated again and a
         sum does not eliminate its largest basis again.  The deadline is
         checked between the blocks fed into each intersection and into the
-        sum."""
-        key = str(code)
-        if key in self._code_cache:
-            return self._code_cache[key]
+        sum.  Nothing is memoized: a pipeline asks for each level's code
+        lattice once."""
         if required_truncation(code) > self.depth:
             raise ValueError(
                 f"truncation N={self.depth} too shallow for {code} "
@@ -538,7 +523,6 @@ class TruncatedRing:
         largest = max(range(len(terms)), key=lambda i: terms[i].rank)
         total = terms.pop(largest).copy()
         total.add(checked((b for lat in terms for b in lat.basis_blocks()), deadline))
-        self._code_cache[key] = total
         return total
 
 
@@ -581,7 +565,7 @@ class FunctorValue:
     (g, ()) - (|G|-1, ()), any other for its word, and an element v of f
     stands for ``c_lattice.reduce(v)`` read on the ``gens`` columns."""
 
-    def __init__(self, ring, code, deadline=None):
+    def __init__(self, ring, code, deadline=Deadline()):
         self.ring = ring
         self.code = code
         self.c_lattice = ring.eval_code(code, deadline)

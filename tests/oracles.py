@@ -24,8 +24,10 @@ level n's relations, at every level built, so it does not rest on the
 cofaces relabelling words, nor on the levels >= N being zero.
 
 The two-step kernel (``kernel_by_two_eliminations``) is the package's
-earlier kernel of a presented map, kept as a reference for
-``kernel_of_matrix``: it eliminates [G; R | I] with an identity block for
+earlier kernel of a presented map, kept as a reference for the kernel
+that ``intlin._lower`` slices off one elimination of [M | I], and as the
+kernel the random complexes of the homology tests are drawn from: it
+eliminates [G; R | I] with an identity block for
 every row, relation rows included, and eliminates the kernel again after
 cutting it to G's rows.  The homology by a kernel basis
 (``homology_by_kernel``) is the package's earlier ``homology_at``, kept

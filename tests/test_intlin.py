@@ -17,7 +17,7 @@ from frlimits.intlin import (
     _block_rows,
     direct_sum,
     homology_at,
-    kernel_of_matrix,
+    int_block,
     lattice_intersection,
     safe_matmul,
     smith_diagonal,
@@ -468,12 +468,23 @@ def test_dimension_mismatch_raises():
         homology_at(AbMap.zero(z1, z1), AbMap.zero(z2, z1))
 
 
+def lower_kernel(rows, ncols):
+    """The left kernel {x : x . M = 0} of M given by ``rows``, read off
+    the span of [M | I] by ``intlin._lower``, the slice that
+    ``lattice_intersection`` takes too: the vectors of the span that
+    vanish on its first ncols columns are the (0, x) with x . M = 0, so
+    this is one elimination and the stored form's slice."""
+    M = int_block(rows, ncols)
+    span = Lattice(ncols + len(M), np.concatenate([M, np.eye(len(M), dtype=np.int64)], axis=1))
+    return intlin._lower(span, ncols).basis()
+
+
 def test_kernel_rows_annihilate():
     rng = random.Random(31)
     for _ in range(100):
         n = rng.randint(1, 6)
         rows = as_lists(random_rows(rng, n, rng.randint(1, 8)), n)
-        kern = kernel_of_matrix(rows, n)
+        kern = lower_kernel(rows, n)
         for x in kern:
             assert [sum(int(x[i]) * r[j] for i, r in enumerate(rows)) for j in range(n)] == [0] * n
         # the kernel of x -> xM has rank m - rank(M)
@@ -481,8 +492,9 @@ def test_kernel_rows_annihilate():
 
 
 def test_kernel_of_matrix():
+    # the left kernel of a matrix, as ``_lower`` slices it off [M | I]
     rows = [[2, 4], [1, 2], [3, 6]]
-    kern = kernel_of_matrix(rows, 2)
+    kern = lower_kernel(rows, 2)
     assert kern.shape == (2, 3)  # one 2-D block of kernel rows
     for x in kern:
         img = [sum(x[i] * rows[i][j] for i in range(3)) for j in range(2)]
@@ -499,16 +511,16 @@ def stored_form(lat):
 
 
 class TestOnePassKernel:
-    # kernel_of_matrix eliminates [M | I] once and slices the kernel off
-    # the stored form; the oracle eliminates [M | I] and then the cut
-    # kernel again.  Both are the canonical basis of one lattice, so their
-    # stored forms are equal
+    # lower_kernel eliminates [M | I] once and slices the kernel off the
+    # stored form (``intlin._lower``); the oracle eliminates [M | I] and
+    # then the cut kernel again.  Both are the canonical basis of one
+    # lattice, so their stored forms are equal
 
     @staticmethod
     def check(M):
         n = M.shape[1]
         expected = kernel_by_two_eliminations(M, np.zeros((0, n), dtype=np.int64))
-        got = kernel_of_matrix(M, n)
+        got = lower_kernel(M, n)
         assert got.dtype == expected.basis().dtype
         assert got.tolist() == expected.basis().tolist()
         return got
@@ -847,7 +859,8 @@ def _random_complex(rng, big=1):
 
     g = rand_rows(nb, nc, 3)
     rel_C = rand_rows(rng.randint(0, nc), nc)
-    K = [row[:nb] for row in kernel_of_matrix(g + rel_C, nc)]
+    K = kernel_by_two_eliminations(np.array(g, dtype=object).reshape(nb, nc),
+                                   np.array(rel_C, dtype=object).reshape(-1, nc)).basis().tolist()
 
     def combos(count):
         return [

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 import os
 import subprocess
 import sys
@@ -86,7 +87,7 @@ def test_intersections_with_a_larger_ideal(name, code, monkeypatch):
     # lattice_intersection rather than a cache
     calls = []
 
-    def counted(a, b, deadline=None):
+    def counted(a, b, deadline):
         calls.append((a.n, b.n))
         return intlin.lattice_intersection(a, b, deadline)
 
@@ -476,6 +477,30 @@ def test_assemble_refuses_a_top_degree_that_is_not_an_int(top_degree):
 
 
 @pytest.mark.parametrize(
+    "call",
+    [
+        lambda group, ctx: higher_limits("rr", group, ctx=ctx),
+        lambda group, ctx: assemble("rr", group, 1, ctx=ctx),
+        lambda group, ctx: higher_limits(parse("r"), "z2", ctx=ctx),
+        lambda group, ctx: higher_limits(parse("r"), group, deadline=5, ctx=ctx),
+        lambda group, ctx: higher_limits(parse("r"), group, deadline=Deadline(None), ctx=ctx),
+        lambda group, ctx: higher_limits(parse("r"), group, ctx="z2"),
+    ],
+    ids=["code-as-string", "assemble-code-as-string", "group-as-name", "deadline-as-seconds",
+         "deadline-of-none", "context-as-name"],
+)
+def test_inputs_of_the_wrong_type_are_refused(call):
+    # a code, a group or a context named by a string and a budget that is
+    # no Deadline raise InputError before any level is built; no budget
+    # is Deadline(), so a budget of None is a wrong type too
+    group = context("z2").group
+    ctx = GroupContext(group)
+    with pytest.raises(InputError, match="is not a"):
+        call(group, ctx)
+    assert not ctx._levels and not ctx._rings
+
+
+@pytest.mark.parametrize(
     "name,n,expected",
     [("z2", 2, "Z/2"), ("z2", 3, "Z/4"), ("z3", 2, "Z/3"), ("z3", 3, "Z/3 + Z/3"),
      ("s3", 2, "Z/2"), ("s3", 3, "Z/4")],
@@ -796,7 +821,7 @@ def test_a_context_of_another_group_is_refused():
 
 
 @pytest.mark.parametrize(
-    "name,code,seconds", [("s3", "r^20000", 0.5), ("z2", "r^900", None)]
+    "name,code,seconds", [("s3", "r^20000", 0.5), ("z2", "r^900", math.inf)]
 )
 def test_an_oversize_ring_is_refused_at_once(name, code, seconds):
     # s3's level-0 ring at depth 20001 passes the rank cap in its sixth

@@ -1,7 +1,8 @@
 """pyproject.toml and the package docstring declare only what ships, the
 benchmark's layer tracing finds every name it wraps, no check in the
-package is an assert statement, every function of the package is used,
-and no module imports another module's private names."""
+package is an assert statement, no deadline parameter defaults to None,
+every function of the package is used, and no module imports another
+module's private names."""
 
 import ast
 import importlib
@@ -67,6 +68,26 @@ def test_no_assert_statements_in_the_package():
     for path in sorted((ROOT / "src" / "frlimits").rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         hits += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not hits, hits
+
+
+def test_no_deadline_defaults_to_none():
+    # Deadline() is the budget that never expires, so no check site needs
+    # a branch for a missing one; a None default would bring that back
+    hits = []
+    for path in sorted((ROOT / "src" / "frlimits").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                pairs = [*zip(positional[len(positional) - len(args.defaults):], args.defaults),
+                         *zip(args.kwonlyargs, args.kw_defaults)]
+                hits += [
+                    f"{path.name}:{node.lineno} {node.name}" for arg, default in pairs
+                    if arg.arg == "deadline" and isinstance(default, ast.Constant)
+                    and default.value is None
+                ]
     assert not hits, hits
 
 

@@ -183,6 +183,21 @@ class TestClose:
             a, b, c = (rng.randrange(n) for _ in range(3))
             assert g.mul(g.mul(a, b), c) == g.mul(a, g.mul(b, c))
 
+    def test_a7_closes_with_the_generator_actions_only(self):
+        # the closure keeps each generator's right action and its
+        # inverse's, |G|·2k entries; a |G|×|G| table took 6.35 M
+        # compositions and seconds here.  The actions agree with mul
+        start = time.monotonic()
+        g = GroupData([[1, 2, 0, 3, 4, 5, 6], [0, 1, 3, 4, 5, 6, 2]], name="a7")
+        assert time.monotonic() - start < 1.0
+        assert g.order == 2520
+        rng = random.Random(1)
+        for i, img in enumerate(g.gen_images):
+            x = g.index[img]
+            for a in (0, *(rng.randrange(g.order) for _ in range(50))):
+                assert g.step(i, 1)[a] == g.mul(a, x)
+                assert g.step(i, -1)[a] == g.mul(a, g.inverse[x])
+
 
 # one-line images (1-indexed), the order, and the invariant factors of G_ab
 INLINE_GROUPS = {

@@ -426,6 +426,15 @@ class TestRingRank:
         assert peak < 8 * r.rank, peak
         assert r.position(5, (66, 66)) == r.rank - 1
 
+    @pytest.mark.parametrize("level,depth", [(2, 2), (62, 1), (63, 1), (70, 2)])
+    def test_no_word_uses_every_copy_at_a_level_past_the_depth(self, level, depth):
+        # a word has fewer than N letters, so at a level p >= N none uses
+        # all of the copies 1..p, however many copies the level has: a
+        # bit per copy in one int64 would overflow at 63 copies
+        r = ring_for("z2", level, depth)
+        assert not r.all_copies_words().any()
+        assert ring_for("z2", 1, depth + 1).all_copies_words().any()
+
 
 class TestIdealLattices:
     def test_z2_level0_ranks(self):
@@ -552,8 +561,8 @@ class TestIdealLattices:
 
     def test_copies_leave_cached_bases_alone(self):
         # eval_code starts from a copy of a cached monomial lattice, and
-        # FunctorValue reads its relations off the cached code lattice;
-        # neither may change the lattice it starts from
+        # FunctorValue reads its relations off the code lattice; neither
+        # may change the lattice it starts from
         r = ring_for("z3", 1, 3)
         monos = ["f", "r", "fr", "rf", "ff", "fff", "rr"]
         before = {m: [row.copy() for row in r.eval_monomial(m).basis()] for m in monos}
@@ -562,7 +571,7 @@ class TestIdealLattices:
             code = r.eval_code(parse(text))
             code_rows = [row.copy() for row in code.basis()]
             val = FunctorValue(r, parse(text))
-            assert val.c_lattice is code
+            assert val.c_lattice == code
             assert val.group.relations.rank == len(unit_split(code)[1])
             assert all(np.array_equal(x, y) for x, y in zip(code.basis(), code_rows))
             assert len(code.basis()) == len(code_rows)
@@ -693,7 +702,7 @@ class TestPastTheDepth:
         assert base.base is base
         other = ring_for(name, 1, 2).base
         assert (other.lp.level, other.depth, other.base) == (0, 1, other)
-        differences = [[int(h == group.gen_element(i)) - int(h == 0) for h in range(order)]
+        differences = [[int(h == group.step(i, 1)[0]) - int(h == 0) for h in range(order)]
                        for i in range(group.ngens)]
         for j in range(0, 5):
             basis = augmentation_power_rows(group, j) if j else np.eye(order, dtype=np.int64).tolist()
@@ -728,14 +737,13 @@ class TestSumsAndIntersections:
     def test_an_expired_deadline_stops_a_sum_or_an_intersection(self, text):
         # every monomial is cached, so only the blocks fed into the sum
         # and the intersections are left; the expired deadline stops
-        # them, nothing is cached, and the same call without one finishes
+        # them, and the same call without one finishes
         r = ring_for("z3", 1, 2)
         code = parse(text)
         for mono in code.monomials:
             r.eval_monomial(mono)
         with pytest.raises(CapExceeded):
             r.eval_code(code, Deadline(-1))
-        assert not r._code_cache
         fresh = ring_for("z3", 1, 2)
         assert r.eval_code(code) == fresh.eval_code(code)
 
@@ -827,26 +835,28 @@ class TestQuotients:
         ids=["e0", "2e0", "e0+e1+e2", "e0-e1", "layer-1-word", "int64-sum-2**64",
              "object-sum-0", "object-sum-2**63"],
     )
-    def test_a_code_lattice_outside_f_is_refused(self, name, entries, escapes):
+    def test_a_code_lattice_outside_f_is_refused(self, name, entries, escapes, monkeypatch):
         # a c row lies in f iff its layer-0 entries sum to 0; the s3 row is
         # int64, but its layer-0 sum is 2**64, which int64 reads as 0
         r = ring_for(name, 1, 2)
         row = [0] * r.rank
         for k, v in entries.items():
             row[k] = v
-        r._code_cache["f"] = Lattice(r.rank, [row])
+        lat = Lattice(r.rank, [row])
+        monkeypatch.setattr(r, "eval_code", lambda code, deadline: lat)
         if escapes:
             with pytest.raises(AssertionError, match="escapes f"):
                 FunctorValue(r, parse("f"))
         else:
-            assert FunctorValue(r, parse("f")).c_lattice is r._code_cache["f"]
+            assert FunctorValue(r, parse("f")).c_lattice is lat
 
     @pytest.mark.parametrize("text", ["r", "f", "fr+rf", "rr+fff", "fff", "rrr"])
     def test_a_value_adds_no_rows_once_its_code_is_cached(self, text, monkeypatch):
-        # one lattice per level: the presentation is read off the cached
-        # code lattice, and nothing is eliminated
+        # one lattice per level: the presentation is read off the code
+        # lattice that eval_code hands over, and nothing is eliminated
         r = ring_for("z3", 1, 3)
         code = r.eval_code(parse(text))
+        monkeypatch.setattr(r, "eval_code", lambda code_, deadline: code)
         adds = []
         add = Lattice.add
 
@@ -869,7 +879,6 @@ class TestDeadline:
         with pytest.raises(CapExceeded):
             FunctorValue(r, code, Deadline(0))
         assert "fff" not in r._monomial_cache and "ff" not in r._monomial_cache
-        assert not r._code_cache
         fresh = ring_for("z3", 2, 3)
         val, ref = FunctorValue(r, code), FunctorValue(fresh, code)
         assert val.c_lattice == ref.c_lattice and val.group.relations == ref.group.relations
