@@ -126,6 +126,13 @@ def schreier_rank(order, copies, rank):
     return 1 + order * (copies * rank - 1)
 
 
+def check_level(p):
+    """Refuse a level of the standard complex that is not a non-negative
+    int (a bool, a float, a negative int) with InputError."""
+    if isinstance(p, bool) or not isinstance(p, int) or p < 0:
+        raise InputError(f"level {p!r} is not a non-negative int")
+
+
 class LevelPresentation:
     """Level p of the standard complex: F^{*(p+1)} ->> G with the Schreier
     data fixing all downstream bases.
@@ -140,6 +147,7 @@ class LevelPresentation:
     """
 
     def __init__(self, group, p):
+        check_level(p)
         self.group = group
         self.level = p
         self.copies = p + 1

@@ -16,7 +16,11 @@ depends on N.  Right multiplication by t_K is a shift,
 (g, J+K) for all K of one length as one contiguous slice.  Hence
 r^k is the span of the words with |J| >= k, and (w - 1)·(h, K) =
 ((w - 1)·s(h))·t_K, for a group word w, multiplies a whole block of
-ring vectors on the left by slice-adds (``TruncatedRing.left_multiply``).
+ring vectors on the left, for a batch of words at once: read a block's
+layer k as rows (v, K) by columns h, and the terms of length a of every
+word's products (w - 1)·s(h) as one |G| × D_a section matrix, and one
+product by it gives every word's image on layer a + k
+(``TruncatedRing.left_multiply``).
 An element of the identity component, sum c_L·t_L, multiplies on the
 right as a sum of strided shifts: word
 (h, K) at position s of layer k goes to position s·m^|L| + idx(L) of
@@ -106,14 +110,16 @@ from .errors import CapExceeded, Deadline
 from .frcode import required_truncation
 from .intlin import (AbMap, FinPresAb, Lattice, checked, for_sums, int_block, lattice_intersection,
                      unit_split)
-from .permgrp import LevelPresentation, schreier_rank
+from .permgrp import LevelPresentation, check_level, schreier_rank
 
 DEFAULT_RANK_CAP = 200_000
 
-# eval_monomial multiplies the tail basis in row chunks of about this many
-# entries (int64: 512 KiB).  Each chunk costs the same number of slice-adds
-# whatever its height, so short chunks are slow on wide rings, while the
-# chunk, its product and their temporaries add to the peak memory.
+# eval_monomial multiplies the tail basis in row chunks, by all of a
+# letter's generators at once: a chunk's rows × generators × rank stay
+# within this many entries (int64: 512 KiB), or the chunk is one row.  A
+# chunk costs at most one product per layer pair (a, k) whatever its
+# height, so short chunks are slow on wide rings, while its products and
+# their temporaries add to the peak memory.
 _PRODUCT_ENTRIES = 2**16
 
 
@@ -165,16 +171,17 @@ def poly_mul(a, b, depth):
 class TruncatedRing:
     """Ambient (level presentation, truncation depth N); frozen after init.
 
-    Memo tables (section products, monomial lattices, hom images and
-    relabellings, powers of the augmentation ideal) are populated lazily;
-    they are keyed by group words, monomials, homs and exponents only, so
-    results never depend on call order.  Code lattices and the power
-    series of the Schreier generators are not memoized: a pipeline asks
-    for each level's code lattice once, and a series is a few terms.  The
-    powers of the augmentation ideal of Z[G] come from ``base``, the
-    level-0 ring at N = 1, which a ``GroupContext`` shares among the rings
-    of its group; by default a ring makes its own, and that ring is its
-    own base.
+    Memo tables (section products per group word, section matrices per
+    tuple of group words, monomial lattices, hom images and relabellings,
+    powers of the augmentation ideal) are populated lazily; they are
+    keyed by group words and tuples of them, monomials, homs and
+    exponents only, so results never depend on call order.  Code
+    lattices and the power series of the Schreier generators are not
+    memoized: a pipeline asks for each level's code lattice once, and a
+    series is a few terms.  The powers of the augmentation ideal of Z[G]
+    come from ``base``, the level-0 ring at N = 1, which a
+    ``GroupContext`` shares among the rings of its group; by default a
+    ring makes its own, and that ring is its own base.
     """
 
     def __init__(self, lp, depth, base=None):
@@ -196,6 +203,7 @@ class TruncatedRing:
         self.base = base
 
         self._section_products = {}
+        self._section_matrices = {}
         self._monomial_cache = {}
         self._hom_images = {}
         self._relabellings = {}
@@ -274,7 +282,9 @@ class TruncatedRing:
 
     def section_products(self, word):
         """The |G| products (w - 1)·s(h), h in G, as term dicts, for the
-        group word w: each is nf(w·s(h)) - s(h).  Memoized per word."""
+        group word w: each is nf(w·s(h)) - s(h).  Memoized per word, since
+        a word of the image generators of f is in two tuples of
+        ``section_matrices``."""
         if word not in self._section_products:
             self._section_products[word] = [
                 self.nf_minus_section(freegrp.mul(word, s_h), h)
@@ -282,37 +292,79 @@ class TruncatedRing:
             ]
         return self._section_products[word]
 
-    def left_multiply(self, word, V, layer=0):
-        """(w - 1)·v for every row v of the 2-D block V (rows over the
-        basis), w the given group word, as one (len(V), rank) array; V is
-        zero on the layers below the given one, which are not read.
+    def section_matrices(self, words):
+        """The section products of the given group words as one matrix per
+        term length a, and the largest sum|c| over one word's products.
+
+        S_a is |G| × D_a: its D_a columns are the distinct destinations
+        (word index u, position i of (g, J) in layer a) of the terms
+        c·(g, J), |J| = a, of the products (w_u - 1)·s(h), in increasing
+        order, and S_a[h, column] is that term's c.  A term dict holds no
+        zero coefficient, so no column is all zero.  Returned as
+        ([(S_a, u, i) for a < N], weight); memoized per tuple of words."""
+        words = tuple(words)
+        if words not in self._section_matrices:
+            off, order = self.layer_offsets, self.lp.group.order
+            terms = [{} for _ in range(self.depth)]  # per a: {(u, i): {h: c}}
+            weight = 0
+            for u, word in enumerate(words):
+                prods = self.section_products(word)
+                weight = max(weight, sum(abs(c) for p in prods for c in p.values()))
+                for h, prod in enumerate(prods):
+                    for (g, J), c in prod.items():
+                        terms[len(J)].setdefault((u, self.position(g, J) - off[len(J)]), {})[h] = c
+            mats = []
+            for dests in terms:
+                keys = sorted(dests)
+                # weight bounds every |c|, so int64 holds them below 2**62
+                S = np.zeros((order, len(keys)), dtype=np.int64 if weight < 2**62 else object)
+                for col, key in enumerate(keys):
+                    for h, c in dests[key].items():
+                        S[h, col] = c
+                u, i = np.array(keys, dtype=np.intp).reshape(-1, 2).T
+                mats.append((S, u, i))
+            self._section_matrices[words] = mats, weight
+        return self._section_matrices[words]
+
+    def left_multiply(self, words, V, layer=0, top=None):
+        """(w - 1)·v for every group word w of the sequence ``words`` and
+        every row v of the 2-D block V (rows over the basis), as one
+        (len(words), len(V), rank) array; V is zero on the layers below
+        the given one, which are not read, and the product is formed on
+        the layers up to ``top`` only (N - 1 by default) and left 0 above.
 
         (w - 1)·(h, K) = ((w - 1)·s(h))·t_K, and each term c·(g, J) of
-        (w - 1)·s(h) sends the words (h, K) with |K| = k to the words
-        (g, J+K): one slice-add of c times V's slice per layer k < N - |J|
-        from the given one on (see the module docstring), so a block on the
-        top layer costs one slice-add per term of layer 0.  Every result
-        entry is a sum over distinct terms, so max|V|·sum|c| over the |G|
-        products (w - 1)·s(h) bounds it: the block is int64 while that
-        stays below 2**62, Python ints otherwise (``intlin.for_sums``).
-        The |G| products are memoized per word (``section_products``), so
-        a monomial build forms them once per right generator.
+        (w - 1)·s(h) sends the words (h, K) with |K| = k, at positions
+        h·m^k + idx(K) of layer k, to the words (g, J+K), at
+        i·m^k + idx(K) of layer |J| + k, i the position of (g, J) in layer
+        |J| (see the module docstring).  So with V's layer k viewed as
+        (len(V)·m^k) × |G|, rows (v, K) by columns h, one product by the
+        section matrix S_a (``section_matrices``) gives every word's part
+        on layer a + k, and one fancy-indexed add puts it into the
+        output's layer a + k, viewed as (words, len(V), |G|·m^a, m^k), at
+        the distinct (u, i) of S_a's columns: one product per (a, k),
+        however many words there are.  Every result entry is a sum over
+        distinct terms of one word, so max|V| times the largest sum|c|
+        over one word's |G| products bounds it: the block is int64 while
+        that stays below 2**62, Python ints otherwise
+        (``intlin.for_sums``).
         """
         off, m = self.layer_offsets, self.lp.num_schreier_gens
-        prods = self.section_products(word)
-        V = for_sums(V, sum(abs(c) for p in prods for c in p.values()))
-        out = np.zeros((len(V), self.rank), dtype=V.dtype)
-        for h, prod in enumerate(prods):
-            for (g, J), c in prod.items():
-                a = len(J)
-                if layer + a >= self.depth:
-                    continue
-                i = self.position(g, J) - off[a]
-                for k in range(layer, self.depth - a):
-                    w = m**k
-                    src = off[k] + h * w
-                    dst = off[a + k] + i * w
-                    out[:, dst : dst + w] += c * V[:, src : src + w]
+        top = self.depth - 1 if top is None else top
+        mats, weight = self.section_matrices(words)
+        V = for_sums(V, weight)
+        n, order = len(V), self.lp.group.order
+        out = np.zeros((len(words), n, self.rank), dtype=V.dtype)
+        for k in range(layer, top + 1):
+            w = m**k
+            Vk = V[:, off[k] : off[k + 1]].reshape(n, order, w).transpose(0, 2, 1)
+            Vk = Vk.reshape(n * w, order)
+            for a, (S, u, i) in enumerate(mats[: top + 1 - k]):
+                if len(u):
+                    # a view, since only the last axis is split
+                    dst = out[:, :, off[a + k] : off[a + k + 1]]
+                    dst = dst.reshape(len(words), n, order * m**a, w)
+                    dst[u, :, i, :] += (Vk @ S).reshape(n, w, len(u)).transpose(2, 0, 1)
         return out
 
     def right_multiply(self, V, terms):
@@ -392,7 +444,8 @@ class TruncatedRing:
                 powers.append(None)
                 break
             U = T.basis_rows(unit)
-            L = Lattice(self.rank, (self.left_multiply(x, U) for x in self.image_generators("f")))
+            products = self.left_multiply(self.image_generators("f"), U)
+            L = Lattice(self.rank, products.reshape(-1, self.rank))
             powers.append((piv[unit], L))
         return powers[j] if j < len(powers) else None
 
@@ -447,7 +500,9 @@ class TruncatedRing:
         no pivot of U_j, multiplied by the ``image_generators``, first.
         Folding those first keeps the later folds cheap on a wide ring
         (fffrf on z2xz2 level 1 at N = 3 took 0.7 s in this order against
-        5.4 s in the reverse one, on one core of a 2-vCPU host).
+        5.4 s in the reverse one, on one core of a 2-vCPU host).  The
+        products are formed on the layers up to l only: the seed holds
+        every word above.
 
         The deadline is checked once per suffix and once per product block.
         Each suffix is cached as soon as its lattice is complete, and only
@@ -478,29 +533,31 @@ class TruncatedRing:
                 M = self.lp.num_schreier_gens**layer
                 on = lo + np.flatnonzero(outside[(piv[lo:hi] - off[layer]) // M])
             lat = self._seed(layer, L)
-            lat.add(chain(self._products(gens, tail, on, deadline),
-                          self._products(self.right_generators(w[0]), tail, np.arange(lo), deadline)))
+            every = self.right_generators(w[0])
+            lat.add(chain(self._products(gens, tail, on, deadline, layer),
+                          self._products(every, tail, np.arange(lo), deadline, layer)))
             cache[w] = lat
         return cache[mono]
 
-    def _products(self, gens, tail, rows, deadline):
+    def _products(self, gens, tail, rows, deadline, top):
         """The products (u - 1)·t over the given group words u and the rows
-        t of the tail lattice with an index in ``rows``, as a stream of
-        blocks: the rows go in chunks of _PRODUCT_ENTRIES entries through
-        ``left_multiply``, so the one ``Lattice.add`` that takes the stream
-        keeps its folds at full size."""
+        t of the tail lattice with an index in ``rows``, on the layers up
+        to ``top``, as a stream of blocks, one per chunk of rows: a chunk
+        takes all the words at once through ``left_multiply``, and its
+        rows × words × rank stay within _PRODUCT_ENTRIES (one row when a
+        single row takes more), so the one ``Lattice.add`` that takes the
+        stream keeps its folds at full size."""
         if not len(gens):
             return
-        step = max(1, _PRODUCT_ENTRIES // self.rank)
+        step = max(1, _PRODUCT_ENTRIES // (len(gens) * self.rank))
         piv = tail.stored_form[0]
         for s in range(0, len(rows), step):
+            deadline.check()
             chunk = tail.basis_rows(rows[s : s + step])
             # canonical rows are zero left of their pivots, which increase
             layer = bisect_right(self.layer_offsets, piv[rows[s]]) - 1
-            for u in gens:
-                deadline.check()
-                prod = self.left_multiply(u, chunk, layer)
-                yield prod[prod.any(axis=1)]
+            prod = self.left_multiply(gens, chunk, layer, top).reshape(-1, self.rank)
+            yield prod[prod.any(axis=1)]
 
     def eval_code(self, code, deadline=Deadline()):
         """Lattice of the code ideal: sums of intersections of monomials.
@@ -542,14 +599,16 @@ class GroupContext:
         return TruncatedRing(self.level(0), 1)
 
     def level(self, p):
+        # checked before the lookup: 1.0 and True would find level 1
+        check_level(p)
         if p not in self._levels:
             self._levels[p] = LevelPresentation(self.group, p)
         return self._levels[p]
 
     def ring(self, p, depth):
-        key = (p, depth)
+        lp, key = self.level(p), (p, depth)
         if key not in self._rings:
-            self._rings[key] = TruncatedRing(self.level(p), depth, self.base)
+            self._rings[key] = TruncatedRing(lp, depth, self.base)
         return self._rings[key]
 
 

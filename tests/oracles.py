@@ -383,7 +383,7 @@ def monomial_by_products(ring, mono, lats=None):
         start = ring.layer_offsets[min(k, ring.depth)]
         lat = Lattice(ring.rank, np.eye(ring.rank, dtype=np.int64)[start:])
         rows = tail.basis(0, int(np.searchsorted(tail.pivot_cols, start)))
-        lat.add(ring.left_multiply(u, rows) for u in ring.right_generators(w[0]))
+        lat.add(ring.left_multiply((u,), rows)[0] for u in ring.right_generators(w[0]))
         lats[w] = lat
     return lats[mono]
 

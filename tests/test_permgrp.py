@@ -285,6 +285,15 @@ class TestLevelPresentation:
             assert all(c == 0 for w in lp.transversal for c, _, _ in w)
             assert lp.transversal == level0
 
+    @pytest.mark.parametrize("level", [-1, 1.0, True, "1", None])
+    def test_a_level_that_is_no_non_negative_int_is_refused(self, level, monkeypatch):
+        # refused before the closure is walked: -1 used to end in an
+        # internal AssertionError on the Schreier rank
+        g = load("z2")
+        monkeypatch.setattr(g, "step", lambda *args: pytest.fail("a level was built"))
+        with pytest.raises(InputError, match="is not a non-negative int"):
+            LevelPresentation(g, level)
+
     def test_nielsen_schreier_rank(self):
         for name in ("trivial", "z2", "z3", "z4", "z2xz2", "s3"):
             g = load(name)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frlimits import freegrp, truncring
-from frlimits.errors import CapExceeded
+from frlimits.errors import CapExceeded, InputError
 from frlimits.frcode import dominated, make_code, min_r_power, normalize, parse, required_truncation
 from frlimits.intlin import FinPresAb, Lattice, lattice_intersection, unit_split
 from frlimits.limits import Deadline
@@ -44,6 +44,21 @@ class TestValidation:
         g = load_group_file(GROUP_DIR / "z2.json")
         with pytest.raises(ValueError):
             TruncatedRing(LevelPresentation(g, 0), 0)
+
+    @pytest.mark.parametrize("level", [-1, 1.0, True, "1", None])
+    def test_a_context_refuses_a_level_that_is_no_non_negative_int(self, level):
+        # before anything is built or looked up: the base ring, a level or
+        # a ring; 1.0 and True would find level 1 once it is cached
+        ctx = truncring.GroupContext(group_for("z2"))
+        for cached in (False, True):
+            with pytest.raises(InputError, match="is not a non-negative int"):
+                ctx.ring(level, 2)
+            with pytest.raises(InputError, match="is not a non-negative int"):
+                ctx.level(level)
+            if not cached:
+                assert "base" not in vars(ctx) and not ctx._levels and not ctx._rings
+                ctx.ring(1, 2)
+        assert sorted(ctx._levels) == [0, 1] and list(ctx._rings) == [(1, 2)]
 
     def test_the_rank_cap_fires_before_the_layers_grow(self):
         # s3 at level 0 has 7 Schreier generators, so summing every layer
@@ -214,44 +229,85 @@ class TestLeftMultiply:
 
     @pytest.mark.parametrize("name,level", KERNEL_RINGS)
     def test_matches_multiply_terms(self, name, level):
+        # a batch of words gives one block per word, each the oracle's
+        # product; a block zero on the layers below k skips them, and a
+        # top below N - 1 leaves the layers above it 0 and the others whole
         rng = random.Random(f"{name}{level}")
         for depth in (1, 2, 3):
             r = ring_for(name, level, depth)
-            for _ in range(3):
-                w = random_word(r, rng, 3)
+            for size in (1, 3):
+                words = [random_word(r, rng, 3) for _ in range(size)]
                 V = np.zeros((4, r.rank), dtype=np.int64)
                 for row in V:
                     for k in rng.sample(range(r.rank), min(r.rank, 5)):
                         row[k] = rng.randint(-5, 5)
-                out = r.left_multiply(w, V)
-                assert out.dtype == np.int64
-                assert np.array_equal(out, dense(product_rows(r, w, V), r.rank))
-                # a block zero on the layers below k skips them
+                out = r.left_multiply(words, V)
+                assert out.dtype == np.int64 and out.shape == (size, 4, r.rank)
+                for w, block in zip(words, out):
+                    assert np.array_equal(block, dense(product_rows(r, w, V), r.rank))
                 for k, start in enumerate(r.layer_offsets[:-1]):
                     W = V.copy()
                     W[:, :start] = 0
-                    assert np.array_equal(r.left_multiply(w, W, k), dense(product_rows(r, w, W), r.rank))
+                    full = [dense(product_rows(r, w, W), r.rank) for w in words]
+                    for top in range(k, depth):
+                        cut = r.layer_offsets[top + 1]
+                        out = r.left_multiply(words, W, k, top)
+                        for block, ref in zip(out, full):
+                            assert np.array_equal(block[:, :cut], ref[:, :cut])
+                            assert not block[:, cut:].any()
 
     def test_bignum_blocks(self):
         r = ring_for("z3", 1, 2)
         x2 = freegrp.mul(X, X)
+        words = [x2, X, r.lp.schreier_gens[0]]
         rng = random.Random(5)
         cols = rng.sample(range(r.rank), 6)
         # object rows with entries near 2**62 stay exact
         V = np.zeros((2, r.rank), dtype=object)
         V[0, cols[:3]] = [2**62 - 1, -(2**62) + 3, 7]
         V[1, cols[3:]] = [2**63 + 11, 1, -(2**64)]
-        out = r.left_multiply(x2, V)
+        out = r.left_multiply(words, V)
         assert out.dtype == object
-        assert np.array_equal(out, dense(product_rows(r, x2, V), r.rank))
-        # int64 rows whose bound max|V|·sum|c| reaches 2**62 go to Python ints
+        for w, block in zip(words, out):
+            assert np.array_equal(block, dense(product_rows(r, w, V), r.rank))
+        # int64 rows whose bound max|V|·sum|c| reaches 2**62 go to Python
+        # ints, for x2 alone and for a batch that holds it
         W = np.zeros((1, r.rank), dtype=np.int64)
         W[0, cols[:2]] = [2**61, -(2**61) + 1]
         a = difference(r, x2)
         assert sum(abs(c) for h in range(3) for c in multiply_terms(r, a, {(h, ()): 1}).values()) >= 2
-        out = r.left_multiply(x2, W)
-        assert out.dtype == object
-        assert np.array_equal(out, dense(product_rows(r, x2, W), r.rank))
+        for batch in ([x2], words):
+            out = r.left_multiply(batch, W)
+            assert out.dtype == object
+            for w, block in zip(batch, out):
+                assert np.array_equal(block, dense(product_rows(r, w, W), r.rank))
+        # the largest sum|c| of the batch is x2's, 8, so rows of max|V| =
+        # 2**58 stay int64
+        assert r.section_matrices(words)[1] == 8
+        out = r.left_multiply(words, W // 8)
+        assert out.dtype == np.int64
+        for w, block in zip(words, out):
+            assert np.array_equal(block, dense(product_rows(r, w, W // 8), r.rank))
+
+    def test_section_matrices_hold_the_section_products(self):
+        # S_a[h, (u, i)] is the coefficient of the word at position i of
+        # layer a in (w_u - 1)·s(h), and no column is all zero
+        r = ring_for("s3", 1, 2)
+        words = r.right_generators("r")
+        mats, weight = r.section_matrices(words)
+        assert r.section_matrices(list(words)) is r.section_matrices(tuple(words))
+        prods = [r.section_products(w) for w in words]
+        assert weight == max(sum(abs(c) for p in ps for c in p.values()) for ps in prods)
+        seen = 0
+        for a, (S, u, i) in enumerate(mats):
+            assert S.shape == (r.lp.group.order, len(u)) and S.any(axis=0).all()
+            # distinct destinations, so one fancy-indexed add loses none
+            assert len(set(zip(u.tolist(), i.tolist()))) == len(u)
+            for col, (uu, ii) in enumerate(zip(u.tolist(), i.tolist())):
+                g, J = word_at(r, r.layer_offsets[a] + ii)
+                assert [prods[uu][h].get((g, J), 0) for h in range(len(S))] == S[:, col].tolist()
+            seen += np.count_nonzero(S)
+        assert seen == sum(len(p) for ps in prods for p in ps)
 
     def test_section_products_match_the_oracle(self, monkeypatch):
         # (w - 1)·s(h) as nf(w·s(h)) - s(h), for every right generator w
@@ -719,6 +775,103 @@ class TestPastTheDepth:
             products = [group_ring_product(group, d, u) for d in differences for _, u in units]
             assert power[1] == Lattice(order, products)
             assert Lattice(order, augmentation_power_rows(group, j + 1)).contains(power[1].basis())
+
+
+def count_products(monkeypatch):
+    """Patch TruncatedRing so that each left_multiply call appends an entry
+    [number of words, number of products formed with a section matrix]
+    to the returned list."""
+    calls = []
+
+    class Counted(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul:
+                calls[-1][1] += 1
+            return getattr(ufunc, method)(*map(np.asarray, inputs), **kwargs)
+
+    matrices, multiply = TruncatedRing.section_matrices, TruncatedRing.left_multiply
+
+    def counted_matrices(self, words):
+        mats, weight = matrices(self, words)
+        return [(S.view(Counted), u, i) for S, u, i in mats], weight
+
+    def counted_multiply(self, words, V, *args):
+        calls.append([len(words), 0])
+        return multiply(self, words, V, *args)
+
+    monkeypatch.setattr(TruncatedRing, "section_matrices", counted_matrices)
+    monkeypatch.setattr(TruncatedRing, "left_multiply", counted_multiply)
+    return calls
+
+
+class ExpiringDeadline(Deadline):
+    """A deadline that counts its checks and expires at the given one."""
+
+    def __init__(self, expire_at=None):
+        super().__init__()
+        self.expire_at, self.checks = expire_at, 0
+
+    def check(self):
+        self.checks += 1
+        if self.checks == self.expire_at:
+            raise CapExceeded("expired")
+
+
+class TestProductStream:
+    # s3 level 1 at N = 2: rank 120, and r has 19 right generators.  rr
+    # forms no product (r^k is its seed alone), so rf, whose tail's 5
+    # layer-0 rows take all 19, is the wide step
+    MONOMIALS = ("rr", "rf", "rff", "frf", "fff")
+
+    @pytest.mark.parametrize("entries", [truncring._PRODUCT_ENTRIES, 2**9])
+    def test_a_block_holds_one_chunk_of_rows_times_every_generator(self, entries, monkeypatch):
+        r = ring_for("s3", 1, 2)
+        assert (r.rank, len(r.right_generators("r"))) == (120, 19)
+        refs = {mono: monomial_by_products(ring_for("s3", 1, 2), mono) for mono in self.MONOMIALS}
+        monkeypatch.setattr(truncring, "_PRODUCT_ENTRIES", entries)
+        blocks, produce = [], TruncatedRing._products
+
+        def recorded(self, gens, *args):
+            for block in produce(self, gens, *args):
+                blocks.append((block.size, len(gens)))
+                yield block
+
+        monkeypatch.setattr(TruncatedRing, "_products", recorded)
+        for mono, ref in refs.items():
+            assert r.eval_monomial(mono) == ref, mono
+        assert any(gens == 19 and size for size, gens in blocks)
+        assert all(size <= max(entries, gens * r.rank) for size, gens in blocks)
+
+    def test_a_step_forms_one_product_per_layer_pair(self, monkeypatch):
+        # each chunk takes all of a letter's generators in at most one
+        # product per (a, k): 3 pairs at N = 2, against 19 words for r
+        r = ring_for("s3", 1, 2)
+        refs = {mono: monomial_by_products(ring_for("s3", 1, 2), mono) for mono in self.MONOMIALS}
+        calls = count_products(monkeypatch)
+        for mono, ref in refs.items():
+            assert r.eval_monomial(mono) == ref, mono
+        assert [19, 1] in calls
+        assert all(1 <= products <= 3 for _, products in calls)
+
+    def test_a_deadline_that_expires_among_the_products_stops_the_step(self, monkeypatch):
+        # one row per chunk, so rf's five tail rows are five blocks; the
+        # deadline is checked before each, so expiring at any of them
+        # forms no later block and caches neither rf nor anything after f
+        monkeypatch.setattr(truncring, "_PRODUCT_ENTRIES", 2**9)
+        ref = monomial_by_products(ring_for("s3", 1, 2), "rf")
+        full = ExpiringDeadline()
+        calls = count_products(monkeypatch)
+        assert ring_for("s3", 1, 2).eval_monomial("rf", full) == ref
+        # one check per suffix ("", f, rf), then one per block
+        assert (full.checks, len(calls)) == (3 + 5, 5)
+        for expire_at in range(4, full.checks + 1):
+            calls.clear()
+            r = ring_for("s3", 1, 2)
+            with pytest.raises(CapExceeded):
+                r.eval_monomial("rf", ExpiringDeadline(expire_at))
+            assert len(calls) == expire_at - 4
+            assert sorted(r._monomial_cache) == ["", "f"]
+            assert r.eval_monomial("rf") == ref
 
 
 class TestSumsAndIntersections:
