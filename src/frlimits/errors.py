@@ -19,10 +19,11 @@ class Deadline:
     suffix, once per block of ring products, and once per block of rows
     fed into a sum of terms or into an intersection of monomials.
     ``Deadline()`` has an infinite budget and never expires; a budget
-    that is not a number of seconds (None included) raises InputError."""
+    that is not a number of seconds (None included) raises InputError, and
+    so does NaN, which no elapsed time would exceed."""
 
     def __init__(self, seconds=math.inf):
-        if isinstance(seconds, bool) or not isinstance(seconds, (int, float)):
+        if isinstance(seconds, bool) or not isinstance(seconds, (int, float)) or math.isnan(seconds):
             raise InputError(f"budget {seconds!r} is not a number of seconds")
         self.seconds = seconds
         self.start = time.monotonic()

@@ -882,10 +882,12 @@ class AbMap:
     def __init__(self, dom, cod, matrix):
         """The matrix is read exactly (``int_block``): a float is refused,
         and an entry of 2**63 stays a Python int.  It needs one row per
-        domain generator; an empty input is the zero map."""
+        domain generator; no rows given ([]), or an empty matrix of the
+        domain's by the codomain's rank, is the zero map."""
         self.dom = dom
         self.cod = cod
-        if np.size(matrix) == 0:
+        if (isinstance(matrix, list) and not matrix) or (
+                np.size(matrix) == 0 and np.shape(matrix) == (dom.ngens, cod.ngens)):
             mat = np.zeros((dom.ngens, cod.ngens), dtype=np.int64)
         else:
             mat = int_block(matrix, cod.ngens)

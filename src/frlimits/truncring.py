@@ -9,11 +9,12 @@ so the ring rank is sum_{k<N} |G|·m^k with m the Schreier rank.
 Layout: the basis is ordered by (|J|, g, J), so word (g, J) sits at
 off_|J| + g·m^|J| + idx(J), where off_k = sum_{i<k} |G|·m^i is the start
 of layer k and idx(J) reads J as a base-m number; idx(J+K) =
-idx(J)·m^|K| + idx(K).  The layout is kept only as this formula
-(``TruncatedRing.position``), never as a table of words, and no offset
-depends on N.  Right multiplication by t_K is a shift,
-(g, J)·t_K = (g, J+K), zero once |J| + |K| >= N, so it moves the words
-(g, J+K) for all K of one length as one contiguous slice.  Hence
+idx(J)·m^|K| + idx(K).  The layout is kept only as this formula, in
+``TruncatedRing.layer_offsets`` and the strides of the shifts below, never
+as a table of words, and no offset depends on N.  Right multiplication by
+t_K is a shift, (g, J)·t_K = (g, J+K), zero once |J| + |K| >= N, so it
+moves the words (g, J+K) for all K of one length as one contiguous
+slice.  Hence
 r^k is the span of the words with |J| >= k, and (w - 1)·(h, K) =
 ((w - 1)·s(h))·t_K, for a group word w, multiplies a whole block of
 ring vectors on the left, for a batch of words at once: read a block's
@@ -79,9 +80,11 @@ unit rows read off an index map.  The test is made on the words, not on
 the coface index; d^0 moves copy 0 and takes the general path of
 products (on the trivial group, with s empty, it relabels too).
 
-A ring element is a term dict {(g, J): c} over the basis words, with no
-zero coefficient, and every one the code forms is the normal form of a
-group word (``normal_form``), or such a normal form moved by the shifts of
+A ring element is a dense exact row over the basis words: int64 while
+``intlin.for_sums`` rules that no entry can wrap, Python ints past that.
+Every one the code forms is built by shifts: the normal form of a group
+word is e_g multiplied on the right by rho_j or rho_j^-1 once per letter
+of its rewrite (``normal_form``), and products are the shifts of
 ``left_multiply`` and ``right_multiply``.
 
 The value f/c of a code c is presented on a basis of the augmentation
@@ -101,12 +104,11 @@ from __future__ import annotations
 from bisect import bisect_right
 from functools import cached_property, partial, reduce
 from itertools import chain
-from math import comb
 
 import numpy as np
 
 from . import freegrp
-from .errors import CapExceeded, Deadline
+from .errors import CapExceeded, Deadline, InputError
 from .frcode import required_truncation
 from .intlin import (AbMap, FinPresAb, Lattice, checked, for_sums, int_block, lattice_intersection,
                      unit_split)
@@ -130,6 +132,13 @@ def layer_sizes(order, m, depth):
     return (order * m**k for k in range(depth))
 
 
+def check_depth(depth):
+    """Refuse a truncation depth that is not an int >= 1 (a bool, a float,
+    a string, 0) with InputError."""
+    if isinstance(depth, bool) or not isinstance(depth, int) or depth < 1:
+        raise InputError(f"truncation depth {depth!r} is not an int >= 1")
+
+
 def rank_sum(group, levels, depth):
     """The words that the rings of levels 0..levels-1 truncated at the
     given depth hold in all, with no level built: level p has
@@ -147,46 +156,24 @@ def rank_sum(group, levels, depth):
     return total
 
 
-# -- truncated free polynomials in the differences t_j -------------------------
-
-
-def poly_one():
-    return {(): 1}
-
-
-def poly_mul(a, b, depth):
-    out = {}
-    for J, c in a.items():
-        for K, d in b.items():
-            if len(J) + len(K) < depth:
-                key = J + K
-                v = out.get(key, 0) + c * d
-                if v:
-                    out[key] = v
-                elif key in out:
-                    del out[key]
-    return out
-
-
 class TruncatedRing:
     """Ambient (level presentation, truncation depth N); frozen after init.
 
-    Memo tables (section products per group word, section matrices per
-    tuple of group words, monomial lattices, hom images and relabellings,
-    powers of the augmentation ideal) are populated lazily; they are
-    keyed by group words and tuples of them, monomials, homs and
-    exponents only, so results never depend on call order.  Code
-    lattices and the power series of the Schreier generators are not
-    memoized: a pipeline asks for each level's code lattice once, and a
-    series is a few terms.  The powers of the augmentation ideal of Z[G]
-    come from ``base``, the level-0 ring at N = 1, which a
+    Memo tables (section matrices per tuple of group words, monomial
+    lattices, hom images and relabellings, powers of the augmentation
+    ideal) are populated lazily; they are keyed by tuples of group words,
+    monomials, homs and exponents only, so results never depend on call
+    order.  Code lattices and normal forms are not memoized: a pipeline
+    asks for each level's code lattice once, and the section products of
+    a word are read once per tuple of words that holds it, as dense rows
+    that a memo would keep at full rank.  The powers of the augmentation
+    ideal of Z[G] come from ``base``, the level-0 ring at N = 1, which a
     ``GroupContext`` shares among the rings of its group; by default a
     ring makes its own, and that ring is its own base.
     """
 
     def __init__(self, lp, depth, base=None):
-        if depth < 1:
-            raise ValueError(f"truncation depth {depth} is below 1")
+        check_depth(depth)
         self.lp = lp
         self.depth = depth
         # layer_offsets[k] is the index of the first word with |J| = k; the
@@ -202,7 +189,6 @@ class TruncatedRing:
                 lp if lp.level == 0 else LevelPresentation(lp.group, 0), 1)
         self.base = base
 
-        self._section_products = {}
         self._section_matrices = {}
         self._monomial_cache = {}
         self._hom_images = {}
@@ -237,60 +223,43 @@ class TruncatedRing:
             parts.append(used)
         return np.concatenate(parts)[:, 1:].all(axis=1)
 
-    def position(self, g, J):
-        """Index of basis word (g, J): off_|J| + g·m^|J| + idx(J), that is
-        g followed by the letters of J read as one base-m number."""
-        s = g
-        for j in J:
-            s = s * self.lp.num_schreier_gens + j
-        return self.layer_offsets[len(J)] + s
-
-    # -- power series and rewriting expansions ---------------------------
-
-    def rho_power_poly(self, j, exp):
-        """(1 + t_j)^exp truncated; negative exponents via the geometric
-        series for (1 + t)^{-1}."""
-        if exp >= 0:
-            return {(j,) * k: comb(exp, k) for k in range(min(exp, self.depth - 1) + 1)}
-        return {(j,) * k: (-1) ** k * comb(k - exp - 1, k) for k in range(self.depth)}
-
-    def expand_schreier_word(self, rho_word):
-        """Expansion of a word in the Schreier generators, constant term 1."""
-        poly = poly_one()
-        for j, sign in rho_word:
-            poly = poly_mul(poly, self.rho_power_poly(j, sign), self.depth)
-        return poly
-
     def normal_form(self, word):
-        """Class of the group word in the filtration basis, as terms: factor
-        through the transversal, rewrite the relator part, expand.  At
-        N = 1 the expansion is its constant term 1, so the word is s(g)."""
+        """Class of the group word in the filtration basis, as a row over the
+        basis: w = s(g)·u with u in R, and u rewritten in the Schreier
+        generators, so w is e_g multiplied on the right by rho_j or
+        rho_j^-1 for each letter of the rewrite.  v·t_j moves word (h, K),
+        at position s of layer k, to (h, K+(j,)), at s·m + j of layer
+        k + 1: one strided slice per layer.  So v·rho_j = v + v·t_j is one
+        add per layer up to the row's top nonzero one, made from the top
+        down so that each reads a layer not yet changed, and y = v·rho_j^-1
+        solves y + y·t_j = v one layer at a time from layer 0 up, filling
+        every layer.  An entry of v·rho_j is a sum of two entries of v, and
+        one of v·rho_j^-1 of at most N, each with coefficient ±1: each step
+        keeps ``intlin.for_sums``'s rule with weight 2 or N, which needs no
+        look at the row while the product of the weights so far, a bound on
+        max|row|, stays below 2**62.  At N = 1 every rho_j is 1, and w is
+        s(g) with no rewrite."""
+        off, m = self.layer_offsets, self.lp.num_schreier_gens
         g = self.lp.eval_word(word)
-        if self.depth == 1:
-            return {(g, ()): 1}
+        row = np.zeros(self.rank, dtype=np.int64)
+        row[g] = 1
         u = freegrp.mul(freegrp.inv(self.lp.transversal[g]), word)
-        poly = self.expand_schreier_word(self.lp.rewrite_in_R(u))
-        return {(g, J): c for J, c in poly.items()}
-
-    def nf_minus_section(self, word, h):
-        """The terms of nf(word) - s(h)."""
-        out = self.normal_form(word)
-        c = out.pop((h, ()), 0) - 1
-        if c:
-            out[(h, ())] = c
-        return out
+        top, bound = 0, 1  # row is 0 above layer top, and max|row| <= bound
+        for j, sign in self.lp.rewrite_in_R(u) if self.depth > 1 else ():
+            weight = 2 if sign > 0 else self.depth
+            bound *= weight
+            row = row if bound < 2**62 else for_sums(row, weight)
+            top = min(top + 1, self.depth - 1) if sign > 0 else self.depth - 1
+            for k in range(top - 1, -1, -1) if sign > 0 else range(top):
+                row[off[k + 1] + j : off[k + 2] : m] += sign * row[off[k] : off[k + 1]]
+        return row
 
     def section_products(self, word):
-        """The |G| products (w - 1)·s(h), h in G, as term dicts, for the
-        group word w: each is nf(w·s(h)) - s(h).  Memoized per word, since
-        a word of the image generators of f is in two tuples of
-        ``section_matrices``."""
-        if word not in self._section_products:
-            self._section_products[word] = [
-                self.nf_minus_section(freegrp.mul(word, s_h), h)
-                for h, s_h in enumerate(self.lp.transversal)
-            ]
-        return self._section_products[word]
+        """The |G| products (w - 1)·s(h), h in G, for the group word w, as
+        the rows of one (|G|, rank) block: row h is nf(w·s(h)) - e_h."""
+        block = np.stack([self.normal_form(freegrp.mul(word, s_h)) for s_h in self.lp.transversal])
+        block[np.arange(len(block)), np.arange(len(block))] -= 1
+        return block
 
     def section_matrices(self, words):
         """The section products of the given group words as one matrix per
@@ -299,30 +268,28 @@ class TruncatedRing:
         S_a is |G| × D_a: its D_a columns are the distinct destinations
         (word index u, position i of (g, J) in layer a) of the terms
         c·(g, J), |J| = a, of the products (w_u - 1)·s(h), in increasing
-        order, and S_a[h, column] is that term's c.  A term dict holds no
-        zero coefficient, so no column is all zero.  Returned as
-        ([(S_a, u, i) for a < N], weight); memoized per tuple of words."""
+        order, and S_a[h, column] is that term's c: the nonzero columns of
+        each word's ``section_products`` block, split by layer.  Returned
+        as ([(S_a, u, i) for a < N], weight); memoized per tuple of
+        words."""
         words = tuple(words)
         if words not in self._section_matrices:
             off, order = self.layer_offsets, self.lp.group.order
-            terms = [{} for _ in range(self.depth)]  # per a: {(u, i): {h: c}}
+            none = np.zeros(0, dtype=np.intp)
+            parts = [[(np.zeros((order, 0), dtype=np.int64), none, none)] for _ in range(self.depth)]
             weight = 0
             for u, word in enumerate(words):
-                prods = self.section_products(word)
-                weight = max(weight, sum(abs(c) for p in prods for c in p.values()))
-                for h, prod in enumerate(prods):
-                    for (g, J), c in prod.items():
-                        terms[len(J)].setdefault((u, self.position(g, J) - off[len(J)]), {})[h] = c
-            mats = []
-            for dests in terms:
-                keys = sorted(dests)
-                # weight bounds every |c|, so int64 holds them below 2**62
-                S = np.zeros((order, len(keys)), dtype=np.int64 if weight < 2**62 else object)
-                for col, key in enumerate(keys):
-                    for h, c in dests[key].items():
-                        S[h, col] = c
-                u, i = np.array(keys, dtype=np.intp).reshape(-1, 2).T
-                mats.append((S, u, i))
+                block = self.section_products(word)
+                cols = np.flatnonzero(block.any(axis=0))
+                weight = max(weight, sum(map(abs, block[:, cols].ravel().tolist())))
+                ends = np.searchsorted(cols, off)
+                for a, part in enumerate(parts):
+                    here = cols[ends[a] : ends[a + 1]]
+                    part.append((block[:, here], np.full(len(here), u), here - off[a]))
+            # weight bounds every |c|, so int64 holds them below 2**62
+            dtype = np.int64 if weight < 2**62 else object
+            mats = [(np.concatenate(S, axis=1).astype(dtype), np.concatenate(u), np.concatenate(i))
+                    for S, u, i in (zip(*part) for part in parts)]
             self._section_matrices[words] = mats, weight
         return self._section_matrices[words]
 
@@ -367,10 +334,11 @@ class TruncatedRing:
                     dst[u, :, i, :] += (Vk @ S).reshape(n, w, len(u)).transpose(2, 0, 1)
         return out
 
-    def right_multiply(self, V, terms):
+    def right_multiply(self, V, b):
         """v·b for every row v of the 2-D block V (rows over the basis), b
-        the identity-component element with the given terms (every term
-        (0, L), so b = sum c_L·t_L), as one (len(V), rank) array.
+        a row of the identity component, sum c_L·t_L, as one (len(V), rank)
+        array: b is nonzero only at the words (0, L), the first m^a words
+        of each layer a, and a row with any other entry is refused.
 
         (h, K)·t_L = (h, K+L), and word (h, K) sits at position
         s = h·m^k + idx(K) of layer k, while (h, K+L) sits at s·m^|L| +
@@ -378,16 +346,18 @@ class TruncatedRing:
         slice-add of c_L times V's layer k per layer k < N - |L|.  The
         bound rule is ``left_multiply``'s: every result entry is a sum over
         distinct terms, so the block is int64 while max|V|·sum|c_L| <
-        2**62, Python ints otherwise.  A term (g, L) with g != 0 is refused.
+        2**62, Python ints otherwise.
         """
-        if any(g for g, _ in terms):
-            raise ValueError("right_multiply needs an element of the identity component")
         off, m = self.layer_offsets, self.lp.num_schreier_gens
-        V = for_sums(V, sum(abs(c) for c in terms.values()))
+        terms = np.flatnonzero(b)
+        layers = np.searchsorted(off, terms, side="right") - 1
+        if (terms - np.take(off, layers) >= m**layers).any():
+            raise ValueError("right_multiply needs an element of the identity component")
+        coeffs = b[terms].tolist()
+        V = for_sums(V, sum(map(abs, coeffs)))
         out = np.zeros((len(V), self.rank), dtype=V.dtype)
-        for (_, L), c in terms.items():
-            a, w = len(L), m ** len(L)
-            i = self.position(0, L) - off[a]
+        for t, a, c in zip(terms.tolist(), layers.tolist(), coeffs):
+            i, w = t - off[a], m**a
             for k in range(self.depth - a):
                 out[:, off[a + k] + i : off[a + k + 1] : w] += c * V[:, off[k] : off[k + 1]]
         return out
@@ -606,6 +576,8 @@ class GroupContext:
         return self._levels[p]
 
     def ring(self, p, depth):
+        # checked before the lookup: True and 1.0 would find depth 1
+        check_depth(depth)
         lp, key = self.level(p), (p, depth)
         if key not in self._rings:
             self._rings[key] = TruncatedRing(lp, depth, self.base)
@@ -730,20 +702,15 @@ def word_images(hom, src_ring, tgt_ring, words):
             if not k:
                 break
             s, k = off[k - 1] + (s - off[k]) // m, k - 1
-    if layers[0]:
-        new = sorted(layers[0])
-        block = np.zeros((len(new), rank), dtype=object)
-        for row, g in zip(block, new):
-            for (h, L), c in tgt_ring.normal_form(hom.apply(lp.transversal[g])).items():
-                row[tgt_ring.position(h, L)] = c
-        memo.update(zip(new, int_block(block, rank)))
+    memo.update((g, tgt_ring.normal_form(hom.apply(lp.transversal[g]))) for g in layers[0])
     for k in range(1, src_ring.depth):
         by_letter = {}
         for s in sorted(layers[k]):
             by_letter.setdefault((s - off[k]) % m, []).append(s)
         for j, new in by_letter.items():
             if j not in diffs:
-                diffs[j] = tgt_ring.nf_minus_section(hom.apply(lp.schreier_gens[j]), 0)
+                diffs[j] = tgt_ring.normal_form(hom.apply(lp.schreier_gens[j]))
+                diffs[j][0] -= 1
             prefixes = int_block(np.stack([memo[off[k - 1] + (s - off[k]) // m] for s in new]), rank)
             memo.update(zip(new, tgt_ring.right_multiply(prefixes, diffs[j])))
     return int_block(np.stack([memo[s] for s in words.tolist()]), rank)

@@ -45,10 +45,14 @@ quotients Delta/Delta^n, are built here from products in Z[G] on the
 multiplication table (``augmentation_power_rows``,
 ``augmentation_quotient_invariants``), with no truncated ring.
 
-The package keeps the layout of a truncated ring only as a formula,
-``TruncatedRing.position``; the oracle decodes an index back to its basis
-word on its own (``word_at``), and the tests check that the two are
-inverse.
+The package keeps a ring element as a dense row over the basis, laid out
+by a formula it never tabulates; the oracle keeps an element as its terms
+{(g, J): c}, places a basis word by that formula on its own (``position``)
+and decodes an index back to its word (``word_at``), and the tests check
+that the two are inverse.  Its normal form of a group word
+(``normal_form_terms``) expands the rewritten word as a product of
+truncated polynomials in the t_j, each rho_j^(+-1) a binomial series
+(``expand_rho_word``), where the package shifts a row once per letter.
 
 Ring products (``multiply_terms``) are formed by the cocycle and
 conjugation identities, not from normal forms of words as in the
@@ -66,14 +70,14 @@ a product of truncated polynomials.
 
 import weakref
 from itertools import combinations, product
-from math import gcd
+from math import comb, gcd
 
 import numpy as np
 
 from frlimits import freegrp
 from frlimits.intlin import AbMap, FinPresAb, Lattice, unit_split
 from frlimits.limits import CochainComplex
-from frlimits.truncring import poly_mul, word_images
+from frlimits.truncring import word_images
 
 
 def _factor(n):
@@ -436,9 +440,20 @@ def expand_schreier_word(lp, rho_word):
     ) if rho_word else freegrp.IDENTITY
 
 
+def position(ring, g, J):
+    """Index of basis word (g, J) in the ring's layout: the sizes |G|·m^i
+    of the layers i < |J| summed, then g followed by the letters of J read
+    as one base-m number."""
+    order, m = ring.lp.group.order, ring.lp.num_schreier_gens
+    s = g
+    for j in J:
+        s = s * m + j
+    return sum(order * m**i for i in range(len(J))) + s
+
+
 def word_at(ring, i):
-    """The basis word (g, J) at index i of the ring, decoded on its own
-    rather than by ``TruncatedRing.position``: whole layers of |G|·m^k
+    """The basis word (g, J) at index i of the ring, decoded digit by
+    digit rather than by ``position``'s formula: whole layers of |G|·m^k
     words are skipped, and the rest splits into g and the base-m digits
     of J, most significant first."""
     order, m = ring.lp.group.order, ring.lp.num_schreier_gens
@@ -464,7 +479,46 @@ def vec_to_terms(ring, row):
 
 def terms_to_vec(ring, terms):
     """The terms of a ring element as a dict row {basis index: coefficient}."""
-    return {ring.position(g, J): c for (g, J), c in terms.items()}
+    return {position(ring, g, J): c for (g, J), c in terms.items()}
+
+
+# -- truncated free polynomials in the differences t_j -------------------------
+
+
+def poly_mul(a, b, depth):
+    """The product of two polynomials {J: c} in the noncommuting t_j,
+    truncated at degree depth."""
+    out = {}
+    for J, c in a.items():
+        for K, d in b.items():
+            if len(J) + len(K) < depth:
+                out[J + K] = out.get(J + K, 0) + c * d
+    return {J: c for J, c in out.items() if c}
+
+
+def rho_power_poly(depth, j, exp):
+    """(1 + t_j)^exp truncated at degree depth: the binomial series, for a
+    negative exponent the geometric series of (1 + t)^-1 raised."""
+    if exp >= 0:
+        return {(j,) * k: comb(exp, k) for k in range(min(exp, depth - 1) + 1)}
+    return {(j,) * k: (-1) ** k * comb(k - exp - 1, k) for k in range(depth)}
+
+
+def expand_rho_word(ring, rho_word):
+    """The polynomial of a word in the Schreier generators, constant term 1."""
+    poly = {(): 1}
+    for j, sign in rho_word:
+        poly = poly_mul(poly, rho_power_poly(ring.depth, j, sign), ring.depth)
+    return poly
+
+
+def normal_form_terms(ring, word):
+    """The terms of a group word w = s(g)·u, u in R: s(g) times the
+    polynomial of u rewritten in the Schreier generators."""
+    lp = ring.lp
+    g = lp.eval_word(word)
+    u = freegrp.mul(freegrp.inv(lp.transversal[g]), word)
+    return {(g, J): c for J, c in expand_rho_word(ring, lp.rewrite_in_R(u)).items()}
 
 
 # -- the reference product of the truncated group ring -------------------------
@@ -478,7 +532,7 @@ def _memo(ring):
 
 
 def _expand_relator_word(ring, word):
-    return ring.expand_schreier_word(ring.lp.rewrite_in_R(word))
+    return expand_rho_word(ring, ring.lp.rewrite_in_R(word))
 
 
 def conj_poly(ring, j, h):
@@ -558,9 +612,9 @@ def word_image_terms(hom, src_ring, tgt_ring, k):
     product by the reference product ``multiply_terms``."""
     g, J = word_at(src_ring, k)
     lp = src_ring.lp
-    terms = tgt_ring.normal_form(hom.apply(lp.transversal[g]))
+    terms = normal_form_terms(tgt_ring, hom.apply(lp.transversal[g]))
     for j in J:
-        diff = minus_one(tgt_ring.normal_form(hom.apply(lp.schreier_gens[j])))
+        diff = minus_one(normal_form_terms(tgt_ring, hom.apply(lp.schreier_gens[j])))
         terms = multiply_terms(tgt_ring, terms, diff)
     return terms
 
@@ -613,7 +667,7 @@ class RingQuotientValue:
         ring = value.ring
         self.ring = ring
         self.rel = value.c_lattice.copy()
-        self.rel.add(np.eye(1, ring.rank, ring.position(0, ()), dtype=np.int64))
+        self.rel.add(np.eye(1, ring.rank, position(ring, 0, ()), dtype=np.int64))
         self.gens, rows = unit_split(self.rel)
         self.group = FinPresAb(len(self.gens), rows)
 

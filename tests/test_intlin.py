@@ -775,6 +775,18 @@ class TestAbMap:
         assert AbMap(zero, z2, []).matrix.shape == (0, 2)
         assert AbMap(z2, zero, np.zeros((2, 0), dtype=np.int64)).equals_as_map(AbMap.zero(z2, zero))
 
+    def test_an_empty_matrix_of_the_wrong_shape_is_refused(self):
+        # only [] or an empty matrix of the map's own shape is the zero
+        # map: 0 rows on a rank-3 domain are refused, float ones as floats
+        z3, z2 = FinPresAb.free(3), FinPresAb.free(2)
+        with pytest.raises(ValueError, match="0 rows for a domain of rank 3"):
+            AbMap(z3, z2, np.zeros((0, 2), dtype=np.int64))
+        with pytest.raises(TypeError):
+            AbMap(z3, z2, np.zeros((0, 2)))
+        with pytest.raises(ValueError):
+            AbMap(z3, FinPresAb.zero(), np.zeros((2, 0), dtype=np.int64))
+        assert AbMap(z3, FinPresAb.zero(), np.zeros((3, 0))).matrix.shape == (3, 0)
+
 
 def test_from_invariants_stores_the_diagonal_as_it_stands():
     # the rows d_i·e_i are canonical, so the stored form is the one an

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import random
 import time
 import tracemalloc
@@ -26,7 +27,8 @@ from frlimits.truncring import (
 )
 
 from oracles import (augmentation_power_rows, group_ring_product, minus_one, monomial_by_products,
-                     multiply_terms, reference_hnf, terms_to_vec, vec_to_terms, word_at, word_image_terms)
+                     multiply_terms, normal_form_terms, position, reference_hnf, terms_to_vec, vec_to_terms,
+                     word_at, word_image_terms)
 
 GROUP_DIR = Path(__file__).resolve().parents[1] / "src" / "frlimits" / "groups"
 
@@ -37,6 +39,11 @@ def ring_for(name, level, depth):
 
 
 X = freegrp.gen_word(0, 0)
+
+
+def nf_terms(r, word):
+    """The package's normal form of a group word, as the oracle's terms."""
+    return vec_to_terms(r, r.normal_form(word))
 
 
 class TestValidation:
@@ -59,6 +66,23 @@ class TestValidation:
                 assert "base" not in vars(ctx) and not ctx._levels and not ctx._rings
                 ctx.ring(1, 2)
         assert sorted(ctx._levels) == [0, 1] and list(ctx._rings) == [(1, 2)]
+
+    @pytest.mark.parametrize("depth", [True, 2.0, "2", 0, -1])
+    def test_a_depth_that_is_no_int_of_at_least_one_is_refused(self, depth):
+        # before anything is built or looked up: True and 2.0 would find
+        # the rings of depth 1 and 2 once they are cached
+        lp = LevelPresentation(group_for("z2"), 0)
+        with pytest.raises(InputError, match="is not an int >= 1"):
+            TruncatedRing(lp, depth)
+        ctx = truncring.GroupContext(group_for("z2"))
+        for cached in (False, True):
+            with pytest.raises(InputError, match="is not an int >= 1"):
+                ctx.ring(0, depth)
+            if not cached:
+                assert "base" not in vars(ctx) and not ctx._levels and not ctx._rings
+                ctx.ring(0, 1)
+                ctx.ring(0, 2)
+        assert sorted(ctx._rings) == [(0, 1), (0, 2)]
 
     def test_the_rank_cap_fires_before_the_layers_grow(self):
         # s3 at level 0 has 7 Schreier generators, so summing every layer
@@ -84,17 +108,17 @@ class TestNormalForm:
     def test_transversal_word(self):
         r = ring_for("z2", 0, 2)
         nf = r.normal_form(X)
-        assert nf == {(1, ()): 1}
+        assert vec_to_terms(r, nf) == {(1, ()): 1}
 
     def test_x_squared(self):
         r = ring_for("z2", 0, 2)
         nf = r.normal_form(freegrp.mul(X, X))
-        assert nf == {(0, ()): 1, (0, (0,)): 1}
+        assert vec_to_terms(r, nf) == {(0, ()): 1, (0, (0,)): 1}
 
     def test_x_inverse(self):
         r = ring_for("z2", 0, 2)
         nf = r.normal_form(freegrp.inv(X))
-        assert nf == {(1, ()): 1, (1, (0,)): -1}
+        assert vec_to_terms(r, nf) == {(1, ()): 1, (1, (0,)): -1}
 
     def test_augmentation_is_one(self):
         rng = random.Random(4)
@@ -110,7 +134,36 @@ class TestNormalForm:
                     for _ in range(rng.randint(0, 5))
                 ]
                 w = freegrp.reduce_word(sylls)
-                assert sum(c for (_, J), c in r.normal_form(w).items() if not J) == 1
+                assert sum(c for (_, J), c in vec_to_terms(r, r.normal_form(w)).items() if not J) == 1
+
+    def test_matches_the_oracle_expansion(self):
+        # e_g shifted once per rewritten letter against the product of the
+        # binomial series, on words with every exponent in -3..3
+        rng = random.Random(12)
+        for name, level, depth in [("z2", 0, 4), ("z3", 1, 3), ("s3", 1, 2), ("z2xz2", 0, 3), ("trivial", 1, 3)]:
+            r = ring_for(name, level, depth)
+            for _ in range(40):
+                w = random_word(r, rng, 6)
+                nf = r.normal_form(w)
+                assert nf.dtype == np.int64 and nf.shape == (r.rank,)
+                assert vec_to_terms(r, nf) == normal_form_terms(r, w), (name, w)
+
+    def test_goes_to_python_ints_only_past_int64(self):
+        # on z2 at level 0, x^-128 is rho_0^-64, whose coefficients
+        # C(63 + k, k) pass 2**62 well before k = 63; each step keeps the
+        # for_sums rule, so the row goes to Python ints and stays exact
+        r = ring_for("z2", 0, 64)
+        nf = r.normal_form(freegrp.gen_word(0, 0, -128))
+        assert nf.dtype == object and max(nf) > 2**62
+        assert vec_to_terms(r, nf) == normal_form_terms(r, freegrp.gen_word(0, 0, -128))
+        # layer k holds (0, (0,)*k) and (1, (0,)*k), at 2k and 2k + 1
+        assert nf.tolist() == [c for k in range(64) for c in ((-1) ** k * math.comb(63 + k, k), 0)]
+        # rho_0^-12: the weights' product 64**12 passes 2**62, but the
+        # largest |coefficient|, C(74, 11), does not, so the row stays int64
+        w = freegrp.gen_word(0, 0, -24)
+        nf = r.normal_form(w)
+        assert nf.dtype == np.int64 and max(abs(nf)) == math.comb(74, 11)
+        assert vec_to_terms(r, nf) == normal_form_terms(r, w)
 
     def test_multiplicative_on_words(self):
         rng = random.Random(8)
@@ -128,8 +181,8 @@ class TestNormalForm:
                     )
 
                 u, v = rand_word(), rand_word()
-                assert r.normal_form(freegrp.mul(u, v)) == multiply_terms(
-                    r, r.normal_form(u), r.normal_form(v)
+                assert nf_terms(r, freegrp.mul(u, v)) == multiply_terms(
+                    r, nf_terms(r, u), nf_terms(r, v)
                 )
 
 
@@ -175,8 +228,8 @@ class TestMultiply:
 
 
 def difference(r, word):
-    """The terms of w - 1 for a group word w."""
-    return minus_one(r.normal_form(word))
+    """The terms of w - 1 for a group word w, by the oracle's normal form."""
+    return minus_one(normal_form_terms(r, word))
 
 
 def product_rows(r, word, rows):
@@ -210,7 +263,7 @@ KERNEL_RINGS = [(name, level) for name in ("z2", "z3", "s3", "z2xz2") for level 
 class TestLeftMultiply:
     @pytest.mark.parametrize("name,level", KERNEL_RINGS)
     def test_layout_formula(self, name, level):
-        # position and the oracle's decoder are inverse on every word, and
+        # the oracle's position and decoder are inverse on every word, and
         # the words (g, J), |J| < N, in (|J|, g, J) order are at 0..rank-1
         for depth in (1, 2, 3):
             r = ring_for(name, level, depth)
@@ -220,7 +273,7 @@ class TestLeftMultiply:
             seen = []
             for k in range(depth):
                 for g, J in itertools.product(range(order), itertools.product(range(m), repeat=k)):
-                    i = r.position(g, J)
+                    i = position(r, g, J)
                     idx = sum(j * m ** (k - 1 - p) for p, j in enumerate(J))
                     assert i == off[k] + g * m**k + idx
                     assert word_at(r, i) == (g, J)
@@ -297,17 +350,17 @@ class TestLeftMultiply:
         mats, weight = r.section_matrices(words)
         assert r.section_matrices(list(words)) is r.section_matrices(tuple(words))
         prods = [r.section_products(w) for w in words]
-        assert weight == max(sum(abs(c) for p in ps for c in p.values()) for ps in prods)
+        assert all(B.shape == (r.lp.group.order, r.rank) for B in prods)
+        assert weight == max(int(np.abs(B).sum()) for B in prods)
         seen = 0
         for a, (S, u, i) in enumerate(mats):
             assert S.shape == (r.lp.group.order, len(u)) and S.any(axis=0).all()
             # distinct destinations, so one fancy-indexed add loses none
             assert len(set(zip(u.tolist(), i.tolist()))) == len(u)
             for col, (uu, ii) in enumerate(zip(u.tolist(), i.tolist())):
-                g, J = word_at(r, r.layer_offsets[a] + ii)
-                assert [prods[uu][h].get((g, J), 0) for h in range(len(S))] == S[:, col].tolist()
+                assert prods[uu][:, r.layer_offsets[a] + ii].tolist() == S[:, col].tolist()
             seen += np.count_nonzero(S)
-        assert seen == sum(len(p) for ps in prods for p in ps)
+        assert seen == sum(np.count_nonzero(B) for B in prods)
 
     def test_section_products_match_the_oracle(self, monkeypatch):
         # (w - 1)·s(h) as nf(w·s(h)) - s(h), for every right generator w
@@ -328,7 +381,8 @@ class TestLeftMultiply:
                     for w in r.right_generators(letter):
                         a = difference(r, w)
                         expected = [multiply_terms(r, a, {(h, ()): 1}) for h in range(g.order)]
-                        assert r.section_products(w) == expected, (name, level, depth, letter, w)
+                        got = [vec_to_terms(r, row) for row in r.section_products(w)]
+                        assert got == expected, (name, level, depth, letter, w)
                         if depth == 1 and letter == "r":
                             assert not any(expected)
                     pairs += 1
@@ -341,9 +395,15 @@ def identity_terms(r, rng, size):
     return {words[rng.randrange(len(words))]: rng.randint(-3, 3) or 1 for _ in range(size)}
 
 
-def right_product_rows(r, rows, terms):
-    """v·b for each row v, by the oracle's product multiply_terms."""
+def right_product_rows(r, rows, b):
+    """v·b for each row v, b a row, by the oracle's product multiply_terms."""
+    terms = vec_to_terms(r, b)
     return [terms_to_vec(r, multiply_terms(r, vec_to_terms(r, v), terms)) for v in rows]
+
+
+def row_of(r, terms):
+    """The dense int64 row over r's basis of an element given by its terms."""
+    return dense([terms_to_vec(r, terms)], r.rank)[0].astype(np.int64)
 
 
 class TestRightMultiply:
@@ -353,7 +413,7 @@ class TestRightMultiply:
         for depth in (1, 2, 3):
             r = ring_for(name, level, depth)
             for _ in range(3):
-                b = identity_terms(r, rng, rng.randint(1, 4))
+                b = row_of(r, identity_terms(r, rng, rng.randint(1, 4)))
                 V = np.zeros((4, r.rank), dtype=np.int64)
                 for row in V:
                     for k in rng.sample(range(r.rank), min(r.rank, 5)):
@@ -365,8 +425,9 @@ class TestRightMultiply:
     def test_bignum_blocks(self):
         r = ring_for("z3", 1, 3)
         b = r.normal_form(freegrp.inv(r.lp.schreier_gens[1]))
-        b[(0, ())] -= 1
-        assert all(g == 0 for g, _ in b) and sum(map(abs, b.values())) >= 2
+        b[0] -= 1
+        terms = vec_to_terms(r, b)
+        assert all(g == 0 for g, _ in terms) and sum(map(abs, terms.values())) >= 2
         rng = random.Random(6)
         cols = rng.sample(range(r.rank), 6)
         # object rows with entries near 2**62 stay exact
@@ -384,10 +445,16 @@ class TestRightMultiply:
         assert np.array_equal(out, dense(right_product_rows(r, W, b), r.rank))
 
     def test_refuses_other_components(self):
-        r = ring_for("z3", 1, 2)
+        # an entry at a word (g, L) with g != 0, on layer 0 or above, is
+        # refused, and one at the last word (0, L) of each layer is not
+        r = ring_for("z3", 1, 3)
+        m = r.lp.num_schreier_gens
         V = np.eye(r.rank, dtype=np.int64)[:2]
-        with pytest.raises(ValueError):
-            r.right_multiply(V, {(0, ()): 1, (1, ()): 2})
+        for terms in ({(0, ()): 1, (1, ()): 2}, {(0, (1,)): 1, (1, (0,)): 1}, {(2, (m - 1, 0)): -1}):
+            with pytest.raises(ValueError, match="identity component"):
+                r.right_multiply(V, row_of(r, terms))
+        b = row_of(r, {(0, ()): 1, (0, (m - 1,)): 2, (0, (m - 1, m - 1)): -1})
+        assert np.array_equal(r.right_multiply(V, b), dense(right_product_rows(r, V, b), r.rank))
 
 
 def assert_word_images(hom, src, tgt, words):
@@ -480,7 +547,7 @@ class TestRingRank:
             tracemalloc.stop()
         assert r.rank == 27342
         assert peak < 8 * r.rank, peak
-        assert r.position(5, (66, 66)) == r.rank - 1
+        assert word_at(r, r.rank - 1) == (5, (66, 66))
 
     @pytest.mark.parametrize("level,depth", [(2, 2), (62, 1), (63, 1), (70, 2)])
     def test_no_word_uses_every_copy_at_a_level_past_the_depth(self, level, depth):
@@ -967,7 +1034,7 @@ class TestQuotients:
         assert r.rank == rank and val.group.ngens == len(val.gens) == ngens
         assert val.group.invariants() == ((), free_rank)
         c = val.c_lattice
-        e_one = dense([{r.position(0, ()): 1}], r.rank)
+        e_one = dense([{position(r, 0, ()): 1}], r.rank)
         assert FinPresAb(r.rank, np.concatenate([c.basis(), e_one])).invariants() == ((), free_rank)
         f = r.eval_monomial("f")
         assert FinPresAb(f.rank, f.coordinates(c.basis())).invariants() == ((), free_rank)
@@ -1026,6 +1093,12 @@ class TestQuotients:
 
 
 class TestDeadline:
+    def test_a_budget_of_nan_is_refused(self):
+        # no elapsed time exceeds NaN, so such a budget would never expire
+        with pytest.raises(InputError, match="is not a number of seconds"):
+            Deadline(float("nan"))
+        Deadline(math.inf).check()
+
     def test_expired_deadline_stops_a_level_and_caches_nothing(self):
         code = parse("fff")
         r = ring_for("z3", 2, 3)
