@@ -69,6 +69,15 @@ new basis.  A basis that is canonical already, given in this stored form,
 becomes a lattice with no elimination (``Lattice.canonical``), which
 checks the form instead.
 
+Only this module reads or writes the stored form, so a change to it is
+a change to this module alone.  Other modules see a lattice through its
+rows (``Lattice.basis``), its pivots (``Lattice.pivot_cols``, a read-only
+array), two constructors that write a canonical basis down
+(``Lattice.seed``: unit vectors and a lattice tensored with an identity
+at an offset; ``Lattice.sum_zero``: the vectors whose entries sum to 0)
+and one quotient routine (``quotient``: Z^keep / proj_keep(L) presented
+on its surviving generators).
+
 Rows enter in one format, a block: a 2-D integer array, or a list of rows
 read exactly (``int_block``).  Floats and flat vectors are refused, and a
 stream of rows is an iterator of blocks.
@@ -521,6 +530,42 @@ class Lattice:
             raise ValueError("an entry above a pivot is outside [0, pivot)")
         return cls._of(n, _Hermite(piv, unit, _heights(B), cols, _frozen(B)))
 
+    @classmethod
+    def seed(cls, n, start, L=None, lo=0, M=1):
+        """The lattice spanned by the unit vectors e_start..e_(n-1) and,
+        given a lattice L in Z^k with lo + k·M = start (lo and M are not
+        read without one), the rows of L⊗I_M placed at column lo: row
+        (v, K), v a canonical row of L and K < M, has v_g at column
+        lo + g·M + K.
+
+        These rows are canonical as they stand, by L's pivots and then K,
+        so they are written in the stored form (``canonical``, which
+        checks it) with no elimination: the pivot of (v, K) is v's pivot
+        at K, the unit pivots are L's at every K and every unit vector,
+        and the entry of (v, K) at (c, K) for a column c of L's stored
+        block is v_c."""
+        piv, cols = np.arange(start, n), np.arange(start)
+        if L is None:
+            # with no row at all there is no form to check
+            if start == n:
+                return cls(n)
+            return cls.canonical(n, piv, cols, np.zeros((len(piv), start), dtype=np.int64))
+        lpiv, _, _, lcols, LB = L._hnf
+        K = np.arange(M)
+        piv = np.concatenate([(lo + lpiv[:, None] * M + K).ravel(), piv])
+        cols = np.concatenate([cols[:lo], (lo + lcols[:, None] * M + K).ravel()])
+        B = np.zeros((len(piv), len(cols)), dtype=LB.dtype)
+        # rows (v, K) by columns (c, K'), as a view: LB where K = K'
+        B[: len(lpiv) * M, lo:].reshape(len(lpiv), M, len(lcols), M)[:, K, :, K] = LB
+        return cls.canonical(n, piv, cols, B)
+
+    @classmethod
+    def sum_zero(cls, n):
+        """The vectors of Z^n, n >= 1, whose entries sum to 0, written
+        down (``canonical``): their canonical rows are e_i - e_(n-1),
+        i < n - 1."""
+        return cls.canonical(n, np.arange(n - 1), [n - 1], np.full((n - 1, 1), -1, dtype=np.int64))
+
     def copy(self):
         """An equal lattice in O(1).  It shares the basis, which is safe:
         the stored block is read-only, and ``add`` replaces the basis of
@@ -584,15 +629,9 @@ class Lattice:
 
     @property
     def pivot_cols(self):
-        """Pivot column of each basis row, increasing."""
-        return self._hnf.piv.tolist()
-
-    @property
-    def stored_form(self):
-        """(piv, cols, B), the stored form that ``canonical`` takes: the
-        lattice's own arrays, which no caller may write into."""
-        piv, _, _, cols, B = self._hnf
-        return piv, cols, B
+        """Pivot column of each basis row, increasing, as a read-only
+        array."""
+        return _frozen(self._hnf.piv.view())
 
     def basis(self, start=0, stop=None):
         """Rows start..stop of the canonical basis (all rows by default), by
@@ -727,35 +766,12 @@ def _divisor_chain(orders):
     return orders
 
 
-def unit_split(lat, keep=None):
-    """(free_cols, rows): the columns without a unit pivot in the canonical
-    basis, and the basis rows whose pivot is not 1, cut to those columns,
-    as one 2-D array.  Both are read off the stored form as they are.
-
-    A unit pivot's column is zero outside its row, and the other rows are
-    zero on unit-pivot columns, so Z^n / lat is presented on free_cols
-    with the cut rows, themselves in canonical HNF, as relations.
-
-    With a boolean mask ``keep`` of the n columns, the same presents
-    Z^keep / proj_keep(lat), the quotient by the lattice's rows cut to the
-    kept columns: a unit row whose pivot is kept removes that generator
-    and nothing else, so free_cols are the kept columns without a unit
-    pivot, and the relations are every other row, unit rows whose pivot
-    is dropped included, cut to them.  Rows that the cut leaves zero are
-    left out, and the rest need not be canonical."""
-    hnf = lat._hnf
-    if keep is None:
-        return hnf.cols, hnf.B[~hnf.unit]
-    on = keep[hnf.cols]
-    rows = hnf.B[~(hnf.unit & keep[hnf.piv])][:, on]
-    return hnf.cols[on], rows[rows.any(axis=1)]
-
-
 def _smith(lat):
     """The nonzero invariant factors of a lattice's canonical basis, by
     alternating row and column Hermite forms (Kannan and Bachem, 1979).
 
-    Each unit row splits off as a trivial summand (``unit_split``).  While
+    Each unit row splits off as a trivial summand, and ``rest`` is the
+    other rows on the columns no unit pivot takes.  While
     a row of the non-unit block ``rest`` has an entry besides its pivot,
     the loop goes on with the row lattice of ``rest.T``: a matrix and its
     transpose have the same invariant factors.  It ends because each
@@ -765,7 +781,7 @@ def _smith(lat):
     are a diagonal, and ``_divisor_chain`` turns it into d1 | d2 | ...."""
     units = 0
     while True:
-        _, rest = unit_split(lat)
+        rest = lat._hnf.B[~lat._hnf.unit]
         units += lat.rank - len(rest)
         if not (np.count_nonzero(rest, axis=1) > 1).any():
             return [1] * units + _divisor_chain([int(d) for d in rest[rest != 0]])
@@ -871,6 +887,37 @@ class FinPresAb:
 
     def __repr__(self):
         return f"FinPresAb({self.describe()})"
+
+
+def quotient(lat, keep=None):
+    """(cols, group): Z^keep / proj_keep(lat), the quotient by lat's rows
+    cut to the columns that a boolean mask ``keep`` of the n columns
+    keeps (every column by default), presented on its surviving
+    generators ``cols``, the kept columns that are no unit pivot of lat.
+
+    A unit pivot's column is zero outside its row, and the other rows
+    are zero on unit-pivot columns, so a unit row whose pivot is kept
+    removes that generator and nothing else.  The relations are every
+    other row, cut to ``cols``: the rows whose pivot is not 1, and the
+    unit rows whose pivot is dropped.
+
+    - With every column kept, they are lat's non-unit rows on ``cols``,
+      canonical as they stand, sliced off the stored form unchecked.
+    - When ``keep`` drops columns but no pivot, the cut rows are still
+      canonical as they stand, and ``Lattice.canonical`` checks them.
+    - When it drops a pivot, the rows that the cut leaves nonzero are
+      eliminated."""
+    piv, unit, height, cols, B = lat._hnf
+    on = slice(None) if keep is None else keep[cols]
+    gens = cols[on]
+    if keep is not None and not keep[piv].all():
+        rows = B[~(unit & keep[piv])][:, on]
+        return gens, FinPresAb(len(gens), rows[rows.any(axis=1)])
+    n, at, rows = len(gens), np.searchsorted(gens, piv[~unit]), B[~unit][:, on]
+    if keep is None:
+        hnf = _Hermite(at, unit[~unit], height[~unit], np.arange(n), _frozen(rows))
+        return gens, FinPresAb(n, Lattice._of(n, hnf))
+    return gens, FinPresAb(n, Lattice.canonical(n, at, np.arange(n), rows))
 
 
 class AbMap:
@@ -1032,17 +1079,6 @@ def sparse_product(a, b):
 # -- homology of presented complexes ------------------------------------------
 
 
-def _surviving(lat):
-    """(cols, rel): Z^n / lat on its surviving generators (``unit_split``),
-    the columns ``cols`` without a unit pivot, with the rows whose pivot
-    is not 1, cut to them, as a lattice ``rel`` there.  They are
-    canonical there as they stand, so nothing is eliminated."""
-    piv, unit, height, cols, B = lat._hnf
-    hnf = _Hermite(np.searchsorted(cols, piv[~unit]), unit[~unit], height[~unit],
-                   np.arange(len(cols)), B[~unit])
-    return cols, Lattice._of(len(cols), hnf)
-
-
 def _rank(W):
     """The rank of an integer matrix, from its echelon form, which is
     written into W.  A step that could leave int64 raises before it is
@@ -1060,11 +1096,12 @@ def cochain_homology(maps, deadline=Deadline()):
     im(maps[-1]) = 0, in one pass with no kernel basis built (see the
     module docstring).  The deadline is checked once per level.
 
-    Each level is presented once, on its surviving generators, and each
-    map is reduced modulo its codomain once; at level k, g_cut is the
-    rows of that cut at the level's surviving generators, and f_cut is
-    the cut of maps[k-1] in full (no rows at level 0).  One coordinate
-    solve in R_(k+1) of the rows of [f_cut; R_k]·g_cut, formed sparse,
+    Each level is presented once, on its surviving generators
+    (``quotient``), and each map is reduced modulo its codomain once; at
+    level k, g_cut is the rows of that cut at the level's surviving
+    generators, and f_cut is the cut of maps[k-1] in full (no rows at
+    level 0).  One coordinate solve in R_(k+1) of the rows of
+    [f_cut; R_k]·g_cut, formed sparse,
     gives the twist of level k's cone; it refuses maps[k] o maps[k-1]
     != 0 with ValueError and a map that is not well defined with
     AssertionError.  The cone's Smith invariants give H^k's torsion and
@@ -1079,15 +1116,16 @@ def cochain_homology(maps, deadline=Deadline()):
             raise ValueError(f"map {k} lands in a group presented unlike map {k + 1}'s domain")
     if not maps:
         return []
-    cols_B, rel_B = _surviving(maps[0].dom.relations)
+    cols_B, pres_B = quotient(maps[0].dom.relations)
     f_cut = np.zeros((0, len(cols_B)), dtype=np.int64)
     # (torsion, free rank of coker d_A) and rk d_A, level by level
     parts, ranks = [], []
     for k, g in enumerate(checked(maps, deadline)):
-        cols_C, rel_C = _surviving(g.cod.relations)
+        cols_C, pres_C = quotient(g.cod.relations)
+        rel_C = pres_C.relations
         cut = g.cod.relations._solve(g.matrix)[1]
         g_cut = cut[cols_B]
-        left = np.concatenate([f_cut, rel_B._hnf.B])
+        left = np.concatenate([f_cut, pres_B.relations._hnf.B])
         rows, block = sparse_product(SparseRows.of(left), SparseRows.of(g_cut)).nonzero_rows()
         twist, rest = rel_C._solve(block, coords=True)
         if rest.any():
@@ -1100,9 +1138,9 @@ def cochain_homology(maps, deadline=Deadline()):
         cone = FinPresAb(len(cols_B) + rel_C.rank, np.concatenate([left, -coords], axis=1))
         parts.append(cone.invariants())
         ranks.append(cone.relations.rank)
-        f_cut, cols_B, rel_B = cut, cols_C, rel_C
+        f_cut, cols_B, pres_B = cut, cols_C, pres_C
     # rk d_B at the last level: [g_cut; R_K], the top level's only cost
-    ranks.append(_rank(np.concatenate([g_cut, rel_B._hnf.B])))
+    ranks.append(_rank(np.concatenate([g_cut, pres_B.relations._hnf.B])))
     return [FinPresAb.from_invariants(t, free - r) for (t, free), r in zip(parts, ranks[1:])]
 
 

@@ -45,8 +45,8 @@ import numpy as np
 from . import freegrp
 from .errors import CapExceeded, Deadline, InputError
 from .frcode import FrCode, max_monomial_length, normalize, required_truncation
-from .intlin import (AbMap, FinPresAb, Lattice, SparseRows, cochain_homology, safe_matmul,
-                     sparse_product, unit_split)
+from .intlin import (AbMap, FinPresAb, Lattice, SparseRows, cochain_homology, quotient,
+                     safe_matmul, sparse_product)
 from .permgrp import GroupData
 from .truncring import (DEFAULT_RANK_CAP, FunctorValue, GroupContext, induced_map, rank_sum,
                         relabelling, word_images)
@@ -214,8 +214,9 @@ def moore_complex(X):
     word maps.  So f modulo their images is free on A_n, the all-copies
     words (``TruncatedRing.all_copies_words``), and degree n >= 1 is
     Z^{A_n} / proj_{A_n}(c), presented on A_n's words that are no unit
-    pivot of c, with c's other rows cut to them (``unit_split``): the unit
-    rows whose pivot misses a copy carry relations too.  A_0 is every
+    pivot of c, with c's other rows cut to them (``intlin.quotient``): the
+    unit rows whose pivot misses a copy carry relations too, and where
+    the cut drops a pivot, the rows it leaves are eliminated.  A_0 is every
     word, so degree 0 is f/c as ``FunctorValue`` presents it, on every
     word but |G|-1, and it is taken as it is, ``X.levels[0]``.  The
     differential is d^0's matrix cut to the A_n rows and the A_{n+1}
@@ -241,9 +242,9 @@ def moore_complex(X):
                 f"cofaces 1..{n} into level {n} do not hit exactly its words that miss a copy"
             )
         # word |G|-1 is an all-copies word only at level 0
-        gens, rows = unit_split(value.c_lattice, words)
+        gens, level = quotient(value.c_lattice, words)
         keep.append(np.searchsorted(value.gens, gens))
-        levels.append(FinPresAb(len(gens), rows))
+        levels.append(level)
     maps = [
         AbMap(levels[n], levels[n + 1], X.d[(n, 0)].matrix[np.ix_(keep[n], keep[n + 1])])
         for n in range(X.D)

@@ -58,8 +58,9 @@ generator, those on layer l one generator per distinct image for f and
 none for r, and for k <= N there are none on layer l.  For k <= N,
 L = Delta (the generators map onto G) and the first two terms are
 r^k + Delta⊗I.  The first two terms are canonical as they stand, by L's
-pivots and then K, so they are written down with no elimination
-(``TruncatedRing._seed``), and S is read off T's pivots.
+pivots and then K, so ``intlin`` writes them down with no elimination
+(``Lattice.seed``, given the layout numbers by ``eval_monomial``),
+and S is read off T's pivots (``Lattice.pivot_cols``).
 
 The ring at N = 1 is Z[G] at every level, and f^j there is Delta^j.  So
 U and L are read off f^j of the level-0 ring at N = 1, the base ring,
@@ -96,7 +97,7 @@ zero on the layer-0 words before it is zero there too.  So c's canonical
 basis with that column dropped is canonical as it stands, and f/c is
 presented on c's columns without a unit pivot, but for |G|-1, with c's
 other rows cut to them as relations: one lattice per level, c, and
-nothing eliminated.
+nothing eliminated (``intlin.quotient``, which checks that form).
 """
 
 from __future__ import annotations
@@ -110,8 +111,7 @@ import numpy as np
 from . import freegrp
 from .errors import CapExceeded, Deadline, InputError
 from .frcode import required_truncation
-from .intlin import (AbMap, FinPresAb, Lattice, checked, for_sums, int_block, lattice_intersection,
-                     unit_split)
+from .intlin import AbMap, Lattice, checked, for_sums, int_block, lattice_intersection, quotient
 from .permgrp import LevelPresentation, check_level, schreier_rank
 
 DEFAULT_RANK_CAP = 200_000
@@ -165,11 +165,13 @@ class TruncatedRing:
     monomials, homs and exponents only, so results never depend on call
     order.  Code lattices and normal forms are not memoized: a pipeline
     asks for each level's code lattice once, and the section products of
-    a word are read once per tuple of words that holds it, as dense rows
-    that a memo would keep at full rank.  The powers of the augmentation
-    ideal of Z[G] come from ``base``, the level-0 ring at N = 1, which a
-    ``GroupContext`` shares among the rings of its group; by default a
-    ring makes its own, and that ring is its own base.
+    a word are formed once per ring, as dense rows that a memo would keep
+    at full rank, and kept only on their nonzero columns, in the section
+    matrices.  The powers of the augmentation ideal of Z[G] come from
+    ``base``, the level-0 ring at N = 1, which a ``GroupContext`` shares
+    among the rings of its group; by default a ring makes its own, and
+    that ring is its own base.  A base of another group object, level or
+    depth is refused with ValueError, before any lattice is built.
     """
 
     def __init__(self, lp, depth, base=None):
@@ -187,6 +189,8 @@ class TruncatedRing:
         if base is None:
             base = self if (lp.level, depth) == (0, 1) else TruncatedRing(
                 lp if lp.level == 0 else LevelPresentation(lp.group, 0), 1)
+        elif base.lp.group is not lp.group or (base.lp.level, base.depth) != (0, 1):
+            raise ValueError(f"{base!r} is not the level-0 ring at N = 1 of {lp.group.name}")
         self.base = base
 
         self._section_matrices = {}
@@ -271,21 +275,33 @@ class TruncatedRing:
         order, and S_a[h, column] is that term's c: the nonzero columns of
         each word's ``section_products`` block, split by layer.  Returned
         as ([(S_a, u, i) for a < N], weight); memoized per tuple of
-        words."""
+        words.  A tuple of some of the f generators, such as the
+        ``image_generators``, takes its words' columns of the matrices of
+        all of them, so that no word's products are formed twice in a
+        ring."""
         words = tuple(words)
         if words not in self._section_matrices:
-            off, order = self.layer_offsets, self.lp.group.order
-            none = np.zeros(0, dtype=np.intp)
-            parts = [[(np.zeros((order, 0), dtype=np.int64), none, none)] for _ in range(self.depth)]
-            weight = 0
-            for u, word in enumerate(words):
-                block = self.section_products(word)
-                cols = np.flatnonzero(block.any(axis=0))
-                weight = max(weight, sum(map(abs, block[:, cols].ravel().tolist())))
-                ends = np.searchsorted(cols, off)
-                for a, part in enumerate(parts):
-                    here = cols[ends[a] : ends[a + 1]]
-                    part.append((block[:, here], np.full(len(here), u), here - off[a]))
+            every = tuple(self.right_generators("f"))
+            if words != every and set(words) <= set(every):
+                # each f generator's index in words, -1 if it is not there
+                at = np.array([words.index(w) if w in words else -1 for w in every])
+                parts = [[(S.compress(at[u] >= 0, axis=1), at[u][at[u] >= 0], i[at[u] >= 0])]
+                         for S, u, i in self.section_matrices(every)[0]]
+                weight = max((sum(sum(map(abs, S[:, u == k].ravel().tolist()))
+                                  for [(S, u, _)] in parts) for k in range(len(words))), default=0)
+            else:
+                off, order = self.layer_offsets, self.lp.group.order
+                none = np.zeros(0, dtype=np.intp)
+                parts = [[(np.zeros((order, 0), dtype=np.int64), none, none)] for _ in range(self.depth)]
+                weight = 0
+                for u, word in enumerate(words):
+                    block = self.section_products(word)
+                    cols = np.flatnonzero(block.any(axis=0))
+                    weight = max(weight, sum(map(abs, block[:, cols].ravel().tolist())))
+                    ends = np.searchsorted(cols, off)
+                    for a, part in enumerate(parts):
+                        here = cols[ends[a] : ends[a + 1]]
+                        part.append((block[:, here], np.full(len(here), u), here - off[a]))
             # weight bounds every |c|, so int64 holds them below 2**62
             dtype = np.int64 if weight < 2**62 else object
             mats = [(np.concatenate(S, axis=1).astype(dtype), np.concatenate(u), np.concatenate(i))
@@ -394,61 +410,28 @@ class TruncatedRing:
     def power(self, j):
         """(the pivots of U_j, L_j) of the module docstring for Delta^j,
         or None once Delta^j has no unit row, in a ring at N = 1: U_j is
-        the unit rows of f^j's canonical basis, and L_j the lattice of
-        their products by the ``image_generators`` of f, through
-        ``left_multiply``; L_0 = Delta is written down.  Rings read these
-        off their ``base``.  Memoized; the chain stops at the first power
-        with no unit row."""
+        the unit rows of f^j's canonical basis, read off its dense rows
+        (the ring has |G| columns), and L_j the lattice of their products
+        by the ``image_generators`` of f, through ``left_multiply``;
+        L_0 = Delta, the vectors whose entries sum to 0, is written down
+        (``Lattice.sum_zero``).  Rings read these off their ``base``.
+        Memoized; the chain stops at the first power with no unit row."""
         powers = self._powers
         if not powers:
             # Delta^0 = Z[G]: U_0 is all of G, and L_0 = Delta, since the
-            # generators map onto G; its canonical rows are e_g - e_{|G|-1}
-            n = self.rank
-            powers.append((np.arange(n), Lattice.canonical(
-                n, np.arange(n - 1), [n - 1], np.full((n - 1, 1), -1, dtype=np.int64))))
+            # generators map onto G
+            powers.append((np.arange(self.rank), Lattice.sum_zero(self.rank)))
         while len(powers) <= j and powers[-1] is not None:
             T = self.eval_monomial("f" * len(powers))
-            piv, cols, _ = T.stored_form
-            unit = np.flatnonzero(~np.isin(piv, cols))
+            rows, piv = T.basis(), T.pivot_cols
+            unit = np.flatnonzero(rows[np.arange(len(rows)), piv] == 1)
             if not len(unit):
                 powers.append(None)
                 break
-            U = T.basis_rows(unit)
-            products = self.left_multiply(self.image_generators("f"), U)
+            products = self.left_multiply(self.image_generators("f"), rows[unit])
             L = Lattice(self.rank, products.reshape(-1, self.rank))
             powers.append((piv[unit], L))
         return powers[j] if j < len(powers) else None
-
-    def _seed(self, layer, L=None):
-        """The canonical lattice L⊗I + (the words of the layers above the
-        given one) of the module docstring, written down in its stored
-        form; L is a lattice in Z^|G|, None for 0, and layer -1 gives the
-        whole ring.
-
-        Row (v, K) of L⊗I, v a row of L's canonical basis and K of length
-        l, has v_g at (g, K), word off_l + g·M + idx(K), M = m^l.  Its
-        pivot is v's pivot at K, its unit pivots are L's at every K, and
-        its entry at (c, K) for a column c of L's stored block is v_c; the
-        words of the layers above are unit rows past every column.  For
-        the f seed of length k <= N, L = Delta has the canonical rows
-        e_g - e_{|G|-1}, g < |G|-1, so each row of L⊗I is a unit with -1 at
-        (|G|-1, K)."""
-        off, n = self.layer_offsets, self.rank
-        start = off[layer + 1]
-        piv, cols = np.arange(start, n), np.arange(start)
-        if L is None:
-            if start == n:  # past N with no seed: nothing to write down
-                return Lattice(n)
-            return Lattice.canonical(n, piv, cols, np.zeros((len(piv), start), dtype=np.int64))
-        lo, M = off[layer], self.lp.num_schreier_gens**layer
-        lpiv, lcols, LB = L.stored_form
-        K = np.arange(M)
-        piv = np.concatenate([(lo + lpiv[:, None] * M + K).ravel(), piv])
-        cols = np.concatenate([cols[:lo], (lo + lcols[:, None] * M + K).ravel()])
-        B = np.zeros((len(piv), len(cols)), dtype=LB.dtype)
-        # rows (v, K) by columns (c, K'), as a view: LB where K = K'
-        B[: len(lpiv) * M, lo:].reshape(len(lpiv), M, len(lcols), M)[:, K, :, K] = LB
-        return Lattice.canonical(n, piv, cols, B)
 
     def eval_monomial(self, mono, deadline=Deadline()):
         """Lattice of the monomial ideal, built right to left in a loop: from
@@ -463,8 +446,13 @@ class TruncatedRing:
             w = L⊗I + (the words of the layers above l) + span{gamma·s : s in S},
 
         so the lattice starts from the canonical seed of the first two
-        terms (``_seed``), with L = L_j of the base ring's ``power`` for an
-        f head whose tail starts with j letters f and L = 0 otherwise.  S
+        terms, with L = L_j of the base ring's ``power`` for an f head
+        whose tail starts with j letters f and L = 0 (None) otherwise.
+        Row (v, K) of L⊗I, v a canonical row of L and |K| = l, has v_g at
+        word off_l + g·M + idx(K), M = m^l, so the seed is L⊗I_M placed at
+        off_l plus the unit vectors from off_(l+1) on, and ``intlin``
+        writes it down from these layout numbers (``Lattice.seed``); the
+        empty monomial is the unit vectors from 0 on.  S
         is read off T's pivots: the rows below layer l, multiplied by every
         right generator, and the rows on layer l whose group coordinate is
         no pivot of U_j, multiplied by the ``image_generators``, first.
@@ -483,7 +471,7 @@ class TruncatedRing:
             deadline.check()
             w = mono[i:]
             if not w:
-                cache[w] = self._seed(-1)
+                cache[w] = Lattice.seed(self.rank, 0)
                 continue
             layer = min(len(w), self.depth) - 1
             j = len(w) - 1 - layer
@@ -493,16 +481,15 @@ class TruncatedRing:
             # T's rows below layer l, and those on it whose group
             # coordinate (g, K) -> g is no pivot of U_j: none when U_j is
             # all of G, and none needed when no generator has an image
-            off, order = self.layer_offsets, self.lp.group.order
-            piv = tail.stored_form[0]
+            off, order, M = self.layer_offsets, self.lp.group.order, self.lp.num_schreier_gens**layer
+            piv = tail.pivot_cols
             lo, hi = np.searchsorted(piv, off[layer : layer + 2])
             on = []
             if gens and len(units) < order:
                 outside = np.ones(order, dtype=bool)
                 outside[units] = False
-                M = self.lp.num_schreier_gens**layer
                 on = lo + np.flatnonzero(outside[(piv[lo:hi] - off[layer]) // M])
-            lat = self._seed(layer, L)
+            lat = Lattice.seed(self.rank, off[layer + 1], L, off[layer], M)
             every = self.right_generators(w[0])
             lat.add(chain(self._products(gens, tail, on, deadline, layer),
                           self._products(every, tail, np.arange(lo), deadline, layer)))
@@ -520,7 +507,7 @@ class TruncatedRing:
         if not len(gens):
             return
         step = max(1, _PRODUCT_ENTRIES // (len(gens) * self.rank))
-        piv = tail.stored_form[0]
+        piv = tail.pivot_cols
         for s in range(0, len(rows), step):
             deadline.check()
             chunk = tail.basis_rows(rows[s : s + step])
@@ -591,10 +578,12 @@ class FunctorValue:
     """The abelian group f/c at one level, presented on a basis of f (see
     the module docstring): ``gens`` are the basis words that are no unit
     pivot of c, but for word |G|-1, and the relations are c's other
-    canonical rows cut to ``gens``, taken with no elimination
-    (``Lattice.canonical``).  A generator g of layer 0 stands for
-    (g, ()) - (|G|-1, ()), any other for its word, and an element v of f
-    stands for ``c_lattice.reduce(v)`` read on the ``gens`` columns."""
+    canonical rows cut to ``gens``: ``intlin.quotient`` of c by a mask
+    that drops column |G|-1 and no pivot, so the cut rows are taken with
+    no elimination and only their form is checked.  A generator g of
+    layer 0 stands for (g, ()) - (|G|-1, ()), any other for its word,
+    and an element v of f stands for ``c_lattice.reduce(v)`` read on the
+    ``gens`` columns."""
 
     def __init__(self, ring, code, deadline=Deadline()):
         self.ring = ring
@@ -610,11 +599,8 @@ class FunctorValue:
         head = self.c_lattice.basis(0, int(np.searchsorted(self.c_lattice.pivot_cols, order)))
         if head[:, :order].astype(object).sum(axis=1).any():
             raise AssertionError("code lattice escapes f")
-        # f's basis is every word but |G|-1, and no unit pivot of c is there
-        self.gens, rows = unit_split(self.c_lattice, np.arange(ring.rank) != order - 1)
-        n = len(self.gens)
-        piv = (rows != 0).argmax(axis=1) if len(rows) else np.zeros(0, dtype=np.intp)
-        self.group = FinPresAb(n, Lattice.canonical(n, piv, np.arange(n), rows))
+        # f's basis is every word but |G|-1, and no pivot of c is there
+        self.gens, self.group = quotient(self.c_lattice, np.arange(ring.rank) != order - 1)
 
 
 def _relabelling(hom, src_ring, tgt_ring):

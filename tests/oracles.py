@@ -75,7 +75,7 @@ from math import comb, gcd
 import numpy as np
 
 from frlimits import freegrp
-from frlimits.intlin import AbMap, FinPresAb, Lattice, unit_split
+from frlimits.intlin import AbMap, FinPresAb, Lattice
 from frlimits.limits import CochainComplex
 from frlimits.truncring import word_images
 
@@ -342,10 +342,22 @@ def kernel_by_two_eliminations(G, R):
     return Lattice(nb, rows[:, nc : nc + nb])
 
 
+def surviving(lat):
+    """(cols, rows): the columns that no unit pivot of lat's canonical
+    basis takes, and the basis rows whose pivot is not 1, cut to them,
+    read off the dense basis.  Z^n / lat is presented on ``cols`` with
+    ``rows`` as relations, since a unit pivot's column is zero outside
+    its row and the other rows are zero there."""
+    rows, piv = lat.basis(), lat.pivot_cols
+    unit = rows[np.arange(len(rows)), piv] == 1
+    cols = np.setdiff1d(np.arange(lat.n), piv[unit])
+    return cols, rows[~unit][:, cols]
+
+
 def homology_by_kernel(f, g):
     """ker(g)/im(f) for presented maps A --f--> B --g--> C with g o f = 0,
     in the coordinates of a basis of ker(g): B and C are presented on
-    their surviving generators (``unit_split``), the kernel {b : b·g_cut
+    their surviving generators (``surviving``), the kernel {b : b·g_cut
     in R_C} is ``kernel_by_two_eliminations``, and the images of f and the
     relations R_B are solved for in its basis.  g o f = 0 is checked on
     the dense product of the two matrices."""
@@ -354,8 +366,8 @@ def homology_by_kernel(f, g):
         raise ValueError("homology_by_kernel: the middle ranks differ")
     if not C.relations.contains(g.compose(f).matrix):
         raise ValueError("homology_by_kernel: composite g o f is not zero")
-    cols_B, R_B = unit_split(B.relations)
-    cols_C, R_C = unit_split(C.relations)
+    cols_B, R_B = surviving(B.relations)
+    cols_C, R_C = surviving(C.relations)
     g_cut = C.relations.reduce(g.matrix[cols_B])[:, cols_C]
     f_cut = B.relations.reduce(f.matrix)[:, cols_B]
     kernel = kernel_by_two_eliminations(g_cut, R_C)
@@ -668,7 +680,7 @@ class RingQuotientValue:
         self.ring = ring
         self.rel = value.c_lattice.copy()
         self.rel.add(np.eye(1, ring.rank, position(ring, 0, ()), dtype=np.int64))
-        self.gens, rows = unit_split(self.rel)
+        self.gens, rows = surviving(self.rel)
         self.group = FinPresAb(len(self.gens), rows)
 
     def classes(self, rows):

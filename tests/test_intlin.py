@@ -19,12 +19,12 @@ from frlimits.intlin import (
     homology_at,
     int_block,
     lattice_intersection,
+    quotient,
     safe_matmul,
     smith_diagonal,
     sparse_product,
     tensor_Z,
     tor_Z,
-    unit_split,
 )
 
 from oracles import (
@@ -86,7 +86,7 @@ class TestLattice:
                 lat.add(part)
             basis, pivots = reference_hnf(rows, n)
             assert [list(map(int, r)) for r in lat.basis()] == basis, (n, rows)
-            assert lat.pivot_cols == pivots
+            assert lat.pivot_cols.tolist() == pivots
             assert lat.rank == len(basis)
             assert lat.big == any(abs(c) >= 2**62 for r in basis for c in r)
             assert Lattice(n, rows) == lat
@@ -143,7 +143,8 @@ class TestLattice:
 
         def check(lat):
             assert [list(map(int, r)) for r in lat.basis()] == ref
-            assert lat.pivot_cols == pivots
+            # the lattice's own pivots, which no caller can write into
+            assert lat.pivot_cols.tolist() == pivots and not lat.pivot_cols.flags.writeable
             assert lat.big == any(abs(c) >= 2**62 for r in ref for c in r)
 
         folds = []
@@ -168,12 +169,26 @@ class TestLattice:
         stop = data.draw(st.integers(start, one.rank))
         assert np.array_equal(one.basis(start, stop), one.basis()[start:stop])
 
-        # unit_split: the columns no unit pivot takes, and the other rows cut to them
+        # quotient: the columns no unit pivot takes, and the other rows cut to them
         units = [j for r, j in zip(ref, pivots) if r[j] == 1]
-        free, rest = unit_split(one)
+        free, rest = quotient(one)
         assert free.tolist() == [j for j in range(n) if j not in units]
         cut = [[r[j] for j in free] for r, p in zip(ref, pivots) if r[p] != 1]
-        assert [list(map(int, r)) for r in rest] == cut
+        assert [list(map(int, r)) for r in rest.relations.basis()] == cut
+
+        # a cut to some columns presents Z^keep / proj_keep(lattice); one
+        # that drops no pivot takes the cut rows as they stand
+        drop = data.draw(st.sets(st.integers(0, n - 1), max_size=4))
+        if data.draw(st.booleans()):
+            drop -= set(pivots)
+        keep = ~np.isin(np.arange(n), list(drop))
+        gens, group = quotient(one, keep)
+        assert gens.tolist() == [j for j in free if keep[j]]
+        kept = [[r[j] for j in range(n) if keep[j]] for r in ref]
+        assert group.invariants() == FinPresAb(int(keep.sum()), kept).invariants()
+        if not drop & set(pivots):
+            rows = [[r[j] for j in gens] for r, p in zip(ref, pivots) if r[p] != 1]
+            assert [list(map(int, r)) for r in group.relations.basis()] == rows
 
     def test_unit_rows_are_canonical(self):
         lat = Lattice(4, [[0, 1, 0, 0], [0, 0, 0, 1]])
@@ -310,7 +325,7 @@ class TestLattice:
             lat = Lattice.canonical(n, pivots, cols, B if ref else np.zeros((0, len(cols)), dtype=np.int64))
             assert lat == Lattice(n, rows)
             assert [list(map(int, r)) for r in lat.basis()] == ref
-            assert lat.pivot_cols == pivots
+            assert lat.pivot_cols.tolist() == pivots
 
     @pytest.mark.parametrize(
         "n,piv,cols,B",
@@ -435,7 +450,7 @@ class TestInt64Guard:
         assert raised == {"_merge": 1, "_echelon": 0, "_reduce_above": 0, where: 1}
         basis, pivots = reference_hnf(rows, n)
         assert [list(map(int, r)) for r in lat.basis()] == basis
-        assert lat.pivot_cols == pivots
+        assert lat.pivot_cols.tolist() == pivots
         assert lat.big
 
     def test_a_bound_past_2_62_is_read_again_before_promoting(self, monkeypatch):

@@ -29,7 +29,7 @@ from frlimits.truncring import GroupContext, rank_sum
 
 from oracles import (RingQuotientValue, augmentation_quotient_invariants,
                      cosimplicial_identities_pairwise, homology_by_kernel, moore_complex_by_images,
-                     reference_hnf, ring_quotient_map)
+                     reference_hnf, ring_quotient_map, surviving)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 GROUP_DIR = SRC / "frlimits" / "groups"
@@ -387,9 +387,9 @@ def test_moore_cohomology_builds_no_kernel_lattice(name, code, degrees, monkeypa
         return real_solve(self, rows, coords)
 
     def cohomology(maps, deadline=None):
-        cols = [intlin.unit_split(m.dom.relations)[0] for m in maps]
-        cols.append(intlin.unit_split(maps[-1].cod.relations)[0])
-        rels = [intlin.unit_split(m.cod.relations)[1] for m in maps]
+        cols = [surviving(m.dom.relations)[0] for m in maps]
+        cols.append(surviving(maps[-1].cod.relations)[0])
+        rels = [surviving(m.cod.relations)[1] for m in maps]
         bounds = [max(len(cols[k]) + len(rels[k]), len(cols[k + 1])) for k in range(len(maps))]
         kernels = [len(cols[k]) + len(cols[k + 1]) for k in range(len(maps))]
         widths.clear()

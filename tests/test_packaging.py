@@ -184,6 +184,29 @@ def test_no_module_imports_a_private_name_of_another():
                                         sorted(PRIVATE_IMPORTS_OK - hits))
 
 
+# the names through which a lattice's stored form (pivots, columns and
+# block) is read or written
+STORED_FORM = {"_hnf", "stored_form", "canonical", "_of", "_Hermite"}
+
+
+def test_only_intlin_touches_a_lattices_stored_form():
+    # intlin owns the stored form; every other module goes through its
+    # quotient routine, its seed constructors and the pivot array, so a
+    # change of the form is a change to intlin alone
+    hits = []
+    for path in sorted((ROOT / "src" / "frlimits").rglob("*.py")):
+        if path.name == "intlin.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            name = (node.attr if isinstance(node, ast.Attribute) else
+                    node.id if isinstance(node, ast.Name) else
+                    node.name if isinstance(node, ast.alias) else None)
+            if name in STORED_FORM:
+                hits.append(f"{path.name}:{node.lineno} {name}")
+    assert not hits, hits
+
+
 def test_code_lines_skip_comments_blank_lines_and_docstrings():
     # the rule the change log counts code lines by: a line holding a token
     # other than a comment, a newline or indentation, outside docstrings

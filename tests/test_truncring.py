@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from frlimits import freegrp, truncring
 from frlimits.errors import CapExceeded, InputError
 from frlimits.frcode import dominated, make_code, min_r_power, normalize, parse, required_truncation
-from frlimits.intlin import FinPresAb, Lattice, lattice_intersection, unit_split
-from frlimits.limits import Deadline
+from frlimits.intlin import FinPresAb, Lattice, lattice_intersection
+from frlimits.limits import Deadline, higher_limits
 from frlimits.permgrp import LevelPresentation, load_group_file, schreier_rank
 from frlimits.truncring import (
     FunctorValue,
@@ -27,8 +27,8 @@ from frlimits.truncring import (
 )
 
 from oracles import (augmentation_power_rows, group_ring_product, minus_one, monomial_by_products,
-                     multiply_terms, normal_form_terms, position, reference_hnf, terms_to_vec, vec_to_terms,
-                     word_at, word_image_terms)
+                     multiply_terms, normal_form_terms, position, reference_hnf, surviving, terms_to_vec,
+                     vec_to_terms, word_at, word_image_terms)
 
 GROUP_DIR = Path(__file__).resolve().parents[1] / "src" / "frlimits" / "groups"
 
@@ -83,6 +83,32 @@ class TestValidation:
                 ctx.ring(0, 1)
                 ctx.ring(0, 2)
         assert sorted(ctx._rings) == [(0, 1), (0, 2)]
+
+    def test_a_base_ring_that_is_not_the_rings_own_is_refused(self, monkeypatch):
+        # a z2xz2 base under z4 gave z4's fff, ffff and fffr wrong with no
+        # error, and a z2 base under z3 failed only inside
+        # Lattice.canonical; a base of another level or depth, or of an
+        # equal group object loaded again, is refused too, and all of them
+        # before any lattice is built
+        z4, z3 = group_for("z4"), group_for("z3")
+        cases = [(z4, group_for("z2xz2"), 0, 1), (z3, group_for("z2"), 0, 1), (z3, z3, 1, 1),
+                 (z3, z3, 0, 2), (z3, load_group_file(GROUP_DIR / "z3.json"), 0, 1)]
+        bases = [TruncatedRing(LevelPresentation(g, level), depth) for _, g, level, depth in cases]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a lattice is built")
+
+        monkeypatch.setattr(Lattice, "__init__", refuse)
+        monkeypatch.setattr(Lattice, "seed", refuse)
+        for (group, *_), base in zip(cases, bases):
+            with pytest.raises(ValueError, match="is not the level-0 ring at N = 1 of"):
+                TruncatedRing(LevelPresentation(group, 1), 2, base)
+        monkeypatch.undo()
+        own = TruncatedRing(LevelPresentation(z4, 0), 1)
+        ring = TruncatedRing(LevelPresentation(z4, 1), 2, own)
+        alone = TruncatedRing(LevelPresentation(z4, 1), 2)
+        assert ring.base is own
+        assert all(ring.eval_monomial(m) == alone.eval_monomial(m) for m in ("fff", "ffff", "fffr"))
 
     def test_the_rank_cap_fires_before_the_layers_grow(self):
         # s3 at level 0 has 7 Schreier generators, so summing every layer
@@ -344,23 +370,45 @@ class TestLeftMultiply:
 
     def test_section_matrices_hold_the_section_products(self):
         # S_a[h, (u, i)] is the coefficient of the word at position i of
-        # layer a in (w_u - 1)·s(h), and no column is all zero
+        # layer a in (w_u - 1)·s(h), and no column is all zero; the image
+        # generators of f are 2 of the 4 f generators of s3 at level 1, and
+        # their matrices are read off those of all 4
         r = ring_for("s3", 1, 2)
-        words = r.right_generators("r")
-        mats, weight = r.section_matrices(words)
-        assert r.section_matrices(list(words)) is r.section_matrices(tuple(words))
-        prods = [r.section_products(w) for w in words]
-        assert all(B.shape == (r.lp.group.order, r.rank) for B in prods)
-        assert weight == max(int(np.abs(B).sum()) for B in prods)
-        seen = 0
-        for a, (S, u, i) in enumerate(mats):
-            assert S.shape == (r.lp.group.order, len(u)) and S.any(axis=0).all()
-            # distinct destinations, so one fancy-indexed add loses none
-            assert len(set(zip(u.tolist(), i.tolist()))) == len(u)
-            for col, (uu, ii) in enumerate(zip(u.tolist(), i.tolist())):
-                assert prods[uu][:, r.layer_offsets[a] + ii].tolist() == S[:, col].tolist()
-            seen += np.count_nonzero(S)
-        assert seen == sum(np.count_nonzero(B) for B in prods)
+        images = r.image_generators("f")
+        assert 0 < len(images) < len(r.right_generators("f"))
+        for words in (r.right_generators("r"), images):
+            mats, weight = r.section_matrices(words)
+            assert r.section_matrices(list(words)) is r.section_matrices(tuple(words))
+            prods = [r.section_products(w) for w in words]
+            assert all(B.shape == (r.lp.group.order, r.rank) for B in prods)
+            assert weight == max(int(np.abs(B).sum()) for B in prods)
+            seen = 0
+            for a, (S, u, i) in enumerate(mats):
+                assert S.shape == (r.lp.group.order, len(u)) and S.any(axis=0).all()
+                assert S.flags.c_contiguous
+                # distinct destinations, so one fancy-indexed add loses none
+                assert len(set(zip(u.tolist(), i.tolist()))) == len(u)
+                for col, (uu, ii) in enumerate(zip(u.tolist(), i.tolist())):
+                    assert prods[uu][:, r.layer_offsets[a] + ii].tolist() == S[:, col].tolist()
+                seen += np.count_nonzero(S)
+            assert seen == sum(np.count_nonzero(B) for B in prods)
+
+    def test_each_word_s_section_products_are_formed_once_per_ring(self, monkeypatch):
+        # the pipeline asks each ring for the matrices of f's image
+        # generators and of all its generators, and r's; on s3 rr+fff it
+        # formed 10 blocks for 8 (ring, word) pairs when the image
+        # generators' tuple was built on its own at level 1
+        calls = {}
+        real = TruncatedRing.section_products
+
+        def counted(ring, word):
+            calls[ring, word] = calls.get((ring, word), 0) + 1
+            return real(ring, word)
+
+        monkeypatch.setattr(TruncatedRing, "section_products", counted)
+        report = higher_limits(parse("rr+fff"), group_for("s3"))
+        assert [g.describe() for g in report.lims] == ["0", "Z/2", "Z/2", "0"]
+        assert len(calls) == 8 and set(calls.values()) == {1}
 
     def test_section_products_match_the_oracle(self, monkeypatch):
         # (w - 1)·s(h) as nf(w·s(h)) - s(h), for every right generator w
@@ -613,7 +661,7 @@ class TestIdealLattices:
         ]
         basis, pivots = reference_hnf(products, r.rank)
         assert [list(map(int, row)) for row in lat.basis()] == basis
-        assert lat.pivot_cols == pivots
+        assert lat.pivot_cols.tolist() == pivots
 
     @pytest.mark.parametrize("name", ["trivial", "z2", "z2_rank2", "z3", "z4", "z2xz2", "s3"])
     def test_layer0_span_is_the_eliminated_span(self, name):
@@ -637,7 +685,7 @@ class TestIdealLattices:
                 H = seed.basis(0, stop)
                 assert H[:, :order].tolist() == basis, (level, depth, letter)
                 assert not H[:, order:].any()
-                assert seed.pivot_cols[:stop] == pivots
+                assert seed.pivot_cols[:stop].tolist() == pivots
                 assert np.array_equal(seed.basis(stop), np.eye(r.rank, dtype=np.int64)[order:])
 
     @pytest.mark.parametrize(
@@ -695,7 +743,7 @@ class TestIdealLattices:
             code_rows = [row.copy() for row in code.basis()]
             val = FunctorValue(r, parse(text))
             assert val.c_lattice == code
-            assert val.group.relations.rank == len(unit_split(code)[1])
+            assert val.group.relations.rank == len(surviving(code)[1])
             assert all(np.array_equal(x, y) for x, y in zip(code.basis(), code_rows))
             assert len(code.basis()) == len(code_rows)
         for m in monos:
@@ -1089,7 +1137,7 @@ class TestQuotients:
         assert not adds
         assert val.c_lattice is code
         last = r.lp.group.order - 1
-        assert last not in val.gens and last in unit_split(code)[0]
+        assert last not in val.gens and last in surviving(code)[0]
 
 
 class TestDeadline:
