@@ -14,6 +14,11 @@ matrices, assembled from signed parts at offsets
 (``SparseRows.placed``), with the exact product of two of them
 (``sparse_product``).
 
+A map (``AbMap``) is stored sparse, as the nonzero entries of its
+generator matrix, one ``SparseRows``: composites are sparse products and
+sums are signed placements.  The dense matrix is a view built on demand
+(``AbMap.matrix``), where a lattice reduces or cuts whole rows.
+
 Cohomology builds no kernel basis (``cochain_homology``), and it takes a
 whole complex L_0 --> L_1 --> ... --> L_K in one pass.  At a level B
 with incoming f: A --> B and outgoing g: B --> C, and B = Z^b / R_B and
@@ -301,6 +306,11 @@ class _Hermite(NamedTuple):
     B: np.ndarray
 
 
+# the pivots, unit flags and heights of a basis with no row: an array with
+# no entry holds nothing to write, so every zero lattice shares them
+_NO_ROWS = (np.zeros(0, dtype=np.intp), np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int64))
+
+
 def _heights(B):
     return np.abs(B).max(axis=1, initial=0)
 
@@ -436,14 +446,6 @@ def _fitted(hnf):
     return hnf
 
 
-def _whole(n, rank):
-    """The stored form of the first ``rank`` unit vectors of Z^n: of the
-    zero lattice for rank 0 and of Z^n for rank n."""
-    piv = np.arange(rank)
-    return _Hermite(piv, np.ones(rank, dtype=bool), np.zeros(rank, dtype=np.int64),
-                    np.arange(rank, n), _frozen(np.zeros((rank, n - rank), dtype=np.int64)))
-
-
 class Lattice:
     """A sublattice of Z^n with a row basis in canonical Hermite form.
 
@@ -483,7 +485,7 @@ class Lattice:
 
     def __init__(self, n, blocks=()):
         self.n = n
-        self._hnf = _whole(n, 0)
+        self._hnf = _Hermite(*_NO_ROWS, np.arange(n), _frozen(np.zeros((0, n), dtype=np.int64)))
         self.add(blocks)
 
     @classmethod
@@ -921,30 +923,42 @@ def quotient(lat, keep=None):
 
 
 class AbMap:
-    """Map of presented abelian groups, as a generator matrix (row convention:
-    image of domain generator i is matrix[i] in codomain generator coords)."""
+    """Map of presented abelian groups, stored as the nonzero entries of
+    its generator matrix, one ``SparseRows`` ``rows`` (row convention: the
+    image of domain generator i is row i, in codomain generator
+    coordinates).  No dense matrix is kept: ``matrix`` builds one on each
+    call, for the readers that reduce or cut whole rows."""
 
-    __slots__ = ("dom", "cod", "matrix")
+    __slots__ = ("dom", "cod", "rows")
 
     def __init__(self, dom, cod, matrix):
-        """The matrix is read exactly (``int_block``): a float is refused,
-        and an entry of 2**63 stays a Python int.  It needs one row per
-        domain generator; no rows given ([]), or an empty matrix of the
-        domain's by the codomain's rank, is the zero map."""
+        """The matrix is a ``SparseRows`` of the domain's by the
+        codomain's rank, kept as it is, or a dense matrix, read exactly
+        (``int_block``) into its nonzero entries: a float is refused, and
+        an entry of 2**63 stays a Python int.  A dense matrix needs one
+        row per domain generator; no rows given ([]), or an empty matrix
+        of the domain's by the codomain's rank, is the zero map."""
         self.dom = dom
         self.cod = cod
-        if (isinstance(matrix, list) and not matrix) or (
-                np.size(matrix) == 0 and np.shape(matrix) == (dom.ngens, cod.ngens)):
-            mat = np.zeros((dom.ngens, cod.ngens), dtype=np.int64)
-        else:
-            mat = int_block(matrix, cod.ngens)
-            if len(mat) != dom.ngens:
-                raise ValueError(f"{len(mat)} rows for a domain of rank {dom.ngens}")
-        self.matrix = mat
+        shape = (dom.ngens, cod.ngens)
+        if not isinstance(matrix, SparseRows):
+            if (isinstance(matrix, list) and not matrix) or (
+                    np.size(matrix) == 0 and np.shape(matrix) == shape):
+                matrix = np.zeros(shape, dtype=np.int64)
+            matrix = SparseRows.of(int_block(matrix, cod.ngens))
+        if tuple(matrix.shape) != shape:
+            raise ValueError(f"{matrix.shape[0]} rows for a domain of rank {dom.ngens}, or "
+                             f"{matrix.shape[1]} columns for a codomain of rank {cod.ngens}")
+        self.rows = matrix
+
+    @property
+    def matrix(self):
+        """The generator matrix as a new dense, C-contiguous array."""
+        return self.rows.dense()
 
     @classmethod
     def zero(cls, dom, cod):
-        return cls(dom, cod, np.zeros((dom.ngens, cod.ngens), dtype=np.int64))
+        return cls(dom, cod, [])
 
     @classmethod
     def identity(cls, g):
@@ -952,7 +966,8 @@ class AbMap:
 
     def is_well_defined(self):
         """Domain relations must land in the codomain relation lattice."""
-        return self.cod.relations.contains(safe_matmul(self.dom.relations.basis(), self.matrix))
+        images = sparse_product(SparseRows.of(self.dom.relations.basis()), self.rows)
+        return self.cod.relations.contains(images.nonzero_rows()[1])
 
     def compose(self, other):
         """self o other (apply other first)."""
@@ -960,23 +975,14 @@ class AbMap:
             raise ValueError(
                 f"compose: codomain rank {other.cod.ngens} != domain rank {self.dom.ngens}"
             )
-        return AbMap(other.dom, self.cod, safe_matmul(other.matrix, self.matrix))
-
-    # An int64 matrix has every |entry| < 2**62 (int_block), so a sum or
-    # difference of two stays below 2**63 and cannot wrap; reading it again
-    # through int_block moves an entry of 2**62 or more to Python ints.
-
-    def __add__(self, other):
-        return AbMap(self.dom, self.cod, self.matrix + other.matrix)
-
-    def __sub__(self, other):
-        return AbMap(self.dom, self.cod, self.matrix - other.matrix)
+        return AbMap(other.dom, self.cod, sparse_product(other.rows, self.rows))
 
     def equals_as_map(self, other):
         """Equality as maps of presented groups (difference lands in relations)."""
         if self.dom.ngens != other.dom.ngens or self.cod.ngens != other.cod.ngens:
             return False
-        return self.cod.relations.contains(self.matrix - other.matrix)
+        diff = SparseRows.placed(self.rows.shape, [(0, 0, 1, self.rows), (0, 0, -1, other.rows)])
+        return self.cod.relations.contains(diff.nonzero_rows()[1])
 
 
 def safe_matmul(a, b):
@@ -1006,12 +1012,12 @@ class SparseRows(NamedTuple):
 
     @classmethod
     def of(cls, matrix):
-        """The nonzero entries of a 2-D int64 or object array, such as an
-        ``AbMap``'s matrix."""
+        """The nonzero entries of a 2-D int64 or object array, such as the
+        reduced coordinates a map is built from."""
         # a flat scan of a boolean mask is several times faster than
         # np.nonzero of the 2-D integer array; the entries are gathered
-        # by (row, column), since a map's matrix need not be C-contiguous
-        # and a flat view of it would be a full copy
+        # by (row, column), since the array need not be C-contiguous and
+        # a flat view of it would be a full copy
         r, c = np.divmod(np.flatnonzero(matrix != 0), max(matrix.shape[1], 1))
         return cls(matrix.shape, np.searchsorted(r, np.arange(len(matrix) + 1)), r, c, matrix[r, c])
 
@@ -1047,13 +1053,17 @@ class SparseRows(NamedTuple):
         rows, cols, data = zip(*((m.row + r, m.col + c, sign * m.data) for r, c, sign, m in parts))
         return cls.summed(shape, np.concatenate(rows), np.concatenate(cols), np.concatenate(data))
 
+    def dense(self):
+        """The matrix as one new dense, C-contiguous 2-D array."""
+        out = np.zeros(self.shape, dtype=self.data.dtype)
+        out[self.row, self.col] = self.data
+        return out
+
     def nonzero_rows(self):
         """(rows, block): the rows that hold an entry, increasing, and
         those rows as one dense 2-D array."""
         rows, at = np.unique(self.row, return_inverse=True)
-        block = np.zeros((len(rows), self.shape[1]), dtype=self.data.dtype)
-        block[at, self.col] = self.data
-        return rows, block
+        return rows, self._replace(shape=(len(rows), self.shape[1]), row=at).dense()
 
 
 def sparse_product(a, b):

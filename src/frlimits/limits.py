@@ -26,8 +26,15 @@ and only their nonzero rows reach the lattice engine, in one membership
 test per target level.  The square of the alternate-sum differential,
 sum (-1)^(i+j) d(p+1, j) d(p, i), is a signed sum of the differences of
 the coface identities, so d^2 = 0 follows from them; the alternate-sum
-complex is built only to cross-validate the Moore cohomology, and its
-d^2 = 0 is proved once, by the coordinate solve of its cohomology pass.
+complex is built only to cross-validate the Moore cohomology, each
+level's map as one signed placement of the cofaces' sparse rows
+(``SparseRows.placed``), and its d^2 = 0 is proved once, by the
+coordinate solve of its cohomology pass.
+
+Every structure map is held sparse (``AbMap.rows``), so the identities
+read the maps' rows as they are stored.  A dense matrix is built only
+where a lattice reads whole rows: the Moore cut of d^0 and the
+cohomology pass's reduction of each map.
 
 A complex's cohomology is one pass over its maps
 (``intlin.cochain_homology``): each level is presented once, each map
@@ -121,8 +128,8 @@ class CosimplicialAb:
         codegeneracies, mixed, by (p, i, j) as above ((p, j, i) for
         mixed)."""
         D = self.D
-        d = {key: SparseRows.of(m.matrix) for key, m in self.d.items()}
-        s = {key: SparseRows.of(m.matrix) for key, m in self.s.items()}
+        d = {key: m.rows for key, m in self.d.items()}
+        s = {key: m.rows for key, m in self.s.items()}
         # (family, label, target level, (first, second, first', second'))
         identities = []
         for p in range(D - 1):
@@ -191,16 +198,16 @@ class CochainComplex:
 
 
 def alternate_sum_complex(X):
-    """C(X): same levels, differential sum_i (-1)^i d^i.  Its d^2 = 0 is
-    proved by its cohomology pass, which refuses it with ValueError, a
-    sign of an induced-map bug, where it fails."""
+    """C(X): same levels, differential sum_i (-1)^i d^i, each level's map
+    one signed placement of the cofaces' sparse rows
+    (``SparseRows.placed``).  Its d^2 = 0 is proved by its cohomology
+    pass, which refuses it with ValueError, a sign of an induced-map bug,
+    where it fails."""
     maps = []
     for p in range(X.D):
-        acc = X.d[(p, 0)]
-        for i in range(1, p + 2):
-            term = X.d[(p, i)]
-            acc = acc + term if i % 2 == 0 else acc - term
-        maps.append(acc)
+        d0 = X.d[(p, 0)]
+        parts = [(0, 0, (-1) ** i, X.d[(p, i)].rows) for i in range(p + 2)]
+        maps.append(AbMap(d0.dom, d0.cod, SparseRows.placed(d0.rows.shape, parts)))
     return CochainComplex(list(X.levels), maps)
 
 

@@ -715,9 +715,10 @@ def induced_map(hom, src_value, tgt_value):
     """Matrix of f/c applied to a presentation morphism: row i is the image
     of the source generator ``gens[i]`` (for a layer-0 generator g, the
     image of word g minus that of word |G|-1), reduced modulo the target's
-    c and read on the target's ``gens`` columns, as a C-contiguous array.
-    A relabelling hom fixes word |G|-1, so for it the subtraction changes
-    only the column that is not read."""
+    c and read on the target's ``gens`` columns; the map (``AbMap``)
+    keeps that block's nonzero entries only.  A relabelling hom fixes
+    word |G|-1, so for it the subtraction changes only the column that is
+    not read."""
     src_ring = src_value.ring
     tgt_ring = tgt_value.ring
     if src_ring.depth != tgt_ring.depth:

@@ -633,7 +633,7 @@ def word_image_terms(hom, src_ring, tgt_ring, k):
 
 def cosimplicial_identities_pairwise(X):
     """The cosimplicial identities of X checked one at a time: each side
-    is a dense composite (``AbMap.compose``), and each pair is compared
+    is one composite (``AbMap.compose``), and each pair is compared
     with ``equals_as_map``.  Raises AssertionError naming the first
     failing identity in the order cofaces, codegeneracies, mixed; returns
     True otherwise."""

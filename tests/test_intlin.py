@@ -766,18 +766,24 @@ class TestAbMap:
             AbMap(z, z2, np.array([1, 0]))  # a flat vector
 
     def test_sums_at_the_int64_edge_are_exact(self):
-        # int64 matrices hold entries below 2**62, so a sum or difference of
-        # two fits int64 and is then read as Python ints
+        # int64 maps hold entries below 2**62, so a signed placement of two
+        # (the alternate sum's form, SparseRows.placed) sums past 2**62 in
+        # Python ints, and the map it makes keeps them exact
         top = 2**62 - 1
         z2 = FinPresAb.free(2)
         a = AbMap(z2, z2, [[top, -top], [0, 1]])
         b = AbMap(z2, z2, [[top, -top], [0, -1]])
         neg = AbMap(z2, z2, [[-top, top], [0, 1]])
-        assert a.matrix.dtype == np.int64
-        total = a + b
-        assert total.matrix.dtype == object
+        assert a.rows.data.dtype == np.int64 and a.matrix.dtype == np.int64
+
+        def signed_sum(*terms):
+            parts = [(0, 0, sign, m.rows) for sign, m in terms]
+            return AbMap(z2, z2, SparseRows.placed((2, 2), parts))
+
+        total = signed_sum((1, a), (1, b))
+        assert total.rows.data.dtype == object and total.matrix.dtype == object
         assert total.matrix.tolist() == [[2**63 - 2, -(2**63 - 2)], [0, 0]]
-        assert (neg - b).matrix.tolist() == [[-(2**63 - 2), 2**63 - 2], [0, 2]]
+        assert signed_sum((1, neg), (-1, b)).matrix.tolist() == [[-(2**63 - 2), 2**63 - 2], [0, 2]]
         assert not a.equals_as_map(neg)
         # modulo 2**63 - 2 in both coordinates, a and neg differ by relations
         mod = FinPresAb(2, [[2**63 - 2, 0], [0, 2**63 - 2]])

@@ -886,7 +886,39 @@ def test_structure_maps_agree_with_the_ring_quotient_oracle(name, code):
 
 
 @pytest.mark.parametrize("code", ["fff", "rrr"])
+def test_structure_maps_are_held_as_sparse_rows_only(code, monkeypatch):
+    # each map keeps the nonzero entries of its matrix and no dense copy;
+    # the dense view is those entries scattered into zeros, and the
+    # identity check reads the stored rows, converting no matrix
+    X = complex_of("z3", code)
+    maps = list(X.d.values()) + list(X.s.values())
+    assert len(maps) == 15
+    assert "matrix" not in AbMap.__slots__
+    for m in maps:
+        S = m.rows
+        assert isinstance(S, intlin.SparseRows)
+        assert S.shape == (m.dom.ngens, m.cod.ngens)
+        assert (S.data != 0).all()
+        dense = np.zeros(S.shape, dtype=S.data.dtype)
+        dense[S.row, S.col] = S.data
+        assert np.array_equal(m.matrix, dense)
+    conversions = []
+    of = intlin.SparseRows.of.__func__
+
+    def counted(cls, matrix):
+        conversions.append(1)
+        return of(cls, matrix)
+
+    monkeypatch.setattr(intlin.SparseRows, "of", classmethod(counted))
+    assert X.verify_cosimplicial_identities() is True
+    assert conversions == []
+
+
+@pytest.mark.parametrize("code", ["fff", "rrr"])
 def test_structure_maps_are_c_contiguous(code):
+    # a map's dense view is built C-ordered, so a row block or a flat view
+    # of it, as the Moore cut and the cohomology pass read, is no strided
+    # copy
     X = complex_of("z3", code)
     maps = list(X.d.values()) + list(X.s.values())
     assert len(maps) == 15
