@@ -4,9 +4,9 @@ Submodules:
     frcode    -- fr-code expressions: parsing, normalization, truncation depth
     freegrp   -- free products, reduced words, cofaces and codegeneracies
     permgrp   -- permutation realization of G, Schreier machinery per level
-    truncring -- exact arithmetic in Z[F]/r^N, ideal lattices, code evaluation
+    truncring -- Z[F]/r^N, ideal lattices, f/code's levels, maps and Moore degrees
     intlin    -- exact integer linear algebra, presented abelian groups
-    limits    -- the cosimplicial complex, Moore/alternate-sum cohomology
+    limits    -- identity checks, the Moore cut of d^0, cohomology, the report
     errors    -- InputError, CapExceeded and the run budget Deadline
 """
 

@@ -114,8 +114,10 @@ def parse(text):
                         i += 1
                     if i == start:
                         error("expected an exponent", start)
-                    # a long digit string is over the cap: no huge int is formed
-                    exp = int(text[start:i]) if i - start <= len(str(MAX_LETTERS)) else MAX_LETTERS + 1
+                    # without its leading zeros, a long digit string is over
+                    # the cap: no huge int is formed
+                    digits = text[start:i].lstrip("0")
+                    exp = int(digits or 0) if len(digits) <= len(str(MAX_LETTERS)) else MAX_LETTERS + 1
                     if exp == 0:
                         error("exponent must be positive", start)
                     at = start

@@ -63,21 +63,6 @@ def word_in_alphabet(word, copies, rank):
 # -- word syntax --------------------------------------------------------------
 
 
-def format_word(word, names):
-    """Render using generator names, '^' powers, '@' copies, '*' joins."""
-    if not word:
-        return "1"
-    parts = []
-    for c, g, e in word:
-        s = names[g]
-        if c:
-            s += f"@{c}"
-        if e != 1:
-            s += f"^{e}"
-        parts.append(s)
-    return "*".join(parts)
-
-
 def _number(text, sign):
     """An int in ASCII digits after an optional ``sign`` pattern: ``int``
     would also read other scripts' digits and '_' separators."""
@@ -87,8 +72,9 @@ def _number(text, sign):
 
 
 def parse_word(text, names):
-    """Inverse of format_word: 'x*y^-2*x@2' -> reduced word.  Exponents
-    and copy indices are read in ASCII digits only."""
+    """The reduced word written with generator names, '^' powers, '@'
+    copies and '*' joins: 'x*y^-2*x@2'; '1' or nothing is the identity.
+    Exponents and copy indices are read in ASCII digits only."""
     text = text.strip()
     if text in ("", "1"):
         return IDENTITY

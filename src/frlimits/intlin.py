@@ -109,7 +109,7 @@ from __future__ import annotations
 
 import operator
 from itertools import chain
-from math import gcd, prod
+from math import gcd
 from typing import NamedTuple
 
 import numpy as np
@@ -852,13 +852,6 @@ class FinPresAb:
         pivots of an echelon basis depend only on L, so no SNF is needed."""
         rel = self.relations
         return rel.rank == self.ngens and bool(rel._hnf.unit.all())
-
-    def order(self):
-        """Group order, or None if infinite."""
-        t, r = self.invariants()
-        if r:
-            return None
-        return prod(t) if t else 1
 
     def iso_eq(self, other):
         return self.invariants() == other.invariants()

@@ -7,16 +7,20 @@ Moore complex, the shift coming from the short exact sequence
 code -> f -> f/code and the vanishing of the limits of f.  lim^0 is zero
 for the same reason.
 
-Every coface d^i with i >= 1 relabels basis words, so degree n of the
-Moore complex is Z^{A_n} / proj_{A_n}(c), with A_n the basis words whose
-letters use every copy 1..n of F (``moore_complex``).  A word has fewer
-than N letters, N the code's truncation depth, so Moore^n = 0 for every
-n >= N, and lim^i = 0 for every i > N.  So ``higher_limits`` builds
-levels 0..min(D, N - 1) of a report of top degree D, proves their
-cosimplicial identities, checks the relabellings the cut rests on, and
-reads lim^i for N < i <= D as 0.  With ``cross_validate`` it builds
-levels 0..D, proves every identity among them, and compares the
-alternate-sum cohomology with lim^i in every degree.
+``truncring`` builds the group's levels and structure maps
+(``truncring.structure``) and each level's Moore degree
+(``FunctorValue.moore``), and this module sees only presented groups and
+maps between them: it proves the cosimplicial identities, cuts d^0 to the
+Moore degrees, and reads the cohomology and the report.  Degree n of the
+Moore complex is presented on the basis words whose letters use every
+copy 1..n of F.  A word has fewer than N letters, N the code's truncation
+depth, so Moore^n = 0 for every n >= N, and lim^i = 0 for every i > N.
+So ``higher_limits`` builds levels 0..min(D, N - 1) of a report of top
+degree D, proves their cosimplicial identities, has the relabellings the
+cut rests on checked, and reads lim^i for N < i <= D as 0.  With
+``cross_validate`` it builds levels 0..D, proves every identity among
+them, and compares the alternate-sum cohomology with lim^i in every
+degree.
 
 The cosimplicial identities are proved for every complex built, batched:
 every identity that lands in one level is one block row of one exact
@@ -52,50 +56,26 @@ import numpy as np
 from . import freegrp
 from .errors import CapExceeded, Deadline, InputError
 from .frcode import FrCode, max_monomial_length, normalize, required_truncation
-from .intlin import (AbMap, FinPresAb, Lattice, SparseRows, cochain_homology, quotient,
-                     safe_matmul, sparse_product)
+from .intlin import (AbMap, FinPresAb, Lattice, SparseRows, cochain_homology, safe_matmul,
+                     sparse_product)
 from .permgrp import GroupData
-from .truncring import (DEFAULT_RANK_CAP, FunctorValue, GroupContext, induced_map, rank_sum,
-                        relabelling, word_images)
+from .truncring import DEFAULT_RANK_CAP, GroupContext, structure, word_images
 
 
 class CosimplicialAb:
     """Levels 0..D of f/code on the standard complex, in the rings truncated
     at the code's faithful depth N (``required_truncation``), with all
-    cofaces and codegeneracies as maps of presented groups; the
-    cosimplicial identities are verified on construction, with one sparse
-    product and at most one membership test per target level
-    (``verify_cosimplicial_identities``)."""
+    cofaces and codegeneracies as maps of presented groups, as
+    ``truncring.structure`` builds them; the cosimplicial identities are
+    verified on construction, with one sparse product and at most one
+    membership test per target level (``verify_cosimplicial_identities``)."""
 
     def __init__(self, code, ctx, depth_d, deadline=Deadline()):
         self.ctx = ctx
         self.D = depth_d
         self.N = required_truncation(code)
-        rank = ctx.group.ngens
-        # the rings' ranks summed by formula, so levels too wide in all are
-        # refused before any is built; then every level's ring, so one too
-        # wide is refused before any lattice is built
-        rank_sum(ctx.group, depth_d + 1, self.N)
-        rings = []
-        for p in range(depth_d + 1):
-            deadline.check()
-            rings.append(ctx.ring(p, self.N))
-        self.values = []
-        for ring in rings:
-            deadline.check()
-            self.values.append(FunctorValue(ring, code, deadline))
+        self.values, self.d, self.s = structure(code, ctx, depth_d, deadline)
         self.levels = [v.group for v in self.values]
-        # cofaces d[(p, i)]: level p -> p+1; codegeneracies s[(p, j)]: p+1 -> p
-        self.d = {}
-        self.s = {}
-        for p in range(depth_d):
-            deadline.check()
-            for i in range(p + 2):
-                hom = freegrp.coface(p, i, rank)
-                self.d[(p, i)] = induced_map(hom, self.values[p], self.values[p + 1])
-            for j in range(p + 1):
-                hom = freegrp.codegeneracy(p, j, rank)
-                self.s[(p, j)] = induced_map(hom, self.values[p + 1], self.values[p])
         self.verify_cosimplicial_identities()
 
     def verify_cosimplicial_identities(self):
@@ -212,49 +192,18 @@ def alternate_sum_complex(X):
 
 def moore_complex(X):
     """Q(X), the Moore complex: degree n is X^n modulo the images of
-    d^1..d^n, and the differential is the class of d^0.
-
-    Each d^i with i >= 1 relabels basis words (``truncring.relabelling``),
-    and together d^1..d^n hit exactly the words of level n that miss one
-    of the copies 1..n of F, which is checked here on every call, on the
-    word maps.  So f modulo their images is free on A_n, the all-copies
-    words (``TruncatedRing.all_copies_words``), and degree n >= 1 is
-    Z^{A_n} / proj_{A_n}(c), presented on A_n's words that are no unit
-    pivot of c, with c's other rows cut to them (``intlin.quotient``): the
-    unit rows whose pivot misses a copy carry relations too, and where
-    the cut drops a pivot, the rows it leaves are eliminated.  A_0 is every
-    word, so degree 0 is f/c as ``FunctorValue`` presents it, on every
-    word but |G|-1, and it is taken as it is, ``X.levels[0]``.  The
-    differential is d^0's matrix cut to the A_n rows and the A_{n+1}
-    columns.  A word has fewer than N letters, so A_n is empty and degree
-    n is 0 for every n >= N; when X reaches level N - 1, the complex ends
-    with the zero level X.D + 1, so that its top cohomology is the top
-    level modulo the image of d^0."""
-    rank = X.ctx.group.ngens
-    # A_0 is every word, and without word |G|-1 that is f's basis, the
-    # cut X.levels[0] is presented on already
-    levels, keep = [X.levels[0]], [np.arange(X.levels[0].ngens)]
-    for n, value in enumerate(X.values[1:], 1):
-        ring = value.ring
-        words = ring.all_copies_words()
-        hit = np.zeros(ring.rank, dtype=bool)
-        for i in range(1, n + 1):
-            where = relabelling(freegrp.coface(n - 1, i, rank), X.values[n - 1].ring, ring)
-            if where is None:
-                raise AssertionError(f"coface d^{i} into level {n} relabels no words")
-            hit[where[where >= 0]] = True
-        if not np.array_equal(hit, ~words):
-            raise AssertionError(
-                f"cofaces 1..{n} into level {n} do not hit exactly its words that miss a copy"
-            )
-        # word |G|-1 is an all-copies word only at level 0
-        gens, level = quotient(value.c_lattice, words)
-        keep.append(np.searchsorted(value.gens, gens))
-        levels.append(level)
-    maps = [
-        AbMap(levels[n], levels[n + 1], X.d[(n, 0)].matrix[np.ix_(keep[n], keep[n + 1])])
-        for n in range(X.D)
-    ]
+    d^1..d^n, as each level's value presents it (``FunctorValue.moore``,
+    which checks on every call that d^1..d^n relabel basis words and hit
+    exactly the words that miss a copy), with degree 0 the level X^0 as
+    it is, ``X.levels[0]``.  The differential is the class of d^0: its
+    matrix cut to the rows and columns each degree keeps.  A word has
+    fewer than N letters, so degree n is 0 for every n >= N; when X
+    reaches level N - 1, the complex ends with the zero level X.D + 1, so
+    that its top cohomology is the top level modulo the image of d^0."""
+    keep, levels = zip(*(value.moore(below) for below, value in zip([None, *X.values], X.values)))
+    levels = list(levels)
+    maps = [AbMap(levels[n], levels[n + 1], X.d[(n, 0)].matrix[np.ix_(keep[n], keep[n + 1])])
+            for n in range(X.D)]
     if X.D + 1 >= X.N:
         levels.append(FinPresAb.zero())
         maps.append(AbMap.zero(levels[-2], levels[-1]))

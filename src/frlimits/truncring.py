@@ -98,6 +98,15 @@ basis with that column dropped is canonical as it stands, and f/c is
 presented on c's columns without a unit pivot, but for |G|-1, with c's
 other rows cut to them as relations: one lattice per level, c, and
 nothing eliminated (``intlin.quotient``, which checks that form).
+
+This module builds the whole presentation of f/code on the standard
+complex, and ``limits`` sees only presented groups and maps:
+``structure`` gives every level's value, each ring built just before its
+value, and every coface and codegeneracy as the map it induces
+(``induced_map``), and ``FunctorValue.moore`` gives each level's Moore
+degree, the value cut to the words that use every copy 1..n of F (one
+``intlin.quotient`` of c), with the positions among ``gens`` it keeps,
+by which ``limits`` cuts d^0.
 """
 
 from __future__ import annotations
@@ -590,6 +599,41 @@ class FunctorValue:
         # f's basis is every word but |G|-1, and no pivot of c is there
         self.gens, self.group = quotient(self.c_lattice, np.arange(ring.rank) != order - 1)
 
+    def moore(self, below):
+        """(keep, group): degree n of the Moore complex, the value modulo
+        the images of d^1..d^n, n the level and ``below`` the value at
+        level n - 1, or None at level 0, whose degree is the value as
+        presented; ``keep`` gives the degree's generators as positions
+        among ``gens``.
+
+        Each d^i with i >= 1 relabels basis words (``relabelling``), and
+        together d^1..d^n hit exactly the words that miss one of the
+        copies 1..n of F, which is checked here on every call, on the word
+        maps as memoized.  So f modulo their images is free on A_n, the
+        all-copies words (``TruncatedRing.all_copies_words``), and the
+        degree is Z^{A_n} / proj_{A_n}(c), presented on A_n's words that
+        are no unit pivot of c, with c's other rows cut to them
+        (``intlin.quotient``): the unit rows whose pivot misses a copy
+        carry relations too, and where the cut drops a pivot, the rows it
+        leaves are eliminated.  Word |G|-1 is an all-copies word only at
+        level 0."""
+        if below is None:
+            return np.arange(self.group.ngens), self.group
+        ring, n = self.ring, self.ring.lp.level
+        words = ring.all_copies_words()
+        hit = np.zeros(ring.rank, dtype=bool)
+        for i in range(1, n + 1):
+            where = relabelling(freegrp.coface(n - 1, i, ring.lp.base_rank), below.ring, ring)
+            if where is None:
+                raise AssertionError(f"coface d^{i} into level {n} relabels no words")
+            hit[where[where >= 0]] = True
+        if not np.array_equal(hit, ~words):
+            raise AssertionError(
+                f"cofaces 1..{n} into level {n} do not hit exactly its words that miss a copy"
+            )
+        gens, group = quotient(self.c_lattice, words)
+        return np.searchsorted(self.gens, gens), group
+
 
 def _relabelling(hom, src_ring, tgt_ring):
     """The target index of each basis word of src_ring when the hom
@@ -650,8 +694,7 @@ def word_images(hom, src_ring, tgt_ring, words):
     offset t // m of layer k-1 and last letter t % m (see the module
     docstring).  Each word's row (prefixes included), keyed by its source
     position, and each phi(t_j) are memoized per hom in the target ring's
-    ``_hom_images``; a layer's offset does not depend on N, so the keys
-    mean the same word at every source depth.
+    ``_hom_images``.
     """
     words = np.asarray(words, dtype=np.intp)
     rank = tgt_ring.rank
@@ -719,3 +762,30 @@ def induced_map(hom, src_value, tgt_value):
     images[: np.searchsorted(src_value.gens, last)] -= last_image
     coords = tgt_value.c_lattice.reduce(images).take(tgt_value.gens, axis=1)
     return AbMap(src_value.group, tgt_value.group, coords)
+
+
+def structure(code, ctx, depth_d, deadline=Deadline()):
+    """(values, d, s): f/code on levels 0..depth_d of the standard complex,
+    in the context's rings truncated at the code's faithful depth N
+    (``required_truncation``), with every coface d[(p, i)]: level p ->
+    p + 1 and codegeneracy s[(p, j)]: level p + 1 -> p as the map it
+    induces (``induced_map``).  The rings' ranks are summed by formula
+    first (``rank_sum``), so levels too wide in all, and so any one too
+    wide, are refused before any is built; then each level's ring is
+    built just before its value.  The deadline is checked once per
+    level, for the values and for the maps."""
+    N = required_truncation(code)
+    rank = ctx.group.ngens
+    rank_sum(ctx.group, depth_d + 1, N)
+    values = []
+    for p in range(depth_d + 1):
+        deadline.check()
+        values.append(FunctorValue(ctx.ring(p, N), code, deadline))
+    d, s = {}, {}
+    for p in range(depth_d):
+        deadline.check()
+        for i in range(p + 2):
+            d[(p, i)] = induced_map(freegrp.coface(p, i, rank), values[p], values[p + 1])
+        for j in range(p + 1):
+            s[(p, j)] = induced_map(freegrp.codegeneracy(p, j, rank), values[p + 1], values[p])
+    return values, d, s

@@ -45,6 +45,12 @@ quotients Delta/Delta^n, are built here from products in Z[G] on the
 multiplication table (``augmentation_power_rows``,
 ``augmentation_quotient_invariants``), with no truncated ring.
 
+The group homology H_n(G; Z) (``bar_homology``) is read off the
+normalized bar complex, built from the group's multiplication alone
+(``GroupData.mul``), with no free group, no truncated ring and no
+presentation, so it anchors the answers the package reads off fr-codes
+(lim^1(rr+frf) = H_3, lim^1(fr+rf) = Z^(|G|-1) + H_2) independently.
+
 The package keeps a ring element as a dense row over the basis, laid out
 by a formula it never tabulates; the oracle keeps an element as its terms
 {(g, J): c}, places a basis word by that formula on its own (``position``)
@@ -75,7 +81,7 @@ from math import comb, gcd
 import numpy as np
 
 from frlimits import freegrp
-from frlimits.intlin import AbMap, FinPresAb, Lattice
+from frlimits.intlin import AbMap, FinPresAb, Lattice, cochain_homology
 from frlimits.limits import CochainComplex
 from frlimits.truncring import word_images
 
@@ -709,3 +715,37 @@ def moore_complex_by_images(X):
         levels.append(FinPresAb(X.levels[n].ngens, rel))
     maps = [AbMap(levels[n], levels[n + 1], X.d[(n, 0)].matrix) for n in range(X.D)]
     return CochainComplex(levels, maps)
+
+
+def bar_homology(group, n):
+    """H_n(G; Z) for n >= 1 from the normalized bar complex.  C_k is free
+    on the k-tuples [g_1|...|g_k] of nonidentity elements, in
+    lexicographic order, and
+
+        d[g_1|...|g_k] = [g_2|...|g_k] + sum_{0<i<k} (-1)^i [...|g_i g_(i+1)|...]
+                         + (-1)^k [g_1|...|g_(k-1)],
+
+    a tuple with the identity (element 0) in it being 0.  H_n is
+    ker d_n / im d_(n+1), the H^1 of the two-map complex
+    C_(n+1) -> C_n -> C_(n-1), each map a matrix whose rows are the
+    boundaries of the cells (``intlin.cochain_homology``).  C_(n+1) has
+    (|G| - 1)^(n+1) cells: 2401 for H_3 at order 8, 14641 at order 12."""
+    o = group.order
+    table = np.array([[group.mul(a, b) for b in range(o)] for a in range(o)], dtype=np.intp)
+
+    def boundary(k):
+        cells = np.array(list(product(range(1, o), repeat=k)), dtype=np.intp)
+        # a (k-1)-tuple's index reads its entries minus 1 in base |G| - 1
+        weights = (o - 1) ** np.arange(k - 2, -1, -1)
+        faces = [(1, cells[:, 1:]), ((-1) ** k, cells[:, :-1])]
+        for i in range(1, k):
+            merged = table[cells[:, i - 1], cells[:, i]]
+            face = np.column_stack([cells[:, : i - 1], merged, cells[:, i + 1 :]])
+            faces.append(((-1) ** i, face))
+        out = np.zeros((len(cells), (o - 1) ** (k - 1)), dtype=np.int64)
+        for sign, face in faces:
+            keep = (face != 0).all(axis=1)
+            np.add.at(out, (np.flatnonzero(keep), (face[keep] - 1) @ weights), sign)
+        return AbMap(FinPresAb.free(len(cells)), FinPresAb.free(out.shape[1]), out)
+
+    return cochain_homology([boundary(n + 1), boundary(n)])[1]

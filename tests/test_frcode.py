@@ -16,6 +16,7 @@ from frlimits.frcode import (
     parse,
     required_truncation,
 )
+from frlimits.truncring import DEFAULT_RANK_CAP
 
 
 class TestParse:
@@ -83,6 +84,23 @@ class TestParse:
             tracemalloc.stop()
         assert exc.value.offset == offset
         assert peak < 1_000_000
+
+    def test_leading_zeros_of_an_exponent_are_read(self):
+        # the digit count is taken without the leading zeros, so they
+        # neither pass the letter cap nor hide a zero exponent
+        assert parse("f^0000001") == parse("f")
+        assert parse("r^" + "0" * 50 + "2") == parse("rr")
+        with pytest.raises(FrCodeError, match="exponent must be positive") as exc:
+            parse("f^0000000")
+        assert exc.value.offset == 2
+        with pytest.raises(FrCodeError, match=f"more than {MAX_LETTERS} letters") as exc:
+            parse("r+f^" + "0" * 20 + str(MAX_LETTERS + 1))
+        assert exc.value.offset == 4
+
+    def test_the_letter_cap_is_the_rank_cap(self):
+        # frcode cannot import truncring, which imports it, so it keeps
+        # the cap's value as a literal of its own
+        assert MAX_LETTERS == DEFAULT_RANK_CAP
 
     def test_a_code_at_the_letter_cap_is_read(self):
         assert max_monomial_length(parse(f"r+f^{MAX_LETTERS - 1}")) == MAX_LETTERS - 1

@@ -715,11 +715,6 @@ class TestFinPresAb:
         assert FinPresAb.free(2).describe() == "Z^2"
         assert FinPresAb(2, [[2, 0], [0, 2]]).describe() == "Z/2 + Z/2"
 
-    def test_order(self):
-        assert FinPresAb.cyclic(12).order() == 12
-        assert FinPresAb.free(1).order() is None
-        assert FinPresAb.zero().order() == 1
-
     def test_off_diagonal_presentation(self):
         g = FinPresAb(2, [[2, 2], [0, 4]])
         assert g.invariants() == ((2, 4), 0)

@@ -21,13 +21,14 @@ from hypothesis import strategies as st
 from frlimits import freegrp, intlin, limits
 from frlimits.errors import CapExceeded, InputError
 from frlimits.frcode import make_code, max_monomial_length, normalize, parse, required_truncation
-from frlimits.intlin import AbMap, FinPresAb, tensor_Z, tor_Z
+from frlimits.intlin import AbMap, FinPresAb, direct_sum, tensor_Z, tor_Z
 from frlimits.limits import (CosimplicialAb, Deadline, alternate_sum_complex, assemble,
                              code_lattice_equalizer_rank, higher_limits, moore_complex)
 from frlimits.permgrp import group_from_spec, load_group_file
 from frlimits.truncring import GroupContext, rank_sum
 
-from oracles import (RingQuotientValue, augmentation_quotient_invariants,
+from oracles import (RingQuotientValue, abelianization_by_enumeration,
+                     augmentation_quotient_invariants, bar_homology,
                      cosimplicial_identities_pairwise, homology_by_kernel, moore_complex_by_images,
                      reference_hnf, ring_quotient_map, surviving)
 
@@ -70,6 +71,61 @@ def test_ff_vanishes(name):
 @pytest.mark.parametrize("name,h3", [("z2", "Z/2"), ("z3", "Z/3")])
 def test_lim1_rr_frf_is_h3(name, h3):
     assert lims("rr+frf", name)[1] == h3
+
+
+# the groups of the ROADMAP's starred answers, as one-line images
+# (1-indexed), with H_2 and H_3 as textbooks give them
+STARRED_GROUPS = {
+    "q8": ([[2, 5, 4, 7, 6, 1, 8, 3], [3, 8, 5, 2, 7, 4, 1, 6]], "0", "Z/8"),
+    "d8": ([[2, 3, 4, 1], [3, 2, 1, 4]], "Z/2", "Z/2 + Z/2 + Z/4"),
+    "a4": ([[2, 3, 1, 4], [1, 3, 4, 2]], "Z/2", "Z/6"),
+}
+# lim^2(rr+frf) as observed on each: it equals lim^1(fr+rf) on every
+# group measured, which no theorem here says, so it is recorded, not derived
+STARRED_LIM2_RR_FRF = {"q8": "Z^7", "d8": "Z^7 + Z/2", "a4": "Z^11 + Z/2"}
+
+
+def starred_reports(images):
+    """lim^i of rr+frf, fr+rf and rr+fff on the group the images generate."""
+    group = group_from_spec({"generators": [f"x{i}" for i in range(len(images))], "images": images})
+    ctx = GroupContext(group)
+    return group, [higher_limits(parse(code), group, ctx=ctx).lims
+                   for code in ("rr+frf", "fr+rf", "rr+fff")]
+
+
+@pytest.mark.parametrize("name", sorted(STARRED_GROUPS))
+def test_the_starred_answers_match_the_bar_complex_and_the_abelianization(name):
+    images, h2, h3 = STARRED_GROUPS[name]
+    group, (rr_frf, fr_rf, rr_fff) = starred_reports(images)
+    H2, H3 = bar_homology(group, 2), bar_homology(group, 3)
+    assert (H2.describe(), H3.describe()) == (h2, h3)
+    assert rr_frf[1].describe() == H3.describe()
+    assert fr_rf[1].describe() == direct_sum([FinPresAb.free(group.order - 1), H2]).describe()
+    gab = FinPresAb.from_invariants(list(abelianization_by_enumeration(group)), 0)
+    assert rr_fff[1].describe() == tor_Z(gab, gab).describe()
+    assert rr_fff[2].describe() == tensor_Z(gab, gab).describe()
+    assert rr_frf[2].describe() == STARRED_LIM2_RR_FRF[name]
+
+
+@pytest.mark.parametrize("name", sorted(STARRED_GROUPS))
+def test_the_starred_answers_do_not_depend_on_the_generating_set(name):
+    # the same group generated by (x, x·y) and by (y, x, x²) gives the
+    # same three reports as by (x, y)
+    (x, y), _, _ = STARRED_GROUPS[name]
+
+    def times(a, b):
+        return [b[i - 1] for i in a]
+
+    reports = [[[g.describe() for g in lims] for lims in starred_reports(images)[1]]
+               for images in ([x, y], [x, times(x, y)], [y, x, times(x, x)])]
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
+def test_the_bar_complex_gives_the_homology_of_cyclic_groups():
+    # H_n(Z/m) is Z/m for odd n and 0 for even n >= 2
+    for name, m in (("z2", 2), ("z3", 3), ("z4", 4)):
+        group = context(name).group
+        assert [bar_homology(group, n).describe() for n in (1, 2, 3)] == [f"Z/{m}", "0", f"Z/{m}"]
 
 
 def test_rr_fff_is_tor_and_tensor_of_abelianization():

@@ -1,8 +1,9 @@
 """pyproject.toml and the package docstring declare only what ships, the
 benchmark's layer tracing finds every name it wraps, no check in the
 package is an assert statement, no deadline parameter defaults to None,
-every function of the package is used, and no module imports another
-module's private names."""
+every function of the package is used and every instance attribute read,
+no module imports another module's private names, and one module owns
+each of a lattice's stored form and f/code's presentation."""
 
 import ast
 import importlib
@@ -98,22 +99,29 @@ def test_no_deadline_defaults_to_none():
 # itself, these are the only functions of the package that src/ and
 # bench/ may leave unnamed
 UNREFERENCED_OK = {
-    "direct_sum", "is_well_defined", "to_json_dict", "format_word", "free", "cyclic",
+    "direct_sum", "is_well_defined", "to_json_dict", "free", "cyclic",
     "equals_as_map", "compose", "identity",
 }
+
+# the instance attributes that only the tests read (FrCodeError.offset:
+# the parse tests; GroupData.inverse: the oracles' group arithmetic), the
+# only ones that src/ and bench/ may set and never read
+UNREAD_ATTRIBUTES_OK = {"offset", "inverse"}
 
 
 def _names(tree):
     """(names, attributes): every name a module refers to, and every
     attribute it reads, by a dot or by getattr, with each part of a string
     that is a dotted name (the benchmark's tracer names its targets as
-    strings such as "TruncatedRing.eval_monomial")."""
+    strings such as "TruncatedRing.eval_monomial").  An attribute that is
+    only assigned is not read."""
     names, attrs = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            attrs.add(node.attr)
+            if not isinstance(node.ctx, ast.Store):
+                attrs.add(node.attr)
         elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
               and node.func.id in ("getattr", "hasattr", "setattr") and len(node.args) > 1
               and isinstance(node.args[1], ast.Constant)):
@@ -127,7 +135,9 @@ def _names(tree):
 
 def test_every_function_is_used_by_the_package_or_the_benchmark():
     # a method counts as used only through an attribute or a dotted
-    # string: a local variable of the same name does not call it
+    # string: a local variable of the same name does not call it; an
+    # instance attribute, set as self.<name> in a class, counts as used
+    # only where it is read
     names, attrs, defined = set(), set(), []
     for top in ("src", "bench"):
         for path in sorted((ROOT / top).rglob("*.py")):
@@ -136,32 +146,34 @@ def test_every_function_is_used_by_the_package_or_the_benchmark():
             names |= found[0]
             attrs |= found[1]
             if top == "src":
-                methods = {
-                    node for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for node in cls.body
-                }
+                classes = [cls for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)]
+                methods = {node for cls in classes for node in cls.body}
                 defined += [
-                    (f"{path.name}:{node.lineno}", node.name, node in methods)
+                    (f"{path.name}:{node.lineno}", node.name,
+                     "method" if node in methods else "function")
                     for node in ast.walk(tree)
                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                 ]
+                defined += [
+                    (f"{path.name}:{node.lineno}", node.attr, "attribute")
+                    for cls in classes for node in ast.walk(cls)
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name) and node.value.id == "self"
+                ]
 
-    def used(name, method):
-        return name in attrs or (not method and name in names)
+    def used(name, kind):
+        return name in attrs or (kind == "function" and name in names)
 
-    unused = [
-        where + " " + name
-        for where, name, method in defined
-        if not used(name, method) and name not in UNREFERENCED_OK
-        and not (name.startswith("__") and name.endswith("__"))
-    ]
-    assert not unused, unused
-    # the allowlist is exact: an entry the package no longer defines, or
+    # (name, whether it is an attribute) -> where it is defined unused
+    unused = {}
+    for where, name, kind in defined:
+        if not used(name, kind) and not (name.startswith("__") and name.endswith("__")):
+            unused.setdefault((name, kind == "attribute"), []).append(where + " " + name)
+    allowed = {(n, False) for n in UNREFERENCED_OK} | {(n, True) for n in UNREAD_ATTRIBUTES_OK}
+    assert not unused.keys() - allowed, sorted(unused[key] for key in unused.keys() - allowed)
+    # the allowlists are exact: an entry the package no longer defines, or
     # one that src/ or bench/ now use, would hide the next unused name
-    stale = sorted(
-        name for name in UNREFERENCED_OK
-        if not any(n == name and not used(n, method) for _, n, method in defined)
-    )
-    assert not stale, stale
+    assert not allowed - unused.keys(), sorted(allowed - unused.keys())
 
 
 # the private names one package module still takes from another: none
@@ -184,6 +196,14 @@ def test_no_module_imports_a_private_name_of_another():
                                         sorted(PRIVATE_IMPORTS_OK - hits))
 
 
+def _name_of(node):
+    """The name an AST node refers to: an attribute it reads or writes, a
+    name or an imported alias, or None for any other node."""
+    return (node.attr if isinstance(node, ast.Attribute) else
+            node.id if isinstance(node, ast.Name) else
+            node.name if isinstance(node, ast.alias) else None)
+
+
 # the names through which a lattice's stored form (pivots, columns and
 # block) is read or written
 STORED_FORM = {"_hnf", "stored_form", "canonical", "_of", "_Hermite"}
@@ -199,10 +219,37 @@ def test_only_intlin_touches_a_lattices_stored_form():
             continue
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
-            name = (node.attr if isinstance(node, ast.Attribute) else
-                    node.id if isinstance(node, ast.Name) else
-                    node.name if isinstance(node, ast.alias) else None)
+            name = _name_of(node)
             if name in STORED_FORM:
+                hits.append(f"{path.name}:{node.lineno} {name}")
+    assert not hits, hits
+
+
+# the names through which f/code's presentation is read, with the modules
+# that may name them: each value's generators among the basis words (read
+# as an attribute, ``.gens``), the word maps of the relabelling structure
+# maps and the all-copies words the Moore levels are cut to, and the
+# quotient routine that cuts a lattice to columns
+PRESENTATION_OWNERS = {
+    ".gens": {"truncring.py"},
+    "relabelling": {"truncring.py"},
+    "all_copies_words": {"truncring.py"},
+    "quotient": {"intlin.py", "truncring.py"},
+}
+
+
+def test_only_truncring_builds_the_presentation_of_f_mod_code():
+    # truncring builds f/code's levels, maps and Moore levels, and limits
+    # sees only presented groups and maps, so a change of how they are
+    # built is a change to truncring alone
+    hits = []
+    for path in sorted((ROOT / "src" / "frlimits").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            name = _name_of(node)
+            if name == "gens" and isinstance(node, ast.Attribute):
+                name = ".gens"
+            if name in PRESENTATION_OWNERS and path.name not in PRESENTATION_OWNERS[name]:
                 hits.append(f"{path.name}:{node.lineno} {name}")
     assert not hits, hits
 
